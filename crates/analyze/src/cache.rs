@@ -6,8 +6,8 @@
 //!
 //! * intra-file passes (`unit-dataflow`, `digest-stability`) are valid
 //!   while the file's content digest is unchanged;
-//! * interprocedural passes (`determinism-taint`, the hint passes) are
-//!   valid while the content digest **and** the dependency digest are
+//! * the interprocedural pass (`determinism-taint`) is valid while
+//!   the content digest **and** the dependency digest are
 //!   unchanged, where the dependency digest folds the (key, summary
 //!   digest) pairs of every resolved cross-file callee
 //!   ([`SummaryContext::file_deps`](crate::summaries::SummaryContext::file_deps))

@@ -45,11 +45,6 @@
 //!   [summaries](summaries) computed to a fixpoint lets the
 //!   determinism-taint and lock-discipline passes follow flows through
 //!   helper calls across function and file boundaries;
-//! * [`AnalyzeRule::HintSoundness`] / [`AnalyzeRule::HintCoalescing`] —
-//!   every `FcOutputPolicy` impl's `steady_current` hint is
-//!   cross-checked against its decide path ([`hints`]): unsound
-//!   `Some(..)` hints are errors, missed/plannable coalescing
-//!   opportunities are warnings feeding the ROADMAP worklist;
 //! * a digest-keyed [pass cache](cache) (`analyze-cache.json`) replays
 //!   unchanged pass results, keyed by content digest for intra-file
 //!   passes and by (content digest, dependency-summary digests) for
@@ -73,7 +68,6 @@ pub mod constants;
 pub mod dataflow;
 pub mod digest;
 pub mod grid;
-pub mod hints;
 pub mod locks;
 pub mod summaries;
 pub mod symbols;
@@ -110,16 +104,12 @@ pub enum AnalyzeRule {
     LockDiscipline,
     /// Digest-keyed structs account for every field (folded or masked).
     DigestStability,
-    /// `steady_current` hints must be sound against the decide path.
-    HintSoundness,
-    /// Coalescing opportunities the hint leaves on the table.
-    HintCoalescing,
     /// Run-directory writes must use the atomic/checksummed helpers.
     AtomicArtifact,
 }
 
 /// Every rule, in catalogue order.
-pub const ALL_RULES: [AnalyzeRule; 10] = [
+pub const ALL_RULES: [AnalyzeRule; 8] = [
     AnalyzeRule::UnitDataflow,
     AnalyzeRule::Layering,
     AnalyzeRule::PaperConstants,
@@ -127,20 +117,8 @@ pub const ALL_RULES: [AnalyzeRule; 10] = [
     AnalyzeRule::DeterminismTaint,
     AnalyzeRule::LockDiscipline,
     AnalyzeRule::DigestStability,
-    AnalyzeRule::HintSoundness,
-    AnalyzeRule::HintCoalescing,
     AnalyzeRule::AtomicArtifact,
 ];
-
-/// Finding severity: what `--fail-on` thresholds and SARIF levels key
-/// on. Ordered so `Warning < Error`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory: tracked (and baselined) work, not a broken contract.
-    Warning,
-    /// A violated contract.
-    Error,
-}
 
 impl AnalyzeRule {
     /// Stable identifier used in reports, baselines and suppressions.
@@ -154,19 +132,7 @@ impl AnalyzeRule {
             AnalyzeRule::DeterminismTaint => "determinism-taint",
             AnalyzeRule::LockDiscipline => "lock-discipline",
             AnalyzeRule::DigestStability => "digest-stability",
-            AnalyzeRule::HintSoundness => "hint-soundness",
-            AnalyzeRule::HintCoalescing => "hint-coalescing",
             AnalyzeRule::AtomicArtifact => "atomic-artifact",
-        }
-    }
-
-    /// The rule's severity (`hint-coalescing` is the catalogue's one
-    /// advisory rule; everything else is a violated contract).
-    #[must_use]
-    pub fn severity(self) -> Severity {
-        match self {
-            AnalyzeRule::HintCoalescing => Severity::Warning,
-            _ => Severity::Error,
         }
     }
 
@@ -196,13 +162,6 @@ impl AnalyzeRule {
             AnalyzeRule::DigestStability => {
                 "every field of a digest-keyed struct must be explicitly folded or masked"
             }
-            AnalyzeRule::HintSoundness => {
-                "a Some(..) steady_current hint requires a segment-invariant decide path"
-            }
-            AnalyzeRule::HintCoalescing => {
-                "a None steady_current hint over an invariant or plannable decide path \
-                 leaves chunk coalescing on the table"
-            }
             AnalyzeRule::AtomicArtifact => {
                 "run-directory writes must go through the tmp+rename or \
                  checksummed-append helpers"
@@ -215,16 +174,6 @@ impl AnalyzeRule {
 #[must_use]
 pub fn rule_catalogue() -> Vec<(&'static str, &'static str)> {
     ALL_RULES.iter().map(|r| (r.id(), r.summary())).collect()
-}
-
-/// The severity of a rule id (unknown ids are treated as errors — the
-/// conservative direction for exit-status gating).
-#[must_use]
-pub fn severity_of(rule_id: &str) -> Severity {
-    ALL_RULES
-        .iter()
-        .find(|r| r.id() == rule_id)
-        .map_or(Severity::Error, |r| r.severity())
 }
 
 /// Crates whose function bodies the unit-dataflow pass covers (the same
@@ -503,29 +452,26 @@ pub fn run_with(root: &Path, baseline: &Baseline, options: &EngineOptions) -> io
             changed.insert(file_data.rel.clone());
         }
         let deps = ctx.file_deps(&file_data.rel);
-        let (inter_hit, taint_findings, hint_findings) = match &file_data.cached {
-            Some(entry) if file_data.intra_hit && entry.deps == deps => (
-                true,
-                replay(entry, "taint", &file_data.rel),
-                replay(entry, "hints", &file_data.rel),
-            ),
+        let (inter_hit, taint_findings) = match &file_data.cached {
+            Some(entry) if file_data.intra_hit && entry.deps == deps => {
+                (true, replay(entry, "taint", &file_data.rel))
+            }
             _ => (
                 false,
                 taint::check_file(&file_data.rel, &file_data.scan, Some(&ctx)),
-                hints::check_file(&file_data.rel, &file_data.scan, Some(&ctx)),
             ),
         };
-        // Three intra buckets + two interprocedural buckets per file.
+        // Three intra buckets + one interprocedural bucket per file.
         let hits = if inter_hit {
-            5
+            4
         } else if file_data.intra_hit {
             3
         } else {
             0
         };
         stats.pass_hits += hits;
-        stats.pass_misses += 5 - hits;
-        if hits == 5 {
+        stats.pass_misses += 4 - hits;
+        if hits == 4 {
             stats.files_reused += 1;
         }
 
@@ -535,7 +481,6 @@ pub fn run_with(root: &Path, baseline: &Baseline, options: &EngineOptions) -> io
             .chain(file_data.digest_pass.iter())
             .chain(file_data.artifacts_pass.iter())
             .chain(taint_findings.iter())
-            .chain(hint_findings.iter())
         {
             if file_data.scan.is_suppressed(finding.rule, finding.line) {
                 inline_suppressed += 1;
@@ -557,7 +502,6 @@ pub fn run_with(root: &Path, baseline: &Baseline, options: &EngineOptions) -> io
                     ("digest".to_owned(), bucket(&file_data.digest_pass)),
                     ("artifacts".to_owned(), bucket(&file_data.artifacts_pass)),
                     ("taint".to_owned(), bucket(&taint_findings)),
-                    ("hints".to_owned(), bucket(&hint_findings)),
                 ]),
             },
         );
@@ -661,8 +605,6 @@ mod tests {
                 "determinism-taint",
                 "lock-discipline",
                 "digest-stability",
-                "hint-soundness",
-                "hint-coalescing",
                 "atomic-artifact"
             ]
         );

@@ -8,9 +8,6 @@
 //!   that returns one, and nothing in its own body launders);
 //! * `launders` — the body contains an explicit sort/`BTree*` launder,
 //!   so its output is deterministic regardless of its inputs;
-//! * `mutates_state` — the body writes `self` state (directly or via a
-//!   resolved call), which the hint-soundness pass reads as
-//!   "per-chunk-varying";
 //! * `locks` — the lock classes the function acquires, transitively
 //!   through resolved calls, so the lock-discipline pass sees a lock
 //!   hidden behind a helper.
@@ -38,8 +35,6 @@ pub struct FnSummary {
     pub returns_taint: Option<&'static str>,
     /// The body launders its data (sort/`BTree*`).
     pub launders: bool,
-    /// The function mutates `self` state (directly or transitively).
-    pub mutates_state: bool,
     /// Lock classes acquired, transitively, sorted and deduplicated.
     pub locks: Vec<String>,
 }
@@ -50,10 +45,9 @@ impl FnSummary {
     #[must_use]
     pub fn digest(&self) -> u64 {
         let canonical = format!(
-            "taint={};launders={};mutates={};locks={}",
+            "taint={};launders={};locks={}",
             self.returns_taint.unwrap_or("-"),
             u8::from(self.launders),
-            u8::from(self.mutates_state),
             self.locks.join(",")
         );
         fnv1a(canonical.as_bytes())
@@ -77,7 +71,6 @@ fn intrinsic(def: &FnDef) -> FnSummary {
     FnSummary {
         returns_taint,
         launders,
-        mutates_state: crate::syntax::self_mutation(&def.body),
         locks: lock_classes,
     }
 }
@@ -114,10 +107,6 @@ impl SummaryContext {
                             mine.returns_taint = Some(kind);
                             changed = true;
                         }
-                    }
-                    if callee_summary.mutates_state && !mine.mutates_state {
-                        mine.mutates_state = true;
-                        changed = true;
                     }
                     for class in callee_summary.locks {
                         if !mine.locks.contains(&class) {
@@ -211,20 +200,18 @@ mod tests {
     }
 
     #[test]
-    fn lock_classes_and_self_mutation_cross_resolved_edges() {
+    fn lock_classes_cross_resolved_edges() {
         let ctx = context(&[
             (
                 "crates/a/src/lib.rs",
-                "fn outer(&mut self) { self.bump(); grab(); }\n",
+                "fn outer(&mut self) { grab(); }\n",
             ),
             (
                 "crates/a/src/util.rs",
-                "fn bump(&mut self) { self.n += 1; }\n\
-                 fn grab() { let g = state.lock().unwrap_or_else(PoisonError::into_inner); g.len(); }\n",
+                "fn grab() { let g = state.lock().unwrap_or_else(PoisonError::into_inner); g.len(); }\n",
             ),
         ]);
         let (_, s) = ctx.resolve("crates/a/src/other.rs", "outer").unwrap();
-        assert!(s.mutates_state);
         assert_eq!(s.locks, vec!["state".to_owned()]);
     }
 

@@ -147,71 +147,6 @@ pub(crate) fn ident_after(text: &str, from: usize) -> &str {
     &tail[..end]
 }
 
-/// Method names that mutate their receiver in place — the workspace's
-/// collection/option idioms, used to spot `self.<field>.<mutator>(..)`
-/// chains without type information.
-const MUTATOR_METHODS: [&str; 12] = [
-    "push",
-    "push_back",
-    "push_front",
-    "pop",
-    "pop_front",
-    "pop_back",
-    "insert",
-    "extend",
-    "remove",
-    "clear",
-    "get_or_insert",
-    "replace",
-];
-
-/// Does `text` mutate `self` state? True for a `self.<chain> = ..`
-/// (or compound) assignment, and for a `self.<chain>.<mutator>(..)`
-/// call on a known in-place mutator. Plain field reads, comparisons
-/// (`==`), match arms (`=>`) and immutable method calls stay false.
-pub(crate) fn self_mutation(text: &str) -> bool {
-    let bytes = text.as_bytes();
-    for off in word_occurrences(text, "self") {
-        let mut i = off + "self".len();
-        if bytes.get(i) != Some(&b'.') {
-            continue;
-        }
-        // Walk the `.field.field` chain, remembering the last segment so
-        // a trailing call can be checked against the mutator list.
-        let mut last_seg = i + 1;
-        i += 1;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'.' => {
-                    last_seg = i + 1;
-                    i += 1;
-                }
-                c if is_ident_char(c as char) => i += 1,
-                _ => break,
-            }
-        }
-        if i >= bytes.len() || last_seg >= i {
-            continue;
-        }
-        if bytes[i] == b'(' {
-            if MUTATOR_METHODS.contains(&&text[last_seg..i]) {
-                return true;
-            }
-            continue;
-        }
-        let rest = text[i..].trim_start();
-        let plain_assign =
-            rest.starts_with('=') && !rest.starts_with("==") && !rest.starts_with("=>");
-        let compound = ["+=", "-=", "*=", "/=", "%=", "|=", "&=", "^="]
-            .iter()
-            .any(|op| rest.starts_with(op));
-        if plain_assign || compound {
-            return true;
-        }
-    }
-    false
-}
-
 /// Collapses every `[...]` index in a lock-site expression to `[_]` and
 /// strips borrows/whitespace, so `&deques[victim]` and `deques[worker]`
 /// fall into the same lock *class* (`deques[_]`) for order tracking.
@@ -271,23 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn self_mutation_distinguishes_writes_from_reads() {
-        assert!(self_mutation("self.recharging = true"));
-        assert!(self_mutation("self.count += 1"));
-        assert!(self_mutation("*self.c_ref.get_or_insert(soc)"));
-        assert!(self_mutation("self.seen.push(x)"));
-        assert!(!self_mutation("self.range.max()"));
-        assert!(!self_mutation("if self.recharging { hi } else { lo }"));
-        assert!(!self_mutation("self.capacity * 0.5"));
-        assert!(!self_mutation("self.phase == Phase::Idle"));
-        assert!(!self_mutation("match self.mode { A => 1, B => 2 }"));
-    }
-
-    #[test]
     fn ident_after_reads_the_next_token() {
         assert_eq!(
-            ident_after("fn  steady_current(&self)", 2),
-            "steady_current"
+            ident_after("fn  begin_segment(&mut self)", 2),
+            "begin_segment"
         );
         assert_eq!(ident_after("for Conv {", 3), "Conv");
         assert_eq!(ident_after("fn (", 2), "");

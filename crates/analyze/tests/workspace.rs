@@ -7,9 +7,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use fcdpm_analyze::{
-    cache, digest, hints, locks, rule_catalogue, taint, AnalyzeRule, EngineOptions,
-};
+use fcdpm_analyze::{cache, digest, locks, rule_catalogue, taint, AnalyzeRule, EngineOptions};
 use fcdpm_lint::sarif::to_sarif;
 use fcdpm_lint::{Baseline, Scan};
 
@@ -304,53 +302,10 @@ fn seeded_new_layer_findings_are_byte_identical_across_runs() {
 }
 
 #[test]
-fn hint_fixture_pair_splits_cleanly() {
-    // Fixtures masquerade as committed policy files; the pass only
-    // looks at `impl FcOutputPolicy for ..` blocks.
-    let unsound = fixture("hints_unsound.rs");
-    let findings = hints::check_file(
-        "crates/core/src/policy/overeager.rs",
-        &Scan::new(&unsound),
-        None,
-    );
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, AnalyzeRule::HintSoundness.id());
-    assert!(
-        findings[0].message.contains("reads the state of charge"),
-        "{}",
-        findings[0]
-    );
-    assert!(
-        findings[0].message.contains("the hint is unsound"),
-        "{}",
-        findings[0]
-    );
-
-    let missed = fixture("hints_missed.rs");
-    let findings = hints::check_file("crates/core/src/policy/timid.rs", &Scan::new(&missed), None);
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, AnalyzeRule::HintCoalescing.id());
-    assert!(
-        findings[0].message.contains("coalesce every chunk"),
-        "{}",
-        findings[0]
-    );
-}
-
-#[test]
-fn unbaselined_repo_findings_are_empty_now_that_every_policy_plans() {
-    // The hint-coalescing worklist retired with the `begin_segment`
-    // plans (ROADMAP item 1): even with no baseline at all, the tree
-    // analyzes clean — and the committed analyze-baseline.json is
-    // correspondingly empty.
+fn unbaselined_repo_findings_are_empty() {
+    // Even with no baseline at all, the tree analyzes clean.
     let report = fcdpm_analyze::run(&repo_root(), &Baseline::default()).expect("analysis runs");
     assert!(report.findings.is_empty(), "{}", report.to_human());
-    let committed = std::fs::read_to_string(repo_root().join("analyze-baseline.json"))
-        .expect("committed baseline");
-    assert!(
-        !committed.contains("hint-coalescing"),
-        "analyze-baseline.json still carries retired hint-coalescing entries"
-    );
 }
 
 #[test]
@@ -412,7 +367,7 @@ fn warm_cache_reuses_every_file_and_replays_byte_identical_artifacts() {
     assert!(!b.stats.cold);
     assert_eq!(b.stats.files_total, 3);
     assert_eq!(b.stats.files_reused, 3);
-    assert_eq!(b.stats.pass_hits, 15);
+    assert_eq!(b.stats.pass_hits, 12);
     assert_eq!(b.stats.pass_misses, 0);
     assert!(b.changed.is_empty(), "{:?}", b.changed);
     assert!(
@@ -446,8 +401,8 @@ fn editing_one_file_invalidates_only_its_own_passes() {
         fcdpm_analyze::run_with(&scratch.root, &Baseline::default(), &options).expect("warm");
     assert_eq!(warm.stats.files_total, 3);
     assert_eq!(warm.stats.files_reused, 2);
-    assert_eq!(warm.stats.pass_hits, 10);
-    assert_eq!(warm.stats.pass_misses, 5);
+    assert_eq!(warm.stats.pass_hits, 8);
+    assert_eq!(warm.stats.pass_misses, 4);
     let changed: Vec<&str> = warm.changed.iter().map(String::as_str).collect();
     assert_eq!(changed, ["crates/sim/src/lib.rs"]);
 }
@@ -470,7 +425,7 @@ fn editing_a_helper_reruns_the_callers_interprocedural_passes() {
 
     // Swap in the tainted helper: the caller's bytes are untouched, so
     // its content-keyed passes replay, but the dependency-digest
-    // mismatch forces its taint/hints passes to re-run...
+    // mismatch forces its taint pass to re-run...
     scratch.write(
         "crates/grid/src/util.rs",
         &fixture("interproc_helper_tainted.rs"),
@@ -480,7 +435,7 @@ fn editing_a_helper_reruns_the_callers_interprocedural_passes() {
     assert_eq!(warm.stats.files_total, 2);
     assert_eq!(warm.stats.files_reused, 0);
     assert_eq!(warm.stats.pass_hits, 3);
-    assert_eq!(warm.stats.pass_misses, 7);
+    assert_eq!(warm.stats.pass_misses, 5);
     let changed: Vec<&str> = warm.changed.iter().map(String::as_str).collect();
     assert_eq!(changed, ["crates/grid/src/util.rs"]);
 

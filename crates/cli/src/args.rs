@@ -53,18 +53,6 @@ pub enum LintFormat {
     Sarif,
 }
 
-/// The severity threshold that makes `fcdpm analyze` exit nonzero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailOn {
-    /// Fail only on error-tier findings.
-    Error,
-    /// Fail on any finding (the default — matches the old behavior).
-    #[default]
-    Warning,
-    /// Always exit zero (report-only mode for dashboards).
-    Never,
-}
-
 /// What a `fcdpm grid` invocation does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridAction {
@@ -201,7 +189,8 @@ pub enum Command {
     },
     /// Run the workspace-aware semantic analysis (symbol graph,
     /// unit-dimension dataflow, paper-constants conformance, job-grid
-    /// feasibility, interprocedural taint/locks, coalescing hints).
+    /// feasibility, interprocedural taint/locks, digest stability,
+    /// atomic artifacts).
     Analyze {
         /// Diagnostics format (default human).
         format: LintFormat,
@@ -220,8 +209,6 @@ pub enum Command {
         no_cache: bool,
         /// Print per-phase wall-clock timings to stderr.
         timings: bool,
-        /// Severity threshold for a nonzero exit (default `warning`).
-        fail_on: FailOn,
     },
     /// Print usage.
     Help,
@@ -619,7 +606,6 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             let mut changed = false;
             let mut no_cache = false;
             let mut timings = false;
-            let mut fail_on = FailOn::default();
             while let Some(flag) = iter.next() {
                 match flag {
                     "--format" => {
@@ -638,25 +624,12 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
                         root = Some(take_value(flag, &mut iter)?.to_owned());
                     }
                     "--write-baseline" => write_baseline = true,
-                    "--changed" | "--no-cache" | "--timings" | "--fail-on" if cmd == "lint" => {
+                    "--changed" | "--no-cache" | "--timings" if cmd == "lint" => {
                         return Err(err(format!("flag `{flag}` only applies to `analyze`")));
                     }
                     "--changed" => changed = true,
                     "--no-cache" => no_cache = true,
                     "--timings" => timings = true,
-                    "--fail-on" => {
-                        let v = take_value(flag, &mut iter)?;
-                        fail_on = match v {
-                            "error" => FailOn::Error,
-                            "warning" => FailOn::Warning,
-                            "never" => FailOn::Never,
-                            other => {
-                                return Err(err(format!(
-                                    "unknown fail-on threshold `{other}` (error|warning|never)"
-                                )))
-                            }
-                        };
-                    }
                     other => return Err(err(format!("unknown flag `{other}`"))),
                 }
             }
@@ -669,7 +642,6 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
                     changed,
                     no_cache,
                     timings,
-                    fail_on,
                 })
             } else {
                 Ok(Command::Lint {
@@ -1030,7 +1002,6 @@ mod tests {
                 changed: false,
                 no_cache: false,
                 timings: false,
-                fail_on: FailOn::Warning,
             }
         );
         assert_eq!(
@@ -1053,7 +1024,6 @@ mod tests {
                 changed: false,
                 no_cache: false,
                 timings: false,
-                fail_on: FailOn::Warning,
             }
         );
         assert_eq!(
@@ -1072,15 +1042,7 @@ mod tests {
     #[test]
     fn analyze_cache_flags_parse() {
         assert_eq!(
-            parse(&[
-                "analyze",
-                "--changed",
-                "--no-cache",
-                "--timings",
-                "--fail-on",
-                "error"
-            ])
-            .unwrap(),
+            parse(&["analyze", "--changed", "--no-cache", "--timings"]).unwrap(),
             Command::Analyze {
                 format: LintFormat::Human,
                 baseline: None,
@@ -1089,21 +1051,8 @@ mod tests {
                 changed: true,
                 no_cache: true,
                 timings: true,
-                fail_on: FailOn::Error,
             }
         );
-        assert!(matches!(
-            parse(&["analyze", "--fail-on", "never"]).unwrap(),
-            Command::Analyze {
-                fail_on: FailOn::Never,
-                ..
-            }
-        ));
-        assert!(parse(&["analyze", "--fail-on", "panic"])
-            .unwrap_err()
-            .message
-            .contains("fail-on"));
-        assert!(parse(&["analyze", "--fail-on"]).is_err());
         // The cache flags are analyze-only; lint rejects them by name.
         for flag in ["--changed", "--no-cache", "--timings"] {
             assert!(parse(&["lint", flag])

@@ -12,9 +12,7 @@ use fcdpm_storage::IdealStorage;
 use fcdpm_units::{Amps, Charge, CurrentRange, Seconds};
 use fcdpm_workload::{CamcorderTrace, Scenario, SyntheticTrace};
 
-use crate::{
-    Command, DeviceChoice, ExperimentId, FailOn, GridAction, LintFormat, PolicyChoice, TraceKind,
-};
+use crate::{Command, DeviceChoice, ExperimentId, GridAction, LintFormat, PolicyChoice, TraceKind};
 
 /// The outcome of executing a command: the stdout payload plus whether
 /// the process should exit successfully. `fcdpm lint` is the one command
@@ -121,7 +119,6 @@ pub fn execute(command: &Command) -> Result<CmdOutput, String> {
             changed,
             no_cache,
             timings,
-            fail_on,
         } => run_analyze_command(&AnalyzeInvocation {
             format: *format,
             baseline: baseline.as_deref(),
@@ -130,7 +127,6 @@ pub fn execute(command: &Command) -> Result<CmdOutput, String> {
             changed: *changed,
             no_cache: *no_cache,
             timings: *timings,
-            fail_on: *fail_on,
         }),
     }
 }
@@ -226,7 +222,7 @@ fn run_analysis_stage(
 }
 
 /// One parsed `fcdpm analyze` invocation (bundled so the execution path
-/// takes one argument instead of eight).
+/// takes one argument instead of seven).
 struct AnalyzeInvocation<'a> {
     format: LintFormat,
     baseline: Option<&'a str>,
@@ -235,15 +231,14 @@ struct AnalyzeInvocation<'a> {
     changed: bool,
     no_cache: bool,
     timings: bool,
-    fail_on: FailOn,
 }
 
 /// Executes `fcdpm analyze` through the incremental engine: the pass
 /// cache at `<root>/analyze-cache.json` (unless `--no-cache`), display
-/// focused on changed inputs (`--changed`), phase timings on stderr
-/// (`--timings`), and the exit threshold (`--fail-on`). JSON and SARIF
-/// bytes carry no cache metadata, so cold and warm runs stay
-/// byte-identical.
+/// focused on changed inputs (`--changed`) and phase timings on stderr
+/// (`--timings`); like `lint`, any non-baselined finding fails the
+/// run. JSON and SARIF bytes carry no cache metadata, so cold and warm
+/// runs stay byte-identical.
 fn run_analyze_command(inv: &AnalyzeInvocation<'_>) -> Result<CmdOutput, String> {
     if inv.write_baseline {
         // Baseline regeneration goes through the shared (cache-less)
@@ -318,25 +313,16 @@ fn run_analyze_command(inv: &AnalyzeInvocation<'_>) -> Result<CmdOutput, String>
             text
         }
         LintFormat::Json => display.to_json(),
-        LintFormat::Sarif => fcdpm_lint::sarif::to_sarif_leveled(
+        LintFormat::Sarif => fcdpm_lint::sarif::to_sarif(
             &display,
             ANALYZE_STAGE.tool_name,
             &(ANALYZE_STAGE.catalogue)(),
-            |rule| match fcdpm_analyze::severity_of(rule) {
-                fcdpm_analyze::Severity::Warning => "warning",
-                fcdpm_analyze::Severity::Error => "error",
-            },
         ),
     };
-    let ok = match inv.fail_on {
-        FailOn::Never => true,
-        FailOn::Warning => report.is_clean(),
-        FailOn::Error => !report
-            .findings
-            .iter()
-            .any(|f| fcdpm_analyze::severity_of(f.rule) == fcdpm_analyze::Severity::Error),
-    };
-    Ok(CmdOutput { text, ok })
+    Ok(CmdOutput {
+        text,
+        ok: report.is_clean(),
+    })
 }
 
 fn run_batch(
@@ -983,7 +969,6 @@ mod tests {
                 changed: false,
                 no_cache: true,
                 timings: false,
-                fail_on: FailOn::Warning,
             })
             .unwrap();
             assert!(
@@ -1000,7 +985,6 @@ mod tests {
             changed: false,
             no_cache: true,
             timings: false,
-            fail_on: FailOn::Warning,
         })
         .unwrap()
         .text;

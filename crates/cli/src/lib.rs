@@ -11,7 +11,7 @@ mod args;
 mod commands;
 
 pub use args::{
-    parse, Command, DeviceChoice, ExperimentId, FailOn, GridAction, LintFormat, ParseCliError,
+    parse, Command, DeviceChoice, ExperimentId, GridAction, LintFormat, ParseCliError,
     PolicyChoice, TraceKind,
 };
 pub use commands::{execute, CmdOutput};
@@ -38,7 +38,7 @@ USAGE:
     fcdpm bench [--quick] [--out <FILE>]
     fcdpm lint [--format <human|json|sarif>] [--baseline <FILE>] [--root <DIR>] [--write-baseline]
     fcdpm analyze [--format <human|json|sarif>] [--baseline <FILE>] [--root <DIR>] [--write-baseline]
-                  [--changed] [--no-cache] [--timings] [--fail-on <error|warning|never>]
+                  [--changed] [--no-cache] [--timings]
     fcdpm help
 
 COMMANDS:
@@ -60,8 +60,9 @@ COMMANDS:
                  crate hygiene (exit 1 on any non-baselined finding)
     analyze      semantic pass: crate layering, unit-dimension dataflow,
                  paper-constants conformance, job-grid feasibility,
-                 interprocedural taint/locks and coalescing-hint soundness,
-                 incremental via the digest-keyed analyze-cache.json
+                 interprocedural taint/locks, digest stability and atomic
+                 artifacts, incremental via the digest-keyed
+                 analyze-cache.json (exit 1 on any non-baselined finding)
     help         show this message
 "
     .to_owned()

@@ -20,15 +20,16 @@ use super::{FcOutputPolicy, PolicyPhase, SegmentPlan};
 ///
 /// ```
 /// use fcdpm_core::policy::{AsapDpm, FcOutputPolicy, PolicyPhase};
-/// use fcdpm_units::{Amps, Charge};
+/// use fcdpm_units::{Amps, Charge, Seconds};
 ///
 /// let mut p = AsapDpm::dac07(Charge::new(6.0));
+/// let span = Seconds::new(5.0);
 /// // Following a mid-range load.
-/// let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::new(5.0));
-/// assert_eq!(i, Amps::new(0.4));
+/// let plan = p.begin_segment(PolicyPhase::Idle, Amps::new(0.4), Charge::new(5.0), span);
+/// assert_eq!(plan.current(), Amps::new(0.4));
 /// // Store below half capacity: recharge at full current.
-/// let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::new(2.0));
-/// assert_eq!(i, Amps::new(1.2));
+/// let plan = p.begin_segment(PolicyPhase::Idle, Amps::new(0.4), Charge::new(2.0), span);
+/// assert_eq!(plan.current(), Amps::new(1.2));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsapDpm {
@@ -79,26 +80,6 @@ impl FcOutputPolicy for AsapDpm {
         "ASAP-DPM"
     }
 
-    fn segment_current(&mut self, _phase: PolicyPhase, load: Amps, soc: Charge) -> Amps {
-        if soc < self.capacity * 0.5 {
-            self.recharging = true;
-        } else if self.capacity - soc <= self.full_tolerance {
-            self.recharging = false;
-        }
-        if self.recharging {
-            self.range.max()
-        } else {
-            self.range.clamp(load)
-        }
-    }
-
-    fn steady_current(&self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Option<Amps> {
-        // No *segment-long* steady promise: the hysteretic recharge
-        // trigger watches the state of charge during the segment. The
-        // piecewise plan below carries the trigger analytically instead.
-        None
-    }
-
     fn begin_segment(
         &mut self,
         _phase: PolicyPhase,
@@ -106,11 +87,10 @@ impl FcOutputPolicy for AsapDpm {
         soc: Charge,
         _remaining: Seconds,
     ) -> SegmentPlan {
-        // Same hysteresis as `segment_current`, evaluated at the plan
-        // boundary. The returned crossing threshold is exactly the level
-        // at which the *next* evaluation flips the mode, so the
-        // simulator's analytic crossing split reproduces the per-chunk
-        // trigger without polling.
+        // The hysteresis is evaluated at the plan boundary. The returned
+        // crossing threshold is exactly the level at which the *next*
+        // evaluation flips the mode, so the simulator's analytic crossing
+        // split fires the trigger mid-segment without polling.
         if soc < self.capacity * 0.5 {
             self.recharging = true;
         } else if self.capacity - soc <= self.full_tolerance {
@@ -140,11 +120,22 @@ mod tests {
         AsapDpm::dac07(Charge::new(6.0))
     }
 
+    /// The planned setpoint for an idle segment at `load` and `soc`.
+    fn current(p: &mut AsapDpm, load: f64, soc: f64) -> Amps {
+        p.begin_segment(
+            PolicyPhase::Idle,
+            Amps::new(load),
+            Charge::new(soc),
+            Seconds::new(1.0),
+        )
+        .current()
+    }
+
     #[test]
     fn follows_load_within_range() {
         let mut p = policy();
         for load in [0.1, 0.2, 0.4, 0.9, 1.2] {
-            let i = p.segment_current(PolicyPhase::Idle, Amps::new(load), Charge::new(6.0));
+            let i = current(&mut p, load, 6.0);
             assert!((i.amps() - load).abs() < 1e-12);
         }
     }
@@ -152,37 +143,23 @@ mod tests {
     #[test]
     fn clamps_out_of_range_loads() {
         let mut p = policy();
-        let i = p.segment_current(PolicyPhase::Active, Amps::new(1.5), Charge::new(6.0));
-        assert_eq!(i, Amps::new(1.2));
-        let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.01), Charge::new(6.0));
-        assert_eq!(i, Amps::new(0.1));
+        assert_eq!(current(&mut p, 1.5, 6.0), Amps::new(1.2));
+        assert_eq!(current(&mut p, 0.01, 6.0), Amps::new(0.1));
     }
 
     #[test]
     fn recharge_hysteresis() {
         let mut p = policy();
         // Above half capacity: follows load.
-        assert_eq!(
-            p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::new(3.5)),
-            Amps::new(0.4)
-        );
+        assert_eq!(current(&mut p, 0.4, 3.5), Amps::new(0.4));
         assert!(!p.is_recharging());
         // Drops below half: recharge arms.
-        assert_eq!(
-            p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::new(2.9)),
-            Amps::new(1.2)
-        );
+        assert_eq!(current(&mut p, 0.4, 2.9), Amps::new(1.2));
         assert!(p.is_recharging());
         // Stays armed until full, even above half.
-        assert_eq!(
-            p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::new(5.0)),
-            Amps::new(1.2)
-        );
+        assert_eq!(current(&mut p, 0.4, 5.0), Amps::new(1.2));
         // Disarms at full.
-        assert_eq!(
-            p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::new(6.0)),
-            Amps::new(0.4)
-        );
+        assert_eq!(current(&mut p, 0.4, 6.0), Amps::new(0.4));
         assert!(!p.is_recharging());
     }
 
@@ -191,7 +168,6 @@ mod tests {
         // Degenerate but must not panic: capacity 0 means soc 0 is "not
         // below half" (0 < 0 is false) so the policy just follows.
         let mut p = AsapDpm::dac07(Charge::ZERO);
-        let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::ZERO);
-        assert_eq!(i, Amps::new(0.4));
+        assert_eq!(current(&mut p, 0.4, 0.0), Amps::new(0.4));
     }
 }

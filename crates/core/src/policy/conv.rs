@@ -1,8 +1,8 @@
 //! Conventional DPM baseline (no fuel-flow control).
 
-use fcdpm_units::{Amps, Charge, CurrentRange};
+use fcdpm_units::{Amps, Charge, CurrentRange, Seconds};
 
-use super::{FcOutputPolicy, PolicyPhase};
+use super::{FcOutputPolicy, PolicyPhase, SegmentPlan};
 
 /// Conv-DPM (Section 5): the conventional DPM policy runs on the embedded
 /// system, but the fuel-cell system has no output control — it constantly
@@ -14,12 +14,12 @@ use super::{FcOutputPolicy, PolicyPhase};
 /// # Examples
 ///
 /// ```
-/// use fcdpm_core::policy::{ConvDpm, FcOutputPolicy, PolicyPhase};
-/// use fcdpm_units::{Amps, Charge};
+/// use fcdpm_core::policy::{ConvDpm, FcOutputPolicy, PolicyPhase, SegmentPlan};
+/// use fcdpm_units::{Amps, Charge, Seconds};
 ///
 /// let mut p = ConvDpm::dac07();
-/// let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.2), Charge::ZERO);
-/// assert_eq!(i, Amps::new(1.2));
+/// let plan = p.begin_segment(PolicyPhase::Idle, Amps::new(0.2), Charge::ZERO, Seconds::new(5.0));
+/// assert_eq!(plan, SegmentPlan::Steady(Amps::new(1.2)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvDpm {
@@ -45,14 +45,16 @@ impl FcOutputPolicy for ConvDpm {
         "Conv-DPM"
     }
 
-    fn segment_current(&mut self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Amps {
-        self.range.max()
-    }
-
-    fn steady_current(&self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Option<Amps> {
-        // The setpoint is pinned at the range maximum regardless of phase,
-        // load or state of charge, so every segment may be coalesced.
-        Some(self.range.max())
+    fn begin_segment(
+        &mut self,
+        _phase: PolicyPhase,
+        _load: Amps,
+        _soc: Charge,
+        _remaining: Seconds,
+    ) -> SegmentPlan {
+        // Pinned at the range maximum regardless of phase, load or state
+        // of charge.
+        SegmentPlan::Steady(self.range.max())
     }
 }
 
@@ -68,8 +70,8 @@ mod tests {
             (PolicyPhase::Active, 1.22, 6.0),
             (PolicyPhase::Idle, 0.4, 3.0),
         ] {
-            let i = p.segment_current(phase, Amps::new(load), Charge::new(soc));
-            assert_eq!(i, Amps::new(1.2));
+            let plan = p.begin_segment(phase, Amps::new(load), Charge::new(soc), Seconds::new(1.0));
+            assert_eq!(plan, SegmentPlan::Steady(Amps::new(1.2)));
         }
         assert_eq!(p.name(), "Conv-DPM");
     }
@@ -77,7 +79,12 @@ mod tests {
     #[test]
     fn custom_range() {
         let mut p = ConvDpm::new(CurrentRange::new(Amps::new(0.2), Amps::new(0.9)));
-        let i = p.segment_current(PolicyPhase::Idle, Amps::ZERO, Charge::ZERO);
-        assert_eq!(i, Amps::new(0.9));
+        let plan = p.begin_segment(
+            PolicyPhase::Idle,
+            Amps::ZERO,
+            Charge::ZERO,
+            Seconds::new(1.0),
+        );
+        assert_eq!(plan.current(), Amps::new(0.9));
     }
 }

@@ -6,7 +6,7 @@ use fcdpm_units::{Amps, Charge, Seconds};
 
 use crate::optimizer::{FuelOptimizer, SlotProfile, StorageContext};
 
-use super::{ActiveStart, FcOutputPolicy, PolicyPhase, SlotEnd, SlotStart};
+use super::{ActiveStart, FcOutputPolicy, PolicyPhase, SegmentPlan, SlotEnd, SlotStart};
 
 /// The paper's fuel-efficient DPM policy.
 ///
@@ -272,27 +272,24 @@ impl FcOutputPolicy for FcDpm {
         self.i_f_active = self.optimizer.range().clamp(i_f);
     }
 
-    fn segment_current(&mut self, phase: PolicyPhase, load: Amps, _soc: Charge) -> Amps {
-        if self.fallback {
-            return self.optimizer.range().clamp(load);
-        }
-        match phase {
-            PolicyPhase::Idle => self.i_f_idle,
-            PolicyPhase::Active => self.i_f_active,
-        }
-    }
-
-    fn steady_current(&self, phase: PolicyPhase, load: Amps, _soc: Charge) -> Option<Amps> {
+    fn begin_segment(
+        &mut self,
+        phase: PolicyPhase,
+        load: Amps,
+        _soc: Charge,
+        _remaining: Seconds,
+    ) -> SegmentPlan {
         // The plan is fixed per phase at `begin_slot`/`begin_active`, and
         // the fallback follows the (segment-constant) load; neither
-        // consults the mid-segment state of charge, so every segment may
-        // be coalesced.
-        if self.fallback {
-            return Some(self.optimizer.range().clamp(load));
-        }
-        Some(match phase {
-            PolicyPhase::Idle => self.i_f_idle,
-            PolicyPhase::Active => self.i_f_active,
+        // consults the mid-segment state of charge, so every segment is
+        // steady.
+        SegmentPlan::Steady(if self.fallback {
+            self.optimizer.range().clamp(load)
+        } else {
+            match phase {
+                PolicyPhase::Idle => self.i_f_idle,
+                PolicyPhase::Active => self.i_f_active,
+            }
         })
     }
 
@@ -323,6 +320,12 @@ mod tests {
         )
     }
 
+    /// The planned setpoint for a segment at `load` and `soc`.
+    fn current(p: &mut FcDpm, phase: PolicyPhase, load: f64, soc: Charge) -> Amps {
+        p.begin_segment(phase, Amps::new(load), soc, Seconds::new(1.0))
+            .current()
+    }
+
     fn warm_up(policy: &mut FcDpm) {
         // One observed slot warms the active predictor; the idle
         // prediction arrives via SlotStart.
@@ -344,9 +347,9 @@ mod tests {
             soc: Charge::new(100.0),
         });
         assert!(p.in_fallback());
-        let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::new(100.0));
+        let i = current(&mut p, PolicyPhase::Idle, 0.4, Charge::new(100.0));
         assert_eq!(i, Amps::new(0.4));
-        let i = p.segment_current(PolicyPhase::Active, Amps::new(1.3), Charge::new(100.0));
+        let i = current(&mut p, PolicyPhase::Active, 1.3, Charge::new(100.0));
         assert_eq!(i, Amps::new(1.2)); // clamped to range
     }
 
@@ -361,13 +364,13 @@ mod tests {
             soc: Charge::new(100.0),
         });
         assert!(!p.in_fallback());
-        let i_idle = p.segment_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(100.0));
+        let i_idle = current(&mut p, PolicyPhase::Idle, 0.2, Charge::new(100.0));
         // The averaged current must sit strictly between the sleep current
         // and the run current.
         assert!(i_idle > Amps::new(0.2), "got {i_idle}");
         assert!(i_idle < Amps::new(1.2208), "got {i_idle}");
         // Constant across idle segments regardless of instantaneous load.
-        let again = p.segment_current(PolicyPhase::Idle, Amps::new(0.4), Charge::new(99.0));
+        let again = current(&mut p, PolicyPhase::Idle, 0.4, Charge::new(99.0));
         assert_eq!(i_idle, again);
     }
 
@@ -394,7 +397,7 @@ mod tests {
             charge,
             soc: soc_now,
         });
-        let i_a = p.segment_current(PolicyPhase::Active, Amps::new(1.22), soc_now);
+        let i_a = current(&mut p, PolicyPhase::Active, 1.22, soc_now);
         let expected = (charge + c_ref - soc_now) / duration;
         assert!((i_a.amps() - expected.amps()).abs() < 1e-9);
         // End state: soc_now + i_a·duration − charge = c_ref.
@@ -419,7 +422,7 @@ mod tests {
             charge: Charge::new(6.0),
             soc: Charge::new(10.0),
         });
-        let i_a = p.segment_current(PolicyPhase::Active, Amps::new(1.2), Charge::new(10.0));
+        let i_a = current(&mut p, PolicyPhase::Active, 1.2, Charge::new(10.0));
         assert_eq!(i_a, Amps::new(1.2));
     }
 

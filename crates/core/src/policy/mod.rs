@@ -17,8 +17,8 @@
 //! prediction), `begin_active` when the task arrives and the actual active
 //! demand becomes known, `begin_segment` for every constant-load stretch
 //! (returning a [`SegmentPlan`] the simulator integrates in closed form),
-//! `segment_current` chunk by chunk only when the plan is
-//! [`SegmentPlan::PerChunk`], and `end_slot` with the observed values.
+//! and `end_slot` with the observed values. `begin_segment` is the only
+//! decision hook: a policy never sees individual control chunks.
 
 mod asap;
 mod conv;
@@ -129,15 +129,9 @@ impl OperatingConditions {
 /// [`FcOutputPolicy::begin_segment`].
 ///
 /// A plan describes the policy's output over (a prefix of) the segment
-/// about to play, in a form the simulator can integrate in closed form
-/// instead of consulting the policy once per control chunk.
+/// about to play, in a form the simulator integrates in closed form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SegmentPlan {
-    /// No closed form: the simulator consults
-    /// [`segment_current`](FcOutputPolicy::segment_current) chunk by
-    /// chunk, exactly as before plans existed. A policy returning
-    /// `PerChunk` must not have mutated any state in `begin_segment`.
-    PerChunk,
     /// One constant setpoint for the remainder of the segment.
     Steady(Amps),
     /// A constant setpoint that holds until the storage state of charge
@@ -156,6 +150,34 @@ pub enum SegmentPlan {
         /// the segment.
         falling: bool,
     },
+}
+
+impl SegmentPlan {
+    /// The setpoint the plan holds.
+    #[must_use]
+    pub fn current(self) -> Amps {
+        match self {
+            SegmentPlan::Steady(i) | SegmentPlan::UntilSocCrossing { current: i, .. } => i,
+        }
+    }
+
+    /// The same plan with its setpoint mapped through `f`; a crossing
+    /// threshold (a state-of-charge level) passes through unchanged.
+    #[must_use]
+    pub fn map_current(self, f: impl FnOnce(Amps) -> Amps) -> Self {
+        match self {
+            SegmentPlan::Steady(i) => SegmentPlan::Steady(f(i)),
+            SegmentPlan::UntilSocCrossing {
+                current,
+                threshold,
+                falling,
+            } => SegmentPlan::UntilSocCrossing {
+                current: f(current),
+                threshold,
+                falling,
+            },
+        }
+    }
 }
 
 /// A degradation-aware policy's self-report, polled by the simulator to
@@ -180,27 +202,6 @@ pub trait FcOutputPolicy: core::fmt::Debug {
     /// Called when the task arrives and the active phase begins.
     fn begin_active(&mut self, _start: &ActiveStart) {}
 
-    /// The FC system output current for the segment about to play.
-    fn segment_current(&mut self, phase: PolicyPhase, load: Amps, soc: Charge) -> Amps;
-
-    /// Steady-setpoint hint for the segment about to play.
-    ///
-    /// Returning `Some(i)` promises that [`segment_current`] would return
-    /// exactly `i` for *every* control chunk of a segment starting from
-    /// the given state, without updating any policy state along the way.
-    /// The simulator may then integrate the whole segment in closed form
-    /// instead of consulting the policy chunk by chunk (the
-    /// chunk-coalescing fast path).
-    ///
-    /// The default is `None`: keep per-chunk stepping. Policies whose
-    /// setpoint reacts to the mid-segment state of charge (for example
-    /// [`AsapDpm`]'s recharge trigger) must leave it that way.
-    ///
-    /// [`segment_current`]: FcOutputPolicy::segment_current
-    fn steady_current(&self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Option<Amps> {
-        None
-    }
-
     /// Opens a constant-load segment and returns its integration plan.
     ///
     /// The simulator calls this once at the start of every constant-load
@@ -209,31 +210,17 @@ pub trait FcOutputPolicy: core::fmt::Debug {
     /// [`SegmentPlan::UntilSocCrossing`] plan's threshold is reached —
     /// each time with the stretch's *remaining* duration. Between two
     /// `begin_segment` calls the simulator integrates the returned plan
-    /// in closed form, so a plan-returning policy is never consulted per
-    /// chunk.
+    /// in closed form.
     ///
-    /// Unlike [`steady_current`](Self::steady_current), a plan-returning
-    /// `begin_segment` is a lifecycle point: the policy may advance
-    /// per-segment state (an EWMA update, a hysteresis flip) before
-    /// returning. A [`SegmentPlan::PerChunk`] return, by contrast, must
-    /// leave the policy untouched — the per-chunk path will drive
-    /// [`segment_current`](Self::segment_current) as before.
-    ///
-    /// The default derives the plan from the steady hint: `Some(i)`
-    /// becomes [`SegmentPlan::Steady`], `None` becomes
-    /// [`SegmentPlan::PerChunk`].
+    /// Like the other lifecycle hooks this may advance per-segment state
+    /// (an EWMA update, a hysteresis flip) before returning.
     fn begin_segment(
         &mut self,
         phase: PolicyPhase,
         load: Amps,
         soc: Charge,
-        _remaining: Seconds,
-    ) -> SegmentPlan {
-        match self.steady_current(phase, load, soc) {
-            Some(i) => SegmentPlan::Steady(i),
-            None => SegmentPlan::PerChunk,
-        }
-    }
+        remaining: Seconds,
+    ) -> SegmentPlan;
 
     /// Called at each slot end with the observed values.
     fn end_slot(&mut self, _end: &SlotEnd) {}
@@ -244,8 +231,8 @@ pub trait FcOutputPolicy: core::fmt::Debug {
     /// have changed (slot starts and fault-boundary span starts), and
     /// only when fault injection is configured. Like the other
     /// lifecycle hooks this is a legal place to change strategy; a
-    /// [`steady_current`](Self::steady_current) hint needs to stay
-    /// valid only between consecutive lifecycle calls.
+    /// returned plan needs to stay valid only until the next lifecycle
+    /// call.
     fn observe_conditions(&mut self, _conditions: &OperatingConditions) {}
 
     /// Degradation self-report for health-aware wrappers; `None` (the
@@ -259,6 +246,10 @@ pub trait FcOutputPolicy: core::fmt::Debug {
 mod trait_tests {
     use super::*;
 
+    fn plan(p: &mut dyn FcOutputPolicy, phase: PolicyPhase, load: f64, soc: f64) -> SegmentPlan {
+        p.begin_segment(phase, Amps::new(load), Charge::new(soc), Seconds::new(10.0))
+    }
+
     #[test]
     fn policies_are_object_safe() {
         let mut policies: Vec<Box<dyn FcOutputPolicy>> = vec![
@@ -266,58 +257,32 @@ mod trait_tests {
             Box::new(AsapDpm::dac07(Charge::new(6.0))),
         ];
         for p in &mut policies {
-            let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(3.0));
+            let i = plan(p.as_mut(), PolicyPhase::Idle, 0.2, 3.0).current();
             assert!(i >= Amps::new(0.1) && i <= Amps::new(1.2));
             assert!(!p.name().is_empty());
         }
     }
 
     #[test]
-    fn steady_hints_match_segment_current() {
-        // Wherever a policy hints `Some(i)`, `segment_current` must agree
-        // and must not have mutated any state that changes later answers.
+    fn conv_plans_a_steady_pinned_setpoint() {
         let mut conv = ConvDpm::dac07();
-        let hint = conv.steady_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(3.0));
-        assert_eq!(hint, Some(Amps::new(1.2)));
-        assert_eq!(
-            conv.segment_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(3.0)),
-            Amps::new(1.2)
-        );
-
-        // ASAP-DPM's recharge trigger watches the mid-segment SoC: no hint.
-        let asap = AsapDpm::dac07(Charge::new(6.0));
-        assert_eq!(
-            asap.steady_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(1.0)),
-            None
-        );
-    }
-
-    #[test]
-    fn default_plan_derives_from_the_steady_hint() {
-        // A hinted policy plans Steady(hint) without an override.
-        let mut conv = ConvDpm::dac07();
-        assert_eq!(
-            conv.begin_segment(
-                PolicyPhase::Idle,
-                Amps::new(0.2),
-                Charge::new(3.0),
-                Seconds::new(10.0)
-            ),
-            SegmentPlan::Steady(Amps::new(1.2))
-        );
+        for (phase, load, soc) in [
+            (PolicyPhase::Idle, 0.2, 3.0),
+            (PolicyPhase::Active, 1.22, 0.0),
+        ] {
+            assert_eq!(
+                plan(&mut conv, phase, load, soc),
+                SegmentPlan::Steady(Amps::new(1.2))
+            );
+        }
     }
 
     #[test]
     fn asap_plans_a_soc_crossing() {
-        // ASAP-DPM's hint stays None, but its plan carries the recharge
-        // trigger as an analytic crossing instead of per-chunk polling.
+        // ASAP-DPM's recharge trigger watches the mid-segment SoC; its
+        // plan carries the trigger as an analytic crossing.
         let mut asap = AsapDpm::dac07(Charge::new(6.0));
-        match asap.begin_segment(
-            PolicyPhase::Active,
-            Amps::new(0.8),
-            Charge::new(5.0),
-            Seconds::new(10.0),
-        ) {
+        match plan(&mut asap, PolicyPhase::Active, 0.8, 5.0) {
             SegmentPlan::UntilSocCrossing {
                 current,
                 threshold,
@@ -329,5 +294,28 @@ mod trait_tests {
             }
             other => panic!("expected a crossing plan, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn map_current_keeps_the_threshold() {
+        let crossing = SegmentPlan::UntilSocCrossing {
+            current: Amps::new(0.5),
+            threshold: Charge::new(2.0),
+            falling: true,
+        };
+        let mapped = crossing.map_current(|i| i * 2.0);
+        assert_eq!(mapped.current(), Amps::new(1.0));
+        assert_eq!(
+            mapped,
+            SegmentPlan::UntilSocCrossing {
+                current: Amps::new(1.0),
+                threshold: Charge::new(2.0),
+                falling: true,
+            }
+        );
+        assert_eq!(
+            SegmentPlan::Steady(Amps::new(0.3)).map_current(|_| Amps::new(0.4)),
+            SegmentPlan::Steady(Amps::new(0.4))
+        );
     }
 }

@@ -198,23 +198,6 @@ impl<P: FcOutputPolicy> FcOutputPolicy for Quantized<P> {
         self.inner.begin_active(start);
     }
 
-    fn segment_current(&mut self, phase: PolicyPhase, load: Amps, soc: Charge) -> Amps {
-        let demanded = self.inner.segment_current(phase, load, soc);
-        let (lo, hi) = self.levels.bracket(demanded);
-        match self.c_ref {
-            Some(c_ref) if soc < c_ref => hi,
-            Some(_) => lo,
-            None => self.levels.nearest(demanded),
-        }
-    }
-
-    fn steady_current(&self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Option<Amps> {
-        // No chunk-invariant steady value: the per-chunk level choice is
-        // steered by the live state of charge. The segment plan below
-        // resolves the delegation to one snapped level per segment.
-        None
-    }
-
     fn begin_segment(
         &mut self,
         phase: PolicyPhase,
@@ -228,27 +211,14 @@ impl<P: FcOutputPolicy> FcOutputPolicy for Quantized<P> {
         // the wrapper re-plans (and re-snaps) exactly when the inner
         // policy's state machine advances.
         let plan = self.inner.begin_segment(phase, load, soc, remaining);
-        let snap = |demanded: Amps| {
+        plan.map_current(|demanded| {
             let (lo, hi) = self.levels.bracket(demanded);
             match self.c_ref {
                 Some(c_ref) if soc < c_ref => hi,
                 Some(_) => lo,
                 None => self.levels.nearest(demanded),
             }
-        };
-        match plan {
-            SegmentPlan::PerChunk => SegmentPlan::PerChunk,
-            SegmentPlan::Steady(i) => SegmentPlan::Steady(snap(i)),
-            SegmentPlan::UntilSocCrossing {
-                current,
-                threshold,
-                falling,
-            } => SegmentPlan::UntilSocCrossing {
-                current: snap(current),
-                threshold,
-                falling,
-            },
-        }
+        })
     }
 
     fn end_slot(&mut self, end: &SlotEnd) {
@@ -309,17 +279,29 @@ mod tests {
             soc: Charge::new(5.0), // reference latched at 5
         });
         // Inner follows the 0.5 A load → bracket (0.4, 0.8).
-        let below = q.segment_current(PolicyPhase::Idle, Amps::new(0.5), Charge::new(3.0));
-        assert_eq!(below, Amps::new(0.8), "below reference rounds up");
-        let above = q.segment_current(PolicyPhase::Idle, Amps::new(0.5), Charge::new(7.0));
-        assert_eq!(above, Amps::new(0.4), "above reference rounds down");
+        let mut current = |soc: f64| {
+            q.begin_segment(
+                PolicyPhase::Idle,
+                Amps::new(0.5),
+                Charge::new(soc),
+                Seconds::new(1.0),
+            )
+            .current()
+        };
+        assert_eq!(current(3.0), Amps::new(0.8), "below reference rounds up");
+        assert_eq!(current(7.0), Amps::new(0.4), "above reference rounds down");
     }
 
     #[test]
     fn conv_snaps_to_top_level() {
         let mut q = Quantized::new(ConvDpm::dac07(), levels());
-        let i = q.segment_current(PolicyPhase::Active, Amps::new(1.0), Charge::ZERO);
-        assert_eq!(i, Amps::new(1.2));
+        let plan = q.begin_segment(
+            PolicyPhase::Active,
+            Amps::new(1.0),
+            Charge::ZERO,
+            Seconds::new(1.0),
+        );
+        assert_eq!(plan, SegmentPlan::Steady(Amps::new(1.2)));
     }
 
     #[test]

@@ -69,8 +69,8 @@ impl ResilienceMode {
 ///    drains again.
 ///
 /// Mode changes happen only at lifecycle points (`begin_slot`,
-/// `begin_active`, `observe_conditions`), so steady-setpoint hints
-/// remain valid and fault-free runs coalesce exactly as before. Every
+/// `begin_active`, `observe_conditions`), so a returned segment plan
+/// stays valid until the next lifecycle call. Every
 /// downward transition is counted and reported via
 /// [`resilience`](FcOutputPolicy::resilience); the inner policy keeps
 /// receiving the full lifecycle in every mode so its predictors stay
@@ -135,7 +135,7 @@ impl ResilientPolicy {
     }
 
     /// Re-evaluates the ladder position. Called only at lifecycle
-    /// points so steady-setpoint hints stay valid within segments.
+    /// points so segment plans stay valid within segments.
     fn reevaluate(&mut self) {
         let soc = self.conditions.soc_fraction;
         let target = match self.mode {
@@ -192,27 +192,6 @@ impl FcOutputPolicy for ResilientPolicy {
         self.inner.begin_active(start);
     }
 
-    fn segment_current(&mut self, phase: PolicyPhase, load: Amps, soc: Charge) -> Amps {
-        match self.mode {
-            ResilienceMode::Inner => self
-                .effective()
-                .clamp(self.inner.segment_current(phase, load, soc)),
-            ResilienceMode::MaxCurrent => self.effective().max(),
-            ResilienceMode::LoadFollow => self.effective().clamp(load),
-        }
-    }
-
-    fn steady_current(&self, phase: PolicyPhase, load: Amps, soc: Charge) -> Option<Amps> {
-        match self.mode {
-            ResilienceMode::Inner => self
-                .inner
-                .steady_current(phase, load, soc)
-                .map(|i| self.effective().clamp(i)),
-            ResilienceMode::MaxCurrent => Some(self.effective().max()),
-            ResilienceMode::LoadFollow => Some(self.effective().clamp(load)),
-        }
-    }
-
     fn begin_segment(
         &mut self,
         phase: PolicyPhase,
@@ -224,19 +203,12 @@ impl FcOutputPolicy for ResilientPolicy {
             // Delegate the plan, re-clamping its currents to the
             // effective range (thresholds are SoC levels; they pass
             // through unchanged).
-            ResilienceMode::Inner => match self.inner.begin_segment(phase, load, soc, remaining) {
-                SegmentPlan::PerChunk => SegmentPlan::PerChunk,
-                SegmentPlan::Steady(i) => SegmentPlan::Steady(self.effective().clamp(i)),
-                SegmentPlan::UntilSocCrossing {
-                    current,
-                    threshold,
-                    falling,
-                } => SegmentPlan::UntilSocCrossing {
-                    current: self.effective().clamp(current),
-                    threshold,
-                    falling,
-                },
-            },
+            ResilienceMode::Inner => {
+                let effective = self.effective();
+                self.inner
+                    .begin_segment(phase, load, soc, remaining)
+                    .map_current(|i| effective.clamp(i))
+            }
             ResilienceMode::MaxCurrent => SegmentPlan::Steady(self.effective().max()),
             ResilienceMode::LoadFollow => SegmentPlan::Steady(self.effective().clamp(load)),
         }
@@ -265,7 +237,6 @@ mod tests {
     use super::*;
     use crate::policy::ConvDpm;
     use fcdpm_device::SleepDirective;
-    use fcdpm_units::Seconds;
 
     fn conditions(
         effective: CurrentRange,
@@ -279,6 +250,12 @@ mod tests {
             predictor_ok,
             soc_fraction,
         }
+    }
+
+    /// The planned setpoint for a segment at `load` and `soc`.
+    fn current(p: &mut ResilientPolicy, phase: PolicyPhase, load: f64, soc: f64) -> Amps {
+        p.begin_segment(phase, Amps::new(load), Charge::new(soc), Seconds::new(1.0))
+            .current()
     }
 
     fn wrapped() -> ResilientPolicy {
@@ -301,12 +278,13 @@ mod tests {
         p.observe_conditions(&OperatingConditions::nominal(base, 0.5));
         assert_eq!(p.mode(), ResilienceMode::Inner);
         // Conv-DPM pins 1.2 A; the wrapper passes it through.
-        let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(3.0));
-        assert_eq!(i, Amps::new(1.2));
-        assert_eq!(
-            p.steady_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(3.0)),
-            Some(Amps::new(1.2))
+        let plan = p.begin_segment(
+            PolicyPhase::Idle,
+            Amps::new(0.2),
+            Charge::new(3.0),
+            Seconds::new(1.0),
         );
+        assert_eq!(plan, SegmentPlan::Steady(Amps::new(1.2)));
         assert_eq!(p.degradations(), 0);
         let status = p.resilience().unwrap();
         assert!(!status.degraded);
@@ -320,7 +298,7 @@ mod tests {
         p.observe_conditions(&conditions(shrunk, base, true, 0.6));
         // Reserve healthy: stay on the inner policy, re-clamped.
         assert_eq!(p.mode(), ResilienceMode::Inner);
-        let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(3.0));
+        let i = current(&mut p, PolicyPhase::Idle, 0.2, 3.0);
         assert_eq!(i, Amps::new(0.5));
         assert_eq!(p.degradations(), 0);
     }
@@ -335,12 +313,11 @@ mod tests {
         assert_eq!(p.degradations(), 1);
         assert!(p.resilience().unwrap().degraded);
         // Pins the effective max in both phases.
-        let i = p.segment_current(PolicyPhase::Active, Amps::new(1.2), Charge::new(0.5));
-        assert_eq!(i, Amps::new(0.5));
         assert_eq!(
-            p.steady_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(0.5)),
-            Some(Amps::new(0.5))
+            current(&mut p, PolicyPhase::Active, 1.2, 0.5),
+            Amps::new(0.5)
         );
+        assert_eq!(current(&mut p, PolicyPhase::Idle, 0.2, 0.5), Amps::new(0.5));
     }
 
     #[test]
@@ -354,7 +331,7 @@ mod tests {
         p.observe_conditions(&conditions(shrunk, base, true, 0.97));
         assert_eq!(p.mode(), ResilienceMode::LoadFollow);
         assert_eq!(p.degradations(), 2);
-        let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(5.8));
+        let i = current(&mut p, PolicyPhase::Idle, 0.2, 5.8);
         assert_eq!(i, Amps::new(0.2));
         // Mild drain keeps load following (hysteresis)…
         p.observe_conditions(&conditions(shrunk, base, true, 0.7));
@@ -401,7 +378,7 @@ mod tests {
         assert_eq!(p.mode(), ResilienceMode::MaxCurrent);
         p.observe_conditions(&conditions(base, base, true, 0.6));
         assert_eq!(p.mode(), ResilienceMode::Inner);
-        let i = p.segment_current(PolicyPhase::Idle, Amps::new(0.2), Charge::new(3.6));
+        let i = current(&mut p, PolicyPhase::Idle, 0.2, 3.6);
         assert_eq!(i, Amps::new(1.2));
     }
 

@@ -26,30 +26,28 @@ const EWMA_CHUNK_S: f64 = 0.5;
 /// and demand from walking the buffer into a rail.
 ///
 /// `alpha` is the smoothing weight per 0.5 s of wall-clock time (the
-/// reference control chunk). On the slot-structured path the policy
-/// plans whole segments at once: `begin_segment` advances the EWMA a
-/// single duration-weighted step — decaying the old estimate by
-/// `(1 − alpha)^(duration / 0.5 s)` — and holds the resulting setpoint
-/// (with the feedback term frozen at the segment-entry state of charge)
-/// for the whole segment, so the output is independent of the
-/// simulator's control step. The per-chunk `segment_current` path keeps
-/// the chunk-wise update for unstructured profile playback.
+/// reference control chunk). The policy plans whole segments at once:
+/// `begin_segment` advances the EWMA a single duration-weighted step —
+/// decaying the old estimate by `(1 − alpha)^(duration / 0.5 s)` — and
+/// holds the resulting setpoint (with the feedback term frozen at the
+/// segment-entry state of charge) for the whole segment, so the output
+/// is independent of the simulator's control step.
 ///
 /// # Examples
 ///
 /// ```
 /// use fcdpm_core::policy::{FcOutputPolicy, PolicyPhase, WindowedAverage};
-/// use fcdpm_units::{Amps, Charge, CurrentRange};
+/// use fcdpm_units::{Amps, Charge, CurrentRange, Seconds};
 ///
 /// let mut p = WindowedAverage::new(CurrentRange::dac07(), 0.02, 0.05);
 /// // First sight latches the reference SoC and seeds the EWMA.
-/// let i = p.segment_current(PolicyPhase::Active, Amps::new(0.5), Charge::new(3.0));
-/// assert_eq!(i, Amps::new(0.5));
+/// let plan = p.begin_segment(PolicyPhase::Active, Amps::new(0.5), Charge::new(3.0), Seconds::new(1.0));
+/// assert_eq!(plan.current(), Amps::new(0.5));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowedAverage {
     range: CurrentRange,
-    /// Per-chunk EWMA weight in `(0, 1]`.
+    /// EWMA weight per 0.5 s, in `(0, 1]`.
     alpha: f64,
     /// Feedback gain in amps per ampere-second of SoC error.
     gain: f64,
@@ -100,24 +98,6 @@ impl FcOutputPolicy for WindowedAverage {
         self.c_ref.get_or_insert(start.soc);
     }
 
-    fn segment_current(&mut self, _phase: PolicyPhase, load: Amps, soc: Charge) -> Amps {
-        let c_ref = *self.c_ref.get_or_insert(soc);
-        let ewma = match self.ewma {
-            Some(prev) => prev + self.alpha * (load.amps() - prev),
-            None => load.amps(),
-        };
-        self.ewma = Some(ewma);
-        let feedback = self.gain * (c_ref - soc).amp_seconds();
-        self.range.clamp(Amps::new((ewma + feedback).max(0.0)))
-    }
-
-    fn steady_current(&self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Option<Amps> {
-        // No chunk-invariant steady value: every per-chunk consultation
-        // advances the EWMA. The segment plan below carries the same
-        // smoothing as one closed-form update instead.
-        None
-    }
-
     fn begin_segment(
         &mut self,
         _phase: PolicyPhase,
@@ -127,8 +107,8 @@ impl FcOutputPolicy for WindowedAverage {
     ) -> SegmentPlan {
         let c_ref = *self.c_ref.get_or_insert(soc);
         // One duration-weighted EWMA step: the closed form of
-        // `duration / EWMA_CHUNK_S` successive per-chunk updates against
-        // the segment's constant load. Exact under cross-segment merging:
+        // `duration / EWMA_CHUNK_S` successive 0.5 s updates against the
+        // segment's constant load. Exact under cross-segment merging:
         // decaying by d1 then d2 equals decaying by d1 + d2.
         let ewma = match self.ewma {
             Some(prev) => {
@@ -151,26 +131,33 @@ mod tests {
         WindowedAverage::dac07()
     }
 
+    /// The planned setpoint for a `secs`-long active segment.
+    fn current(p: &mut WindowedAverage, load: f64, soc: f64, secs: f64) -> Amps {
+        p.begin_segment(
+            PolicyPhase::Active,
+            Amps::new(load),
+            Charge::new(soc),
+            Seconds::new(secs),
+        )
+        .current()
+    }
+
     #[test]
     fn seeds_from_first_load() {
         let mut p = policy();
-        let i = p.segment_current(PolicyPhase::Active, Amps::new(0.4), Charge::new(3.0));
-        assert_eq!(i, Amps::new(0.4));
+        assert_eq!(current(&mut p, 0.4, 3.0, 0.5), Amps::new(0.4));
         assert_eq!(p.load_estimate(), Some(Amps::new(0.4)));
     }
 
     #[test]
     fn smooths_load_steps() {
         let mut p = policy();
-        p.segment_current(PolicyPhase::Active, Amps::new(0.2), Charge::new(3.0));
-        // A load step barely moves the output at alpha = 0.02.
-        let i = p.segment_current(PolicyPhase::Active, Amps::new(1.2), Charge::new(3.0));
+        current(&mut p, 0.2, 3.0, 0.5);
+        // A short load step barely moves the output at alpha = 0.02.
+        let i = current(&mut p, 1.2, 3.0, 0.5);
         assert!(i < Amps::new(0.25), "output jumped: {i}");
-        // After many chunks it converges to the new level.
-        for _ in 0..600 {
-            p.segment_current(PolicyPhase::Active, Amps::new(1.2), Charge::new(3.0));
-        }
-        let i = p.segment_current(PolicyPhase::Active, Amps::new(1.2), Charge::new(3.0));
+        // After a long stretch it converges to the new level.
+        let i = current(&mut p, 1.2, 3.0, 300.0);
         assert!((i.amps() - 1.2).abs() < 1e-3);
     }
 
@@ -178,9 +165,9 @@ mod tests {
     fn feedback_steers_soc_back() {
         let mut p = policy();
         // Latch reference at 3 A·s.
-        p.segment_current(PolicyPhase::Active, Amps::new(0.5), Charge::new(3.0));
-        let depleted = p.segment_current(PolicyPhase::Active, Amps::new(0.5), Charge::new(1.0));
-        let full = p.segment_current(PolicyPhase::Active, Amps::new(0.5), Charge::new(5.0));
+        current(&mut p, 0.5, 3.0, 0.5);
+        let depleted = current(&mut p, 0.5, 1.0, 0.5);
+        let full = current(&mut p, 0.5, 5.0, 0.5);
         assert!(depleted > full, "feedback must push toward the reference");
     }
 
@@ -188,7 +175,7 @@ mod tests {
     fn output_always_in_range() {
         let mut p = policy();
         for (load, soc) in [(0.0, 0.0), (5.0, 0.0), (0.0, 100.0), (2.0, 50.0)] {
-            let i = p.segment_current(PolicyPhase::Idle, Amps::new(load), Charge::new(soc));
+            let i = current(&mut p, load, soc, 0.5);
             assert!(CurrentRange::dac07().contains(i), "{i} out of range");
         }
     }
@@ -199,38 +186,22 @@ mod tests {
         let _ = WindowedAverage::new(CurrentRange::dac07(), 0.0, 0.1);
     }
 
-    fn plan_current(plan: SegmentPlan) -> Amps {
-        match plan {
-            SegmentPlan::Steady(i) => i,
-            other => panic!("expected a steady plan, got {other:?}"),
-        }
-    }
-
     #[test]
-    fn segment_plan_matches_per_chunk_convergence() {
+    fn segment_plan_matches_chunkwise_ewma() {
         // A segment-long plan must land the EWMA where the equivalent
-        // number of per-chunk updates would.
+        // number of 0.5 s updates would.
         let mut planned = policy();
-        let mut chunked = policy();
-        planned.begin_segment(
-            PolicyPhase::Active,
-            Amps::new(0.2),
-            Charge::new(3.0),
-            Seconds::new(0.5),
-        );
-        chunked.segment_current(PolicyPhase::Active, Amps::new(0.2), Charge::new(3.0));
-        planned.begin_segment(
-            PolicyPhase::Active,
-            Amps::new(1.2),
-            Charge::new(3.0),
-            Seconds::new(50.0),
-        );
+        current(&mut planned, 0.2, 3.0, 0.5);
+        current(&mut planned, 1.2, 3.0, 50.0);
+        let mut chunked = 0.2;
         for _ in 0..100 {
-            chunked.segment_current(PolicyPhase::Active, Amps::new(1.2), Charge::new(3.0));
+            chunked += 0.02 * (1.2 - chunked);
         }
         let p = planned.load_estimate().unwrap().amps();
-        let c = chunked.load_estimate().unwrap().amps();
-        assert!((p - c).abs() < 1e-9, "planned {p} vs chunked {c}");
+        assert!(
+            (p - chunked).abs() < 1e-9,
+            "planned {p} vs chunked {chunked}"
+        );
     }
 
     #[test]
@@ -239,16 +210,12 @@ mod tests {
         // back to back at the same load and state of charge.
         let mut merged = policy();
         let mut split = policy();
-        let load = Amps::new(0.7);
-        let soc = Charge::new(3.0);
         for p in [&mut merged, &mut split] {
-            p.begin_segment(PolicyPhase::Active, Amps::new(0.2), soc, Seconds::new(5.0));
+            current(p, 0.2, 3.0, 5.0);
         }
-        let one =
-            plan_current(merged.begin_segment(PolicyPhase::Active, load, soc, Seconds::new(30.0)));
-        split.begin_segment(PolicyPhase::Active, load, soc, Seconds::new(10.0));
-        let two =
-            plan_current(split.begin_segment(PolicyPhase::Active, load, soc, Seconds::new(20.0)));
+        let one = current(&mut merged, 0.7, 3.0, 30.0);
+        current(&mut split, 0.7, 3.0, 10.0);
+        let two = current(&mut split, 0.7, 3.0, 20.0);
         let m = merged.load_estimate().unwrap().amps();
         let s = split.load_estimate().unwrap().amps();
         assert!((m - s).abs() < 1e-12, "merged {m} vs split {s}");

@@ -12,7 +12,7 @@ use crate::json::Json;
 use crate::Report;
 
 /// Renders `report` as a SARIF 2.1.0 document with every result at
-/// `level: error` (the lint catalogue has no warning-tier rules).
+/// `level: error` (neither catalogue has warning-tier rules).
 ///
 /// `tool_name` names the driver (`fcdpm-lint` or `fcdpm-analyze`) and
 /// `rules` is the tool's `(id, short description)` catalogue; every
@@ -20,20 +20,6 @@ use crate::Report;
 /// (SARIF permits results whose `ruleId` has no descriptor).
 #[must_use]
 pub fn to_sarif(report: &Report, tool_name: &str, rules: &[(&str, &str)]) -> String {
-    to_sarif_leveled(report, tool_name, rules, |_| "error")
-}
-
-/// Like [`to_sarif`], but `level_of` maps each finding's rule id to a
-/// SARIF result level (`"error"`, `"warning"`, `"note"`) — the analyze
-/// catalogue carries warning-tier rules whose severity must survive
-/// into code-scanning views.
-#[must_use]
-pub fn to_sarif_leveled(
-    report: &Report,
-    tool_name: &str,
-    rules: &[(&str, &str)],
-    level_of: impl Fn(&str) -> &'static str,
-) -> String {
     let rule_objs = rules
         .iter()
         .map(|(id, summary)| {
@@ -52,7 +38,7 @@ pub fn to_sarif_leveled(
         .map(|f| {
             Json::Obj(vec![
                 ("ruleId".into(), Json::Str(f.rule.into())),
-                ("level".into(), Json::Str(level_of(f.rule).into())),
+                ("level".into(), Json::Str("error".into())),
                 (
                     "message".into(),
                     Json::Obj(vec![("text".into(), Json::Str(f.message.clone()))]),
@@ -128,6 +114,7 @@ mod tests {
         assert!(text.contains("\"fcdpm-lint\""));
         assert!(text.contains("\"crates/a/src/lib.rs\""));
         assert!(text.contains("\"startLine\": 4"));
+        assert!(text.contains("\"level\": \"error\""));
         assert!(crate::json::parse(&text).is_ok());
     }
 
@@ -135,35 +122,5 @@ mod tests {
     fn empty_report_renders_empty_results() {
         let text = to_sarif(&Report::default(), "fcdpm-analyze", &[]);
         assert!(text.contains("\"results\": []"));
-    }
-
-    #[test]
-    fn leveled_rendering_maps_rule_ids_to_levels() {
-        let report = Report {
-            findings: vec![
-                Finding {
-                    rule: "hint-coalescing",
-                    path: "crates/a/src/lib.rs".into(),
-                    line: 2,
-                    message: "missed coalescing".into(),
-                },
-                Finding {
-                    rule: "hint-soundness",
-                    path: "crates/a/src/lib.rs".into(),
-                    line: 9,
-                    message: "unsound hint".into(),
-                },
-            ],
-            ..Report::default()
-        };
-        let text = to_sarif_leveled(&report, "fcdpm-analyze", &[], |rule| {
-            if rule == "hint-coalescing" {
-                "warning"
-            } else {
-                "error"
-            }
-        });
-        assert!(text.contains("\"level\": \"warning\""));
-        assert!(text.contains("\"level\": \"error\""));
     }
 }

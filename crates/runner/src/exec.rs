@@ -7,7 +7,7 @@
 use fcdpm_core::dpm::{OracleSleep, PredictiveSleep, SleepPolicy};
 use fcdpm_core::policy::{
     AsapDpm, ConvDpm, FcDpm, FcOutputPolicy, OutputLevels, PolicyPhase, Quantized, ResilientPolicy,
-    WindowedAverage,
+    SegmentPlan, WindowedAverage,
 };
 use fcdpm_core::FuelOptimizer;
 use fcdpm_fuelcell::{GibbsCoefficient, HydrogenTank, LinearEfficiency};
@@ -55,7 +55,7 @@ pub struct JobMetrics {
     pub chunks_stepped: u64,
     /// Control chunks folded into closed-form segment updates.
     pub chunks_coalesced: u64,
-    /// Policy consultations (steady hints plus per-chunk queries).
+    /// Policy consultations (one `begin_segment` plan per plan phase).
     pub policy_consultations: u64,
     /// Fault events applied by the injected schedule.
     pub faults_applied: u64,
@@ -267,13 +267,8 @@ impl FcOutputPolicy for ConstantOutput {
         &self.name
     }
 
-    fn segment_current(&mut self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Amps {
-        self.current
-    }
-
-    fn steady_current(&self, _phase: PolicyPhase, _load: Amps, _soc: Charge) -> Option<Amps> {
-        // A fixed setpoint by construction: always coalescible.
-        Some(self.current)
+    fn begin_segment(&mut self, _: PolicyPhase, _: Amps, _: Charge, _: Seconds) -> SegmentPlan {
+        SegmentPlan::Steady(self.current)
     }
 }
 

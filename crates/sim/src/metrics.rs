@@ -38,8 +38,8 @@ pub struct SimMetrics {
     /// Work counter: control chunks subsumed by coalesced segments
     /// (the chunks the fast path did *not* have to step).
     pub chunks_coalesced: u64,
-    /// Work counter: policy consultations (`steady_current` hints plus
-    /// `segment_current` calls).
+    /// Work counter: policy consultations (`begin_segment` plans, one
+    /// per plan phase).
     pub policy_consultations: u64,
     /// Fault events applied during the run (zero without an attached
     /// [`FaultSchedule`](fcdpm_faults::FaultSchedule)).

@@ -2,9 +2,15 @@
 //!
 //! [`HybridSimulator::run_profile`] drives an FC output policy over a
 //! piecewise-constant [`LoadProfile`] with no slot structure — the
-//! representation multi-device compositions produce. Policies that need
-//! slot boundaries (FC-DPM) are not meaningful here; the load-following
-//! and windowed-averaging policies are.
+//! representation multi-device compositions produce. Each profile point
+//! is one constant-load span integrated by the same plan-driven
+//! integrator as [`HybridSimulator::run`]: the policy plans the point
+//! through `begin_segment`, and the plan integrates in closed form
+//! (or in control chunks under
+//! [`without_coalescing`](HybridSimulator::without_coalescing) and
+//! inside a recorder's horizon). Policies that need slot boundaries
+//! (FC-DPM) are not meaningful here; the load-following and
+//! windowed-averaging policies are.
 
 use fcdpm_core::policy::{FcOutputPolicy, PolicyPhase};
 use fcdpm_storage::ChargeStorage;
@@ -16,10 +22,9 @@ use crate::{HybridSimulator, ProfileRecorder, SimError, SimMetrics, SimResult};
 impl HybridSimulator<'_> {
     /// Runs `policy` over an unstructured load profile.
     ///
-    /// Every point is integrated in control chunks exactly as in
-    /// [`run`](Self::run); all chunks present as
-    /// [`PolicyPhase::Active`] since there is no slot structure to
-    /// distinguish phases.
+    /// Every point is one [`PolicyPhase::Active`] span (there is no slot
+    /// structure to distinguish phases), planned and integrated exactly
+    /// as a stretch of [`run`](Self::run). Fault schedules do not apply.
     ///
     /// # Errors
     ///
@@ -61,58 +66,17 @@ impl HybridSimulator<'_> {
             if point.duration <= Seconds::ZERO {
                 continue;
             }
-
-            // Chunk-coalescing fast path, as in `run_internal`: a steady
-            // setpoint integrates the whole point in closed form unless
-            // the recorder still needs per-chunk samples.
-            let record_pending = recorder.as_deref().is_some_and(ProfileRecorder::active);
-            if self.coalescing_enabled() && !record_pending {
-                if let Some(demanded) =
-                    policy.steady_current(PolicyPhase::Active, point.current, storage.soc())
-                {
-                    metrics.policy_consultations += 1;
-                    self.integrate_coalesced(
-                        point.current,
-                        demanded,
-                        point.duration,
-                        storage,
-                        &mut metrics,
-                        None,
-                    )?;
-                    time += point.duration;
-                    continue;
-                }
-                metrics.policy_consultations += 1;
-            }
-
-            let residual_floor = self.control_step() * crate::simulator::RESIDUAL_FLOOR_FRACTION;
-            let mut remaining = point.duration;
-            while remaining > Seconds::ZERO {
-                let mut dt = remaining.min(self.control_step());
-                if remaining - dt <= residual_floor {
-                    // Widen the final chunk to absorb the floating-point
-                    // residual of `remaining -= dt`.
-                    dt = remaining;
-                }
-                let demanded =
-                    policy.segment_current(PolicyPhase::Active, point.current, storage.soc());
-                metrics.policy_consultations += 1;
-                let i_f = self.range().clamp(demanded);
-                let i_fc = self.fuel_model().stack_current(i_f)?;
-                metrics.fuel.consume(i_fc, dt);
-                metrics.delivered_charge += i_f * dt;
-                metrics.load_charge += point.current * dt;
-                let flow = storage.step(self.buffer_net(i_f - point.current), dt);
-                metrics.bled_charge += flow.bled;
-                metrics.deficit_charge += flow.deficit;
-                metrics.deficit_time += crate::simulator::deficit_time_of(&flow, dt);
-                metrics.chunks_stepped += 1;
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_chunk(time, dt, point.current, i_f, i_fc, storage.soc());
-                }
-                time += dt;
-                remaining -= dt;
-            }
+            self.integrate_span(
+                PolicyPhase::Active,
+                point.current,
+                point.duration,
+                &mut time,
+                policy,
+                storage,
+                &mut metrics,
+                None,
+                &mut recorder,
+            )?;
         }
         metrics.final_soc = storage.soc();
         Ok(SimResult { metrics })
@@ -204,9 +168,9 @@ mod tests {
 
     #[test]
     fn residual_float_chunk_is_absorbed() {
-        // 0.7 s at a 0.1 s step: `remaining -= dt` leaves a ~2.8e-17 s
-        // residual that used to become an eighth ghost chunk. The epsilon
-        // floor folds it into the seventh.
+        // 0.7 s at a 0.1 s step on the chunked oracle: `remaining -= dt`
+        // leaves a ~2.8e-17 s residual that used to become an eighth
+        // ghost chunk. The epsilon floor folds it into the seventh.
         use fcdpm_fuelcell::LinearEfficiency;
         use fcdpm_units::CurrentRange;
         let spec = presets::dvd_camcorder();
@@ -216,7 +180,8 @@ mod tests {
             CurrentRange::dac07(),
             Seconds::new(0.1),
         )
-        .unwrap();
+        .unwrap()
+        .without_coalescing();
         let profile = LoadProfile::new(
             "residual",
             vec![LoadPoint {
@@ -226,32 +191,40 @@ mod tests {
         );
         let cap = Charge::new(30.0);
         let mut storage = IdealStorage::new(cap, cap * 0.5);
-        // ASAP-DPM offers no steady hint, so this exercises the per-chunk
-        // loop the floor protects.
         let mut policy = AsapDpm::dac07(cap);
         let m = sim
             .run_profile(&profile, &mut policy, &mut storage)
             .unwrap()
             .metrics;
         assert_eq!(m.chunks_stepped, 7, "ghost residual chunk leaked");
+        assert_eq!(m.policy_consultations, 1);
         assert!((m.duration().seconds() - 0.7).abs() < 1e-12);
     }
 
     #[test]
     fn profile_fast_path_counters() {
+        // Ten 10 s points, each planned once and integrated in one
+        // closed-form update of twenty 0.5 s chunks' worth of work — for
+        // the steady planners and for ASAP-DPM's crossing plans alike.
         let spec = presets::dvd_camcorder();
         let sim = HybridSimulator::dac07(&spec);
         let profile = square_wave(5);
-        let mut storage = IdealStorage::new(Charge::new(1e6), Charge::new(5e5));
-        let m = sim
-            .run_profile(&profile, &mut ConvDpm::dac07(), &mut storage)
-            .unwrap()
-            .metrics;
-        // Ten 10 s points, each coalesced into one closed-form update of
-        // twenty 0.5 s chunks' worth of work.
-        assert_eq!(m.chunks_stepped, 0);
-        assert_eq!(m.chunks_coalesced, 200);
-        assert_eq!(m.policy_consultations, 10);
+        let cap = Charge::new(1e6);
+        let policies: [&mut dyn FcOutputPolicy; 3] = [
+            &mut ConvDpm::dac07(),
+            &mut AsapDpm::dac07(cap),
+            &mut WindowedAverage::dac07(),
+        ];
+        for policy in policies {
+            let mut storage = IdealStorage::new(cap, cap * 0.5);
+            let m = sim
+                .run_profile(&profile, policy, &mut storage)
+                .unwrap()
+                .metrics;
+            assert_eq!(m.chunks_stepped, 0, "{}", policy.name());
+            assert_eq!(m.chunks_coalesced, 200, "{}", policy.name());
+            assert_eq!(m.policy_consultations, 10, "{}", policy.name());
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ proptest! {
         );
     }
 
-    /// The quantized policy emits only supported levels.
+    /// The quantized policy plans only supported levels.
     #[test]
     fn quantized_output_is_always_a_level(
         level_count in 2usize..16,
@@ -57,11 +57,14 @@ proptest! {
             soc: Charge::new(3.0),
         });
         for (load, soc) in demands {
-            let i = policy.segment_current(
-                fcdpm::core::PolicyPhase::Idle,
-                Amps::new(load),
-                Charge::new(soc),
-            );
+            let i = policy
+                .begin_segment(
+                    fcdpm::core::PolicyPhase::Idle,
+                    Amps::new(load),
+                    Charge::new(soc),
+                    Seconds::new(1.0),
+                )
+                .current();
             prop_assert!(
                 allowed.iter().any(|l| (l - i.amps()).abs() < 1e-12),
                 "{} not in level set", i

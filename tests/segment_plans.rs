@@ -10,19 +10,21 @@
 //! * **Mode agreement** — the coalesced and per-chunk integrators
 //!   drive the identical plan sequence (equal consultation counts) and
 //!   agree on the accumulated physics to 1e-6, with and without an
-//!   active fault schedule.
+//!   active fault schedule, on slot traces (`run`) and on unstructured
+//!   load profiles (`run_profile`) alike.
 //! * **Control-step invariance** — the plan split points come from
 //!   `time_to_soc`, not the chunk grid, so `deficit_time` and the
 //!   other time-normalized metrics do not move with the control step.
 
+use fcdpm_device::{SleepDirective, SlotTimeline};
 use fcdpm_faults::{
     EfficiencyFade, FaultEvent, FaultKind, FaultSchedule, FuelStarvation, SelfDischarge,
 };
 use fcdpm_fuelcell::LinearEfficiency;
-use fcdpm_sim::fixture::{run_reference_on, ReferencePolicy};
-use fcdpm_sim::{HybridSimulator, SimMetrics};
+use fcdpm_sim::fixture::{reference_storage, run_reference_on, ReferencePolicy};
+use fcdpm_sim::{HybridSimulator, SimError, SimMetrics};
 use fcdpm_units::{CurrentRange, Seconds, Watts};
-use fcdpm_workload::{Scenario, SyntheticTrace};
+use fcdpm_workload::{LoadProfile, Scenario, SyntheticTrace};
 use proptest::prelude::*;
 
 /// A randomized Experiment-2-style scenario: the synthetic uniform
@@ -105,6 +107,40 @@ fn physics_match(a: &SimMetrics, b: &SimMetrics, label: &str) -> Result<(), Stri
     Ok(())
 }
 
+/// The scenario's trace flattened into an unstructured load profile
+/// (every idle period slept), as a multi-device composition delivers it.
+fn trace_profile(scenario: &Scenario) -> LoadProfile {
+    let timelines: Vec<SlotTimeline> = scenario
+        .trace
+        .slots()
+        .iter()
+        .map(|slot| {
+            SlotTimeline::build_with_directive(
+                &scenario.device,
+                slot.idle,
+                SleepDirective::SleepImmediately,
+                slot.active,
+                slot.active_current(scenario.device.bus_voltage()),
+            )
+        })
+        .collect();
+    LoadProfile::from_timelines("trace", &timelines)
+}
+
+/// `run_profile` of a reference policy on its reference storage.
+fn run_profile_on(
+    sim: &HybridSimulator<'_>,
+    scenario: &Scenario,
+    profile: &LoadProfile,
+    policy: ReferencePolicy,
+) -> Result<SimMetrics, SimError> {
+    let mut storage = reference_storage();
+    let mut policy = policy.build(scenario);
+    Ok(sim
+        .run_profile(profile, policy.as_mut(), &mut storage)?
+        .metrics)
+}
+
 fn sim_with_step(scenario: &Scenario, step: f64) -> HybridSimulator<'_> {
     HybridSimulator::new(
         &scenario.device,
@@ -119,7 +155,9 @@ proptest! {
     /// Every shipped policy plans every segment in closed form on
     /// arbitrary synthetic workloads: the fast path steps zero chunks,
     /// both integration modes consult the policy at exactly the same
-    /// points, and the physics agree to 1e-6.
+    /// points, and the physics agree to 1e-6 — through `run` on the
+    /// slot trace and through `run_profile` on the same trace flattened
+    /// into an unstructured profile.
     #[test]
     fn coalesced_and_per_chunk_agree_on_random_traces(
         seed in 0u64..10_000,
@@ -145,6 +183,22 @@ proptest! {
                 "{} consultation counts diverged", policy.label()
             );
             physics_match(&fast, &slow, policy.label())?;
+        }
+        let profile = trace_profile(&scenario);
+        for policy in ReferencePolicy::ALL {
+            let label = format!("{} (profile)", policy.label());
+            let fast_sim = HybridSimulator::dac07(&scenario.device);
+            let fast = run_profile_on(&fast_sim, &scenario, &profile, policy)
+                .map_err(|e| format!("{label}: coalesced run failed: {e}"))?;
+            let slow_sim = HybridSimulator::dac07(&scenario.device).without_coalescing();
+            let slow = run_profile_on(&slow_sim, &scenario, &profile, policy)
+                .map_err(|e| format!("{label}: per-chunk run failed: {e}"))?;
+            prop_assert_eq!(fast.chunks_stepped, 0, "{} stepped chunks", &label);
+            prop_assert_eq!(
+                fast.policy_consultations, slow.policy_consultations,
+                "{} consultation counts diverged", &label
+            );
+            physics_match(&fast, &slow, &label)?;
         }
     }
 
@@ -209,8 +263,8 @@ proptest! {
         }
     }
 
-    /// On the fast path the control step only buys resolution for the
-    /// per-chunk fallback that never runs: segment plans split at
+    /// On the fast path the control step only sets the chunked
+    /// oracle's resolution, which never runs here: segment plans split at
     /// analytic SoC crossings, so `deficit_time` (and every other
     /// time-normalized metric) is invariant across a 10× step change
     /// for the piecewise and steady planners alike.
