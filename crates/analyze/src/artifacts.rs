@@ -12,20 +12,17 @@
 //! resume happily parses.
 //!
 //! This pass is lexical and file-scoped: in each of [`RUN_DIR_FILES`],
-//! any raw file-creation call outside the [`SANCTIONED`] helper
+//! any raw file-creation call outside the `SANCTIONED` helper
 //! functions (and outside test code) is a finding. `manifest.rs` itself
 //! is exempt by construction — it *is* the sanctioned writer layer
-//! (every one of its publishers goes tmp+rename or checksummed-append),
-//! and the determinism-taint pass already covers what flows into it.
+//! (every one of its publishers goes tmp+rename or checksummed-append).
 //! The pass deliberately does not try to prove a write targets a run
 //! directory — in these files every production write does, and a false
 //! positive is an invitation to route the new write through the
 //! helpers, which is the point.
 
-use fcdpm_lint::{Finding, Scan};
-
 use crate::syntax;
-use crate::AnalyzeRule;
+use crate::{Finding, Rule, Scan};
 
 /// The files that orchestrate run-directory bytes above the manifest
 /// writer layer: the grid engine (spec, aggregate, checkpoints) and the
@@ -72,7 +69,7 @@ pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
                 }
                 let call = needle.trim_end_matches('(');
                 findings.push(Finding {
-                    rule: AnalyzeRule::AtomicArtifact.id(),
+                    rule: Rule::AtomicArtifact.id(),
                     path: rel_path.to_owned(),
                     line,
                     message: format!(

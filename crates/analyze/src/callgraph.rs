@@ -1,21 +1,19 @@
 //! Workspace call graph on the lexical machinery.
 //!
-//! [`function_defs`](crate::callgraph::function_defs) lifts each file's
-//! token stream into [`FnDef`]s — name, signature facts, cleaned body
-//! text and the callee names that appear inside it — and [`CallGraph`]
-//! aggregates them workspace-wide with a conservative name resolver:
-//! a call resolves to a definition only when the name is unambiguous
-//! (same file, else same crate, else unique in the workspace), and an
-//! ambiguous or unknown name resolves to *nothing*, so interprocedural
-//! passes degrade to their old per-function behaviour instead of
-//! guessing. Test-span functions never enter the graph: a test helper
-//! must not satisfy resolution for library code.
+//! [`function_defs`] lifts each file's
+//! token stream into [`FnDef`]s — name, cleaned body text and the
+//! callee names that appear inside it — and [`CallGraph`] aggregates
+//! them workspace-wide with a conservative name resolver: a call
+//! resolves to a definition only when the name is unambiguous (same
+//! file, else same crate, else unique in the workspace), and an
+//! ambiguous or unknown name resolves to *nothing*, so the lock pass
+//! degrades to its per-function behaviour instead of guessing.
+//! Test-span functions never enter the graph: a test helper must not
+//! satisfy resolution for library code.
 
 use std::collections::BTreeMap;
 
-use fcdpm_lint::Scan;
-
-use crate::syntax;
+use crate::{crate_of, syntax, Scan};
 
 /// Names that precede a `(` without being calls.
 const NON_CALL_KEYWORDS: [&str; 14] = [
@@ -30,33 +28,10 @@ pub struct FnDef {
     pub file: String,
     /// The declared name.
     pub name: String,
-    /// 1-indexed line of the `fn` keyword.
-    pub line: usize,
-    /// Whether the signature declares a return type (`->`).
-    pub has_return: bool,
     /// The cleaned body text (comments/strings already blanked).
     pub body: String,
     /// Callee names appearing in the body, sorted and deduplicated.
     pub calls: Vec<String>,
-}
-
-impl FnDef {
-    /// Stable key: `<file>::<name>#<ordinal>` where the ordinal counts
-    /// same-named functions earlier in the same file (two `impl` blocks
-    /// can both define a `name` method).
-    #[must_use]
-    pub fn key(&self, ordinal: usize) -> String {
-        format!("{}::{}#{}", self.file, self.name, ordinal)
-    }
-}
-
-/// The crate a workspace-relative path belongs to (`crates/<k>/src/..`),
-/// or the root pseudo-crate for `src/..`.
-fn crate_of(rel_path: &str) -> &str {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("fcdpm")
 }
 
 /// Callee names in `text`: every identifier immediately followed by
@@ -121,13 +96,10 @@ pub fn function_defs(rel_path: &str, scan: &Scan) -> Vec<FnDef> {
         if name.is_empty() {
             continue;
         }
-        let signature = &cleaned[fn_off..body.start];
         let body_text = &cleaned[body.clone()];
         out.push(FnDef {
             file: rel_path.to_owned(),
             name: name.to_owned(),
-            line: scan.line_of(fn_off),
-            has_return: signature.contains("->"),
             body: body_text.to_owned(),
             calls: call_names(body_text),
         });
@@ -152,17 +124,6 @@ impl CallGraph {
             by_name.entry(def.name.clone()).or_default().push(i);
         }
         Self { defs, by_name }
-    }
-
-    /// The stable key of definition `index` (see [`FnDef::key`]).
-    #[must_use]
-    pub fn key_of(&self, index: usize) -> String {
-        let def = &self.defs[index];
-        let ordinal = self.defs[..index]
-            .iter()
-            .filter(|d| d.file == def.file && d.name == def.name)
-            .count();
-        def.key(ordinal)
     }
 
     /// Resolves a call to `name` made from `caller_file`: unique match
@@ -210,10 +171,8 @@ mod tests {
         let defs = defs_of("crates/a/src/lib.rs", src);
         assert_eq!(defs.len(), 2);
         assert_eq!(defs[0].name, "stamp");
-        assert!(defs[0].has_return);
         assert_eq!(defs[0].calls, vec!["now".to_owned(), "pack".to_owned()]);
         assert_eq!(defs[1].name, "log");
-        assert!(!defs[1].has_return);
     }
 
     #[test]
@@ -238,8 +197,6 @@ mod tests {
         let mk = |file: &str, name: &str| FnDef {
             file: file.to_owned(),
             name: name.to_owned(),
-            line: 1,
-            has_return: true,
             body: String::new(),
             calls: Vec::new(),
         };

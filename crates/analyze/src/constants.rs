@@ -13,10 +13,8 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use fcdpm_lint::{Finding, Scan};
-
 use crate::toml::{self, Value};
-use crate::AnalyzeRule;
+use crate::{Finding, Rule, Scan};
 
 /// The manifest's workspace-relative path.
 pub const MANIFEST_PATH: &str = "paper-constants.toml";
@@ -87,7 +85,7 @@ pub fn check(root: &Path, text: &str) -> Vec<Finding> {
 
 fn finding(path: String, line: usize, message: String) -> Finding {
     Finding {
-        rule: AnalyzeRule::PaperConstants.id(),
+        rule: Rule::PaperConstants.id(),
         path,
         line,
         message,

@@ -1,6 +1,6 @@
 //! Unit-dimension dataflow through function bodies.
 //!
-//! The lint's `unit-safety` rule checks *signatures*; this pass follows
+//! The `unit-safety` rule checks *signatures*; this pass follows
 //! the quantities through `let`-bindings and arithmetic, so dimension
 //! errors hidden inside a body are caught too:
 //!
@@ -16,9 +16,7 @@
 //! Every guardrail loses coverage, never soundness of reported
 //! findings — anything flagged is a definite dimensional mix.
 
-use fcdpm_lint::{Finding, Scan};
-
-use crate::AnalyzeRule;
+use crate::{Finding, Rule, Scan};
 
 /// A physical dimension tracked by the pass (one per `fcdpm-units`
 /// newtype the workspace passes around).
@@ -274,7 +272,7 @@ impl<'a> Pass<'a> {
             return;
         }
         self.findings.push(Finding {
-            rule: AnalyzeRule::UnitDataflow.id(),
+            rule: Rule::UnitDataflow.id(),
             path: self.rel_path.to_owned(),
             line,
             message,

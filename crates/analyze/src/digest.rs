@@ -2,8 +2,8 @@
 //! is either folded into the digest or explicitly masked.
 //!
 //! Resume caches, run identities and the bench payload are all keyed by
-//! FNV-1a digests of serialized specs ([`GridSpec::digest`] masks the
-//! informational `name`; `spec_digest` hashes a [`JobSpec`] whole).
+//! FNV-1a digests of serialized specs (`GridSpec::digest` masks the
+//! informational `name`; `spec_digest` hashes a `JobSpec` whole).
 //! Adding a field to either struct silently changes — or, with
 //! `#[serde(skip)]`, silently *fails* to change — every digest, which
 //! aliases or orphans existing run directories. This pass makes that
@@ -17,13 +17,9 @@
 //!
 //! So a new field fails `fcdpm analyze` until its author decides — in
 //! the diff, reviewably — whether it is part of the cache key.
-//!
-//! [`GridSpec::digest`]: fcdpm_grid::GridSpec::digest
-
-use fcdpm_lint::{Finding, Scan};
 
 use crate::syntax;
-use crate::AnalyzeRule;
+use crate::{Finding, Rule, Scan};
 
 /// One digest-keyed struct the workspace must keep stable.
 #[derive(Debug)]
@@ -162,7 +158,7 @@ fn masked_in_body(cleaned: &str, digest_fn: &str) -> Option<Vec<String>> {
 #[must_use]
 pub fn check_file(rel_path: &str, source: &str, scan: &Scan) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let rule = AnalyzeRule::DigestStability.id();
+    let rule = Rule::DigestStability.id();
     let mut push = |line: usize, message: String| {
         if !scan.is_suppressed(rule, line) {
             findings.push(Finding {

@@ -15,9 +15,9 @@
 //! optional axes are preset lists), anything else with `policies` +
 //! `workloads` is a legacy `JobGrid`.
 
-use fcdpm_lint::{Finding, Json};
+use serde_json::Value;
 
-use crate::AnalyzeRule;
+use crate::{Finding, Rule};
 
 /// Paper parameters the feasibility checks compare against, extracted
 /// from `paper-constants.toml` by the caller. When the manifest is
@@ -39,15 +39,15 @@ pub struct PaperParams {
 /// Whether a parsed JSON document looks like a `JobGrid` (the discovery
 /// predicate for `examples/*.json`).
 #[must_use]
-pub fn looks_like_grid(doc: &Json) -> bool {
+pub fn looks_like_grid(doc: &Value) -> bool {
     doc.get("policies").is_some() && doc.get("workloads").is_some()
 }
 
 /// Validates one grid document. `rel_path` anchors the findings; the
-/// hand-rolled JSON reader does not track lines, so everything reports
-/// at line 1 of the file.
+/// JSON reader does not track lines, so everything reports at line 1
+/// of the file.
 #[must_use]
-pub fn check(rel_path: &str, doc: &Json, params: Option<&PaperParams>) -> Vec<Finding> {
+pub fn check(rel_path: &str, doc: &Value, params: Option<&PaperParams>) -> Vec<Finding> {
     let mut ctx = Ctx {
         rel_path,
         params,
@@ -59,32 +59,32 @@ pub fn check(rel_path: &str, doc: &Json, params: Option<&PaperParams>) -> Vec<Fi
     }
     ctx.check_axis_nonempty(doc, "policies");
     ctx.check_axis_nonempty(doc, "workloads");
-    if let Some(Json::Arr(policies)) = doc.get("policies") {
+    if let Some(Value::Seq(policies)) = doc.get("policies") {
         for policy in policies {
             ctx.check_policy(policy, "policies");
         }
     }
-    if let Some(Json::Arr(workloads)) = doc.get("workloads") {
+    if let Some(Value::Seq(workloads)) = doc.get("workloads") {
         for workload in workloads {
             ctx.check_workload(workload);
         }
     }
-    if let Some(Json::Arr(betas)) = doc.get("betas") {
+    if let Some(Value::Seq(betas)) = doc.get("betas") {
         for beta in betas {
             ctx.check_beta(beta.as_f64(), "betas");
         }
     }
-    if let Some(Json::Arr(capacities)) = doc.get("capacities_mamin") {
+    if let Some(Value::Seq(capacities)) = doc.get("capacities_mamin") {
         for capacity in capacities {
             ctx.check_capacity(capacity.as_f64(), "capacities_mamin");
         }
     }
-    if let Some(Json::Arr(effs)) = doc.get("buffer_path_efficiencies") {
+    if let Some(Value::Seq(effs)) = doc.get("buffer_path_efficiencies") {
         for eff in effs {
             ctx.check_path_efficiency(eff.as_f64(), "buffer_path_efficiencies");
         }
     }
-    if let Some(Json::Arr(jobs)) = doc.get("extra_jobs") {
+    if let Some(Value::Seq(jobs)) = doc.get("extra_jobs") {
         for (index, job) in jobs.iter().enumerate() {
             ctx.check_extra_job(index, job);
         }
@@ -101,7 +101,7 @@ struct Ctx<'a> {
 impl Ctx<'_> {
     fn report(&mut self, message: String) {
         self.findings.push(Finding {
-            rule: AnalyzeRule::GridFeasibility.id(),
+            rule: Rule::GridFeasibility.id(),
             path: self.rel_path.to_owned(),
             line: 1,
             message,
@@ -111,25 +111,25 @@ impl Ctx<'_> {
     /// Validates an intensional `GridSpec` (the fleet-engine format):
     /// a seed axis, seedless workload families, policy specs, and
     /// optional fault-preset / capacity / resilience axes.
-    fn check_gridspec(&mut self, doc: &Json) {
+    fn check_gridspec(&mut self, doc: &Value) {
         match doc.get("seeds") {
-            Some(Json::Obj(fields)) if fields.len() == 1 => {
+            Some(Value::Map(fields)) if fields.len() == 1 => {
                 let (variant, payload) = &fields[0];
                 match variant.as_str() {
                     "List" => {
-                        if !matches!(payload, Json::Arr(seeds) if !seeds.is_empty()) {
+                        if !matches!(payload, Value::Seq(seeds) if !seeds.is_empty()) {
                             self.report("seeds: List needs a non-empty array of seeds".to_owned());
                         }
                     }
                     "Range" => {
                         if !payload
                             .get("count")
-                            .and_then(Json::as_f64)
+                            .and_then(Value::as_f64)
                             .is_some_and(|c| c >= 1.0)
                         {
                             self.report("seeds: Range needs a `count` of at least 1".to_owned());
                         }
-                        if payload.get("start").and_then(Json::as_f64).is_none() {
+                        if payload.get("start").and_then(Value::as_f64).is_none() {
                             self.report("seeds: Range needs a numeric `start`".to_owned());
                         }
                     }
@@ -140,16 +140,16 @@ impl Ctx<'_> {
         }
         self.check_axis_nonempty(doc, "policies");
         self.check_axis_nonempty(doc, "workloads");
-        if let Some(Json::Arr(policies)) = doc.get("policies") {
+        if let Some(Value::Seq(policies)) = doc.get("policies") {
             for policy in policies {
                 self.check_policy(policy, "policies");
             }
         }
-        if let Some(Json::Arr(workloads)) = doc.get("workloads") {
+        if let Some(Value::Seq(workloads)) = doc.get("workloads") {
             for workload in workloads {
                 if !matches!(
                     workload,
-                    Json::Str(name)
+                    Value::Str(name)
                         if matches!(name.as_str(), "Experiment1" | "Experiment2" | "MultiDevice")
                 ) {
                     self.report(format!(
@@ -159,15 +159,15 @@ impl Ctx<'_> {
                 }
             }
         }
-        if let Some(faults) = doc.get("faults").filter(|f| **f != Json::Null) {
-            let Json::Arr(presets) = faults else {
+        if let Some(faults) = doc.get("faults").filter(|f| **f != Value::Null) {
+            let Value::Seq(presets) = faults else {
                 self.report("faults: must be an array of preset names".to_owned());
                 return;
             };
             for preset in presets {
                 if !matches!(
                     preset,
-                    Json::Str(name) if matches!(
+                    Value::Str(name) if matches!(
                         name.as_str(),
                         "None" | "Starvation" | "Fade" | "Storage" | "Predictor" | "Combined"
                     )
@@ -179,24 +179,24 @@ impl Ctx<'_> {
                 }
             }
         }
-        if let Some(Json::Arr(capacities)) = doc.get("capacities_mamin") {
+        if let Some(Value::Seq(capacities)) = doc.get("capacities_mamin") {
             for capacity in capacities {
                 self.check_capacity(capacity.as_f64(), "capacities_mamin");
             }
         }
-        if let Some(resilient) = doc.get("resilient").filter(|r| **r != Json::Null) {
-            let ok = matches!(resilient, Json::Arr(values)
-                if values.iter().all(|v| matches!(v, Json::Bool(_))));
+        if let Some(resilient) = doc.get("resilient").filter(|r| **r != Value::Null) {
+            let ok = matches!(resilient, Value::Seq(values)
+                if values.iter().all(|v| matches!(v, Value::Bool(_))));
             if !ok {
                 self.report("resilient: must be an array of booleans".to_owned());
             }
         }
     }
 
-    fn check_axis_nonempty(&mut self, doc: &Json, axis: &str) {
+    fn check_axis_nonempty(&mut self, doc: &Value, axis: &str) {
         match doc.get(axis) {
-            Some(Json::Arr(items)) if !items.is_empty() => {}
-            Some(Json::Arr(_)) => {
+            Some(Value::Seq(items)) if !items.is_empty() => {}
+            Some(Value::Seq(_)) => {
                 self.report(format!("`{axis}` is empty — the grid expands to zero jobs"));
             }
             _ => self.report(format!("`{axis}` must be a non-empty array")),
@@ -205,11 +205,11 @@ impl Ctx<'_> {
 
     /// A `PolicySpec` in serde's JSON encoding: unit variants are
     /// strings, payload variants are single-key objects.
-    fn check_policy(&mut self, policy: &Json, context: &str) {
+    fn check_policy(&mut self, policy: &Value, context: &str) {
         match policy {
-            Json::Str(name)
+            Value::Str(name)
                 if matches!(name.as_str(), "Conv" | "Asap" | "FcDpm" | "WindowedAverage") => {}
-            Json::Obj(fields) if fields.len() == 1 => {
+            Value::Map(fields) if fields.len() == 1 => {
                 let (variant, payload) = &fields[0];
                 match variant.as_str() {
                     "Quantized" => {
@@ -247,9 +247,9 @@ impl Ctx<'_> {
         }
     }
 
-    fn check_workload(&mut self, workload: &Json) {
+    fn check_workload(&mut self, workload: &Value) {
         match workload {
-            Json::Obj(fields)
+            Value::Map(fields)
                 if fields.len() == 1
                     && matches!(
                         fields[0].0.as_str(),
@@ -310,7 +310,7 @@ impl Ctx<'_> {
 
     /// One-off jobs carry the same axes inline (`inject_panic` is
     /// legitimate here — the pool's fault-isolation tests use it).
-    fn check_extra_job(&mut self, index: usize, job: &Json) {
+    fn check_extra_job(&mut self, index: usize, job: &Value) {
         let context = format!("extra_jobs[{index}]");
         match job.get("policy") {
             Some(policy) => self.check_policy(policy, &context),
@@ -321,27 +321,27 @@ impl Ctx<'_> {
             None => self.report(format!("{context}: missing `workload`")),
         }
         if let Some(beta) = job.get("beta") {
-            if beta != &Json::Null {
+            if beta != &Value::Null {
                 self.check_beta(beta.as_f64(), &context);
             }
         }
         if let Some(capacity) = job.get("capacity_mamin") {
-            if capacity != &Json::Null {
+            if capacity != &Value::Null {
                 self.check_capacity(capacity.as_f64(), &context);
             }
         }
         if let Some(eff) = job.get("buffer_path_efficiency") {
-            if eff != &Json::Null {
+            if eff != &Value::Null {
                 self.check_path_efficiency(eff.as_f64(), &context);
             }
         }
         if let Some(resilient) = job.get("resilient") {
-            if !matches!(resilient, Json::Null | Json::Bool(_)) {
+            if !matches!(resilient, Value::Null | Value::Bool(_)) {
                 self.report(format!("{context}: `resilient` must be a boolean"));
             }
         }
         if let Some(faults) = job.get("faults") {
-            if faults != &Json::Null {
+            if faults != &Value::Null {
                 self.check_faults(faults, &context);
             }
         }
@@ -351,19 +351,19 @@ impl Ctx<'_> {
     /// check the schedule itself cannot do: a starvation cap below the
     /// load-following minimum leaves the stack no feasible setpoint at
     /// all, so the window becomes a hard outage rather than a fault.
-    fn check_faults(&mut self, faults: &Json, context: &str) {
+    fn check_faults(&mut self, faults: &Value, context: &str) {
         let context = format!("{context}.faults");
-        let Some(Json::Arr(events)) = faults.get("events") else {
+        let Some(Value::Seq(events)) = faults.get("events") else {
             self.report(format!("{context}: schedule needs an `events` array"));
             return;
         };
         for (index, event) in events.iter().enumerate() {
             let context = format!("{context}.events[{index}]");
-            let at_s = event.get("at_s").and_then(Json::as_f64);
+            let at_s = event.get("at_s").and_then(Value::as_f64);
             if !at_s.is_some_and(|t| t.is_finite() && t >= 0.0) {
                 self.report(format!("{context}: `at_s` must be finite and non-negative"));
             }
-            let Some(Json::Obj(kind)) = event.get("kind") else {
+            let Some(Value::Map(kind)) = event.get("kind") else {
                 self.report(format!("{context}: `kind` must be a fault-variant object"));
                 continue;
             };
@@ -371,7 +371,7 @@ impl Ctx<'_> {
                 self.report(format!("{context}: `kind` must have exactly one variant"));
                 continue;
             };
-            let field = |name: &str| payload.get(name).and_then(Json::as_f64);
+            let field = |name: &str| payload.get(name).and_then(Value::as_f64);
             let window_holds = |until: Option<f64>| {
                 until.is_some_and(|u| u.is_finite() && at_s.is_none_or(|t| u >= t))
             };
@@ -439,15 +439,16 @@ impl Ctx<'_> {
     }
 }
 
-fn payload_text(json: &Json) -> String {
+fn payload_text(json: &Value) -> String {
     match json {
-        Json::Null => "null".to_owned(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(n) => n.to_string(),
-        Json::Float(x) => format!("{x:?}"),
-        Json::Str(s) => format!("`{s}`"),
-        Json::Arr(_) => "an array".to_owned(),
-        Json::Obj(_) => "an object".to_owned(),
+        Value::Null => "null".to_owned(),
+        Value::Bool(b) => b.to_string(),
+        Value::Int(n) => n.to_string(),
+        Value::UInt(n) => n.to_string(),
+        Value::Float(x) => format!("{x:?}"),
+        Value::Str(s) => format!("`{s}`"),
+        Value::Seq(_) => "an array".to_owned(),
+        Value::Map(_) => "an object".to_owned(),
     }
 }
 
@@ -463,7 +464,7 @@ mod tests {
     };
 
     fn check_str(text: &str) -> Vec<Finding> {
-        let doc = fcdpm_lint::json::parse(text).expect("fixture parses");
+        let doc: Value = serde_json::from_str(text).expect("fixture parses");
         check("examples/fixture.json", &doc, Some(&PARAMS))
     }
 
@@ -644,7 +645,7 @@ mod tests {
 
     #[test]
     fn range_checks_skip_without_manifest_params() {
-        let doc = fcdpm_lint::json::parse(
+        let doc: Value = serde_json::from_str(
             r#"{"policies": [{"Constant": 9.9}], "workloads": [{"Experiment1": 1}], "betas": [5.0]}"#,
         )
         .unwrap();

@@ -1,95 +1,111 @@
-//! Second-stage semantic analysis for the `fcdpm` workspace.
+//! In-repo static analysis for the `fcdpm` workspace.
 //!
-//! Where `fcdpm-lint` does token-level pattern matching file by file,
-//! this crate builds workspace-wide context and checks properties the
-//! lint cannot see:
+//! The paper's headline number (FC-DPM consuming 30.8 % of Conv-DPM's
+//! fuel) is only reproducible if the simulator is bit-deterministic,
+//! dimensionally sound and fed the DAC'07 constants, so the invariants
+//! the workspace relies on are machine-checked instead of left to
+//! convention. One [`Rule`] catalogue covers three kinds of check.
 //!
-//! * [`AnalyzeRule::Layering`] — a cross-crate symbol/module graph from
-//!   `use` edges, checked against the intended dependency DAG (physics
-//!   below policy below orchestration).
-//! * [`AnalyzeRule::UnitDataflow`] — a conservative dataflow lattice
-//!   that follows `fcdpm-units` newtypes through `let`-bindings and
-//!   arithmetic inside function bodies, flagging dimensional mixes the
-//!   signature-level lint cannot reach.
-//! * [`AnalyzeRule::PaperConstants`] — every DAC'07 constant recorded in
-//!   `paper-constants.toml` must appear verbatim as a literal in the
-//!   source file its manifest section names.
-//! * [`AnalyzeRule::GridFeasibility`] — committed runner job grids
-//!   (`examples/*.json`) are validated against the load-following range
-//!   and storage feasibility before any simulation runs.
+//! Per-file lexical rules (`lexical.rs`):
 //!
-//! The third layer guards the byte-identical-artifact contract and the
-//! lock discipline behind it:
+//! * [`Rule::Determinism`] — no wall-clock reads and no
+//!   iteration-order-nondeterministic containers in simulation crates;
+//!   timing belongs in `fcdpm-runner`.
+//! * [`Rule::UnitSafety`] — physical quantities in public signatures of
+//!   physics crates use `fcdpm-units` newtypes, and physics code avoids
+//!   narrowing `as` casts.
+//! * [`Rule::PanicPolicy`] — no `unwrap`/`expect`/`panic!` in non-test
+//!   library code.
+//! * [`Rule::CrateHygiene`] — every crate root carries
+//!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 //!
-//! * [`AnalyzeRule::DeterminismTaint`] — nondeterminism sources
-//!   (wall-clock, thread identity, hash-order iteration, env reads,
-//!   unseeded RNG, channel arrival order) must not reach artifact sinks
-//!   (manifest/shard/bench writers, FNV digest folds) without an
-//!   explicit sort/canonicalize launder ([`taint`]).
-//! * [`AnalyzeRule::LockDiscipline`] — a static lock-acquisition-order
-//!   graph over every `Mutex` site: cycles (potential deadlock), guards
-//!   held across job-closure calls, and poison handling inconsistent
-//!   with the `lock_deque` idiom ([`locks`]).
-//! * [`AnalyzeRule::DigestStability`] — digest-keyed structs
-//!   (`GridSpec`, `JobSpec`) must account for every serde field in an
-//!   explicit folded/masked manifest pair, so a new field can never
-//!   silently alias or orphan resume caches ([`digest`]).
-//! * [`AnalyzeRule::AtomicArtifact`] — every write into a grid run
-//!   directory must go through the tmp+rename publishers or the
-//!   checksummed-append checkpoint writer ([`artifacts`]), so a crash
-//!   can never leave a half-written artifact a resume would parse.
+//! Workspace-aware rules:
 //!
-//! The fourth layer makes the engine interprocedural and incremental:
+//! * [`Rule::Layering`] — `use fcdpm_*` edges respect the intended
+//!   dependency DAG ([`symbols`]).
+//! * [`Rule::UnitDataflow`] — a conservative dataflow lattice follows
+//!   `fcdpm-units` newtypes through `let`-bindings and arithmetic inside
+//!   function bodies ([`dataflow`]).
+//! * [`Rule::PaperConstants`] — every DAC'07 constant recorded in
+//!   `paper-constants.toml` appears verbatim as a literal in the source
+//!   file its manifest section names ([`constants`]).
+//! * [`Rule::GridFeasibility`] — committed job grids (`examples/*.json`)
+//!   are validated against the load-following range and storage
+//!   feasibility before any simulation runs ([`grid`]).
 //!
-//! * a workspace [call graph](callgraph) with per-function
-//!   [summaries](summaries) computed to a fixpoint lets the
-//!   determinism-taint and lock-discipline passes follow flows through
-//!   helper calls across function and file boundaries;
-//! * a digest-keyed [pass cache](cache) (`analyze-cache.json`) replays
-//!   unchanged pass results, keyed by content digest for intra-file
-//!   passes and by (content digest, dependency-summary digests) for
-//!   interprocedural ones, with the cold scan parallelized on the
-//!   `fcdpm-runner` pool.
+//! Rules guarding the byte-identical-artifact contract:
 //!
-//! The report/baseline/SARIF machinery is shared with `fcdpm-lint`
-//! (identical ledger semantics, disjoint rule catalogue, separate
-//! `analyze-baseline.json`), and the same determinism contract holds:
-//! findings are sorted by `(path, line, rule, message)` so two runs over
-//! the same tree are byte-identical in every output format — including
-//! a full-cache-hit run versus the cold run that seeded it.
+//! * [`Rule::LockDiscipline`] — a static lock-acquisition-order graph
+//!   over every `Mutex` site, followed through helper calls via a
+//!   workspace [call graph](callgraph) and per-function lock
+//!   [summaries] ([`locks`]).
+//! * [`Rule::DigestStability`] — digest-keyed structs (`GridSpec`,
+//!   `JobSpec`) account for every serde field in an explicit
+//!   folded/masked manifest pair ([`digest`]).
+//! * [`Rule::AtomicArtifact`] — writes into a grid run directory go
+//!   through the tmp+rename publishers or the checksummed-append
+//!   checkpoint writer ([`artifacts`]).
+//!
+//! The crate is dependency-free apart from the vendored serde shims (the
+//! workspace builds offline, so no `syn`/`clippy-utils`): [`scan`] is a
+//! hand-rolled lexer that blanks comments and literals, run once per
+//! file, and every rule works on its cleaned text.
+//!
+//! Findings are suppressed either inline
+//! (`// fcdpm-lint: allow(panic-policy)` on the offending line or the
+//! line above) or via the committed [`Baseline`]
+//! (`analyze-baseline.json`) that records pre-existing debt. Output is
+//! deterministic — findings are sorted by `(path, line, rule, message)`
+//! — so two runs over the same tree produce byte-identical human, JSON
+//! and SARIF reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifacts;
-pub mod cache;
+pub mod baseline;
 pub mod callgraph;
 pub mod constants;
 pub mod dataflow;
 pub mod digest;
 pub mod grid;
+mod lexical;
 pub mod locks;
+mod sarif;
+pub mod scan;
 pub mod summaries;
 pub mod symbols;
 mod syntax;
-pub mod taint;
 pub mod toml;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
-use fcdpm_lint::{json, Baseline, Finding, Report, Scan};
+use serde::Serialize;
 
+pub use baseline::{Baseline, BaselineEntry, BaselineOutcome, StaleEntry};
 pub use constants::MANIFEST_PATH;
 pub use grid::PaperParams;
-pub use symbols::SymbolGraph;
+pub use scan::Scan;
 
-/// The analysis rule catalogue (disjoint from the lint's [`fcdpm_lint::Rule`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalyzeRule {
+/// The rule catalogue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rule {
+    /// No wall-clock or iteration-order nondeterminism in simulation
+    /// crates. Timing belongs in `fcdpm-runner`.
+    Determinism,
+    /// Physical quantities in public signatures of physics crates use
+    /// `fcdpm-units` newtypes, and physics code avoids narrowing casts.
+    UnitSafety,
+    /// No `unwrap`/`expect`/`panic!` (or `unreachable!`/`todo!`/
+    /// `unimplemented!`) in non-test library code.
+    PanicPolicy,
+    /// Every crate root carries `#![forbid(unsafe_code)]` and
+    /// `#![warn(missing_docs)]`.
+    CrateHygiene,
     /// Dimensional soundness of arithmetic inside function bodies.
     UnitDataflow,
     /// Cross-crate `use` edges respect the intended dependency layering.
@@ -98,8 +114,6 @@ pub enum AnalyzeRule {
     PaperConstants,
     /// Committed job grids are statically feasible.
     GridFeasibility,
-    /// Nondeterminism sources must not reach artifact sinks un-laundered.
-    DeterminismTaint,
     /// Lock acquisition order, guard scope and poison handling.
     LockDiscipline,
     /// Digest-keyed structs account for every field (folded or masked).
@@ -108,61 +122,76 @@ pub enum AnalyzeRule {
     AtomicArtifact,
 }
 
-/// Every rule, in catalogue order.
-pub const ALL_RULES: [AnalyzeRule; 8] = [
-    AnalyzeRule::UnitDataflow,
-    AnalyzeRule::Layering,
-    AnalyzeRule::PaperConstants,
-    AnalyzeRule::GridFeasibility,
-    AnalyzeRule::DeterminismTaint,
-    AnalyzeRule::LockDiscipline,
-    AnalyzeRule::DigestStability,
-    AnalyzeRule::AtomicArtifact,
-];
+impl Rule {
+    /// Every rule, in catalogue order.
+    pub const ALL: [Rule; 11] = [
+        Rule::Determinism,
+        Rule::UnitSafety,
+        Rule::PanicPolicy,
+        Rule::CrateHygiene,
+        Rule::UnitDataflow,
+        Rule::Layering,
+        Rule::PaperConstants,
+        Rule::GridFeasibility,
+        Rule::LockDiscipline,
+        Rule::DigestStability,
+        Rule::AtomicArtifact,
+    ];
 
-impl AnalyzeRule {
     /// Stable identifier used in reports, baselines and suppressions.
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
-            AnalyzeRule::UnitDataflow => "unit-dataflow",
-            AnalyzeRule::Layering => "layering",
-            AnalyzeRule::PaperConstants => "paper-constants",
-            AnalyzeRule::GridFeasibility => "grid-feasibility",
-            AnalyzeRule::DeterminismTaint => "determinism-taint",
-            AnalyzeRule::LockDiscipline => "lock-discipline",
-            AnalyzeRule::DigestStability => "digest-stability",
-            AnalyzeRule::AtomicArtifact => "atomic-artifact",
+            Rule::Determinism => "determinism",
+            Rule::UnitSafety => "unit-safety",
+            Rule::PanicPolicy => "panic-policy",
+            Rule::CrateHygiene => "crate-hygiene",
+            Rule::UnitDataflow => "unit-dataflow",
+            Rule::Layering => "layering",
+            Rule::PaperConstants => "paper-constants",
+            Rule::GridFeasibility => "grid-feasibility",
+            Rule::LockDiscipline => "lock-discipline",
+            Rule::DigestStability => "digest-stability",
+            Rule::AtomicArtifact => "atomic-artifact",
         }
+    }
+
+    /// Parses a rule identifier.
+    #[must_use]
+    pub fn from_id(id: &str) -> Option<Rule> {
+        Rule::ALL.into_iter().find(|r| r.id() == id)
     }
 
     /// One-line description (also the SARIF rule short description).
     #[must_use]
     pub fn summary(self) -> &'static str {
         match self {
-            AnalyzeRule::UnitDataflow => {
+            Rule::Determinism => {
+                "no wall-clock reads or iteration-order nondeterminism in simulation crates"
+            }
+            Rule::UnitSafety => {
+                "physical quantities use fcdpm-units newtypes; no narrowing casts in physics code"
+            }
+            Rule::PanicPolicy => "no unwrap/expect/panic! in non-test library code",
+            Rule::CrateHygiene => {
+                "crate roots carry #![forbid(unsafe_code)] and #![warn(missing_docs)]"
+            }
+            Rule::UnitDataflow => {
                 "arithmetic must not mix raw f64 projections or newtypes of distinct dimensions"
             }
-            AnalyzeRule::Layering => {
-                "cross-crate use edges must follow the workspace dependency DAG"
-            }
-            AnalyzeRule::PaperConstants => {
-                "hard-coded paper constants must match paper-constants.toml"
-            }
-            AnalyzeRule::GridFeasibility => {
+            Rule::Layering => "cross-crate use edges must follow the workspace dependency DAG",
+            Rule::PaperConstants => "hard-coded paper constants must match paper-constants.toml",
+            Rule::GridFeasibility => {
                 "committed job grids must be statically feasible for the paper hardware"
             }
-            AnalyzeRule::DeterminismTaint => {
-                "nondeterminism sources must not reach artifact sinks without a sort/canonicalize"
-            }
-            AnalyzeRule::LockDiscipline => {
+            Rule::LockDiscipline => {
                 "lock acquisition order must be acyclic, guards must not cover job closures, \
                  and poison handling must match the lock_deque idiom"
             }
-            AnalyzeRule::DigestStability => {
+            Rule::DigestStability => {
                 "every field of a digest-keyed struct must be explicitly folded or masked"
             }
-            AnalyzeRule::AtomicArtifact => {
+            Rule::AtomicArtifact => {
                 "run-directory writes must go through the tmp+rename or \
                  checksummed-append helpers"
             }
@@ -170,22 +199,213 @@ impl AnalyzeRule {
     }
 }
 
-/// The `(id, summary)` pairs for SARIF output.
-#[must_use]
-pub fn rule_catalogue() -> Vec<(&'static str, &'static str)> {
-    ALL_RULES.iter().map(|r| (r.id(), r.summary())).collect()
+/// One diagnostic produced by a rule.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct Finding {
+    /// Stable identifier of the rule that fired (see [`Rule::id`]).
+    pub rule: &'static str,
+    /// Workspace-relative path with `/` separators.
+    pub path: String,
+    /// 1-indexed line.
+    pub line: usize,
+    /// Human-readable description of the violation.
+    pub message: String,
 }
 
-/// Crates whose function bodies the unit-dataflow pass covers (the same
-/// physics set the lint's unit-safety rule guards).
-pub const PHYSICS_CRATES: [&str; 8] = [
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.rule, self.message
+        )
+    }
+}
+
+/// The aggregate result of analyzing a workspace tree.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// Findings not absorbed by an inline suppression or the baseline,
+    /// sorted by `(path, line, rule, message)`.
+    pub findings: Vec<Finding>,
+    /// Findings silenced by inline allow directives.
+    pub inline_suppressed: usize,
+    /// Findings absorbed by baseline allowances.
+    pub baselined: usize,
+    /// Baseline allowances that exceed the findings actually present.
+    pub stale: Vec<StaleEntry>,
+    /// Number of input files (sources, manifest, grids) analyzed.
+    pub files_scanned: usize,
+}
+
+/// The `--format json` document; field order is the key order.
+#[derive(Serialize)]
+struct JsonReport {
+    version: u64,
+    files_scanned: usize,
+    findings: Vec<Finding>,
+    counts: JsonCounts,
+    stale_baseline_entries: Vec<StaleEntry>,
+}
+
+#[derive(Serialize)]
+struct JsonCounts {
+    findings: usize,
+    baselined: usize,
+    inline_suppressed: usize,
+}
+
+/// Two-space-indented JSON with a trailing newline. Every document this
+/// crate writes holds only integers, strings, booleans and nesting, and
+/// serialization can only fail on a non-finite float.
+pub(crate) fn to_pretty_json(value: &impl Serialize) -> String {
+    let mut text = serde_json::to_string_pretty(value).unwrap_or_default();
+    text.push('\n');
+    text
+}
+
+impl Report {
+    /// Whether the run should exit zero: no finding escaped both the
+    /// inline suppressions and the baseline.
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        self.findings.is_empty()
+    }
+
+    /// Renders the human-readable report (deterministic ordering).
+    #[must_use]
+    pub fn to_human(&self) -> String {
+        let mut out = String::new();
+        for finding in &self.findings {
+            out.push_str(&finding.to_string());
+            out.push('\n');
+        }
+        for stale in &self.stale {
+            if stale.missing_path {
+                out.push_str(&format!(
+                    "stale baseline entry: {} [{}] names a file that no longer exists — remove it from the baseline\n",
+                    stale.path, stale.rule
+                ));
+            } else {
+                out.push_str(&format!(
+                    "stale baseline entry: {} [{}] allows {} more finding(s) than exist — tighten the baseline\n",
+                    stale.path, stale.rule, stale.unused
+                ));
+            }
+        }
+        out.push_str(&format!(
+            "{} file(s) scanned: {} finding(s), {} baselined, {} inline-suppressed, {} stale baseline entr{}\n",
+            self.files_scanned,
+            self.findings.len(),
+            self.baselined,
+            self.inline_suppressed,
+            self.stale.len(),
+            if self.stale.len() == 1 { "y" } else { "ies" },
+        ));
+        out
+    }
+
+    /// Renders the `--format json` report. Byte-identical across runs
+    /// over the same tree: findings and stale entries are sorted and
+    /// keys are emitted in a fixed order.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        to_pretty_json(&JsonReport {
+            version: 1,
+            files_scanned: self.files_scanned,
+            findings: self.findings.clone(),
+            counts: JsonCounts {
+                findings: self.findings.len(),
+                baselined: self.baselined,
+                inline_suppressed: self.inline_suppressed,
+            },
+            stale_baseline_entries: self.stale.clone(),
+        })
+    }
+
+    /// Renders the `--format sarif` report: SARIF 2.1.0 with every result
+    /// at `level: error`.
+    #[must_use]
+    pub fn to_sarif(&self) -> String {
+        sarif::to_sarif(self)
+    }
+}
+
+/// Crates whose `src/` trees model physical quantities: the unit-safety
+/// and unit-dataflow rules cover exactly these.
+const PHYSICS_CRATES: [&str; 8] = [
     "sim", "core", "predict", "fuelcell", "storage", "device", "dvs", "workload",
 ];
 
+/// Returns the crate name if `rel_path` is a library source file of a
+/// workspace crate (e.g. `crates/sim/src/simulator.rs` → `sim`). The
+/// facade crate's root `src/` is reported as `fcdpm`.
+pub(crate) fn crate_of(rel_path: &str) -> Option<&str> {
+    if let Some(rest) = rel_path.strip_prefix("crates/") {
+        let (name, tail) = rest.split_once('/')?;
+        tail.starts_with("src/").then_some(name)
+    } else if rel_path.starts_with("src/") {
+        Some("fcdpm")
+    } else {
+        None
+    }
+}
+
 fn is_physics_file(rel_path: &str) -> bool {
-    PHYSICS_CRATES
-        .iter()
-        .any(|krate| rel_path.starts_with(&format!("crates/{krate}/src/")))
+    crate_of(rel_path).is_some_and(|name| PHYSICS_CRATES.contains(&name))
+}
+
+/// Collects the workspace-relative paths of all library/binary sources
+/// the analysis covers: `src/**/*.rs` and `crates/*/src/**/*.rs` under
+/// `root`, sorted so traversal order never depends on the OS. `vendor/`
+/// (offline dependency shims), `target/` and test/bench/example trees
+/// are outside the walk by construction.
+///
+/// # Errors
+///
+/// Propagates I/O errors from directory traversal.
+pub fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+    let mut files = Vec::new();
+    let src = root.join("src");
+    if src.is_dir() {
+        collect_rs(&src, &mut files)?;
+    }
+    let crates = root.join("crates");
+    if crates.is_dir() {
+        for entry in fs::read_dir(&crates)? {
+            let dir = entry?.path().join("src");
+            if dir.is_dir() {
+                collect_rs(&dir, &mut files)?;
+            }
+        }
+    }
+    let mut rel: Vec<(String, PathBuf)> = files
+        .into_iter()
+        .filter_map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .ok()?
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            Some((rel, path))
+        })
+        .collect();
+    rel.sort();
+    Ok(rel)
+}
+
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            collect_rs(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
 }
 
 /// Extracts the range/feasibility parameters the grid checks need from
@@ -253,280 +473,67 @@ fn grid_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(rel)
 }
 
-/// Options for [`run_with`].
-#[derive(Debug, Clone, Default)]
-pub struct EngineOptions {
-    /// Cache file to read and atomically rewrite (conventionally
-    /// [`cache::CACHE_FILE`] under the analysis root). `None` disables
-    /// both reading and writing — the [`run`] default, and the CLI's
-    /// `--no-cache`.
-    pub cache_path: Option<PathBuf>,
-    /// Worker threads for the parallel per-file scan stage (`None` =
-    /// available parallelism, capped at 8).
-    pub workers: Option<usize>,
-}
-
-/// The result of an engine run: the report plus cache accounting.
-#[derive(Debug)]
-pub struct Analysis {
-    /// The findings report (identical to what [`run`] returns).
-    pub report: Report,
-    /// Cache hit/miss accounting for this run.
-    pub stats: cache::CacheStats,
-    /// Inputs whose content digest differs from the loaded cache
-    /// (every input, on a cold or cache-less run) — what the CLI's
-    /// `--changed` focuses the report on.
-    pub changed: BTreeSet<String>,
-    /// Wall-clock phase timings, in execution order.
-    pub timings: Vec<(&'static str, Duration)>,
-}
-
-/// Per-file output of the parallel scan stage.
-struct FileData {
-    rel: String,
-    digest: u64,
-    scan: Scan,
-    symbols: symbols::FileSymbols,
-    defs: Vec<callgraph::FnDef>,
-    /// Intra-file pass results (pre-suppression).
-    dataflow: Vec<Finding>,
-    digest_pass: Vec<Finding>,
-    artifacts_pass: Vec<Finding>,
-    /// Content digest matched the loaded cache (intra results replayed).
-    intra_hit: bool,
-    /// The loaded cache entry, for the interprocedural deps compare.
-    cached: Option<cache::CachedFile>,
-}
-
-/// Replays one cached pass bucket as findings for `rel`.
-fn replay(entry: &cache::CachedFile, bucket: &str, rel: &str) -> Vec<Finding> {
-    entry
-        .passes
-        .get(bucket)
-        .map(|cached| cached.iter().map(|f| f.to_finding(rel)).collect())
-        .unwrap_or_default()
-}
-
-/// Reads, digests and scans one file, replaying or running the
-/// intra-file passes (the parallel stage's job body).
-fn scan_one(rel: &str, path: &Path, cached: Option<cache::CachedFile>) -> io::Result<FileData> {
-    let source = fs::read_to_string(path)?;
-    let digest = cache::content_digest(source.as_bytes());
-    let scan = Scan::new(&source);
-    let symbols = symbols::file_symbols(rel, &scan);
-    let defs = callgraph::function_defs(rel, &scan);
-    let (intra_hit, dataflow, digest_pass, artifacts_pass) = match &cached {
-        Some(entry) if entry.digest == digest => (
-            true,
-            replay(entry, "dataflow", rel),
-            replay(entry, "digest", rel),
-            replay(entry, "artifacts", rel),
-        ),
-        _ => {
-            let df = if is_physics_file(rel) {
-                dataflow::check_file(rel, &scan)
-            } else {
-                Vec::new()
-            };
-            (
-                false,
-                df,
-                digest::check_file(rel, &source, &scan),
-                artifacts::check_file(rel, &scan),
-            )
-        }
-    };
-    Ok(FileData {
-        rel: rel.to_owned(),
-        digest,
-        scan,
-        symbols,
-        defs,
-        dataflow,
-        digest_pass,
-        artifacts_pass,
-        intra_hit,
-        cached,
-    })
-}
-
-/// Captures computed findings into a cache bucket.
-fn bucket(findings: &[Finding]) -> Vec<cache::CachedFinding> {
-    findings
-        .iter()
-        .map(cache::CachedFinding::from_finding)
-        .collect()
-}
-
 /// Analyzes the workspace under `root` and matches the result against
-/// `baseline` (conventionally `analyze-baseline.json`, kept separate
-/// from the lint's ledger). Equivalent to [`run_with`] with default
-/// options — no pass cache is read or written.
+/// `baseline` (conventionally `analyze-baseline.json`).
+///
+/// Every source file is read and lexed once. The per-file rules run on
+/// that scan; the symbol and call graphs built from the same scans feed
+/// the layering and lock-discipline passes; then the paper manifest and
+/// the committed grids are checked.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from traversal or file reads.
 pub fn run(root: &Path, baseline: &Baseline) -> io::Result<Report> {
-    run_with(root, baseline, &EngineOptions::default()).map(|analysis| analysis.report)
-}
+    let files = workspace_files(root)?;
+    let mut sources = Vec::with_capacity(files.len());
+    for (rel, path) in &files {
+        let source = fs::read_to_string(path)?;
+        let scan = Scan::new(&source);
+        sources.push((rel.as_str(), source, scan));
+    }
 
-/// The incremental engine behind [`run`] and `fcdpm analyze`.
-///
-/// Phase A reads, digests and scans every workspace file in parallel
-/// on the `fcdpm-runner` pool, replaying cached intra-file pass
-/// results for unchanged files. Phase B builds the symbol and call
-/// graphs, computes function summaries to a fixpoint, then replays or
-/// runs the interprocedural passes per file (valid only while the
-/// file's content *and* its resolved callees' summaries are
-/// unchanged); the global graph passes are recomputed every run.
-/// Cached findings are stored pre-suppression and re-filtered against
-/// the live scans, and the rewritten cache is saved atomically.
-///
-/// # Errors
-///
-/// Propagates I/O errors from traversal, file reads, or the cache
-/// write (a corrupt cache *read* degrades to a cold run instead).
-pub fn run_with(root: &Path, baseline: &Baseline, options: &EngineOptions) -> io::Result<Analysis> {
-    let t_total = Instant::now();
-    let mut timings = Vec::new();
-    let files = fcdpm_lint::workspace_files(root)?;
-    let old_cache = options
-        .cache_path
-        .as_ref()
-        .map_or_else(cache::Cache::default, |path| cache::Cache::load(path));
-    let cold = old_cache.is_empty();
-
-    // Phase A — parallel: read + digest + scan + extract + intra passes.
-    let t_scan = Instant::now();
-    let jobs: Vec<_> = files
+    let symbols: Vec<symbols::FileSymbols> = sources
         .iter()
-        .map(|(rel, path)| {
-            let rel = rel.clone();
-            let path = path.clone();
-            let cached = old_cache.files.get(&rel).cloned();
-            move || scan_one(&rel, &path, cached)
-        })
+        .map(|(rel, _, scan)| symbols::file_symbols(rel, scan))
         .collect();
-    let workers = options
-        .workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)));
-    let mut data = Vec::with_capacity(files.len());
-    for result in fcdpm_runner::pool::run_to_completion(jobs, workers, None) {
-        match result.execution {
-            fcdpm_runner::pool::Execution::Completed(file_data) => data.push(file_data?),
-            fcdpm_runner::pool::Execution::Panicked(msg) => {
-                return Err(io::Error::other(format!("analysis worker panicked: {msg}")));
-            }
-            fcdpm_runner::pool::Execution::TimedOut => {
-                return Err(io::Error::other("analysis worker timed out"));
-            }
-        }
-    }
-    timings.push(("scan+intra", t_scan.elapsed()));
+    let defs = sources
+        .iter()
+        .flat_map(|(rel, _, scan)| callgraph::function_defs(rel, scan))
+        .collect();
+    let ctx = summaries::SummaryContext::build(callgraph::CallGraph::from_defs(defs));
 
-    // Phase B — serial: graphs, summaries, interprocedural + global passes.
-    let t_graph = Instant::now();
-    let mut graph = SymbolGraph::default();
-    for file_data in &data {
-        graph.files.push(file_data.symbols.clone());
-    }
-    let all_defs: Vec<callgraph::FnDef> =
-        data.iter().flat_map(|d| d.defs.iter().cloned()).collect();
-    let ctx = summaries::SummaryContext::build(callgraph::CallGraph::from_defs(all_defs));
-    timings.push(("summaries", t_graph.elapsed()));
-
-    let t_passes = Instant::now();
     let mut lock_graph = locks::LockGraph::default();
     let mut findings = Vec::new();
     let mut inline_suppressed = 0usize;
-    let mut new_cache = cache::Cache::default();
-    let mut changed: BTreeSet<String> = BTreeSet::new();
-    let mut stats = cache::CacheStats {
-        files_total: data.len(),
-        cold,
-        ..cache::CacheStats::default()
-    };
-
-    for file_data in &data {
-        if !file_data.intra_hit {
-            changed.insert(file_data.rel.clone());
+    for (rel, source, scan) in &sources {
+        let mut raw = lexical::check_file(rel, scan);
+        if is_physics_file(rel) {
+            raw.extend(dataflow::check_file(rel, scan));
         }
-        let deps = ctx.file_deps(&file_data.rel);
-        let (inter_hit, taint_findings) = match &file_data.cached {
-            Some(entry) if file_data.intra_hit && entry.deps == deps => {
-                (true, replay(entry, "taint", &file_data.rel))
-            }
-            _ => (
-                false,
-                taint::check_file(&file_data.rel, &file_data.scan, Some(&ctx)),
-            ),
-        };
-        // Three intra buckets + one interprocedural bucket per file.
-        let hits = if inter_hit {
-            4
-        } else if file_data.intra_hit {
-            3
-        } else {
-            0
-        };
-        stats.pass_hits += hits;
-        stats.pass_misses += 4 - hits;
-        if hits == 4 {
-            stats.files_reused += 1;
-        }
-
-        for finding in file_data
-            .dataflow
-            .iter()
-            .chain(file_data.digest_pass.iter())
-            .chain(file_data.artifacts_pass.iter())
-            .chain(taint_findings.iter())
-        {
-            if file_data.scan.is_suppressed(finding.rule, finding.line) {
+        raw.extend(digest::check_file(rel, source, scan));
+        raw.extend(artifacts::check_file(rel, scan));
+        for finding in raw {
+            if scan.is_suppressed(finding.rule, finding.line) {
                 inline_suppressed += 1;
             } else {
-                findings.push(finding.clone());
+                findings.push(finding);
             }
         }
         // The lock pass filters suppressions itself (its cycle findings
         // only materialize after every file has fed the graph).
-        findings.extend(lock_graph.add_file(&file_data.rel, &file_data.scan, Some(&ctx)));
-
-        new_cache.files.insert(
-            file_data.rel.clone(),
-            cache::CachedFile {
-                digest: file_data.digest,
-                deps,
-                passes: BTreeMap::from([
-                    ("dataflow".to_owned(), bucket(&file_data.dataflow)),
-                    ("digest".to_owned(), bucket(&file_data.digest_pass)),
-                    ("artifacts".to_owned(), bucket(&file_data.artifacts_pass)),
-                    ("taint".to_owned(), bucket(&taint_findings)),
-                ]),
-            },
-        );
+        findings.extend(lock_graph.add_file(rel, scan, Some(&ctx)));
     }
-    findings.extend(symbols::check_layering(&graph));
+    findings.extend(symbols::check_layering(&symbols));
     findings.extend(lock_graph.cycle_findings());
 
     let mut scanned: BTreeSet<String> = files.iter().map(|(rel, _)| rel.clone()).collect();
-    let mut files_scanned = files.len();
-    let mut track_input = |rel: &str, text: &str, changed: &mut BTreeSet<String>| {
-        let digest = cache::content_digest(text.as_bytes());
-        if old_cache.inputs.get(rel) != Some(&digest) {
-            changed.insert(rel.to_owned());
-        }
-        new_cache.inputs.insert(rel.to_owned(), digest);
-    };
 
     // Paper-constants conformance — skipped entirely when the manifest
     // is absent (scratch workspaces in tests have none).
-    let manifest_path = root.join(MANIFEST_PATH);
     let mut params = None;
-    if let Ok(text) = fs::read_to_string(&manifest_path) {
+    if let Ok(text) = fs::read_to_string(root.join(MANIFEST_PATH)) {
         scanned.insert(MANIFEST_PATH.to_owned());
-        files_scanned += 1;
-        track_input(MANIFEST_PATH, &text, &mut changed);
         findings.extend(constants::check(root, &text));
         if let Ok(sections) = toml::parse(&text) {
             params = paper_params(&sections);
@@ -537,43 +544,31 @@ pub fn run_with(root: &Path, baseline: &Baseline, options: &EngineOptions) -> io
     for rel in grid_files(root)? {
         let text = fs::read_to_string(root.join(&rel))?;
         scanned.insert(rel.clone());
-        files_scanned += 1;
-        track_input(&rel, &text, &mut changed);
-        match json::parse(&text) {
+        match serde_json::from_str::<serde_json::Value>(&text) {
             Ok(doc) if grid::looks_like_grid(&doc) => {
                 findings.extend(grid::check(&rel, &doc, params.as_ref()));
             }
             Ok(_) => {}
             Err(err) => findings.push(Finding {
-                rule: AnalyzeRule::GridFeasibility.id(),
+                rule: Rule::GridFeasibility.id(),
                 path: rel,
                 line: 1,
                 message: format!("does not parse as JSON: {err}"),
             }),
         }
     }
-    timings.push(("passes", t_passes.elapsed()));
 
     findings.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
     });
+    let files_scanned = scanned.len();
     let outcome = baseline.apply(findings, Some(&scanned));
-
-    if let Some(path) = &options.cache_path {
-        new_cache.save(path)?;
-    }
-    timings.push(("total", t_total.elapsed()));
-    Ok(Analysis {
-        report: Report {
-            findings: outcome.findings,
-            inline_suppressed,
-            baselined: outcome.baselined,
-            stale: outcome.stale,
-            files_scanned,
-        },
-        stats,
-        changed,
-        timings,
+    Ok(Report {
+        findings: outcome.findings,
+        inline_suppressed,
+        baselined: outcome.baselined,
+        stale: outcome.stale,
+        files_scanned,
     })
 }
 
@@ -593,24 +588,98 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rule_ids_are_stable_and_disjoint_from_lint() {
-        let ids: Vec<&str> = ALL_RULES.iter().map(|r| r.id()).collect();
+    fn rule_ids_are_stable_and_round_trip() {
+        let ids: Vec<&str> = Rule::ALL.iter().map(|r| r.id()).collect();
         assert_eq!(
             ids,
             [
+                "determinism",
+                "unit-safety",
+                "panic-policy",
+                "crate-hygiene",
                 "unit-dataflow",
                 "layering",
                 "paper-constants",
                 "grid-feasibility",
-                "determinism-taint",
                 "lock-discipline",
                 "digest-stability",
                 "atomic-artifact"
             ]
         );
-        for rule in fcdpm_lint::Rule::ALL {
-            assert!(!ids.contains(&rule.id()), "catalogues must not overlap");
+        for rule in Rule::ALL {
+            assert_eq!(Rule::from_id(rule.id()), Some(rule));
         }
+        assert_eq!(Rule::from_id("nope"), None);
+    }
+
+    #[test]
+    fn report_renderings_are_deterministic() {
+        let report = Report {
+            findings: vec![Finding {
+                rule: "panic-policy",
+                path: "crates/a/src/lib.rs".into(),
+                line: 4,
+                message: "m \"quoted\"".into(),
+            }],
+            inline_suppressed: 2,
+            baselined: 3,
+            stale: vec![StaleEntry {
+                rule: "determinism".into(),
+                path: "crates/b/src/lib.rs".into(),
+                unused: 1,
+                missing_path: false,
+            }],
+            files_scanned: 7,
+        };
+        assert_eq!(report.to_human(), report.to_human());
+        assert!(report.to_human().contains("crates/a/src/lib.rs:4"));
+        assert!(!report.is_clean());
+        assert_eq!(
+            report.to_json(),
+            r#"{
+  "version": 1,
+  "files_scanned": 7,
+  "findings": [
+    {
+      "rule": "panic-policy",
+      "path": "crates/a/src/lib.rs",
+      "line": 4,
+      "message": "m \"quoted\""
+    }
+  ],
+  "counts": {
+    "findings": 1,
+    "baselined": 3,
+    "inline_suppressed": 2
+  },
+  "stale_baseline_entries": [
+    {
+      "rule": "determinism",
+      "path": "crates/b/src/lib.rs",
+      "unused": 1,
+      "missing_path": false
+    }
+  ]
+}
+"#
+        );
+    }
+
+    #[test]
+    fn empty_report_is_clean() {
+        let report = Report::default();
+        assert!(report.is_clean());
+        assert!(report.to_human().contains("0 finding(s)"));
+        assert!(report.to_json().contains("\"findings\": []"));
+    }
+
+    #[test]
+    fn crate_scoping_by_path() {
+        assert_eq!(crate_of("crates/sim/src/simulator.rs"), Some("sim"));
+        assert_eq!(crate_of("src/lib.rs"), Some("fcdpm"));
+        assert_eq!(crate_of("crates/sim/tests/integration.rs"), None);
+        assert!(is_physics_file("crates/fuelcell/src/stack.rs"));
+        assert!(!is_physics_file("crates/units/src/current.rs"));
     }
 
     #[test]

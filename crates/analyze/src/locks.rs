@@ -27,12 +27,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
-use fcdpm_lint::{Finding, Scan};
-
 use crate::callgraph;
 use crate::summaries::SummaryContext;
 use crate::syntax;
-use crate::AnalyzeRule;
+use crate::{Finding, Rule, Scan};
 
 /// Callees that run (or directly wrap) user job closures: holding any
 /// lock across them risks poisoning on job panic.
@@ -45,8 +43,8 @@ struct HeldGuard {
     depth: u32,
 }
 
-/// Workspace-wide acquisition-order graph, fed one file at a time (the
-/// same shape as [`SymbolGraph`](crate::SymbolGraph) + `check_layering`).
+/// Workspace-wide acquisition-order graph, fed one file at a time; its
+/// cycle findings come out once every file is in.
 #[derive(Debug, Default)]
 pub struct LockGraph {
     /// `(held, acquired) -> first witness (path, line)`. Edges whose
@@ -148,7 +146,7 @@ impl LockGraph {
             return Vec::new();
         }
         let mut findings = Vec::new();
-        let rule = AnalyzeRule::LockDiscipline.id();
+        let rule = Rule::LockDiscipline.id();
         let reportable = |line: usize| !scan.is_test_line(line) && !scan.is_suppressed(rule, line);
 
         // Poison-policy consistency: raw lock().unwrap()/expect() in a
@@ -195,7 +193,7 @@ impl LockGraph {
         let cleaned = &scan.cleaned;
         let body = &cleaned[body_range.clone()];
         let depths = depth_map(body);
-        let rule = AnalyzeRule::LockDiscipline.id();
+        let rule = Rule::LockDiscipline.id();
         let mut held: Vec<HeldGuard> = Vec::new();
 
         for (seg_start, seg_range) in syntax::segments(cleaned, body_range) {
@@ -254,14 +252,14 @@ impl LockGraph {
                         if name == "lock_deque" {
                             continue; // modelled precisely by acquisitions()
                         }
-                        let Some((_, summary)) = ctx.resolve(rel_path, &name) else {
+                        let Some(callee_locks) = ctx.locks_of(rel_path, &name) else {
                             continue;
                         };
                         let line = scan.line_of(seg_start + off);
                         if !reportable(line) {
                             continue;
                         }
-                        for class in &summary.locks {
+                        for class in callee_locks {
                             for guard in &held {
                                 self.edges
                                     .entry((guard.class.clone(), class.clone()))
@@ -356,7 +354,7 @@ impl LockGraph {
                     )
                 };
                 findings.push(Finding {
-                    rule: AnalyzeRule::LockDiscipline.id(),
+                    rule: Rule::LockDiscipline.id(),
                     path: path.clone(),
                     line: *line,
                     message,

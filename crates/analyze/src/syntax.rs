@@ -1,8 +1,8 @@
-//! Small lexical helpers shared by the third-layer passes
-//! ([`taint`](crate::taint), [`locks`](crate::locks),
-//! [`digest`](crate::digest)).
+//! Small lexical helpers shared by the body-walking passes
+//! ([`callgraph`](crate::callgraph), [`locks`](crate::locks),
+//! [`digest`](crate::digest), [`artifacts`](crate::artifacts)).
 //!
-//! Everything here operates on a [`Scan`](fcdpm_lint::Scan)'s `cleaned`
+//! Everything here operates on a [`Scan`](crate::Scan)'s `cleaned`
 //! text — comments, strings and char literals already blanked, line
 //! structure preserved — so delimiter matching and token search never
 //! trip over quoted braces.
@@ -15,7 +15,7 @@ pub(crate) fn is_ident_char(c: char) -> bool {
 }
 
 /// Byte offsets of every occurrence of `needle`, token-delimited on
-/// each side whose edge is an identifier character (the lint's
+/// each side whose edge is an identifier character (the scanner's
 /// `token_occurrences` only guards the left edge, which is wrong for
 /// short needles like `fn` that prefix longer identifiers). Needles
 /// edged by punctuation (`.lock().unwrap()`) match verbatim there.
@@ -86,7 +86,7 @@ pub(crate) fn function_bodies(cleaned: &str) -> Vec<(usize, Range<usize>)> {
 /// The statement-ish segments of a function body: spans split on every
 /// `;` regardless of nesting depth. Coarse, but it keeps multi-line
 /// struct literals (no internal `;`) in one piece, which is what the
-/// taint pass needs; a closure body's `;` splits early and only costs
+/// lock pass needs; a closure body's `;` splits early and only costs
 /// precision, never soundness of what *is* reported.
 pub(crate) fn segments(cleaned: &str, body: &Range<usize>) -> Vec<(usize, Range<usize>)> {
     let mut out = Vec::new();

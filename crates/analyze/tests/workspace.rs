@@ -1,15 +1,14 @@
 //! End-to-end tests for `fcdpm-analyze`: the committed workspace is
-//! clean, reports are deterministic, and seeded defects (a drifted
-//! paper constant, an infeasible job grid, a dimensional mix behind a
-//! re-export, tainted artifact flows, lock-order cycles, unaccounted
-//! digest fields) are detected in scratch workspaces and fixture pairs.
+//! clean, reports are deterministic, every rule with a fixture pair
+//! fires on its bad file and stays quiet on its ok file, and seeded
+//! defects (a drifted paper constant, an infeasible job grid, a
+//! dimensional mix behind a re-export, an unmasked digest field) are
+//! detected in scratch workspaces.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use fcdpm_analyze::{cache, digest, locks, rule_catalogue, taint, AnalyzeRule, EngineOptions};
-use fcdpm_lint::sarif::to_sarif;
-use fcdpm_lint::{Baseline, Scan};
+use fcdpm_analyze::{digest, workspace_files, Baseline, BaselineEntry, Report, Rule, Scan};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -33,11 +32,145 @@ impl Scratch {
         fs::create_dir_all(path.parent().expect("parent")).expect("dirs");
         fs::write(path, contents).expect("write");
     }
+
+    fn analyze(&self, baseline: &Baseline) -> Report {
+        fcdpm_analyze::run(&self.root, baseline).expect("analysis runs")
+    }
 }
 
 impl Drop for Scratch {
     fn drop(&mut self) {
         fs::remove_dir_all(&self.root).ok();
+    }
+}
+
+fn fixture(name: &str) -> String {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("fixture {name}: {e}"))
+}
+
+/// One bad/ok fixture pair: both files are analyzed, alone, under
+/// `path` by the full engine.
+struct Pair {
+    rule: Rule,
+    path: &'static str,
+    bad: &'static str,
+    /// Exact number of findings the bad file produces.
+    bad_findings: usize,
+    /// Phrases that must each appear in some bad-file finding.
+    mentions: &'static [&'static str],
+    ok: &'static str,
+    /// Inline allows the ok file exercises.
+    ok_suppressed: usize,
+}
+
+const PAIRS: [Pair; 7] = [
+    Pair {
+        rule: Rule::Determinism,
+        path: "crates/sim/src/hazards.rs",
+        bad: "determinism_bad.rs",
+        bad_findings: 9,
+        mentions: &["Instant::now", "SystemTime", "BTreeMap", "BTreeSet"],
+        ok: "determinism_ok.rs",
+        ok_suppressed: 1,
+    },
+    Pair {
+        rule: Rule::UnitSafety,
+        path: "crates/fuelcell/src/signatures.rs",
+        bad: "unit_safety_bad.rs",
+        bad_findings: 5,
+        mentions: &["duration_s", "current_a", "as u32", "as f32"],
+        ok: "unit_safety_ok.rs",
+        ok_suppressed: 0,
+    },
+    Pair {
+        rule: Rule::PanicPolicy,
+        path: "crates/core/src/panics.rs",
+        bad: "panic_bad.rs",
+        bad_findings: 6,
+        mentions: &[
+            "`unwrap()`",
+            "`expect`",
+            "`panic!`",
+            "`unreachable!`",
+            "`todo!`",
+        ],
+        ok: "panic_ok.rs",
+        ok_suppressed: 1,
+    },
+    Pair {
+        rule: Rule::CrateHygiene,
+        path: "crates/x/src/lib.rs",
+        bad: "hygiene_bad.rs",
+        bad_findings: 2,
+        mentions: &["forbid(unsafe_code)", "warn(missing_docs)"],
+        ok: "hygiene_ok.rs",
+        ok_suppressed: 0,
+    },
+    Pair {
+        rule: Rule::UnitDataflow,
+        path: "crates/sim/src/dimension.rs",
+        bad: "dimension_bad.rs",
+        bad_findings: 5,
+        mentions: &["raw f64 projections", "unit newtypes", "`.0`"],
+        ok: "dimension_ok.rs",
+        ok_suppressed: 0,
+    },
+    Pair {
+        rule: Rule::LockDiscipline,
+        path: "crates/runner/src/pool.rs",
+        bad: "locks_cyclic.rs",
+        bad_findings: 5,
+        mentions: &[
+            "closing an acquisition-order cycle",
+            "another `deques[_]` instance",
+            "held across a call into `run_guarded`",
+            "poison handling",
+        ],
+        ok: "locks_acyclic.rs",
+        ok_suppressed: 0,
+    },
+    Pair {
+        rule: Rule::DigestStability,
+        path: "crates/grid/src/gen.rs",
+        bad: "digest_unmasked.rs",
+        bad_findings: 2,
+        mentions: &["neither folded", "masks `name` which"],
+        ok: "digest_masked.rs",
+        ok_suppressed: 0,
+    },
+];
+
+#[test]
+fn each_fixture_pair_fires_only_its_rule() {
+    for pair in &PAIRS {
+        let id = pair.rule.id();
+        let scratch = Scratch::new(&format!("analyze-pair-{id}"));
+        scratch.write(pair.path, &fixture(pair.bad));
+        let report = scratch.analyze(&Baseline::default());
+        let human = report.to_human();
+        assert_eq!(report.findings.len(), pair.bad_findings, "{id}:\n{human}");
+        assert!(
+            report.findings.iter().all(|f| f.rule == id),
+            "{} fires another rule:\n{human}",
+            pair.bad
+        );
+        for phrase in pair.mentions {
+            assert!(
+                report.findings.iter().any(|f| f.message.contains(phrase)),
+                "{id}: no finding mentions {phrase:?}:\n{human}"
+            );
+        }
+
+        scratch.write(pair.path, &fixture(pair.ok));
+        let report = scratch.analyze(&Baseline::default());
+        assert!(
+            report.is_clean(),
+            "{} fired:\n{}",
+            pair.ok,
+            report.to_human()
+        );
+        assert_eq!(report.inline_suppressed, pair.ok_suppressed, "{}", pair.ok);
     }
 }
 
@@ -57,30 +190,110 @@ fn committed_workspace_is_clean_against_committed_baseline() {
         "committed analyze baseline has stale entries:\n{}",
         report.to_human()
     );
+    assert_eq!(
+        report.baselined, 0,
+        "the tree analyzes clean without the baseline's help"
+    );
+    // Rewriting the committed baseline reproduces it byte for byte.
+    assert_eq!(baseline.to_json(), text);
 }
 
 #[test]
-fn reports_are_byte_identical_across_runs() {
-    let root = repo_root();
-    let a = fcdpm_analyze::run(&root, &Baseline::default()).expect("first run");
-    let b = fcdpm_analyze::run(&root, &Baseline::default()).expect("second run");
-    assert_eq!(a.to_human(), b.to_human());
-    assert_eq!(a.to_json(), b.to_json());
-    assert_eq!(
-        to_sarif(&a, "fcdpm-analyze", &rule_catalogue()),
-        to_sarif(&b, "fcdpm-analyze", &rule_catalogue())
+fn every_inline_allow_names_a_catalogued_rule() {
+    let mut dangling = Vec::new();
+    for (rel, path) in workspace_files(&repo_root()).expect("workspace walk") {
+        let scan = Scan::new(&fs::read_to_string(path).expect("source reads"));
+        for allow in &scan.suppressions {
+            if Rule::from_id(&allow.rule).is_none() {
+                dangling.push(format!("{rel}:{}: allow({})", allow.line, allow.rule));
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "allow directives naming no rule in the catalogue:\n{}",
+        dangling.join("\n")
     );
 }
 
 #[test]
-fn sarif_output_carries_the_analyze_catalogue() {
-    let root = repo_root();
-    let report = fcdpm_analyze::run(&root, &Baseline::default()).expect("analysis runs");
-    let sarif = to_sarif(&report, "fcdpm-analyze", &rule_catalogue());
-    for rule in fcdpm_analyze::ALL_RULES {
-        assert!(sarif.contains(rule.id()), "missing rule {}", rule.id());
+fn seeded_findings_are_byte_identical_across_runs() {
+    // Every fixture-pair rule plus a structural grid defect in one
+    // scratch workspace: two full runs must agree byte for byte in
+    // every output format.
+    let scratch = Scratch::new("analyze-double-run");
+    for pair in &PAIRS {
+        scratch.write(pair.path, &fixture(pair.bad));
     }
-    assert!(sarif.contains("\"fcdpm-analyze\""));
+    scratch.write(
+        "examples/empty_grid.json",
+        r#"{"policies": [], "workloads": [{"Experiment1": 1}]}"#,
+    );
+
+    let a = scratch.analyze(&Baseline::default());
+    let b = scratch.analyze(&Baseline::default());
+    for rule in PAIRS.iter().map(|p| p.rule).chain([Rule::GridFeasibility]) {
+        assert!(
+            a.findings.iter().any(|f| f.rule == rule.id()),
+            "no {} finding:\n{}",
+            rule.id(),
+            a.to_human()
+        );
+    }
+    assert_eq!(a.to_human(), b.to_human());
+    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(a.to_sarif(), b.to_sarif());
+    for rule in Rule::ALL {
+        assert!(a.to_sarif().contains(rule.summary()), "{}", rule.id());
+    }
+}
+
+#[test]
+fn baseline_absorbs_its_snapshot_and_reports_stale_entries() {
+    let scratch = Scratch::new("analyze-baseline-ledger");
+    scratch.write("crates/sim/src/lib.rs", &fixture("hygiene_ok.rs"));
+    scratch.write("crates/sim/src/hazard.rs", &fixture("determinism_bad.rs"));
+    let report = scratch.analyze(&Baseline::default());
+    assert!(!report.is_clean());
+
+    // `--write-baseline` round trip through the filesystem.
+    let baseline = fcdpm_analyze::snapshot_baseline(&scratch.root, "scratch debt").expect("runs");
+    scratch.write("analyze-baseline.json", &baseline.to_json());
+    let text = fs::read_to_string(scratch.root.join("analyze-baseline.json")).expect("reads");
+    let reloaded = Baseline::from_json(&text).expect("parses");
+    assert_eq!(reloaded, baseline);
+    assert_eq!(reloaded.to_json(), text);
+
+    // Against its own snapshot the tree is clean, with nothing stale.
+    let gated = scratch.analyze(&reloaded);
+    assert!(gated.is_clean(), "{}", gated.to_human());
+    assert_eq!(gated.baselined, report.findings.len());
+    assert!(gated.stale.is_empty());
+
+    // Over-allowance and entries for vanished files are reported as
+    // stale but never fail the run.
+    let mut loose = reloaded;
+    loose.entries[0].count += 3;
+    loose.entries.push(BaselineEntry {
+        rule: "panic-policy".into(),
+        path: "crates/sim/src/ghost.rs".into(),
+        count: 0,
+        note: "file was deleted after this entry was written".into(),
+    });
+    let gated = scratch.analyze(&loose);
+    assert!(gated.is_clean(), "over-allowance must not fail the run");
+    assert_eq!(gated.stale.len(), 2, "{:#?}", gated.stale);
+    assert!(gated.stale.iter().any(|s| s.unused == 3 && !s.missing_path));
+    assert!(gated
+        .stale
+        .iter()
+        .any(|s| s.path == "crates/sim/src/ghost.rs" && s.missing_path));
+    let human = gated.to_human();
+    assert!(human.contains("tighten the baseline"), "{human}");
+    assert!(
+        human.contains("names a file that no longer exists"),
+        "{human}"
+    );
 }
 
 #[test]
@@ -96,16 +309,16 @@ fn seeded_alpha_drift_in_efficiency_copy_is_detected() {
         "paper-constants.toml",
         "[efficiency]\npath = \"crates/fuelcell/src/efficiency.rs\"\nalpha = 0.45\nbeta = 0.13\nv_bus_v = 12.0\n",
     );
-    let report = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("runs");
+    let report = scratch.analyze(&Baseline::default());
     assert_eq!(report.findings.len(), 1, "{}", report.to_human());
     let finding = &report.findings[0];
-    assert_eq!(finding.rule, AnalyzeRule::PaperConstants.id());
+    assert_eq!(finding.rule, Rule::PaperConstants.id());
     assert_eq!(finding.path, "crates/fuelcell/src/efficiency.rs");
     assert!(finding.message.contains("alpha = 0.45"), "{finding}");
 
     // The undrifted copy is conformant.
     scratch.write("crates/fuelcell/src/efficiency.rs", &committed);
-    let report = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("runs");
+    let report = scratch.analyze(&Baseline::default());
     assert!(report.is_clean(), "{}", report.to_human());
 }
 
@@ -115,7 +328,7 @@ fn out_of_range_grid_setpoint_is_rejected() {
     // Minimal conformant manifest so the range parameters resolve.
     scratch.write(
         "crates/x/src/lib.rs",
-        "pub const A: f64 = 0.45;\npub const V: f64 = 12.0;\npub const LO: f64 = 0.1;\npub const HI: f64 = 1.2;\n",
+        "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\npub const A: f64 = 0.45;\npub const V: f64 = 12.0;\npub const LO: f64 = 0.1;\npub const HI: f64 = 1.2;\n",
     );
     scratch.write(
         "paper-constants.toml",
@@ -129,10 +342,10 @@ fn out_of_range_grid_setpoint_is_rejected() {
         "examples/bad_grid.json",
         r#"{"policies": [{"Constant": 1.3}], "workloads": [{"Experiment1": 1}]}"#,
     );
-    let report = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("runs");
+    let report = scratch.analyze(&Baseline::default());
     assert_eq!(report.findings.len(), 1, "{}", report.to_human());
     let finding = &report.findings[0];
-    assert_eq!(finding.rule, AnalyzeRule::GridFeasibility.id());
+    assert_eq!(finding.rule, Rule::GridFeasibility.id());
     assert_eq!(finding.path, "examples/bad_grid.json");
     assert!(
         finding.message.contains("load-following range"),
@@ -146,12 +359,12 @@ fn mixing_behind_the_core_reexport_is_detected() {
     // them through core instead of fcdpm-units must still be tracked.
     let scratch = Scratch::new("analyze-core-reexport");
     scratch.write(
-        "crates/sim/src/lib.rs",
+        "crates/sim/src/mix.rs",
         "use fcdpm_core::{Amps, Seconds};\n\npub fn f(i: Amps, t: Seconds) -> f64 {\n    let mixed = i.amps() + t.seconds();\n    mixed\n}\n",
     );
-    let report = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("runs");
+    let report = scratch.analyze(&Baseline::default());
     assert_eq!(report.findings.len(), 1, "{}", report.to_human());
-    assert_eq!(report.findings[0].rule, AnalyzeRule::UnitDataflow.id());
+    assert_eq!(report.findings[0].rule, Rule::UnitDataflow.id());
     assert_eq!(report.findings[0].line, 4);
 }
 
@@ -159,95 +372,12 @@ fn mixing_behind_the_core_reexport_is_detected() {
 fn inline_suppression_silences_the_dataflow_rule() {
     let scratch = Scratch::new("analyze-suppression");
     scratch.write(
-        "crates/sim/src/lib.rs",
+        "crates/sim/src/mix.rs",
         "pub fn f(i: Amps, t: Seconds) -> f64 {\n    // fcdpm-lint: allow(unit-dataflow)\n    let mixed = i.amps() + t.seconds();\n    mixed\n}\n",
     );
-    let report = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("runs");
+    let report = scratch.analyze(&Baseline::default());
     assert!(report.is_clean(), "{}", report.to_human());
     assert_eq!(report.inline_suppressed, 1);
-}
-
-fn fixture(name: &str) -> String {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("fixture {name}: {e}"))
-}
-
-#[test]
-fn taint_fixture_pair_splits_cleanly() {
-    // Fixtures masquerade as a sink file — only those can produce
-    // findings.
-    let bad = fixture("taint_tainted.rs");
-    let findings = taint::check_file("crates/grid/src/manifest.rs", &Scan::new(&bad), None);
-    assert_eq!(findings.len(), 4, "{findings:#?}");
-    assert!(findings
-        .iter()
-        .all(|f| f.rule == AnalyzeRule::DeterminismTaint.id()));
-    for carried in [
-        "wall-clock time",
-        "thread identity",
-        "hash-order iteration",
-        "channel arrival order",
-    ] {
-        assert!(
-            findings.iter().any(|f| f.message.contains(carried)),
-            "no finding carries {carried}: {findings:#?}"
-        );
-    }
-
-    let ok = fixture("taint_clean.rs");
-    let findings = taint::check_file("crates/grid/src/manifest.rs", &Scan::new(&ok), None);
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn lock_fixture_pair_splits_cleanly() {
-    let bad = fixture("locks_cyclic.rs");
-    let findings = locks::check_file("crates/runner/src/pool.rs", &Scan::new(&bad));
-    assert_eq!(findings.len(), 5, "{findings:#?}");
-    assert!(findings
-        .iter()
-        .all(|f| f.rule == AnalyzeRule::LockDiscipline.id()));
-    assert_eq!(
-        findings
-            .iter()
-            .filter(|f| f.message.contains("cycle"))
-            .count(),
-        2,
-        "both halves of the A<->B inversion: {findings:#?}"
-    );
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("another `deques[_]` instance")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("held across a call into `run_guarded`")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("poison handling")));
-
-    let ok = fixture("locks_acyclic.rs");
-    let findings = locks::check_file("crates/runner/src/pool.rs", &Scan::new(&ok));
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn digest_fixture_pair_splits_cleanly() {
-    let bad = fixture("digest_unmasked.rs");
-    let findings = digest::check_file("crates/grid/src/gen.rs", &bad, &Scan::new(&bad));
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-    assert!(findings
-        .iter()
-        .all(|f| f.rule == AnalyzeRule::DigestStability.id()));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("neither folded")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("masks `name` which")));
-
-    let ok = fixture("digest_masked.rs");
-    let findings = digest::check_file("crates/grid/src/gen.rs", &ok, &Scan::new(&ok));
-    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 #[test]
@@ -265,208 +395,7 @@ fn removing_the_gridspec_name_mask_fails_digest_stability() {
     assert!(
         findings
             .iter()
-            .any(|f| f.rule == AnalyzeRule::DigestStability.id() && f.message.contains("`name`")),
+            .any(|f| f.rule == Rule::DigestStability.id() && f.message.contains("`name`")),
         "{findings:#?}"
     );
-}
-
-#[test]
-fn seeded_new_layer_findings_are_byte_identical_across_runs() {
-    // The double-run gate matters most when there *are* findings: seed
-    // all three new-pass fixtures into one scratch workspace and demand
-    // byte-identical JSON and SARIF across two full runs.
-    let scratch = Scratch::new("analyze-new-layer-determinism");
-    scratch.write("crates/grid/src/manifest.rs", &fixture("taint_tainted.rs"));
-    scratch.write("crates/runner/src/pool.rs", &fixture("locks_cyclic.rs"));
-    scratch.write("crates/grid/src/gen.rs", &fixture("digest_unmasked.rs"));
-
-    let a = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("first run");
-    let b = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("second run");
-    for rule in [
-        AnalyzeRule::DeterminismTaint,
-        AnalyzeRule::LockDiscipline,
-        AnalyzeRule::DigestStability,
-    ] {
-        assert!(
-            a.findings.iter().any(|f| f.rule == rule.id()),
-            "no {} finding: {}",
-            rule.id(),
-            a.to_human()
-        );
-    }
-    assert_eq!(a.to_json(), b.to_json());
-    assert_eq!(
-        to_sarif(&a, "fcdpm-analyze", &rule_catalogue()),
-        to_sarif(&b, "fcdpm-analyze", &rule_catalogue())
-    );
-}
-
-#[test]
-fn unbaselined_repo_findings_are_empty() {
-    // Even with no baseline at all, the tree analyzes clean.
-    let report = fcdpm_analyze::run(&repo_root(), &Baseline::default()).expect("analysis runs");
-    assert!(report.findings.is_empty(), "{}", report.to_human());
-}
-
-#[test]
-fn cross_file_taint_needs_summaries_and_respects_laundering() {
-    let caller = fixture("interproc_caller.rs");
-    // The per-function pass provably misses the cross-file flow...
-    let solo = taint::check_file("crates/grid/src/manifest.rs", &Scan::new(&caller), None);
-    assert!(solo.is_empty(), "{solo:#?}");
-
-    // ...while the full engine resolves the helper and flags it.
-    let scratch = Scratch::new("analyze-interproc-taint");
-    scratch.write("crates/grid/src/manifest.rs", &caller);
-    scratch.write(
-        "crates/grid/src/util.rs",
-        &fixture("interproc_helper_tainted.rs"),
-    );
-    let report = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("runs");
-    assert_eq!(report.findings.len(), 1, "{}", report.to_human());
-    assert_eq!(report.findings[0].rule, AnalyzeRule::DeterminismTaint.id());
-    assert_eq!(report.findings[0].path, "crates/grid/src/manifest.rs");
-    assert!(
-        report.findings[0].message.contains("wall-clock time"),
-        "{}",
-        report.findings[0]
-    );
-
-    // Swapping in the laundering variant of the same helper cleans the
-    // caller's flow without the caller changing at all.
-    scratch.write(
-        "crates/grid/src/util.rs",
-        &fixture("interproc_helper_laundering.rs"),
-    );
-    let report = fcdpm_analyze::run(&scratch.root, &Baseline::default()).expect("runs");
-    assert!(report.is_clean(), "{}", report.to_human());
-}
-
-fn cache_options(scratch: &Scratch) -> EngineOptions {
-    EngineOptions {
-        cache_path: Some(scratch.root.join(cache::CACHE_FILE)),
-        workers: Some(2),
-    }
-}
-
-#[test]
-fn warm_cache_reuses_every_file_and_replays_byte_identical_artifacts() {
-    let scratch = Scratch::new("analyze-cache-warm");
-    scratch.write("crates/grid/src/manifest.rs", &fixture("taint_tainted.rs"));
-    scratch.write("crates/runner/src/pool.rs", &fixture("locks_acyclic.rs"));
-    scratch.write("crates/sim/src/lib.rs", "pub fn idle() {}\n");
-    let options = cache_options(&scratch);
-
-    let a = fcdpm_analyze::run_with(&scratch.root, &Baseline::default(), &options).expect("cold");
-    assert!(a.stats.cold);
-    assert_eq!(a.stats.files_reused, 0);
-    assert_eq!(a.stats.pass_hits, 0);
-    assert_eq!(a.changed.len(), 3, "{:?}", a.changed);
-
-    let b = fcdpm_analyze::run_with(&scratch.root, &Baseline::default(), &options).expect("warm");
-    assert!(!b.stats.cold);
-    assert_eq!(b.stats.files_total, 3);
-    assert_eq!(b.stats.files_reused, 3);
-    assert_eq!(b.stats.pass_hits, 12);
-    assert_eq!(b.stats.pass_misses, 0);
-    assert!(b.changed.is_empty(), "{:?}", b.changed);
-    assert!(
-        b.stats.human_line().contains("(100.0%)"),
-        "{}",
-        b.stats.human_line()
-    );
-
-    // The warm run replays the cold run's findings byte-for-byte.
-    assert!(!b.report.findings.is_empty());
-    assert_eq!(a.report.to_json(), b.report.to_json());
-    assert_eq!(
-        to_sarif(&a.report, "fcdpm-analyze", &rule_catalogue()),
-        to_sarif(&b.report, "fcdpm-analyze", &rule_catalogue())
-    );
-}
-
-#[test]
-fn editing_one_file_invalidates_only_its_own_passes() {
-    let scratch = Scratch::new("analyze-cache-edit");
-    scratch.write("crates/device/src/lib.rs", "pub fn a() {}\n");
-    scratch.write("crates/sim/src/lib.rs", "pub fn b() {}\n");
-    scratch.write("crates/workload/src/lib.rs", "pub fn c() {}\n");
-    let options = cache_options(&scratch);
-    let cold =
-        fcdpm_analyze::run_with(&scratch.root, &Baseline::default(), &options).expect("cold");
-    assert!(cold.stats.cold);
-
-    scratch.write("crates/sim/src/lib.rs", "pub fn b() {}\npub fn b2() {}\n");
-    let warm =
-        fcdpm_analyze::run_with(&scratch.root, &Baseline::default(), &options).expect("warm");
-    assert_eq!(warm.stats.files_total, 3);
-    assert_eq!(warm.stats.files_reused, 2);
-    assert_eq!(warm.stats.pass_hits, 8);
-    assert_eq!(warm.stats.pass_misses, 4);
-    let changed: Vec<&str> = warm.changed.iter().map(String::as_str).collect();
-    assert_eq!(changed, ["crates/sim/src/lib.rs"]);
-}
-
-#[test]
-fn editing_a_helper_reruns_the_callers_interprocedural_passes() {
-    let scratch = Scratch::new("analyze-cache-deps");
-    scratch.write(
-        "crates/grid/src/manifest.rs",
-        &fixture("interproc_caller.rs"),
-    );
-    scratch.write(
-        "crates/grid/src/util.rs",
-        "pub fn gather() -> Vec<u64> {\n    Vec::new()\n}\n",
-    );
-    let options = cache_options(&scratch);
-    let cold =
-        fcdpm_analyze::run_with(&scratch.root, &Baseline::default(), &options).expect("cold");
-    assert!(cold.report.is_clean(), "{}", cold.report.to_human());
-
-    // Swap in the tainted helper: the caller's bytes are untouched, so
-    // its content-keyed passes replay, but the dependency-digest
-    // mismatch forces its taint pass to re-run...
-    scratch.write(
-        "crates/grid/src/util.rs",
-        &fixture("interproc_helper_tainted.rs"),
-    );
-    let warm =
-        fcdpm_analyze::run_with(&scratch.root, &Baseline::default(), &options).expect("warm");
-    assert_eq!(warm.stats.files_total, 2);
-    assert_eq!(warm.stats.files_reused, 0);
-    assert_eq!(warm.stats.pass_hits, 3);
-    assert_eq!(warm.stats.pass_misses, 5);
-    let changed: Vec<&str> = warm.changed.iter().map(String::as_str).collect();
-    assert_eq!(changed, ["crates/grid/src/util.rs"]);
-
-    // ...and the new cross-file flow surfaces on the unchanged caller.
-    assert_eq!(warm.report.findings.len(), 1, "{}", warm.report.to_human());
-    assert_eq!(
-        warm.report.findings[0].rule,
-        AnalyzeRule::DeterminismTaint.id()
-    );
-    assert_eq!(warm.report.findings[0].path, "crates/grid/src/manifest.rs");
-}
-
-#[test]
-fn dimension_fixture_pair_splits_cleanly() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let bad = fs::read_to_string(dir.join("dimension_bad.rs")).expect("bad fixture");
-    let ok = fs::read_to_string(dir.join("dimension_ok.rs")).expect("ok fixture");
-
-    let bad_findings =
-        fcdpm_analyze::dataflow::check_file("crates/sim/src/dimension_bad.rs", &Scan::new(&bad));
-    // One finding per mixing-class function in the fixture.
-    assert_eq!(bad_findings.len(), 5, "{bad_findings:#?}");
-    assert!(bad_findings
-        .iter()
-        .any(|f| f.message.contains("raw f64 projections")));
-    assert!(bad_findings
-        .iter()
-        .any(|f| f.message.contains("unit newtypes")));
-    assert!(bad_findings.iter().any(|f| f.message.contains("`.0`")));
-
-    let ok_findings =
-        fcdpm_analyze::dataflow::check_file("crates/sim/src/dimension_ok.rs", &Scan::new(&ok));
-    assert!(ok_findings.is_empty(), "{ok_findings:#?}");
 }

@@ -42,9 +42,9 @@ pub enum DeviceChoice {
     Exp2,
 }
 
-/// Output format of `fcdpm lint` and `fcdpm analyze`.
+/// Output format of `fcdpm analyze`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LintFormat {
+pub enum ReportFormat {
     /// One `path:line: [rule] message` diagnostic per line.
     Human,
     /// The machine-readable JSON report.
@@ -174,26 +174,13 @@ pub enum Command {
         /// Output path for the JSON payload (default `BENCH_4.json`).
         out: Option<String>,
     },
-    /// Run the in-repo static-analysis pass over the workspace sources.
-    Lint {
-        /// Diagnostics format (default human).
-        format: LintFormat,
-        /// Baseline file path (default `<root>/lint-baseline.json`;
-        /// missing file means an empty baseline).
-        baseline: Option<String>,
-        /// Workspace root to scan (default: current directory).
-        root: Option<String>,
-        /// Regenerate the baseline file from the current findings
-        /// instead of failing on them.
-        write_baseline: bool,
-    },
-    /// Run the workspace-aware semantic analysis (symbol graph,
-    /// unit-dimension dataflow, paper-constants conformance, job-grid
-    /// feasibility, interprocedural taint/locks, digest stability,
-    /// atomic artifacts).
+    /// Run the static analysis over the workspace (per-file lexical
+    /// rules, crate layering, unit-dimension dataflow, paper-constants
+    /// conformance, job-grid feasibility, lock discipline, digest
+    /// stability, atomic artifacts).
     Analyze {
         /// Diagnostics format (default human).
-        format: LintFormat,
+        format: ReportFormat,
         /// Baseline file path (default `<root>/analyze-baseline.json`;
         /// missing file means an empty baseline).
         baseline: Option<String>,
@@ -202,13 +189,6 @@ pub enum Command {
         /// Regenerate the baseline file from the current findings
         /// instead of failing on them.
         write_baseline: bool,
-        /// Restrict the displayed findings to files whose content (or
-        /// interprocedural dependencies) changed since the cached run.
-        changed: bool,
-        /// Skip reading and writing `analyze-cache.json`.
-        no_cache: bool,
-        /// Print per-phase wall-clock timings to stderr.
-        timings: bool,
     },
     /// Print usage.
     Help,
@@ -598,22 +578,19 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             }
             Ok(Command::Bench { quick, out })
         }
-        "lint" | "analyze" => {
-            let mut format = LintFormat::Human;
+        "analyze" => {
+            let mut format = ReportFormat::Human;
             let mut baseline = None;
             let mut root = None;
             let mut write_baseline = false;
-            let mut changed = false;
-            let mut no_cache = false;
-            let mut timings = false;
             while let Some(flag) = iter.next() {
                 match flag {
                     "--format" => {
                         let v = take_value(flag, &mut iter)?;
                         format = match v {
-                            "human" => LintFormat::Human,
-                            "json" => LintFormat::Json,
-                            "sarif" => LintFormat::Sarif,
+                            "human" => ReportFormat::Human,
+                            "json" => ReportFormat::Json,
+                            "sarif" => ReportFormat::Sarif,
                             other => return Err(err(format!("unknown format `{other}`"))),
                         };
                     }
@@ -624,33 +601,15 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
                         root = Some(take_value(flag, &mut iter)?.to_owned());
                     }
                     "--write-baseline" => write_baseline = true,
-                    "--changed" | "--no-cache" | "--timings" if cmd == "lint" => {
-                        return Err(err(format!("flag `{flag}` only applies to `analyze`")));
-                    }
-                    "--changed" => changed = true,
-                    "--no-cache" => no_cache = true,
-                    "--timings" => timings = true,
                     other => return Err(err(format!("unknown flag `{other}`"))),
                 }
             }
-            if cmd == "analyze" {
-                Ok(Command::Analyze {
-                    format,
-                    baseline,
-                    root,
-                    write_baseline,
-                    changed,
-                    no_cache,
-                    timings,
-                })
-            } else {
-                Ok(Command::Lint {
-                    format,
-                    baseline,
-                    root,
-                    write_baseline,
-                })
-            }
+            Ok(Command::Analyze {
+                format,
+                baseline,
+                root,
+                write_baseline,
+            })
         }
         other => Err(err(format!("unknown command `{other}`"))),
     }
@@ -956,52 +915,14 @@ mod tests {
     }
 
     #[test]
-    fn lint_parse() {
-        assert_eq!(
-            parse(&["lint"]).unwrap(),
-            Command::Lint {
-                format: LintFormat::Human,
-                baseline: None,
-                root: None,
-                write_baseline: false,
-            }
-        );
-        assert_eq!(
-            parse(&[
-                "lint",
-                "--format",
-                "json",
-                "--baseline",
-                "b.json",
-                "--root",
-                "/tmp/ws",
-                "--write-baseline"
-            ])
-            .unwrap(),
-            Command::Lint {
-                format: LintFormat::Json,
-                baseline: Some("b.json".into()),
-                root: Some("/tmp/ws".into()),
-                write_baseline: true,
-            }
-        );
-        assert!(parse(&["lint", "--format", "xml"]).is_err());
-        assert!(parse(&["lint", "--baseline"]).is_err());
-        assert!(parse(&["lint", "--frob"]).is_err());
-    }
-
-    #[test]
     fn analyze_parse() {
         assert_eq!(
             parse(&["analyze"]).unwrap(),
             Command::Analyze {
-                format: LintFormat::Human,
+                format: ReportFormat::Human,
                 baseline: None,
                 root: None,
                 write_baseline: false,
-                changed: false,
-                no_cache: false,
-                timings: false,
             }
         );
         assert_eq!(
@@ -1017,49 +938,18 @@ mod tests {
             ])
             .unwrap(),
             Command::Analyze {
-                format: LintFormat::Sarif,
+                format: ReportFormat::Sarif,
                 baseline: Some("a.json".into()),
                 root: Some("/tmp/ws".into()),
                 write_baseline: true,
-                changed: false,
-                no_cache: false,
-                timings: false,
-            }
-        );
-        assert_eq!(
-            parse(&["lint", "--format", "sarif"]).unwrap(),
-            Command::Lint {
-                format: LintFormat::Sarif,
-                baseline: None,
-                root: None,
-                write_baseline: false,
             }
         );
         assert!(parse(&["analyze", "--format", "xml"]).is_err());
+        assert!(parse(&["analyze", "--baseline"]).is_err());
         assert!(parse(&["analyze", "--frob"]).is_err());
-    }
-
-    #[test]
-    fn analyze_cache_flags_parse() {
-        assert_eq!(
-            parse(&["analyze", "--changed", "--no-cache", "--timings"]).unwrap(),
-            Command::Analyze {
-                format: LintFormat::Human,
-                baseline: None,
-                root: None,
-                write_baseline: false,
-                changed: true,
-                no_cache: true,
-                timings: true,
-            }
-        );
-        // The cache flags are analyze-only; lint rejects them by name.
-        for flag in ["--changed", "--no-cache", "--timings"] {
-            assert!(parse(&["lint", flag])
-                .unwrap_err()
-                .message
-                .contains("only applies to `analyze`"));
-        }
+        // The removed subcommand and cache flags are rejected.
+        assert!(parse(&["lint"]).is_err());
+        assert!(parse(&["analyze", "--no-cache"]).is_err());
     }
 
     #[test]

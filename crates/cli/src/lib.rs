@@ -11,8 +11,8 @@ mod args;
 mod commands;
 
 pub use args::{
-    parse, Command, DeviceChoice, ExperimentId, GridAction, LintFormat, ParseCliError,
-    PolicyChoice, TraceKind,
+    parse, Command, DeviceChoice, ExperimentId, GridAction, ParseCliError, PolicyChoice,
+    ReportFormat, TraceKind,
 };
 pub use commands::{execute, CmdOutput};
 
@@ -36,9 +36,7 @@ USAGE:
     fcdpm grid gc <grid-root> [--dry-run]
     fcdpm faults [--quick] [--seed <N>] [--jobs <N>] [--out <DIR>]
     fcdpm bench [--quick] [--out <FILE>]
-    fcdpm lint [--format <human|json|sarif>] [--baseline <FILE>] [--root <DIR>] [--write-baseline]
     fcdpm analyze [--format <human|json|sarif>] [--baseline <FILE>] [--root <DIR>] [--write-baseline]
-                  [--changed] [--no-cache] [--timings]
     fcdpm help
 
 COMMANDS:
@@ -56,13 +54,11 @@ COMMANDS:
                  resilient and Conv-DPM policies, deterministic manifest
     bench        wall-clock harness: fixture grid + chunk-coalescing A/B,
                  deterministic payload to BENCH_4.json (timings on stdout)
-    lint         static-analysis pass: determinism, unit-safety, panic policy,
-                 crate hygiene (exit 1 on any non-baselined finding)
-    analyze      semantic pass: crate layering, unit-dimension dataflow,
-                 paper-constants conformance, job-grid feasibility,
-                 interprocedural taint/locks, digest stability and atomic
-                 artifacts, incremental via the digest-keyed
-                 analyze-cache.json (exit 1 on any non-baselined finding)
+    analyze      static analysis: determinism, unit safety, panic policy,
+                 crate hygiene, crate layering, unit-dimension dataflow,
+                 paper-constants conformance, job-grid feasibility, lock
+                 discipline, digest stability and atomic artifacts
+                 (exit 1 on any non-baselined finding)
     help         show this message
 "
     .to_owned()
