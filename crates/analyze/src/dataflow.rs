@@ -1,14 +1,11 @@
-//! Unit-dimension dataflow through function bodies.
+//! Raw-projection dataflow through function bodies.
 //!
-//! The `unit-safety` rule checks *signatures*; this pass follows
-//! the quantities through `let`-bindings and arithmetic, so dimension
-//! errors hidden inside a body are caught too:
-//!
-//! * adding or subtracting raw `f64` projections of *distinct*
-//!   dimensions (`i.amps() + t.seconds()`),
-//! * mixing distinct unit newtypes under `+`/`-`,
-//! * `.0` tuple projections of a unit newtype in physics code (the
-//!   named accessor keeps the dimension visible; `.0` erases it).
+//! Mixing two unit newtypes (`Amps + Seconds`) or reaching into one with
+//! `.0` is a compile error (`fcdpm-units` pins both with `compile_fail`
+//! doctests). What the compiler cannot see is arithmetic on the raw
+//! `f64` accessors: `i.amps() + t.seconds()` type-checks. This pass
+//! follows those projections through `let`-bindings and flags `+`/`-`
+//! over two of *distinct* dimensions.
 //!
 //! The lattice is deliberately conservative: multiplication or division
 //! involving any raw projection yields `Unknown`, because a raw factor
@@ -18,75 +15,27 @@
 
 use crate::{Finding, Rule, Scan};
 
-/// A physical dimension tracked by the pass (one per `fcdpm-units`
-/// newtype the workspace passes around).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnitKind {
-    /// `Amps`.
-    Amps,
-    /// `Volts`.
-    Volts,
-    /// `Watts`.
-    Watts,
-    /// `Seconds`.
-    Seconds,
-    /// `Charge` (A·s).
-    Charge,
-    /// `Energy` (J).
-    Energy,
-    /// `Efficiency` (dimensionless but newtyped).
-    Efficiency,
-}
-
-impl UnitKind {
-    fn from_type_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "Amps" => UnitKind::Amps,
-            "Volts" => UnitKind::Volts,
-            "Watts" => UnitKind::Watts,
-            "Seconds" => UnitKind::Seconds,
-            "Charge" => UnitKind::Charge,
-            "Energy" => UnitKind::Energy,
-            "Efficiency" => UnitKind::Efficiency,
-            _ => return None,
-        })
-    }
-
-    /// The dimension a projection method's raw `f64` result carries.
-    fn from_projection(method: &str) -> Option<Self> {
-        Some(match method {
-            "amps" | "milliamps" => UnitKind::Amps,
-            "volts" => UnitKind::Volts,
-            "watts" => UnitKind::Watts,
-            "seconds" | "minutes" => UnitKind::Seconds,
-            "amp_seconds" | "milliamp_minutes" | "amp_hours" => UnitKind::Charge,
-            "joules" => UnitKind::Energy,
-            "value" => UnitKind::Efficiency,
-            _ => return None,
-        })
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            UnitKind::Amps => "Amps",
-            UnitKind::Volts => "Volts",
-            UnitKind::Watts => "Watts",
-            UnitKind::Seconds => "Seconds",
-            UnitKind::Charge => "Charge",
-            UnitKind::Energy => "Energy",
-            UnitKind::Efficiency => "Efficiency",
-        }
-    }
+/// The dimension a projection method's raw `f64` result carries (the
+/// `fcdpm-units` newtype it came from).
+fn projection_dimension(method: &str) -> Option<&'static str> {
+    Some(match method {
+        "amps" | "milliamps" => "Amps",
+        "volts" => "Volts",
+        "watts" => "Watts",
+        "seconds" | "minutes" => "Seconds",
+        "amp_seconds" | "milliamp_minutes" | "amp_hours" => "Charge",
+        "joules" => "Energy",
+        "value" => "Efficiency",
+        _ => return None,
+    })
 }
 
 /// The abstract type of an expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ty {
-    /// A unit newtype value.
-    Unit(UnitKind),
+enum Ty {
     /// A raw `f64` known to carry this dimension (a projection result).
-    Raw(UnitKind),
-    /// A dimensionless number (literal or ratio of equal dimensions).
+    Raw(&'static str),
+    /// A dimensionless number (a literal).
     Scalar,
     /// Anything the pass cannot or will not track.
     Unknown,
@@ -109,7 +58,6 @@ enum Tok {
     Dot,
     PathSep,
     Comma,
-    Colon,
     Semi,
     Eq,
     Amp,
@@ -186,7 +134,6 @@ fn tokenize(cleaned: &str) -> Vec<Spanned> {
             '/' => Tok::Slash,
             '.' => Tok::Dot,
             ',' => Tok::Comma,
-            ':' => Tok::Colon,
             ';' => Tok::Semi,
             '=' => Tok::Eq,
             '&' => Tok::Amp,
@@ -196,34 +143,6 @@ fn tokenize(cleaned: &str) -> Vec<Spanned> {
         i += 1;
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Lattice operations
-// ---------------------------------------------------------------------
-
-/// `Unit(a) op Unit(b)` for `*` and `/` — the operator impls that exist
-/// in `crates/units/src/electrical.rs`, mirrored.
-fn unit_algebra(op: Tok, a: UnitKind, b: UnitKind) -> Option<UnitKind> {
-    use UnitKind::{Amps, Charge, Energy, Seconds, Volts, Watts};
-    match op {
-        Tok::Star => Some(match (a, b) {
-            (Volts, Amps) | (Amps, Volts) => Watts,
-            (Amps, Seconds) | (Seconds, Amps) => Charge,
-            (Watts, Seconds) | (Seconds, Watts) => Energy,
-            _ => return None,
-        }),
-        Tok::Slash => Some(match (a, b) {
-            (Watts, Volts) => Amps,
-            (Watts, Amps) => Volts,
-            (Charge, Seconds) => Amps,
-            (Charge, Amps) => Seconds,
-            (Energy, Seconds) => Watts,
-            (Energy, Watts) => Seconds,
-            _ => return None,
-        }),
-        _ => None,
-    }
 }
 
 /// Methods that return the receiver's own type.
@@ -257,14 +176,9 @@ impl<'a> Pass<'a> {
         tok
     }
 
-    fn offset(&self) -> usize {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map_or(0, |s| s.at)
-    }
-
     fn line_here(&self) -> usize {
-        self.scan.line_of(self.offset())
+        let at = self.toks.get(self.pos).map_or(0, |s| s.at);
+        self.scan.line_of(at)
     }
 
     fn report(&mut self, line: usize, message: String) {
@@ -293,15 +207,15 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// Drives the statement-level walk: function headers bind typed
-    /// parameters (resetting the scope — bindings do not flow across
-    /// function boundaries), `let` statements bind and analyze.
+    /// Drives the statement-level walk: `fn` resets the scope (bindings
+    /// do not flow across function boundaries), `let` statements bind
+    /// and analyze.
     fn run(&mut self) {
         while self.pos < self.toks.len() {
             match self.peek() {
                 Some(Tok::Ident(word)) if word == "fn" => {
                     self.pos += 1;
-                    self.enter_fn();
+                    self.scope.clear();
                 }
                 Some(Tok::Ident(word)) if word == "let" => {
                     self.pos += 1;
@@ -312,50 +226,10 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// Parses `fn name(params...)`, binding unit-typed parameters.
-    fn enter_fn(&mut self) {
-        self.scope.clear();
-        let Some(Tok::Ident(_)) = self.peek() else {
-            return;
-        };
-        self.pos += 1;
-        // Skip generics, if any, up to the opening paren on this header.
-        while let Some(tok) = self.peek() {
-            match tok {
-                Tok::LParen => break,
-                // A brace before the paren means this wasn't a header.
-                Tok::Other('{') | Tok::Semi => return,
-                _ => self.pos += 1,
-            }
-        }
-        self.pos += 1; // consume '('
-        let mut depth = 1i32;
-        // Collect `name: Type` pairs at depth 1.
-        while depth > 0 {
-            match self.bump() {
-                None => return,
-                Some(Tok::LParen) => depth += 1,
-                Some(Tok::RParen) => depth -= 1,
-                Some(Tok::Ident(name)) if depth == 1 && self.peek() == Some(&Tok::Colon) => {
-                    self.pos += 1;
-                    // `&`/`mut` prefixes, then the type name.
-                    while matches!(self.peek(), Some(Tok::Amp))
-                        || matches!(self.peek(), Some(Tok::Ident(w)) if w == "mut")
-                    {
-                        self.pos += 1;
-                    }
-                    if let Some(Tok::Ident(ty_name)) = self.peek() {
-                        let ty = UnitKind::from_type_name(ty_name).map_or(Ty::Unknown, Ty::Unit);
-                        self.scope.insert(name, ty);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// Parses `let [mut] name [: Type] = expr;`. Non-identifier patterns
     /// and bodies containing control flow are skipped conservatively.
+    /// An annotation says nothing about a raw projection, so it is
+    /// skipped.
     fn let_statement(&mut self) {
         if matches!(self.peek(), Some(Tok::Ident(w)) if w == "mut") {
             self.pos += 1;
@@ -366,18 +240,10 @@ impl<'a> Pass<'a> {
             return;
         };
         self.pos += 1;
-        let mut annotated: Option<Ty> = None;
-        if self.peek() == Some(&Tok::Colon) {
-            self.pos += 1;
-            if let Some(Tok::Ident(ty_name)) = self.peek() {
-                annotated = UnitKind::from_type_name(ty_name).map(Ty::Unit);
-            }
-            // Skip the rest of the annotation up to `=` (or `;`).
-            while let Some(tok) = self.peek() {
-                match tok {
-                    Tok::Eq | Tok::Semi => break,
-                    _ => self.pos += 1,
-                }
+        while let Some(tok) = self.peek() {
+            match tok {
+                Tok::Eq | Tok::Semi => break,
+                _ => self.pos += 1,
             }
         }
         if self.peek() != Some(&Tok::Eq) {
@@ -394,7 +260,7 @@ impl<'a> Pass<'a> {
         }
         let ty = self.expr();
         self.skip_past(&Tok::Semi);
-        self.scope.insert(name, annotated.unwrap_or(ty));
+        self.scope.insert(name, ty);
     }
 
     /// Whether the tokens between here and the statement's `;` contain
@@ -440,27 +306,13 @@ impl<'a> Pass<'a> {
                 self.report(
                     line,
                     format!(
-                        "`{op_str}` mixes raw f64 projections of distinct dimensions: {} and {}",
-                        x.name(),
-                        y.name()
+                        "`{op_str}` mixes raw f64 projections of distinct dimensions: {x} and {y}"
                     ),
                 );
                 Ty::Unknown
             }
             (Ty::Raw(x), Ty::Raw(_)) => Ty::Raw(x),
             (Ty::Raw(x), Ty::Scalar) | (Ty::Scalar, Ty::Raw(x)) => Ty::Raw(x),
-            (Ty::Unit(x), Ty::Unit(y)) if x != y => {
-                self.report(
-                    line,
-                    format!(
-                        "`{op_str}` mixes distinct unit newtypes: {} and {}",
-                        x.name(),
-                        y.name()
-                    ),
-                );
-                Ty::Unknown
-            }
-            (Ty::Unit(x), Ty::Unit(_)) => Ty::Unit(x),
             (Ty::Scalar, Ty::Scalar) => Ty::Scalar,
             _ => Ty::Unknown,
         }
@@ -468,16 +320,19 @@ impl<'a> Pass<'a> {
 
     fn term(&mut self) -> Ty {
         let mut acc = self.unary();
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => Tok::Star,
-                Some(Tok::Slash) => Tok::Slash,
-                _ => return acc,
-            };
+        while matches!(self.peek(), Some(Tok::Star | Tok::Slash)) {
             self.pos += 1;
             let rhs = self.unary();
-            acc = multiplicative(op, acc, rhs);
+            // A raw factor may carry inverse units (a fitted slope in
+            // 1/A), so anything it touches is untracked rather than
+            // misreported.
+            acc = if (acc, rhs) == (Ty::Scalar, Ty::Scalar) {
+                Ty::Scalar
+            } else {
+                Ty::Unknown
+            };
         }
+        acc
     }
 
     fn unary(&mut self) -> Ty {
@@ -499,61 +354,36 @@ impl<'a> Pass<'a> {
             }
             Some(Tok::Number(_)) => Ty::Scalar,
             Some(Tok::Ident(name)) => {
-                if self.peek() == Some(&Tok::PathSep) {
-                    return self.path_tail(&name);
+                // `a::b::c` is a path, never a tracked binding.
+                let mut path = false;
+                while self.peek() == Some(&Tok::PathSep)
+                    && matches!(self.peek_at(1), Some(Tok::Ident(_)))
+                {
+                    self.pos += 2;
+                    path = true;
                 }
                 if self.peek() == Some(&Tok::LParen) {
-                    // Free function call: evaluate args, unknown result.
+                    // A call: analyze the arguments, untracked result.
                     self.pos += 1;
                     self.call_args();
                     return Ty::Unknown;
                 }
-                self.scope.get(&name).copied().unwrap_or(Ty::Unknown)
+                match self.scope.get(&name) {
+                    Some(&ty) if !path => ty,
+                    _ => Ty::Unknown,
+                }
             }
             _ => Ty::Unknown,
         }
     }
 
-    /// `Name::segment...` — a constructor/associated item of a unit
-    /// newtype yields `Unit(kind)` whatever the segment is.
-    fn path_tail(&mut self, head: &str) -> Ty {
-        let kind = UnitKind::from_type_name(head);
-        while self.peek() == Some(&Tok::PathSep) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(Tok::Ident(_))) {
-                self.pos += 1;
-            } else {
-                return Ty::Unknown;
-            }
-        }
-        if self.peek() == Some(&Tok::LParen) {
-            self.pos += 1;
-            self.call_args();
-        }
-        kind.map_or(Ty::Unknown, Ty::Unit)
-    }
-
     /// Method calls and field projections on a computed receiver.
     fn postfix(&mut self, mut ty: Ty) -> Ty {
         while self.peek() == Some(&Tok::Dot) {
-            let line = self.line_here();
             match self.peek_at(1) {
-                Some(Tok::Number(n)) => {
-                    // `.0` (or any tuple index) on a unit newtype erases
-                    // the dimension — flag it in physics code.
-                    if let Ty::Unit(kind) = ty {
-                        let n = n.clone();
-                        self.report(
-                            line,
-                            format!(
-                                "`.{n}` projects the {} newtype to a bare f64; use the named accessor so the dimension stays visible",
-                                kind.name()
-                            ),
-                        );
-                        ty = Ty::Raw(kind);
-                    } else {
-                        ty = Ty::Unknown;
-                    }
+                Some(Tok::Number(_)) => {
+                    // Tuple index: untracked.
+                    ty = Ty::Unknown;
                     self.pos += 2;
                 }
                 Some(Tok::Ident(method)) => {
@@ -601,33 +431,14 @@ impl<'a> Pass<'a> {
     }
 }
 
-fn multiplicative(op: Tok, a: Ty, b: Ty) -> Ty {
-    match (a, b) {
-        (Ty::Unit(x), Ty::Unit(y)) => match (op.clone(), x == y) {
-            (Tok::Slash, true) => Ty::Scalar,
-            _ => unit_algebra(op, x, y).map_or(Ty::Unknown, Ty::Unit),
-        },
-        (Ty::Unit(x), Ty::Scalar) | (Ty::Scalar, Ty::Unit(x)) => Ty::Unit(x),
-        (Ty::Scalar, Ty::Scalar) => Ty::Scalar,
-        // A raw factor may carry inverse units (a fitted slope in 1/A),
-        // so anything it touches is untracked rather than misreported.
-        _ => Ty::Unknown,
-    }
-}
-
 fn method_result(method: &str, receiver: Ty) -> Ty {
-    if let Some(kind) = UnitKind::from_projection(method) {
+    if let Some(kind) = projection_dimension(method) {
         return Ty::Raw(kind);
     }
     if PRESERVING_METHODS.contains(&method) {
         return receiver;
     }
-    match method {
-        // Amps::at_volts(Volts) -> Watts; Watts::current_at(Volts) -> Amps.
-        "at_volts" => Ty::Unit(UnitKind::Watts),
-        "current_at" => Ty::Unit(UnitKind::Amps),
-        _ => Ty::Unknown,
-    }
+    Ty::Unknown
 }
 
 /// Runs the dataflow pass over one physics source file, returning raw
@@ -683,16 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_algebra_tracks_ohms_law() {
-        let got = findings(
-            "fn f(v: Volts, i: Amps, t: Seconds) {\n    let p = v * i;\n    let e = p * t;\n    let bad = p + t;\n}\n",
-        );
-        assert_eq!(got.len(), 1, "{got:#?}");
-        assert!(got[0].message.contains("Watts"));
-        assert!(got[0].message.contains("Seconds"));
-    }
-
-    #[test]
     fn shadowing_tracks_the_latest_binding() {
         let got = findings(
             "fn f(i: Amps, t: Seconds) {\n    let x = i.amps();\n    let x = t.seconds();\n    let y = x + i.amps();\n}\n",
@@ -712,28 +513,11 @@ mod tests {
     }
 
     #[test]
-    fn tuple_projection_of_unit_is_flagged() {
-        let got = findings("fn f(i: Amps) {\n    let raw = i.0;\n}\n");
-        assert_eq!(got.len(), 1, "{got:#?}");
-        assert!(got[0].message.contains(".0"));
-        assert!(got[0].message.contains("Amps"));
-    }
-
-    #[test]
     fn control_flow_rhs_is_skipped() {
         let got = findings(
             "fn f(i: Amps, t: Seconds) {\n    let x = if true { i.amps() } else { t.seconds() };\n    let y = x + i.amps();\n}\n",
         );
         assert!(got.is_empty(), "x is Unknown, y untracked: {got:#?}");
-    }
-
-    #[test]
-    fn constructors_and_annotations_bind_units() {
-        let got = findings(
-            "fn f() {\n    let i = Amps::new(0.5);\n    let t: Seconds = Seconds::ZERO;\n    let bad = i + t;\n}\n",
-        );
-        assert_eq!(got.len(), 1, "{got:#?}");
-        assert!(got[0].message.contains("unit newtypes"));
     }
 
     #[test]

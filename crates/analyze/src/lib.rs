@@ -5,6 +5,10 @@
 //! dimensionally sound and fed the DAC'07 constants, so the invariants
 //! the workspace relies on are machine-checked instead of left to
 //! convention. One [`Rule`] catalogue covers three kinds of check.
+//! Each rule guards a property nothing cheaper already checks: grid
+//! feasibility is a load-time check in `fcdpm-runner`, unit mixing is a
+//! compile error pinned by `fcdpm-units` doctests, and the worker pool
+//! holds no lock.
 //!
 //! Per-file lexical rules (`lexical.rs`):
 //!
@@ -23,22 +27,15 @@
 //!
 //! * [`Rule::Layering`] — `use fcdpm_*` edges respect the intended
 //!   dependency DAG ([`symbols`]).
-//! * [`Rule::UnitDataflow`] — a conservative dataflow lattice follows
-//!   `fcdpm-units` newtypes through `let`-bindings and arithmetic inside
-//!   function bodies ([`dataflow`]).
+//! * [`Rule::UnitDataflow`] — follows raw `f64` projections of unit
+//!   newtypes (`i.amps()`) through `let`-bindings and arithmetic inside
+//!   function bodies, where the compiler sees only `f64` ([`dataflow`]).
 //! * [`Rule::PaperConstants`] — every DAC'07 constant recorded in
 //!   `paper-constants.toml` appears verbatim as a literal in the source
 //!   file its manifest section names ([`constants`]).
-//! * [`Rule::GridFeasibility`] — committed job grids (`examples/*.json`)
-//!   are validated against the load-following range and storage
-//!   feasibility before any simulation runs ([`grid`]).
 //!
 //! Rules guarding the byte-identical-artifact contract:
 //!
-//! * [`Rule::LockDiscipline`] — a static lock-acquisition-order graph
-//!   over every `Mutex` site, followed through helper calls via a
-//!   workspace [call graph](callgraph) and per-function lock
-//!   [summaries] ([`locks`]).
 //! * [`Rule::DigestStability`] — digest-keyed structs (`GridSpec`,
 //!   `JobSpec`) account for every serde field in an explicit
 //!   folded/masked manifest pair ([`digest`]).
@@ -64,16 +61,12 @@
 
 pub mod artifacts;
 pub mod baseline;
-pub mod callgraph;
 pub mod constants;
 pub mod dataflow;
 pub mod digest;
-pub mod grid;
 mod lexical;
-pub mod locks;
 mod sarif;
 pub mod scan;
-pub mod summaries;
 pub mod symbols;
 mod syntax;
 pub mod toml;
@@ -88,7 +81,6 @@ use serde::Serialize;
 
 pub use baseline::{Baseline, BaselineEntry, BaselineOutcome, StaleEntry};
 pub use constants::MANIFEST_PATH;
-pub use grid::PaperParams;
 pub use scan::Scan;
 
 /// The rule catalogue.
@@ -106,16 +98,13 @@ pub enum Rule {
     /// Every crate root carries `#![forbid(unsafe_code)]` and
     /// `#![warn(missing_docs)]`.
     CrateHygiene,
-    /// Dimensional soundness of arithmetic inside function bodies.
+    /// No raw `f64` projections of distinct dimensions mixed inside
+    /// function bodies.
     UnitDataflow,
     /// Cross-crate `use` edges respect the intended dependency layering.
     Layering,
     /// Hard-coded paper constants match `paper-constants.toml`.
     PaperConstants,
-    /// Committed job grids are statically feasible.
-    GridFeasibility,
-    /// Lock acquisition order, guard scope and poison handling.
-    LockDiscipline,
     /// Digest-keyed structs account for every field (folded or masked).
     DigestStability,
     /// Run-directory writes must use the atomic/checksummed helpers.
@@ -124,7 +113,7 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in catalogue order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 9] = [
         Rule::Determinism,
         Rule::UnitSafety,
         Rule::PanicPolicy,
@@ -132,8 +121,6 @@ impl Rule {
         Rule::UnitDataflow,
         Rule::Layering,
         Rule::PaperConstants,
-        Rule::GridFeasibility,
-        Rule::LockDiscipline,
         Rule::DigestStability,
         Rule::AtomicArtifact,
     ];
@@ -149,8 +136,6 @@ impl Rule {
             Rule::UnitDataflow => "unit-dataflow",
             Rule::Layering => "layering",
             Rule::PaperConstants => "paper-constants",
-            Rule::GridFeasibility => "grid-feasibility",
-            Rule::LockDiscipline => "lock-discipline",
             Rule::DigestStability => "digest-stability",
             Rule::AtomicArtifact => "atomic-artifact",
         }
@@ -177,17 +162,10 @@ impl Rule {
                 "crate roots carry #![forbid(unsafe_code)] and #![warn(missing_docs)]"
             }
             Rule::UnitDataflow => {
-                "arithmetic must not mix raw f64 projections or newtypes of distinct dimensions"
+                "arithmetic must not mix raw f64 projections of distinct dimensions"
             }
             Rule::Layering => "cross-crate use edges must follow the workspace dependency DAG",
             Rule::PaperConstants => "hard-coded paper constants must match paper-constants.toml",
-            Rule::GridFeasibility => {
-                "committed job grids must be statically feasible for the paper hardware"
-            }
-            Rule::LockDiscipline => {
-                "lock acquisition order must be acyclic, guards must not cover job closures, \
-                 and poison handling must match the lock_deque idiom"
-            }
             Rule::DigestStability => {
                 "every field of a digest-keyed struct must be explicitly folded or masked"
             }
@@ -234,7 +212,7 @@ pub struct Report {
     pub baselined: usize,
     /// Baseline allowances that exceed the findings actually present.
     pub stale: Vec<StaleEntry>,
-    /// Number of input files (sources, manifest, grids) analyzed.
+    /// Number of input files (sources and the paper manifest) analyzed.
     pub files_scanned: usize,
 }
 
@@ -408,78 +386,12 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Extracts the range/feasibility parameters the grid checks need from
-/// parsed manifest sections. Returns `None` if any required key is
-/// missing — the grid checks then skip their range-dependent parts.
-#[must_use]
-pub fn paper_params(sections: &[toml::Section]) -> Option<PaperParams> {
-    fn num(sections: &[toml::Section], section: &str, key: &str) -> Option<f64> {
-        sections
-            .iter()
-            .find(|s| s.name == section)?
-            .pairs
-            .iter()
-            .find_map(|(k, v)| match v {
-                toml::Value::Num(x) if k == key => Some(*x),
-                _ => None,
-            })
-    }
-
-    let i_f_min = num(sections, "load_following", "i_f_min_a")?;
-    let i_f_max = num(sections, "load_following", "i_f_max_a")?;
-    let alpha = num(sections, "efficiency", "alpha")?;
-    let bus_v = num(sections, "efficiency", "v_bus_v")?;
-
-    // Worst single sleep transition over every device preset section:
-    // charge = P_tr / V_bus · (t_down + t_up), reported in mA·min.
-    let mut worst_amp_seconds = 0.0f64;
-    for section in sections {
-        let get = |key: &str| {
-            section.pairs.iter().find_map(|(k, v)| match v {
-                toml::Value::Num(x) if k == key => Some(*x),
-                _ => None,
-            })
-        };
-        if let (Some(tr_w), Some(down_s), Some(up_s)) =
-            (get("transition_w"), get("power_down_s"), get("wake_up_s"))
-        {
-            worst_amp_seconds = worst_amp_seconds.max(tr_w / bus_v * (down_s + up_s));
-        }
-    }
-    Some(PaperParams {
-        i_f_min,
-        i_f_max,
-        alpha,
-        min_capacity_mamin: worst_amp_seconds * 1000.0 / 60.0,
-    })
-}
-
-/// Collects the workspace-relative paths of committed grid JSON files
-/// under `root/examples`, sorted.
-fn grid_files(root: &Path) -> io::Result<Vec<String>> {
-    let dir = root.join("examples");
-    let mut rel = Vec::new();
-    if dir.is_dir() {
-        for entry in fs::read_dir(&dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "json") {
-                if let Some(name) = path.file_name() {
-                    rel.push(format!("examples/{}", name.to_string_lossy()));
-                }
-            }
-        }
-    }
-    rel.sort();
-    Ok(rel)
-}
-
 /// Analyzes the workspace under `root` and matches the result against
 /// `baseline` (conventionally `analyze-baseline.json`).
 ///
 /// Every source file is read and lexed once. The per-file rules run on
-/// that scan; the symbol and call graphs built from the same scans feed
-/// the layering and lock-discipline passes; then the paper manifest and
-/// the committed grids are checked.
+/// that scan; the symbol graph built from the same scans feeds the
+/// layering pass; then the paper manifest is checked.
 ///
 /// # Errors
 ///
@@ -497,13 +409,7 @@ pub fn run(root: &Path, baseline: &Baseline) -> io::Result<Report> {
         .iter()
         .map(|(rel, _, scan)| symbols::file_symbols(rel, scan))
         .collect();
-    let defs = sources
-        .iter()
-        .flat_map(|(rel, _, scan)| callgraph::function_defs(rel, scan))
-        .collect();
-    let ctx = summaries::SummaryContext::build(callgraph::CallGraph::from_defs(defs));
 
-    let mut lock_graph = locks::LockGraph::default();
     let mut findings = Vec::new();
     let mut inline_suppressed = 0usize;
     for (rel, source, scan) in &sources {
@@ -520,42 +426,16 @@ pub fn run(root: &Path, baseline: &Baseline) -> io::Result<Report> {
                 findings.push(finding);
             }
         }
-        // The lock pass filters suppressions itself (its cycle findings
-        // only materialize after every file has fed the graph).
-        findings.extend(lock_graph.add_file(rel, scan, Some(&ctx)));
     }
     findings.extend(symbols::check_layering(&symbols));
-    findings.extend(lock_graph.cycle_findings());
 
     let mut scanned: BTreeSet<String> = files.iter().map(|(rel, _)| rel.clone()).collect();
 
     // Paper-constants conformance — skipped entirely when the manifest
     // is absent (scratch workspaces in tests have none).
-    let mut params = None;
     if let Ok(text) = fs::read_to_string(root.join(MANIFEST_PATH)) {
         scanned.insert(MANIFEST_PATH.to_owned());
         findings.extend(constants::check(root, &text));
-        if let Ok(sections) = toml::parse(&text) {
-            params = paper_params(&sections);
-        }
-    }
-
-    // Grid feasibility over committed examples/*.json documents.
-    for rel in grid_files(root)? {
-        let text = fs::read_to_string(root.join(&rel))?;
-        scanned.insert(rel.clone());
-        match serde_json::from_str::<serde_json::Value>(&text) {
-            Ok(doc) if grid::looks_like_grid(&doc) => {
-                findings.extend(grid::check(&rel, &doc, params.as_ref()));
-            }
-            Ok(_) => {}
-            Err(err) => findings.push(Finding {
-                rule: Rule::GridFeasibility.id(),
-                path: rel,
-                line: 1,
-                message: format!("does not parse as JSON: {err}"),
-            }),
-        }
     }
 
     findings.sort_by(|a, b| {
@@ -600,8 +480,6 @@ mod tests {
                 "unit-dataflow",
                 "layering",
                 "paper-constants",
-                "grid-feasibility",
-                "lock-discipline",
                 "digest-stability",
                 "atomic-artifact"
             ]
@@ -680,28 +558,5 @@ mod tests {
         assert_eq!(crate_of("crates/sim/tests/integration.rs"), None);
         assert!(is_physics_file("crates/fuelcell/src/stack.rs"));
         assert!(!is_physics_file("crates/units/src/current.rs"));
-    }
-
-    #[test]
-    fn paper_params_come_from_the_committed_manifest_shape() {
-        let text = "\
-[efficiency]\npath = \"a.rs\"\nalpha = 0.45\nbeta = 0.13\nv_bus_v = 12.0\n\
-[load_following]\npath = \"b.rs\"\ni_f_min_a = 0.1\ni_f_max_a = 1.2\n\
-[camcorder]\npath = \"c.rs\"\ntransition_w = 4.8\npower_down_s = 0.5\nwake_up_s = 0.5\n\
-[experiment2]\npath = \"c.rs\"\ntransition_w = 14.4\npower_down_s = 1.0\nwake_up_s = 1.0\n";
-        let params = paper_params(&toml::parse(text).unwrap()).unwrap();
-        assert!((params.i_f_min - 0.1).abs() < 1e-12);
-        assert!((params.i_f_max - 1.2).abs() < 1e-12);
-        assert!((params.alpha - 0.45).abs() < 1e-12);
-        // Experiment 2: 14.4 W / 12 V × 2 s = 2.4 A·s = 40 mA·min.
-        assert!(
-            (params.min_capacity_mamin - 40.0).abs() < 1e-9,
-            "{params:?}"
-        );
-    }
-
-    #[test]
-    fn missing_manifest_keys_mean_no_params() {
-        assert!(paper_params(&toml::parse("[efficiency]\nalpha = 0.45\n").unwrap()).is_none());
     }
 }

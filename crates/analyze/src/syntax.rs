@@ -1,6 +1,5 @@
 //! Small lexical helpers shared by the body-walking passes
-//! ([`callgraph`](crate::callgraph), [`locks`](crate::locks),
-//! [`digest`](crate::digest), [`artifacts`](crate::artifacts)).
+//! ([`digest`](crate::digest), [`artifacts`](crate::artifacts)).
 //!
 //! Everything here operates on a [`Scan`](crate::Scan)'s `cleaned`
 //! text — comments, strings and char literals already blanked, line
@@ -83,56 +82,6 @@ pub(crate) fn function_bodies(cleaned: &str) -> Vec<(usize, Range<usize>)> {
     out
 }
 
-/// The statement-ish segments of a function body: spans split on every
-/// `;` regardless of nesting depth. Coarse, but it keeps multi-line
-/// struct literals (no internal `;`) in one piece, which is what the
-/// lock pass needs; a closure body's `;` splits early and only costs
-/// precision, never soundness of what *is* reported.
-pub(crate) fn segments(cleaned: &str, body: &Range<usize>) -> Vec<(usize, Range<usize>)> {
-    let mut out = Vec::new();
-    let mut start = body.start;
-    for (i, b) in cleaned[body.start..body.end].bytes().enumerate() {
-        if b == b';' {
-            let at = body.start + i;
-            out.push((start, start..at));
-            start = at + 1;
-        }
-    }
-    if start < body.end {
-        out.push((start, start..body.end));
-    }
-    out
-}
-
-/// The identifier ending immediately before byte offset `end` (used to
-/// recover the receiver chain of a method call). Includes `.`-joined
-/// and `::`-joined path segments and `[...]` index suffixes, so
-/// `self.deques[v]` comes back whole.
-pub(crate) fn receiver_before(text: &str, end: usize) -> Option<&str> {
-    let bytes = text.as_bytes();
-    let mut i = end;
-    while i > 0 {
-        let c = bytes[i - 1];
-        if c == b']' {
-            // Skip the whole index expression.
-            let open = text[..i].rfind('[')?;
-            i = open;
-        } else if is_ident_char(c as char) || c == b'.' || c == b':' {
-            i -= 1;
-        } else {
-            break;
-        }
-    }
-    while i < end && matches!(bytes[i], b'.' | b':') {
-        i += 1;
-    }
-    if i >= end {
-        None
-    } else {
-        Some(&text[i..end])
-    }
-}
-
 /// The identifier starting at the first non-whitespace byte at or after
 /// `from` (used to read the name out of `fn <name>` and `impl .. for
 /// <Type>` headers). Empty when the next token is not an identifier.
@@ -145,34 +94,6 @@ pub(crate) fn ident_after(text: &str, from: usize) -> &str {
         .find(|&(_, c)| !is_ident_char(c))
         .map_or(tail.len(), |(i, _)| i);
     &tail[..end]
-}
-
-/// Collapses every `[...]` index in a lock-site expression to `[_]` and
-/// strips borrows/whitespace, so `&deques[victim]` and `deques[worker]`
-/// fall into the same lock *class* (`deques[_]`) for order tracking.
-pub(crate) fn normalize_lock_class(expr: &str) -> String {
-    let mut out = String::new();
-    let mut depth = 0usize;
-    for c in expr.chars() {
-        match c {
-            '[' => {
-                depth += 1;
-                if depth == 1 {
-                    out.push_str("[_");
-                }
-            }
-            ']' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    out.push(']');
-                }
-            }
-            _ if depth > 0 => {}
-            '&' | ' ' | '\t' | '\n' => {}
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -196,16 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn segments_split_on_every_semicolon() {
-        let src = "fn f() { let a = X { p: 1, q: 2 }; a.sort(); }";
-        let body = function_bodies(src).remove(0).1;
-        let segs = segments(src, &body);
-        assert_eq!(segs.len(), 3);
-        assert!(src[segs[0].1.clone()].contains("X { p: 1, q: 2 }"));
-        assert!(src[segs[1].1.clone()].contains("a.sort()"));
-    }
-
-    #[test]
     fn ident_after_reads_the_next_token() {
         assert_eq!(
             ident_after("fn  begin_segment(&mut self)", 2),
@@ -213,17 +124,5 @@ mod tests {
         );
         assert_eq!(ident_after("for Conv {", 3), "Conv");
         assert_eq!(ident_after("fn (", 2), "");
-    }
-
-    #[test]
-    fn receivers_and_lock_classes_normalize() {
-        let text = "self.deques[victim].lock()";
-        let at = text.find(".lock()").unwrap();
-        assert_eq!(receiver_before(text, at), Some("self.deques[victim]"));
-        assert_eq!(
-            normalize_lock_class("self.deques[victim]"),
-            "self.deques[_]"
-        );
-        assert_eq!(normalize_lock_class("&deques[w + 1]"), "deques[_]");
     }
 }

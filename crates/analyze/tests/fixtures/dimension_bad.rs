@@ -1,7 +1,8 @@
-//! Dataflow fixture: one representative violation per mixing class.
-//! Not compiled — consumed as text by `tests/workspace.rs`.
+//! Dataflow fixture: raw f64 projections of distinct dimensions mixed
+//! under `+`, which the compiler accepts. Not compiled — consumed as
+//! text by `tests/workspace.rs`.
 
-/// Class 1: raw f64 projections of distinct dimensions under `+`.
+/// Two bindings of distinct dimensions.
 pub fn raw_mix(i: Amps, t: Seconds) -> f64 {
     let current = i.amps();
     let horizon = t.seconds();
@@ -9,19 +10,7 @@ pub fn raw_mix(i: Amps, t: Seconds) -> f64 {
     total
 }
 
-/// Class 2: distinct unit newtypes under `-`.
-pub fn unit_mix(p: Watts, t: Seconds) -> f64 {
-    let drift = p - t;
-    drift
-}
-
-/// Class 3: `.0` projection of a unit newtype in physics code.
-pub fn tuple_projection(soc: Charge) -> f64 {
-    let raw = soc.0;
-    raw
-}
-
-/// Class 1 again, through shadowing: the second `x` is Seconds.
+/// Through shadowing: the second `x` is Seconds.
 pub fn shadowed_mix(i: Amps, t: Seconds) -> f64 {
     let x = i.amps();
     let x = t.seconds();
@@ -29,8 +18,8 @@ pub fn shadowed_mix(i: Amps, t: Seconds) -> f64 {
     y
 }
 
-/// Class 1 through a method chain: clamp preserves Amps, the addend is
-/// a Charge projection.
+/// Through a method chain: `max_zero` keeps Amps, the addend is a
+/// Charge projection.
 pub fn chained_mix(i: Amps, cap: Charge) -> f64 {
     let held = i.max_zero().amps();
     let sum = held + cap.amp_seconds();

@@ -7,19 +7,6 @@ pub fn raw_same(a: Amps, b: Amps) -> f64 {
     delta + 0.05
 }
 
-/// Unit algebra through operators: V·A = W, W·s = E.
-pub fn unit_algebra(v: Volts, i: Amps, t: Seconds) -> Energy {
-    let power = v * i;
-    let energy = power * t;
-    energy
-}
-
-/// Named accessors instead of `.0`.
-pub fn named_projection(soc: Charge) -> f64 {
-    let raw = soc.amp_seconds();
-    raw
-}
-
 /// Shadowing that stays within one dimension.
 pub fn shadowed_same(i: Amps, j: Amps) -> f64 {
     let x = i.amps();

@@ -173,6 +173,8 @@ fn run_batch(
         .map_err(|e| format!("cannot read `{spec_path}`: {e}"))?;
     let grid: fcdpm_runner::JobGrid =
         serde_json::from_str(&text).map_err(|e| format!("cannot parse `{spec_path}`: {e}"))?;
+    grid.validate()
+        .map_err(|e| format!("infeasible grid `{spec_path}`: {e}"))?;
     let config = match jobs {
         Some(workers) => fcdpm_runner::RunConfig::with_workers(workers),
         None => fcdpm_runner::RunConfig::default(),
@@ -303,6 +305,7 @@ fn run_grid_cmd(cmd: GridCmd<'_>) -> Result<String, String> {
             Err(_) => None,
         },
     };
+    // `run` validates the spec before it creates the run directory.
     let run = fcdpm_grid::run(&spec, &config)?;
     let agg = &run.aggregate;
     let _ = writeln!(

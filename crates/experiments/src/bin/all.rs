@@ -13,7 +13,7 @@
 //! non-zero child exit prints the child's stderr and fails the run.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use fcdpm_runner::pool::{run_to_completion, Execution};
@@ -66,10 +66,10 @@ fn parse_args() -> Result<(PathBuf, usize), String> {
     Ok((out_dir.unwrap_or_else(|| "results".into()), jobs))
 }
 
-fn run_one(bin: PathBuf, out_path: PathBuf) -> Run {
-    match Command::new(&bin).output() {
-        Ok(out) if out.status.success() => match fs::write(&out_path, &out.stdout) {
-            Ok(()) => Run::Wrote(out_path, out.stdout.len()),
+fn run_one(bin: &Path, out_path: &Path) -> Run {
+    match Command::new(bin).output() {
+        Ok(out) if out.status.success() => match fs::write(out_path, &out.stdout) {
+            Ok(()) => Run::Wrote(out_path.to_path_buf(), out.stdout.len()),
             Err(e) => Run::Write(format!("cannot write {}: {e}", out_path.display())),
         },
         Ok(out) => Run::ChildFailed {
@@ -104,7 +104,7 @@ fn main() {
         .map(|name| {
             let bin = exe_dir.join(name);
             let out_path = out_dir.join(format!("{name}.txt"));
-            move || run_one(bin, out_path)
+            move || run_one(&bin, &out_path)
         })
         .collect();
     let results = run_to_completion(tasks, jobs, None);

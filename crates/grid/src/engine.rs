@@ -3,7 +3,7 @@
 //! [`run`] walks a [`GridSpec`] shard by shard. Per shard it decodes at
 //! most `shard_size` specs (the only job state ever resident), checks
 //! each spec's digest against any previously spilled record, executes
-//! the misses on the [`fcdpm_runner::pool`] work-stealing pool, writes
+//! the misses on the [`fcdpm_runner::pool`] worker pool, writes
 //! the shard's records to `shard-NNNNN.jsonl`, folds them into the run
 //! aggregate, and drops everything before moving on. A 100k-job grid
 //! therefore peaks at `shard_size` resident jobs plus two `f64` columns
@@ -618,7 +618,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         drop(replayed);
 
         // Execute the misses one fsync'd batch at a time on the
-        // work-stealing pool, under the retry policy. Jobs see their
+        // worker pool, under the retry policy. Jobs see their
         // 1-based attempt number; the injected-panic fixture arms only
         // the first attempt, modelling a transient fault.
         let batch_size = if config.checkpoint_batch == 0 {

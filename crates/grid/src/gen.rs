@@ -16,7 +16,7 @@
 
 use fcdpm_faults::FaultSchedule;
 use fcdpm_runner::spec::fnv1a;
-use fcdpm_runner::{sweep, JobSpec, PolicySpec, WorkloadSpec};
+use fcdpm_runner::{check, sweep, JobSpec, PolicySpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 /// A contiguous block of seeds, described by its endpoints only.
@@ -203,29 +203,30 @@ impl GridSpec {
         }
     }
 
-    /// Structural validation: every mandatory axis non-empty, capacities
-    /// positive and finite, and the total below `u32::MAX` jobs (the
-    /// practical fleet ceiling for one run directory).
+    /// Load-time validation: every mandatory axis non-empty, every
+    /// policy and capacity passing its [`fcdpm_runner::check`], and the
+    /// total below `u32::MAX` jobs (the practical fleet ceiling for one
+    /// run directory). [`run`](crate::run) calls this before it creates
+    /// the run directory.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first violated constraint.
+    /// Returns the first violation, prefixed with the field it sits in.
     pub fn validate(&self) -> Result<(), String> {
         if self.seeds.is_empty() {
-            return Err("grid has no seeds".to_owned());
+            return Err("seeds: the axis has no seeds".to_owned());
         }
         if self.workloads.is_empty() {
-            return Err("grid has no workloads".to_owned());
+            return Err("workloads: empty, so the grid expands to zero jobs".to_owned());
         }
         if self.policies.is_empty() {
-            return Err("grid has no policies".to_owned());
+            return Err("policies: empty, so the grid expands to zero jobs".to_owned());
         }
-        if let Some(capacities) = &self.capacities_mamin {
-            for c in capacities {
-                if !c.is_finite() || *c <= 0.0 {
-                    return Err(format!("capacity {c} mA*min is not positive and finite"));
-                }
-            }
+        for policy in &self.policies {
+            check::policy(policy).map_err(|e| format!("policies: {e}"))?;
+        }
+        for &capacity in self.capacities_mamin.iter().flatten() {
+            check::capacity(capacity).map_err(|e| format!("capacities_mamin: {e}"))?;
         }
         let total = self.total_jobs();
         if total > u64::from(u32::MAX) {

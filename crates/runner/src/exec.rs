@@ -21,6 +21,7 @@ use fcdpm_workload::{CamcorderTrace, LoadProfile, Scenario, SyntheticTrace, Task
 
 use serde::{Deserialize, Serialize};
 
+use crate::check;
 use crate::spec::{DevicePreset, JobSpec, PolicySpec, PredictorSpec, StorageSpec, WorkloadSpec};
 
 /// The paper-facing numbers extracted from one run.
@@ -272,23 +273,6 @@ impl FcOutputPolicy for ConstantOutput {
     }
 }
 
-/// Rejects specs whose constant setpoint lies outside the
-/// load-following range — the fuel model `I_fc = V_F·I_F/(ζ·(α−β·I_F))`
-/// is only calibrated inside `CurrentRange::dac07()`.
-fn validate_policy(spec: &JobSpec) -> Result<(), String> {
-    if let PolicySpec::Constant(amps) = spec.policy {
-        let range = CurrentRange::dac07();
-        if !amps.is_finite() || !range.contains(Amps::new(amps)) {
-            return Err(format!(
-                "constant setpoint {amps} A is outside the load-following range [{}, {}] A",
-                range.min().amps(),
-                range.max().amps()
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn build_policy(
     spec: &JobSpec,
     scenario: &Scenario,
@@ -313,7 +297,7 @@ fn build_policy(
             let levels = OutputLevels::uniform(CurrentRange::dac07(), count);
             Box::new(Quantized::new(fc(optimizer), levels))
         }
-        // Range-checked by `validate_policy` before this is reached.
+        // Range-checked by `check::policy` before this is reached.
         PolicySpec::Constant(amps) => Box::new(ConstantOutput::new(Amps::new(amps))),
     }
 }
@@ -357,17 +341,6 @@ fn build_sim<'d>(
         Some(schedule) => sim.with_faults(schedule.clone()),
     };
     Ok((sim, optimizer, coefficient))
-}
-
-/// Rejects structurally invalid fault schedules before any simulation
-/// state is built.
-fn validate_faults(spec: &JobSpec) -> Result<(), String> {
-    if let Some(schedule) = &spec.faults {
-        schedule
-            .validate()
-            .map_err(|e| format!("fault schedule: {e}"))?;
-    }
-    Ok(())
 }
 
 /// Wraps `policy` in the graceful-degradation ladder when the spec asks
@@ -486,8 +459,10 @@ pub fn execute(spec: &JobSpec) -> Result<JobMetrics, String> {
         spec.inject_panic != Some(true),
         "injected panic (inject_panic = true)"
     );
-    validate_policy(spec)?;
-    validate_faults(spec)?;
+    check::policy(&spec.policy)?;
+    if let Some(schedule) = &spec.faults {
+        check::faults(schedule)?;
+    }
     if let WorkloadSpec::MultiDevice(seed) = spec.workload {
         if spec.faults.as_ref().is_some_and(|s| !s.is_empty()) {
             return Err(

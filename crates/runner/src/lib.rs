@@ -7,9 +7,11 @@
 //!
 //! * [`JobSpec`] / [`JobGrid`] — declarative, serde-serializable run
 //!   descriptions; a grid is the cartesian product of per-axis lists.
-//! * [`run_grid`] — executes a grid on a dependency-light
-//!   work-stealing thread pool ([`pool`]), with per-job panic isolation
-//!   and optional wall-clock timeouts.
+//! * [`JobGrid::validate`] — the load-time feasibility checks
+//!   ([`check`]) a grid file must pass before its first job runs.
+//! * [`run_grid`] — executes a grid on a dependency-light thread pool
+//!   ([`pool`]), with per-job panic isolation and optional wall-clock
+//!   timeouts.
 //! * [`RunManifest`] — the JSON record of a run: per-job fuel,
 //!   conversion efficiency, projected lifetime, wall-time and worker
 //!   ID, plus run-level aggregates. Job IDs and record order are
@@ -34,6 +36,7 @@
 
 use std::time::{Duration, Instant};
 
+pub mod check;
 pub mod exec;
 pub mod manifest;
 pub mod pool;

@@ -1,13 +1,13 @@
-//! Dependency-light work-stealing worker pool.
+//! Dependency-light worker pool.
 //!
 //! `std::thread` + `std::sync` only — the build environment cannot
 //! always reach a package registry, so no external executor crates.
 //!
-//! Jobs are dealt round-robin into per-worker deques up front; each
-//! worker drains its own deque from the front and, when empty, steals
-//! from the *back* of the fullest other deque (classic Chase-Lev
-//! discipline, here with plain mutexed deques since jobs are
-//! coarse-grained simulations, not microtasks).
+//! The jobs sit in one shared slice, and workers claim them in index
+//! order from a single atomic counter: each `fetch_add` hands out the
+//! next unclaimed index, so every job runs exactly once and there is
+//! no queue and no lock. Jobs are coarse-grained simulations, so the
+//! one contended cache line costs nothing measurable.
 //!
 //! Every job runs under `catch_unwind`: a panicking job is reported as
 //! [`Execution::Panicked`] and the rest of the run continues. An
@@ -16,10 +16,10 @@
 //! ([`Execution::TimedOut`]); the abandoned thread cannot be killed but
 //! its result is discarded.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -141,14 +141,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Locks a deque, tolerating poison: job panics are caught inside
-/// [`run_guarded`], never while a deque lock is held, so a poisoned
-/// lock still guards a structurally sound queue and the run can keep
-/// draining it.
-fn lock_deque<'a, T>(deque: &'a Mutex<VecDeque<T>>) -> MutexGuard<'a, VecDeque<T>> {
-    deque.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Renders a `catch_unwind` payload as a message.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -160,13 +152,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_guarded<T, F>(job: F, timeout: Option<Duration>) -> Execution<T>
+/// Runs `jobs[index]` under `catch_unwind`, on a detached scratch
+/// thread when a timeout applies.
+fn run_guarded<T, F>(jobs: &Arc<[F]>, index: usize, timeout: Option<Duration>) -> Execution<T>
 where
-    F: FnOnce() -> T + Send + 'static,
+    F: Fn() -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
     match timeout {
-        None => match catch_unwind(AssertUnwindSafe(job)) {
+        None => match catch_unwind(AssertUnwindSafe(&jobs[index])) {
             Ok(value) => Execution::Completed(value),
             Err(payload) => Execution::Panicked(panic_message(payload)),
         },
@@ -174,10 +168,11 @@ where
             // A scratch thread per timed job: the only portable way to
             // abandon a stuck computation without unsafe cancellation.
             let (tx, rx) = mpsc::channel();
+            let jobs = Arc::clone(jobs);
             let handle = thread::Builder::new()
                 .name("fcdpm-job".to_owned())
                 .spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(job));
+                    let outcome = catch_unwind(AssertUnwindSafe(&jobs[index]));
                     let _ = tx.send(outcome);
                 });
             let Ok(_handle) = handle else {
@@ -192,40 +187,25 @@ where
     }
 }
 
-/// One worker's drain loop: own deque first (front), then steal from
-/// the back of the fullest other deque, until every deque is empty.
+/// One worker's loop: claim the next unclaimed index, run it, repeat
+/// until the counter passes the last job.
 fn worker_loop<T, F>(
     worker: usize,
-    deques: &[Mutex<VecDeque<(usize, F)>>],
+    jobs: &Arc<[F]>,
+    next: &AtomicUsize,
     result_tx: &mpsc::Sender<PoolResult<T>>,
     timeout: Option<Duration>,
 ) where
-    F: FnOnce() -> T + Send + 'static,
+    F: Fn() -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
     loop {
-        let mut next = lock_deque(&deques[worker]).pop_front();
-        while next.is_none() {
-            // Steal from the fullest non-empty other deque. Each length
-            // probe and the pop are separate statement-scoped guards
-            // (never two locks held at once — the analyze pass's
-            // lock-discipline rule gates this), so the victim can drain
-            // between scan and pop; a lost race rescans instead of
-            // exiting while other deques still hold work.
-            let victim = (0..deques.len())
-                .filter(|&v| v != worker)
-                .map(|v| (lock_deque(&deques[v]).len(), v))
-                .filter(|&(len, _)| len > 0)
-                .max()
-                .map(|(_, v)| v);
-            let Some(victim) = victim else { break };
-            next = lock_deque(&deques[victim]).pop_back();
-        }
-        let Some((index, job)) = next else {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        if index >= jobs.len() {
             return;
-        };
+        }
         let start = Instant::now();
-        let execution = run_guarded(job, timeout);
+        let execution = run_guarded(jobs, index, timeout);
         let result = PoolResult {
             index,
             execution,
@@ -238,16 +218,15 @@ fn worker_loop<T, F>(
     }
 }
 
-/// Runs `jobs` on `workers` threads with work stealing and returns the
-/// results ordered by job index, regardless of scheduling.
+/// Runs `jobs` on `workers` threads and returns the results ordered by
+/// job index, regardless of scheduling.
 ///
 /// `workers` is clamped to `1..=jobs.len()` (a zero-job call returns
 /// immediately). `timeout` bounds each job's wall-clock time.
 ///
-/// Degrades rather than panics: a poisoned deque lock is recovered
-/// (jobs never panic while holding one), a worker thread the OS refuses
-/// to spawn is covered by the other workers' stealing, and if *every*
-/// spawn fails the calling thread drains the deques itself.
+/// Degrades rather than panics: a worker thread the OS refuses to spawn
+/// leaves its share to the workers that did start, and if *every* spawn
+/// fails the calling thread runs the jobs itself.
 #[must_use]
 pub fn run_to_completion<T, F>(
     jobs: Vec<F>,
@@ -255,40 +234,33 @@ pub fn run_to_completion<T, F>(
     timeout: Option<Duration>,
 ) -> Vec<PoolResult<T>>
 where
-    F: FnOnce() -> T + Send + 'static,
+    F: Fn() -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
     if jobs.is_empty() {
         return Vec::new();
     }
     let workers = workers.clamp(1, jobs.len());
-
-    // Deal jobs round-robin into per-worker deques.
-    let deques: Vec<Mutex<VecDeque<(usize, F)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        lock_deque(&deques[index % workers]).push_back((index, job));
-    }
-    let deques = Arc::new(deques);
+    let jobs: Arc<[F]> = jobs.into();
+    let next = Arc::new(AtomicUsize::new(0));
 
     let (result_tx, result_rx) = mpsc::channel::<PoolResult<T>>();
     let mut handles = Vec::with_capacity(workers);
     for worker in 0..workers {
-        let deques = Arc::clone(&deques);
+        let jobs = Arc::clone(&jobs);
+        let next = Arc::clone(&next);
         let result_tx = result_tx.clone();
         let spawned = thread::Builder::new()
             .name(format!("fcdpm-worker-{worker}"))
-            .spawn(move || worker_loop(worker, &deques, &result_tx, timeout));
+            .spawn(move || worker_loop(worker, &jobs, &next, &result_tx, timeout));
         if let Ok(handle) = spawned {
             handles.push(handle);
         }
-        // A refused spawn is not fatal: the workers that did start
-        // steal the orphaned deque dry.
     }
     if handles.is_empty() {
         // The OS refused every worker thread — drain inline so the run
-        // still completes (worker 0 steals every other deque dry).
-        worker_loop(0, &deques, &result_tx, timeout);
+        // still completes.
+        worker_loop(0, &jobs, &next, &result_tx, timeout);
     }
     drop(result_tx);
 
@@ -306,8 +278,8 @@ mod tests {
 
     #[test]
     fn results_are_ordered_by_index() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0usize..20)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
+        let jobs: Vec<Box<dyn Fn() -> usize + Send + Sync>> = (0usize..20)
+            .map(|i| Box::new(move || i * i) as Box<dyn Fn() -> usize + Send + Sync>)
             .collect();
         let results = run_to_completion(jobs, 4, None);
         assert_eq!(results.len(), 20);
@@ -321,8 +293,36 @@ mod tests {
     }
 
     #[test]
+    fn every_index_runs_exactly_once_in_index_order() {
+        use std::sync::atomic::AtomicU32;
+        for workers in 1..=8 {
+            for count in 0..=64usize {
+                let runs: Arc<Vec<AtomicU32>> =
+                    Arc::new((0..count).map(|_| AtomicU32::new(0)).collect());
+                let jobs: Vec<_> = (0..count)
+                    .map(|i| {
+                        let runs = Arc::clone(&runs);
+                        move || {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                            i
+                        }
+                    })
+                    .collect();
+                let results = run_to_completion(jobs, workers, None);
+                assert_eq!(results.len(), count, "{workers} workers, {count} jobs");
+                for (i, r) in results.iter().enumerate() {
+                    assert_eq!(r.index, i);
+                    assert!(r.worker < workers.min(count));
+                    assert!(matches!(r.execution, Execution::Completed(v) if v == i));
+                }
+                assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+            }
+        }
+    }
+
+    #[test]
     fn panicking_job_is_isolated() {
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
+        let jobs: Vec<Box<dyn Fn() -> u32 + Send + Sync>> = vec![
             Box::new(|| 1),
             Box::new(|| panic!("deliberate")),
             Box::new(|| 3),
@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn timeout_abandons_stuck_job() {
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
+        let jobs: Vec<Box<dyn Fn() -> u32 + Send + Sync>> = vec![
             Box::new(|| {
                 thread::sleep(Duration::from_secs(30));
                 0
@@ -352,8 +352,8 @@ mod tests {
 
     #[test]
     fn single_worker_handles_everything() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0usize..7)
-            .map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>)
+        let jobs: Vec<Box<dyn Fn() -> usize + Send + Sync>> = (0usize..7)
+            .map(|i| Box::new(move || i) as Box<dyn Fn() -> usize + Send + Sync>)
             .collect();
         let results = run_to_completion(jobs, 1, None);
         assert!(results.iter().all(|r| r.worker == 0));
@@ -362,8 +362,8 @@ mod tests {
 
     #[test]
     fn worker_count_is_clamped() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            vec![Box::new(|| 5usize) as Box<dyn FnOnce() -> usize + Send>];
+        let jobs: Vec<Box<dyn Fn() -> usize + Send + Sync>> =
+            vec![Box::new(|| 5usize) as Box<dyn Fn() -> usize + Send + Sync>];
         let results = run_to_completion(jobs, 64, None);
         assert_eq!(results.len(), 1);
     }
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn empty_job_list_is_fine() {
         let results: Vec<PoolResult<u32>> =
-            run_to_completion(Vec::<Box<dyn FnOnce() -> u32 + Send>>::new(), 4, None);
+            run_to_completion(Vec::<Box<dyn Fn() -> u32 + Send + Sync>>::new(), 4, None);
         assert!(results.is_empty());
     }
 

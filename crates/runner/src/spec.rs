@@ -9,6 +9,8 @@
 use fcdpm_faults::FaultSchedule;
 use serde::{Deserialize, Serialize};
 
+use crate::check;
+
 /// Which FC output-current policy drives the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PolicySpec {
@@ -23,8 +25,9 @@ pub enum PolicySpec {
     /// FC-DPM quantized to this many uniform output levels.
     Quantized(usize),
     /// Hold the FC at this constant output current (amps). Must lie in
-    /// the load-following range `[0.1, 1.2] A`; `fcdpm analyze` and the
-    /// executor both reject setpoints outside it.
+    /// the load-following range `[0.1, 1.2] A`; [`JobGrid::validate`]
+    /// rejects setpoints outside it at load time, and the executor
+    /// fails the job.
     Constant(f64),
 }
 
@@ -264,6 +267,40 @@ impl JobGrid {
         }
     }
 
+    /// Load-time feasibility: `policies` and `workloads` are non-empty,
+    /// and every policy, β, path efficiency, capacity and fault schedule
+    /// passes its [`check`]. `fcdpm batch` calls this before the first
+    /// job; [`run_grid`](crate::run_grid) does not, so sweeps may probe
+    /// values outside the checked envelope on purpose.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation, prefixed with the field it sits in.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.policies.is_empty() {
+            return Err("policies: empty, so the grid expands to zero jobs".to_owned());
+        }
+        if self.workloads.is_empty() {
+            return Err("workloads: empty, so the grid expands to zero jobs".to_owned());
+        }
+        for policy in &self.policies {
+            check::policy(policy).map_err(at("policies"))?;
+        }
+        for &beta in self.betas.iter().flatten() {
+            check::beta(beta).map_err(at("betas"))?;
+        }
+        for &eta in self.buffer_path_efficiencies.iter().flatten() {
+            check::path_efficiency(eta).map_err(at("buffer_path_efficiencies"))?;
+        }
+        for &capacity in self.capacities_mamin.iter().flatten() {
+            check::capacity(capacity).map_err(at("capacities_mamin"))?;
+        }
+        for (index, job) in self.extra_jobs.iter().flatten().enumerate() {
+            validate_job(job).map_err(|e| format!("extra_jobs[{index}].{e}"))?;
+        }
+        Ok(())
+    }
+
     /// Expands the product into concrete jobs. The order is fixed
     /// regardless of how the grid will be scheduled: workloads, devices,
     /// storages, predictors, β, path efficiency, capacities, policies
@@ -320,6 +357,29 @@ impl JobGrid {
         }
         jobs
     }
+}
+
+/// Prefixes a check's message with the field it came from.
+fn at(field: &'static str) -> impl Fn(String) -> String {
+    move |e| format!("{field}: {e}")
+}
+
+/// [`JobGrid::validate`] for one pinned job's optional axes.
+fn validate_job(job: &JobSpec) -> Result<(), String> {
+    check::policy(&job.policy).map_err(at("policy"))?;
+    if let Some(beta) = job.beta {
+        check::beta(beta).map_err(at("beta"))?;
+    }
+    if let Some(eta) = job.buffer_path_efficiency {
+        check::path_efficiency(eta).map_err(at("buffer_path_efficiency"))?;
+    }
+    if let Some(capacity) = job.capacity_mamin {
+        check::capacity(capacity).map_err(at("capacity_mamin"))?;
+    }
+    if let Some(schedule) = &job.faults {
+        check::faults(schedule).map_err(at("faults"))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

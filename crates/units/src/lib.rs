@@ -31,6 +31,46 @@
 //!
 //! The [`CurrentRange`] type models a fuel cell's *load-following range*
 //! (the interval of output currents the stack can track).
+//!
+//! # What the compiler rejects
+//!
+//! `Add` and `Sub` are implemented for `Self` only, so mixing two
+//! dimensions does not compile:
+//!
+//! ```compile_fail,E0308
+//! use fcdpm_units::{Amps, Seconds};
+//! let _ = Amps::new(1.0) + Seconds::new(1.0);
+//! ```
+//!
+//! ```compile_fail,E0308
+//! use fcdpm_units::{Seconds, Watts};
+//! let _ = Watts::new(1.0) - Seconds::new(1.0);
+//! ```
+//!
+//! The magnitude field is private, so `.0` cannot strip the unit outside
+//! this crate; the named accessor keeps the dimension in view:
+//!
+//! ```compile_fail,E0616
+//! use fcdpm_units::Amps;
+//! let _: f64 = Amps::new(1.0).0;
+//! ```
+//!
+//! Same-dimension arithmetic compiles, and so does a mix of two raw
+//! accessors, which are both `f64`. The compiler cannot see that last
+//! mistake; in the physics crates `fcdpm analyze`'s `unit-dataflow`
+//! rule flags it.
+//!
+//! ```
+//! use fcdpm_units::{Amps, Seconds, Watts};
+//! let (i, t) = (Amps::new(1.0), Seconds::new(1.0));
+//! assert_eq!((i + i).amps(), 2.0);
+//! assert_eq!((Watts::new(3.0) - Watts::new(1.0)).watts(), 2.0);
+//! let compiles: f64 = i.amps() + t.seconds();
+//! assert_eq!(compiles, 2.0);
+//! ```
+//!
+//! Stable rustdoc does not check the error codes on `compile_fail`
+//! blocks; `RUSTC_BOOTSTRAP=1 cargo test -p fcdpm-units --doc` does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
