@@ -3,12 +3,13 @@
 //! [`run`] walks a [`GridSpec`] shard by shard. Per shard it decodes at
 //! most `shard_size` specs (the only job state ever resident), checks
 //! each spec's digest against any previously spilled record, executes
-//! the misses on the [`fcdpm_runner::pool`] worker pool, writes
-//! the shard's records to `shard-NNNNN.jsonl`, folds them into the run
-//! aggregate, and drops everything before moving on. A 100k-job grid
-//! therefore peaks at `shard_size` resident jobs plus two `f64` columns
-//! (fuel and deficit-time per completed job, 8 B each) kept for the
-//! p50/p99 quantiles.
+//! the misses in one streaming call on the [`fcdpm_runner::pool`]
+//! worker pool, streams the shard's records in index order into
+//! `shard-NNNNN.jsonl`, folds them into the run aggregate, and drops
+//! everything before moving on. A 100k-job grid therefore peaks at
+//! `shard_size` resident jobs plus two `f64` columns (fuel and
+//! deficit-time per completed job, 8 B each) kept for the p50/p99
+//! quantiles.
 //!
 //! Resume is digest-keyed, not timestamp-keyed: a record is reused iff
 //! the spec decoded at its index hashes to the digest stored on disk.
@@ -23,29 +24,35 @@
 //!
 //! # Crash safety
 //!
-//! While a shard is in flight its completed records stream into
-//! `shard-NNNNN.partial.jsonl` in fsync'd, checksummed batches of
-//! [`GridConfig::checkpoint_batch`] jobs. A `kill -9` therefore loses
-//! at most the jobs of the batch being written: `resume` replays the
-//! checkpoint's maximal valid prefix as cache hits (surfaced as
-//! [`GridRun::recovered_jobs`]) and recomputes only the rest. Shard
-//! promotion (partial → `shard-NNNNN.jsonl`) and every whole-file
-//! artifact (`grid.json`, `aggregate.json`) go through atomic
-//! tmp+rename, so no reader ever observes a torn committed artifact.
-//! The [`CrashPoint`] hooks exist solely so the integration harness can
-//! kill the process at each of these moments deterministically.
+//! The calling thread is the committer. As each job finishes it
+//! encodes the record's JSON once and appends `checksum\t` + that JSON
+//! to `shard-NNNNN.partial.jsonl`, fsyncing every
+//! [`GridConfig::checkpoint_batch`] records while the workers keep
+//! computing. Checkpoint lines are therefore in completion order, not
+//! index order; resume keys them by index and digest. A `kill -9` loses
+//! only the records not yet in an fsync'd batch: `resume` replays every
+//! checksum-valid line of the checkpoint's maximal valid prefix as a
+//! cache hit (surfaced as [`GridRun::recovered_jobs`]) and recomputes
+//! only the rest. The same JSON lines stream in index order into
+//! `shard-NNNNN.jsonl.tmp`, which is renamed into place when the shard
+//! completes; that promotion and every whole-file artifact
+//! (`grid.json`, `aggregate.json`) go through atomic tmp+rename, so no
+//! reader ever observes a torn committed artifact. The [`CrashPoint`]
+//! hooks exist solely so the integration harness can kill the process
+//! at each of these moments deterministically.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fcdpm_runner::pool::{run_with_retry, Execution, RetryPolicy};
-use fcdpm_runner::{execute, JobOutcome};
+use fcdpm_runner::pool::{stream, Execution, RetryPolicy};
+use fcdpm_runner::{execute, JobMetrics, JobOutcome, JobSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::gen::{spec_digest, GridSpec};
 use crate::manifest::{
-    digest_hex, partial_file_name, read_partial, read_shard, shard_file_name, write_atomic,
-    write_shard, GridJobRecord, PartialShardWriter,
+    digest_hex, encode_record, partial_file_name, read_partial, read_shard, shard_file_name,
+    write_atomic, GridJobRecord, PartialShardWriter, ShardWriter,
 };
 
 /// Deterministic crash-injection hooks. Setting one on [`GridConfig`]
@@ -90,7 +97,8 @@ impl std::str::FromStr for CrashPoint {
 /// How a grid run is scheduled and where it spills.
 #[derive(Debug, Clone)]
 pub struct GridConfig {
-    /// Worker threads (0 = available parallelism).
+    /// Worker threads (0 = available parallelism, resolved by the
+    /// pool).
     pub workers: usize,
     /// Jobs per shard — the resident-memory ceiling.
     pub shard_size: u64,
@@ -106,7 +114,8 @@ pub struct GridConfig {
     pub timeout: Option<Duration>,
     /// Retry policy for panicked/timed-out jobs.
     pub retry: RetryPolicy,
-    /// Jobs per fsync'd checkpoint batch (0 disables mid-shard
+    /// Records per fsync'd checkpoint batch, committed in completion
+    /// order while the workers run (0 disables mid-shard
     /// checkpointing: a kill then loses the whole in-flight shard,
     /// exactly the pre-checkpointing behavior).
     pub checkpoint_batch: u64,
@@ -313,7 +322,8 @@ struct Rollup {
 }
 
 impl Rollup {
-    fn fold_shard(&mut self, shard: u64, records: &[GridJobRecord]) {
+    /// Folds one shard's `(outcome, attempts)` pairs, in index order.
+    fn fold_shard(&mut self, shard: u64, records: &[(JobOutcome, u32)]) {
         let mut summary = ShardSummary {
             shard,
             jobs: records.len() as u64,
@@ -323,18 +333,18 @@ impl Rollup {
             fuel_as: 0.0,
             deficit_time_s: 0.0,
         };
-        for record in records {
-            if record.attempts > 1 {
+        for (outcome, attempts) in records {
+            if *attempts > 1 {
                 // Attempt counts fold deterministically: retries are
                 // driven by the spec (the inject-panic fixture), never
                 // by scheduling, so resumes reproduce them.
-                if matches!(record.outcome, JobOutcome::Completed(_)) {
+                if matches!(outcome, JobOutcome::Completed(_)) {
                     self.retried += 1;
                 } else {
                     self.quarantined += 1;
                 }
             }
-            match &record.outcome {
+            match outcome {
                 JobOutcome::Completed(m) => {
                     summary.completed += 1;
                     summary.fuel_as += m.fuel_as;
@@ -430,7 +440,7 @@ fn clean_stale(dir: &Path, shards: u64, resume: bool) -> Result<(), String> {
 
 /// The checkpoint stream for one invocation: owns the per-shard partial
 /// writer, the invocation-wide checkpointed-job counter, and the
-/// crash-injection hooks (which fire *inside* the append path, so the
+/// crash-injection hooks (which fire *inside* the commit path, so the
 /// on-disk state at the abort instant is exactly what a kill would
 /// leave).
 struct Checkpointer {
@@ -449,32 +459,39 @@ impl Checkpointer {
         Ok(())
     }
 
-    fn append(&mut self, shard: u64, records: &[GridJobRecord]) -> Result<(), String> {
+    /// Buffers one record's line; `AfterJob(n)` commits and dies once
+    /// the n-th line of the invocation is in.
+    fn push(&mut self, json: &str) -> Result<(), String> {
         let Some(writer) = self.writer.as_mut() else {
             return Ok(());
         };
-        if records.is_empty() {
-            return Ok(());
-        }
-        if self.crash == Some(CrashPoint::MidPartialWrite(shard)) {
-            // Leave every record but the last intact, then die with the
-            // last one half-written — the torn tail a kill mid-batch
-            // produces.
-            let (head, torn) = records.split_at(records.len() - 1);
-            writer.append(head)?;
-            writer.append_torn(&torn[0])?;
+        writer.push(json);
+        self.appended += 1;
+        if self.crash == Some(CrashPoint::AfterJob(self.appended)) {
+            writer.commit()?;
             std::process::abort();
         }
-        if let Some(CrashPoint::AfterJob(n)) = self.crash {
-            if self.appended < n && n <= self.appended + records.len() as u64 {
-                let cut = usize::try_from(n - self.appended).unwrap_or(records.len());
-                writer.append(&records[..cut])?;
-                std::process::abort();
-            }
-        }
-        writer.append(records)?;
-        self.appended += records.len() as u64;
         Ok(())
+    }
+
+    /// Lines buffered since the last commit.
+    fn pending(&self) -> u64 {
+        self.writer.as_ref().map_or(0, PartialShardWriter::pending)
+    }
+
+    /// Writes and fsyncs the buffered lines as one batch.
+    fn commit(&mut self, shard: u64) -> Result<(), String> {
+        let Some(writer) = self.writer.as_mut() else {
+            return Ok(());
+        };
+        if writer.pending() > 0 && self.crash == Some(CrashPoint::MidPartialWrite(shard)) {
+            // Leave every line but the last intact, then die with the
+            // last one half-written — the torn tail a kill mid-batch
+            // produces.
+            writer.commit_torn()?;
+            std::process::abort();
+        }
+        writer.commit()
     }
 
     fn before_promote(&self, shard: u64) {
@@ -492,6 +509,27 @@ impl Checkpointer {
                 .map_err(|e| format!("cannot remove `{}`: {e}", path.display()))?;
         }
         Ok(())
+    }
+}
+
+/// Runs attempt `attempt` of `job`. The injected-panic fixture arms
+/// only the first attempt, modelling a transient fault.
+fn execute_attempt(job: &JobSpec, attempt: u32) -> Result<JobMetrics, String> {
+    if attempt > 1 && job.inject_panic.is_some() {
+        let mut job = job.clone();
+        job.inject_panic = None;
+        return execute(&job);
+    }
+    execute(job)
+}
+
+/// How a pool execution of a job reads as a record outcome.
+fn outcome_of(execution: Execution<Result<JobMetrics, String>>) -> JobOutcome {
+    match execution {
+        Execution::Completed(Ok(metrics)) => JobOutcome::Completed(metrics),
+        Execution::Completed(Err(message)) => JobOutcome::Failed(message),
+        Execution::Panicked(message) => JobOutcome::Failed(format!("panic: {message}")),
+        Execution::TimedOut => JobOutcome::TimedOut,
     }
 }
 
@@ -592,6 +630,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         cache_hits += (specs.len() - misses.len()) as u64;
         recomputed += misses.len() as u64;
 
+        let specs: Arc<[JobSpec]> = specs.into();
         let record_at = |slot: usize, outcome: JobOutcome, attempts: u32| {
             let index = lo + slot as u64;
             GridJobRecord {
@@ -604,72 +643,62 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         };
 
         // Open the shard's checkpoint and persist the replayed records
-        // first, so a crash during the fresh work below never loses
-        // what was already known.
+        // first, as one batch, so a crash during the fresh work below
+        // never loses what was already known. Each record is encoded
+        // once, on this thread; the same line goes to the checkpoint
+        // and to the promoted shard.
         checkpointer.open(&dir, shard, config.checkpoint_batch)?;
-        let replayed: Vec<GridJobRecord> = (0..specs.len())
-            .filter_map(|slot| {
-                outcomes[slot]
-                    .as_ref()
-                    .map(|(outcome, attempts)| record_at(slot, outcome.clone(), *attempts))
+        let mut promoted = ShardWriter::create(&dir, shard)?;
+        for (slot, known) in outcomes.iter_mut().enumerate() {
+            if let Some((outcome, attempts)) = known.take() {
+                let record = record_at(slot, outcome, attempts);
+                let line = encode_record(&record)?;
+                checkpointer.push(&line)?;
+                promoted.put(slot, line)?;
+                *known = Some((record.outcome, record.attempts));
+            }
+        }
+        checkpointer.commit(shard)?;
+
+        // Execute the misses in one streaming pool call under the retry
+        // policy. Results arrive here in completion order while the
+        // workers keep computing; every `checkpoint_batch` of them is
+        // committed as one fsync'd batch.
+        let jobs: Vec<_> = misses
+            .iter()
+            .map(|&slot| {
+                let specs = Arc::clone(&specs);
+                move |attempt: u32| execute_attempt(&specs[slot], attempt)
             })
             .collect();
-        checkpointer.append(shard, &replayed)?;
-        drop(replayed);
+        stream(
+            jobs,
+            config.workers,
+            config.timeout,
+            &config.retry,
+            |result| -> Result<(), String> {
+                let slot = misses[result.index];
+                let record = record_at(slot, outcome_of(result.execution), result.attempts);
+                let line = encode_record(&record)?;
+                checkpointer.push(&line)?;
+                if checkpointer.pending() >= config.checkpoint_batch {
+                    checkpointer.commit(shard)?;
+                }
+                promoted.put(slot, line)?;
+                outcomes[slot] = Some((record.outcome, record.attempts));
+                Ok(())
+            },
+        )?;
+        checkpointer.commit(shard)?;
 
-        // Execute the misses one fsync'd batch at a time on the
-        // worker pool, under the retry policy. Jobs see their
-        // 1-based attempt number; the injected-panic fixture arms only
-        // the first attempt, modelling a transient fault.
-        let batch_size = if config.checkpoint_batch == 0 {
-            misses.len().max(1)
-        } else {
-            usize::try_from(config.checkpoint_batch)
-                .unwrap_or(usize::MAX)
-                .max(1)
-        };
-        for batch in misses.chunks(batch_size) {
-            let jobs: Vec<_> = batch
-                .iter()
-                .map(|&slot| {
-                    let job = specs[slot].clone();
-                    move |attempt: u32| {
-                        let mut job = job.clone();
-                        if attempt > 1 {
-                            job.inject_panic = None;
-                        }
-                        execute(&job)
-                    }
-                })
-                .collect();
-            let mut fresh = Vec::with_capacity(batch.len());
-            for result in run_with_retry(jobs, config.workers, config.timeout, &config.retry) {
-                let outcome = match result.execution {
-                    Execution::Completed(Ok(metrics)) => JobOutcome::Completed(metrics),
-                    Execution::Completed(Err(message)) => JobOutcome::Failed(message),
-                    Execution::Panicked(message) => JobOutcome::Failed(format!("panic: {message}")),
-                    Execution::TimedOut => JobOutcome::TimedOut,
-                };
-                let slot = batch[result.index];
-                outcomes[slot] = Some((outcome.clone(), result.attempts));
-                fresh.push(record_at(slot, outcome, result.attempts));
-            }
-            checkpointer.append(shard, &fresh)?;
-        }
-
-        // Promote the shard in index order (atomic tmp+rename), retire
-        // its checkpoint, fold it, drop it.
-        let mut records = Vec::with_capacity(specs.len());
-        for (slot, outcome) in outcomes.into_iter().enumerate() {
-            let index = lo + slot as u64;
-            let (outcome, attempts) =
-                outcome.ok_or_else(|| format!("job {index} produced no outcome (pool bug)"))?;
-            records.push(record_at(slot, outcome, attempts));
-        }
+        // Promote the shard (atomic tmp+rename; it fails unless every
+        // slot arrived), retire its checkpoint, fold it in index order,
+        // drop it.
         checkpointer.before_promote(shard);
-        write_shard(&dir, shard, &records)?;
+        promoted.finish(specs.len())?;
         checkpointer.retire(&dir, shard)?;
-        rollup.fold_shard(shard, &records);
+        let folded: Vec<(JobOutcome, u32)> = outcomes.into_iter().flatten().collect();
+        rollup.fold_shard(shard, &folded);
     }
 
     let aggregate = rollup.finish(spec, total, shard_size);
@@ -980,6 +1009,37 @@ mod tests {
     }
 
     #[test]
+    fn partial_out_of_index_order_replays_fully() {
+        let spec = tiny_spec();
+        let cfg = config("unordered-resume", 8, false);
+        wipe(&cfg);
+        let first = run(&spec, &cfg).expect("runs");
+        let shard_path = first.dir.join(shard_file_name(0));
+        let shard_bytes = std::fs::read(&shard_path).expect("reads");
+        let aggregate = std::fs::read(first.dir.join("aggregate.json")).expect("reads");
+
+        // Checkpoint lines land in completion order: demote the shard
+        // into a partial whose lines run backwards.
+        let mut records = read_shard(&shard_path).expect("shard reads");
+        records.reverse();
+        std::fs::remove_file(&shard_path).expect("shard removed");
+        PartialShardWriter::create(&first.dir, 0)
+            .and_then(|mut writer| writer.append(&records))
+            .expect("writes partial");
+
+        let resumed = run(&spec, &config("unordered-resume", 8, true)).expect("resumes");
+        assert_eq!(
+            resumed.recovered_jobs, 8,
+            "every line replays, whatever its order"
+        );
+        assert_eq!(resumed.recomputed, 0);
+        assert_eq!(std::fs::read(&shard_path).expect("reads"), shard_bytes);
+        let after = std::fs::read(resumed.dir.join("aggregate.json")).expect("reads");
+        assert_eq!(aggregate, after, "aggregate.json is byte-identical");
+        wipe(&cfg);
+    }
+
+    #[test]
     fn torn_partial_tail_recomputes_only_the_lost_job() {
         let spec = tiny_spec();
         let cfg = config("torn-resume", 4, false);
@@ -1021,19 +1081,12 @@ mod tests {
     #[test]
     fn rollup_quarantines_jobs_that_exhaust_their_attempts() {
         let mut rollup = Rollup::default();
-        let record = |index: u64, outcome: JobOutcome, attempts: u32| GridJobRecord {
-            index,
-            id: format!("job-{index:04}"),
-            digest: digest_hex(index),
-            outcome,
-            attempts,
-        };
         rollup.fold_shard(
             0,
             &[
-                record(0, JobOutcome::Failed("always broken".into()), 3),
-                record(1, JobOutcome::TimedOut, 3),
-                record(2, JobOutcome::Failed("first try".into()), 1),
+                (JobOutcome::Failed("always broken".into()), 3),
+                (JobOutcome::TimedOut, 3),
+                (JobOutcome::Failed("first try".into()), 1),
             ],
         );
         assert_eq!(rollup.retried, 0, "no retried success here");

@@ -25,7 +25,9 @@ pub enum GcKind {
     /// `grid.json` missing or unparseable and only grid artifacts
     /// inside: the directory cannot be resumed and is removed.
     AbandonedDir,
-    /// A `*.tmp` left behind by an interrupted atomic rename.
+    /// A `*.tmp` left behind by an interrupted atomic rename — among
+    /// them the half-streamed `shard-NNNNN.jsonl.tmp` of a shard that
+    /// was killed before promotion.
     OrphanedTmp,
     /// A partial checkpoint with torn bytes past its valid prefix;
     /// compacted in place so a resume replays only whole records.

@@ -12,19 +12,22 @@
 //! directly.
 //!
 //! While a shard is in flight, completed records stream into an
-//! append-only `shard-NNNNN.partial.jsonl` checkpoint: each line is
-//! `<16-hex FNV-1a of the JSON>\t<JSON>\n`, written in fsync'd batches
-//! by [`PartialShardWriter`]. A `kill -9` mid-shard can therefore tear
-//! at most the last batch's tail; [`read_partial`] recovers the maximal
-//! checksum-valid prefix and resume replays it as cache hits. When the
-//! shard completes it is promoted to the plain `shard-NNNNN.jsonl` form
-//! via the usual atomic tmp+rename and the partial file is removed.
+//! append-only `shard-NNNNN.partial.jsonl` checkpoint, in completion
+//! order: each line is `<16-hex FNV-1a of the JSON>\t<JSON>\n`, written
+//! in fsync'd batches by [`PartialShardWriter`]. A `kill -9` mid-shard
+//! can therefore tear at most the last batch's tail; [`read_partial`]
+//! recovers the maximal checksum-valid prefix and resume replays it as
+//! cache hits. The same JSON ([`encode_record`], rendered once per
+//! record) streams in index order through a `ShardWriter` into
+//! `shard-NNNNN.jsonl.tmp`, which is renamed into place when the shard
+//! completes; then the partial file is removed.
 //!
 //! [`for_each_record`] is the one reader. It also migrates the legacy
 //! single-file [`RunManifest`](fcdpm_runner::RunManifest) format that
 //! `fcdpm batch` writes: pointing it at a `*.json` manifest yields the
 //! same record stream, with digests recomputed from the embedded specs.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -106,27 +109,33 @@ pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot move `{}` into place: {e}", path.display()))
 }
 
-/// Renders one checkpoint line: `<16-hex FNV-1a of the JSON>\t<JSON>\n`.
-/// The checksum covers exactly the JSON bytes, so a torn tail (or a bit
-/// flip) fails validation and [`read_partial`] stops there.
-fn checkpoint_line(record: &GridJobRecord) -> Result<String, String> {
-    let json = serde_json::to_string(record)
-        .map_err(|e| format!("record {} does not serialize: {e}", record.index))?;
-    Ok(format!(
-        "{}\t{json}\n",
-        digest_hex(fcdpm_runner::spec::fnv1a(json.as_bytes()))
-    ))
+/// Renders one record as the compact JSON both the checkpoint line and
+/// the promoted shard line carry — the one encoding a record gets.
+///
+/// # Errors
+///
+/// Returns a message when the record does not serialize.
+pub fn encode_record(record: &GridJobRecord) -> Result<String, String> {
+    serde_json::to_string(record)
+        .map_err(|e| format!("record {} does not serialize: {e}", record.index))
 }
 
 /// Append-only writer for a shard's in-flight checkpoint file.
 ///
-/// Each [`append`](Self::append) writes a batch of checksummed record
-/// lines and fsyncs, so after a `kill -9` the file holds every
-/// previously appended batch intact plus at most one torn tail.
+/// Lines are buffered one per record, in whatever order the caller
+/// produces them; each commit ([`append`](Self::append) is one) writes
+/// the buffered lines and fsyncs, so after a `kill -9` the file holds
+/// every previously committed batch intact plus at most one torn tail.
 #[derive(Debug)]
 pub struct PartialShardWriter {
     path: PathBuf,
     file: File,
+    /// Checkpoint lines pushed since the last commit.
+    buffered: String,
+    /// How many lines `buffered` holds.
+    lines: u64,
+    /// Byte offset in `buffered` where its last line starts.
+    last_line: usize,
 }
 
 impl PartialShardWriter {
@@ -142,7 +151,13 @@ impl PartialShardWriter {
         let path = dir.join(partial_file_name(shard));
         let file =
             File::create(&path).map_err(|e| format!("cannot create `{}`: {e}", path.display()))?;
-        Ok(Self { path, file })
+        Ok(Self {
+            path,
+            file,
+            buffered: String::new(),
+            lines: 0,
+            last_line: 0,
+        })
     }
 
     /// The checkpoint file path.
@@ -151,40 +166,85 @@ impl PartialShardWriter {
         &self.path
     }
 
+    /// Buffers one record's checkpoint line,
+    /// `<16-hex FNV-1a of the JSON>\t<JSON>\n`, where `json` is the
+    /// record's [`encode_record`] form. The checksum covers exactly the
+    /// JSON bytes, so a torn tail (or a bit flip) fails validation and
+    /// [`read_partial`] stops there.
+    pub(crate) fn push(&mut self, json: &str) {
+        self.last_line = self.buffered.len();
+        self.buffered
+            .push_str(&digest_hex(fcdpm_runner::spec::fnv1a(json.as_bytes())));
+        self.buffered.push('\t');
+        self.buffered.push_str(json);
+        self.buffered.push('\n');
+        self.lines += 1;
+    }
+
+    /// Lines pushed since the last commit.
+    pub(crate) fn pending(&self) -> u64 {
+        self.lines
+    }
+
+    /// Writes every pushed line and fsyncs (a no-op with none pending).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for I/O failures.
+    pub(crate) fn commit(&mut self) -> Result<(), String> {
+        if self.lines == 0 {
+            return Ok(());
+        }
+        self.write_synced(self.buffered.len())
+    }
+
     /// Appends one fsync'd batch of checksummed record lines.
     ///
     /// # Errors
     ///
     /// Returns a message for I/O or serialization failures.
     pub fn append(&mut self, records: &[GridJobRecord]) -> Result<(), String> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let mut batch = String::new();
         for record in records {
-            batch.push_str(&checkpoint_line(record)?);
+            self.push(&encode_record(record)?);
         }
-        self.file
-            .write_all(batch.as_bytes())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("cannot checkpoint `{}`: {e}", self.path.display()))
+        self.commit()
     }
 
-    /// Appends the *front half* of one record's line — no newline, no
-    /// complete checksum payload — then fsyncs. Crash-injection only:
+    /// Commits every pushed line but the *back half* of the last one —
+    /// no newline, no complete checksum payload. Crash-injection only:
     /// this simulates the torn tail a `kill -9` mid-batch leaves behind.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for I/O failures.
+    pub(crate) fn commit_torn(&mut self) -> Result<(), String> {
+        let last = self.buffered.len() - self.last_line;
+        self.write_synced(self.last_line + last / 2)
+    }
+
+    /// Appends `record`'s line torn: every line buffered before it
+    /// intact, then the front half of its own. Crash-injection only.
     ///
     /// # Errors
     ///
     /// Returns a message for I/O or serialization failures.
     #[doc(hidden)]
     pub fn append_torn(&mut self, record: &GridJobRecord) -> Result<(), String> {
-        let line = checkpoint_line(record)?;
-        let torn = &line.as_bytes()[..line.len() / 2];
-        self.file
-            .write_all(torn)
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("cannot checkpoint `{}`: {e}", self.path.display()))
+        self.push(&encode_record(record)?);
+        self.commit_torn()
+    }
+
+    /// Writes the first `len` buffered bytes, fsyncs, and empties the
+    /// buffer.
+    fn write_synced(&mut self, len: usize) -> Result<(), String> {
+        let written = self
+            .file
+            .write_all(&self.buffered.as_bytes()[..len])
+            .and_then(|()| self.file.sync_data());
+        self.buffered.clear();
+        self.lines = 0;
+        self.last_line = 0;
+        written.map_err(|e| format!("cannot checkpoint `{}`: {e}", self.path.display()))
     }
 }
 
@@ -278,30 +338,110 @@ fn list_matching(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<PathBuf>
     Ok(files)
 }
 
-/// Writes one shard's records as JSON lines (atomically: temp file then
-/// rename, so a crashed run never leaves a half shard behind).
+/// Streaming writer for a promoted shard file.
+///
+/// Records arrive as encoded lines in any order, keyed by their slot
+/// (index within the shard); lines go out in slot order, so a line that
+/// arrives early waits in a small reorder buffer until the slots before
+/// it have been written. The file is written as `shard-NNNNN.jsonl.tmp`
+/// and renamed into place by [`finish`](Self::finish), so a crashed run
+/// never leaves a half shard behind.
+#[derive(Debug)]
+pub(crate) struct ShardWriter {
+    tmp: PathBuf,
+    path: PathBuf,
+    out: BufWriter<File>,
+    /// The next slot to write.
+    next: usize,
+    /// Lines that arrived ahead of `next`, keyed by slot.
+    ahead: BTreeMap<usize, String>,
+}
+
+impl ShardWriter {
+    /// Creates (truncating) the temporary file for `shard` under `dir`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for I/O failures.
+    pub(crate) fn create(dir: &Path, shard: u64) -> Result<Self, String> {
+        let path = dir.join(shard_file_name(shard));
+        let tmp = dir.join(format!("{}.tmp", shard_file_name(shard)));
+        let file =
+            File::create(&tmp).map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
+        Ok(Self {
+            tmp,
+            path,
+            out: BufWriter::new(file),
+            next: 0,
+            ahead: BTreeMap::new(),
+        })
+    }
+
+    /// Takes the encoded line (no newline) of the record in `slot`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for I/O failures.
+    pub(crate) fn put(&mut self, slot: usize, line: String) -> Result<(), String> {
+        if slot != self.next {
+            self.ahead.insert(slot, line);
+            return Ok(());
+        }
+        self.write_line(&line)?;
+        while let Some(line) = self.ahead.remove(&self.next) {
+            self.write_line(&line)?;
+        }
+        Ok(())
+    }
+
+    fn write_line(&mut self, line: &str) -> Result<(), String> {
+        self.next += 1;
+        self.out
+            .write_all(line.as_bytes())
+            .and_then(|()| self.out.write_all(b"\n"))
+            .map_err(|e| format!("cannot write `{}`: {e}", self.tmp.display()))
+    }
+
+    /// Flushes the file and renames it into place once slots
+    /// `0..slots` have all been written.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when a slot is missing or for I/O failures.
+    pub(crate) fn finish(mut self, slots: usize) -> Result<PathBuf, String> {
+        if self.next != slots || !self.ahead.is_empty() {
+            return Err(format!(
+                "`{}`: slot {} of {slots} never arrived",
+                self.tmp.display(),
+                self.next
+            ));
+        }
+        self.out
+            .flush()
+            .map_err(|e| format!("cannot flush `{}`: {e}", self.tmp.display()))?;
+        drop(self.out);
+        std::fs::rename(&self.tmp, &self.path).map_err(|e| {
+            format!(
+                "cannot move shard into place at `{}`: {e}",
+                self.path.display()
+            )
+        })?;
+        Ok(self.path)
+    }
+}
+
+/// Writes one shard's records, in order, as JSON lines through a
+/// [`ShardWriter`].
 ///
 /// # Errors
 ///
 /// Returns a message for I/O or serialization failures.
 pub fn write_shard(dir: &Path, shard: u64, records: &[GridJobRecord]) -> Result<PathBuf, String> {
-    let path = dir.join(shard_file_name(shard));
-    let tmp = dir.join(format!("{}.tmp", shard_file_name(shard)));
-    let file = File::create(&tmp).map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
-    let mut out = BufWriter::new(file);
-    for record in records {
-        let line = serde_json::to_string(record)
-            .map_err(|e| format!("record {} does not serialize: {e}", record.index))?;
-        out.write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-            .map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
+    let mut out = ShardWriter::create(dir, shard)?;
+    for (slot, record) in records.iter().enumerate() {
+        out.put(slot, encode_record(record)?)?;
     }
-    out.flush()
-        .map_err(|e| format!("cannot flush `{}`: {e}", tmp.display()))?;
-    drop(out);
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| format!("cannot move shard into place at `{}`: {e}", path.display()))?;
-    Ok(path)
+    out.finish(records.len())
 }
 
 /// Reads one shard file into records (one shard is bounded by the
@@ -440,6 +580,30 @@ mod tests {
         let first = std::fs::read(&path).expect("reads");
         write_shard(&dir, 0, &[record(0), record(1)]).expect("writes");
         assert_eq!(first, std::fs::read(&path).expect("reads"));
+    }
+
+    #[test]
+    fn shard_writer_reorders_lines_into_index_order() {
+        let dir = temp_dir("reorder");
+        write_shard(&dir, 0, &[record(0), record(1), record(2), record(3)]).expect("writes");
+        let in_order = std::fs::read(dir.join(shard_file_name(0))).expect("reads");
+
+        let mut out = ShardWriter::create(&dir, 0).expect("creates");
+        for slot in [2usize, 0, 3, 1] {
+            let line = encode_record(&record(slot as u64)).expect("encodes");
+            out.put(slot, line).expect("puts");
+        }
+        out.finish(4).expect("all four slots arrived");
+        assert_eq!(
+            std::fs::read(dir.join(shard_file_name(0))).expect("reads"),
+            in_order
+        );
+
+        let mut gap = ShardWriter::create(&dir, 1).expect("creates");
+        gap.put(1, encode_record(&record(5)).expect("encodes"))
+            .expect("puts");
+        assert!(gap.finish(2).unwrap_err().contains("slot 0 of 2"));
+        assert!(!dir.join(shard_file_name(1)).exists(), "nothing promoted");
     }
 
     #[test]

@@ -51,22 +51,13 @@ pub use spec::{
 pub use sweep::{fault_sweep, fault_sweep_labeled};
 
 /// How a grid run is scheduled.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     /// Worker threads (clamped to the job count; 0 = available
     /// parallelism).
     pub workers: usize,
     /// Per-job wall-clock budget (`None` = unbounded).
     pub timeout: Option<Duration>,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        Self {
-            workers: std::thread::available_parallelism().map_or(1, usize::from),
-            timeout: None,
-        }
-    }
 }
 
 impl RunConfig {
@@ -94,11 +85,7 @@ pub fn run_grid(grid: &JobGrid, config: &RunConfig) -> RunManifest {
 #[must_use]
 pub fn run_specs(specs: &[JobSpec], config: &RunConfig) -> RunManifest {
     let start = Instant::now();
-    let workers = if config.workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        config.workers
-    };
+    let workers = pool::resolve_workers(config.workers);
 
     let grid_json = serde_json::to_string(&specs.to_vec()).unwrap_or_default();
     let grid_digest = format!("{:016x}", spec::fnv1a(grid_json.as_bytes()));

@@ -83,10 +83,52 @@ fn crash_child() {
     let _ = run(&crash_spec(), &config);
 }
 
+/// 24 jobs over 3 shards of 8 — enough for two workers to finish out
+/// of index order inside a shard.
+fn concurrent_spec() -> GridSpec {
+    let mut spec = crash_spec();
+    spec.seeds = SeedAxis::Range(SeedRange {
+        start: 0xDAC0_2007,
+        count: 6,
+    });
+    spec
+}
+
+/// Two workers committing 3-line checkpoint batches while they run:
+/// checkpoint lines land in completion order.
+fn concurrent_config(out: &Path) -> GridConfig {
+    GridConfig {
+        workers: 2,
+        shard_size: 8,
+        checkpoint_batch: 3,
+        ..crash_config(out)
+    }
+}
+
+/// The child entry for [`concurrent_spec`] under [`concurrent_config`].
+#[test]
+#[ignore = "child entry for the crash-injection driver"]
+fn concurrent_crash_child() {
+    let Ok(point) = std::env::var(CRASH_POINT_VAR) else {
+        return;
+    };
+    let out = std::env::var(CRASH_OUT_VAR).expect("crash out dir");
+    let config = GridConfig {
+        crash_point: Some(parse_point(&point)),
+        ..concurrent_config(Path::new(&out))
+    };
+    let _ = run(&concurrent_spec(), &config);
+}
+
 /// Re-invokes this test binary on [`crash_child`] with `point` injected.
 fn spawn_crash_child(point: &str, out: &Path) -> std::process::ExitStatus {
+    spawn_child("crash_child", point, out)
+}
+
+/// Re-invokes this test binary on the child entry `entry`.
+fn spawn_child(entry: &str, point: &str, out: &Path) -> std::process::ExitStatus {
     Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["crash_child", "--exact", "--ignored"])
+        .args([entry, "--exact", "--ignored"])
         .env(CRASH_POINT_VAR, point)
         .env(CRASH_OUT_VAR, out)
         .stdout(std::process::Stdio::null())
@@ -177,6 +219,56 @@ fn resume_after_kill_at_every_crash_point_is_byte_identical() {
     // Kill mid-write inside shard 2: a torn half-record on disk.
     assert_crash_recovers("mid-write", "mid-write:2", &control_aggregate);
 
+    let _ = std::fs::remove_dir_all(&control_out);
+}
+
+#[test]
+fn concurrent_kill_mid_shard_replays_every_valid_line() {
+    let control_out = fresh_dir("concurrent-control");
+    let control = run(&concurrent_spec(), &concurrent_config(&control_out)).expect("control run");
+    let control_dir = control.dir.clone();
+
+    // Job 13 is the 5th of shard 1: shard 0 is promoted, shard 1 holds
+    // one committed batch of 3 plus the 2 lines committed at the kill.
+    let out = fresh_dir("concurrent");
+    let status = spawn_child("concurrent_crash_child", "after-job:13", &out);
+    assert!(
+        !status.success(),
+        "the crash child must die, got {status:?}"
+    );
+    let run_dir = out.join("crash");
+    assert!(!run_dir.join("aggregate.json").exists());
+    let (finalized, checkpointed, torn) = surviving_state(&run_dir);
+    assert_eq!((finalized, checkpointed, torn), (8, 5, 0));
+
+    let config = GridConfig {
+        resume: true,
+        ..concurrent_config(&out)
+    };
+    let resumed = run(&concurrent_spec(), &config).expect("resume succeeds");
+    assert_eq!(
+        resumed.recovered_jobs, checkpointed,
+        "every valid line replays"
+    );
+    assert_eq!(resumed.cache_hits, finalized + checkpointed);
+    assert_eq!(
+        resumed.recomputed,
+        concurrent_spec().total_jobs() - finalized - checkpointed,
+        "only the lost jobs recompute"
+    );
+    for name in [
+        "aggregate.json",
+        "shard-00000.jsonl",
+        "shard-00001.jsonl",
+        "shard-00002.jsonl",
+    ] {
+        assert_eq!(
+            std::fs::read(run_dir.join(name)).expect("resumed artifact"),
+            std::fs::read(control_dir.join(name)).expect("control artifact"),
+            "{name} must be byte-identical to the uninterrupted run"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&out);
     let _ = std::fs::remove_dir_all(&control_out);
 }
 
