@@ -195,16 +195,16 @@ fn run_batch(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<28} {:>10} {:>12} {:>12} {:>8}",
-        "job", "outcome", "fuel [A*s]", "I_fc [A]", "ms"
+        "{:<28} {:>10} {:>12} {:>12}",
+        "job", "outcome", "fuel [A*s]", "I_fc [A]"
     );
     for record in &manifest.records {
         match &record.outcome {
             fcdpm_runner::JobOutcome::Completed(m) => {
                 let _ = writeln!(
                     out,
-                    "{:<28} {:>10} {:>12.1} {:>12.4} {:>8}",
-                    record.id, "ok", m.fuel_as, m.mean_stack_current_a, record.wall_ms
+                    "{:<28} {:>10} {:>12.1} {:>12.4}",
+                    record.id, "ok", m.fuel_as, m.mean_stack_current_a
                 );
             }
             fcdpm_runner::JobOutcome::Failed(msg) => {

@@ -1,12 +1,14 @@
 //! The sharded streaming executor: bounded memory, spill, resume.
 //!
-//! [`run`] walks a [`GridSpec`] shard by shard. Per shard it decodes at
-//! most `shard_size` specs (the only job state ever resident), checks
-//! each spec's digest against any previously spilled record, executes
-//! the misses in one streaming call on the [`fcdpm_runner::pool`]
-//! worker pool, streams the shard's records in index order into
-//! `shard-NNNNN.jsonl`, folds them into the run aggregate, and drops
-//! everything before moving on. A 100k-job grid therefore peaks at
+//! [`run`] lowers a [`GridSpec`] once into the runner's job-grid
+//! decoder ([`fcdpm_runner::Axes`]) and walks it shard by shard. Per
+//! shard it decodes at most `shard_size` specs (the only job state ever
+//! resident) and hashes each once — the digest keys the cache and the
+//! job ID is formatted from it — checks each digest against any
+//! previously spilled record, executes the misses in one streaming call
+//! on the [`fcdpm_runner::pool`] worker pool, streams the shard's
+//! records in index order into `shard-NNNNN.jsonl`, folds them into the
+//! run aggregate, and drops everything before moving on. A 100k-job grid therefore peaks at
 //! `shard_size` resident jobs plus two `f64` columns (fuel and
 //! deficit-time per completed job, 8 B each) kept for the p50/p99
 //! quantiles.
@@ -45,11 +47,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fcdpm_runner::pool::{stream, Execution, RetryPolicy};
-use fcdpm_runner::{execute, JobMetrics, JobOutcome, JobSpec};
+use fcdpm_runner::pool::{stream, RetryPolicy};
+use fcdpm_runner::{execute, spec_digest, JobMetrics, JobOutcome, JobSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::gen::{spec_digest, GridSpec};
+use crate::gen::GridSpec;
 use crate::manifest::{
     digest_hex, encode_record, partial_file_name, read_partial, read_shard, shard_file_name,
     write_atomic, GridJobRecord, PartialShardWriter, ShardWriter,
@@ -413,7 +415,7 @@ impl Rollup {
 
 /// Parses the shard index out of a spill file name, final
 /// (`shard-NNNNN.jsonl`) or partial (`shard-NNNNN.partial.jsonl`).
-fn shard_index_of(path: &Path) -> Option<u64> {
+pub(crate) fn shard_index_of(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     name.strip_prefix("shard-")?
         .strip_suffix(".jsonl")?
@@ -523,16 +525,6 @@ fn execute_attempt(job: &JobSpec, attempt: u32) -> Result<JobMetrics, String> {
     execute(job)
 }
 
-/// How a pool execution of a job reads as a record outcome.
-fn outcome_of(execution: Execution<Result<JobMetrics, String>>) -> JobOutcome {
-    match execution {
-        Execution::Completed(Ok(metrics)) => JobOutcome::Completed(metrics),
-        Execution::Completed(Err(message)) => JobOutcome::Failed(message),
-        Execution::Panicked(message) => JobOutcome::Failed(format!("panic: {message}")),
-        Execution::TimedOut => JobOutcome::TimedOut,
-    }
-}
-
 /// Executes `spec` under `config`: shard by shard, spilling records,
 /// reusing digest-matching spill when `config.resume` is set, and
 /// writing the deterministic `aggregate.json` last.
@@ -542,9 +534,10 @@ fn outcome_of(execution: Execution<Result<JobMetrics, String>>) -> JobOutcome {
 /// Returns a message when the spec fails validation or the run
 /// directory cannot be written.
 pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
-    spec.validate()?;
+    let axes = spec.axes();
+    axes.validate()?;
     let start = Instant::now();
-    let total = spec.total_jobs();
+    let total = axes.len();
     let shard_size = config.shard_size.max(1);
     let shards = total.div_ceil(shard_size);
     let run_id = config.effective_run_id(spec);
@@ -576,7 +569,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         let mut specs = Vec::with_capacity(usize::try_from(hi - lo).unwrap_or(0));
         let mut digests = Vec::with_capacity(specs.capacity());
         for index in lo..hi {
-            let job = spec
+            let job = axes
                 .job_at(index)
                 .ok_or_else(|| format!("index {index} out of range (decoder bug)"))?;
             digests.push(spec_digest(&job));
@@ -635,7 +628,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
             let index = lo + slot as u64;
             GridJobRecord {
                 index,
-                id: specs[slot].id(usize::try_from(index).unwrap_or(usize::MAX)),
+                id: specs[slot].id_from_digest(index, digests[slot]),
                 digest: digest_hex(digests[slot]),
                 outcome,
                 attempts,
@@ -678,7 +671,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
             &config.retry,
             |result| -> Result<(), String> {
                 let slot = misses[result.index];
-                let record = record_at(slot, outcome_of(result.execution), result.attempts);
+                let record = record_at(slot, result.execution.into(), result.attempts);
                 let line = encode_record(&record)?;
                 checkpointer.push(&line)?;
                 if checkpointer.pending() >= config.checkpoint_batch {
@@ -721,6 +714,15 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         },
         aggregate,
     })
+}
+
+/// Parses a run directory's `grid.json`; the error names the file.
+pub(crate) fn read_spec(dir: &Path) -> Result<GridSpec, String> {
+    let path = dir.join("grid.json");
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+    serde_json::from_str(&text)
+        .map_err(|e| format!("`{}` does not parse as a GridSpec: {e}", path.display()))
 }
 
 /// What `fcdpm grid status` reports about a run directory on disk.
@@ -767,15 +769,7 @@ impl GridStatus {
 /// Returns a message when the directory or its `grid.json` is
 /// unreadable.
 pub fn status(dir: &Path) -> Result<GridStatus, String> {
-    let spec_path = dir.join("grid.json");
-    let text = std::fs::read_to_string(&spec_path)
-        .map_err(|e| format!("cannot read `{}`: {e}", spec_path.display()))?;
-    let spec: GridSpec = serde_json::from_str(&text).map_err(|e| {
-        format!(
-            "`{}` does not parse as a GridSpec: {e}",
-            spec_path.display()
-        )
-    })?;
+    let spec = read_spec(dir)?;
     let mut state = GridStatus {
         run_id: dir
             .file_name()
@@ -818,8 +812,7 @@ pub fn status(dir: &Path) -> Result<GridStatus, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{FaultPreset, SeedAxis, SeedRange, WorkloadKind};
-    use fcdpm_runner::PolicySpec;
+    use fcdpm_runner::{FaultPreset, PolicySpec, SeedAxis, SeedRange, WorkloadKind};
 
     fn tiny_spec() -> GridSpec {
         let mut spec = GridSpec::new(

@@ -17,7 +17,9 @@
 use std::path::{Path, PathBuf};
 
 use crate::gen::GridSpec;
-use crate::manifest::{partial_files, read_partial, read_shard, shard_file_name, shard_files};
+use crate::manifest::{
+    list_matching, partial_files, read_partial, read_shard, shard_file_name, shard_files,
+};
 
 /// What [`gc`] decided about one artifact (or directory).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,20 +132,14 @@ fn is_grid_artifact(name: &str) -> bool {
         || (name.starts_with("shard-") && name.ends_with(".jsonl"))
 }
 
-/// Lists a directory's entry names, sorted for deterministic reports.
+/// Lists a directory's entries by name, sorted for deterministic
+/// reports.
 fn sorted_entries(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let reader =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot list `{}`: {e}", dir.display()))?;
-    let mut entries = Vec::new();
-    for entry in reader {
-        let entry = entry.map_err(|e| format!("cannot list `{}`: {e}", dir.display()))?;
-        let Some(name) = entry.file_name().to_str().map(str::to_owned) else {
-            continue;
-        };
-        entries.push((name, entry.path()));
-    }
-    entries.sort();
-    Ok(entries)
+    let paths = list_matching(dir, |_| true)?;
+    Ok(paths
+        .into_iter()
+        .filter_map(|path| Some((path.file_name()?.to_str()?.to_owned(), path)))
+        .collect())
 }
 
 fn dir_size(dir: &Path) -> u64 {
@@ -176,14 +172,6 @@ pub fn gc(root: &Path, dry_run: bool) -> Result<GcReport, String> {
     Ok(report)
 }
 
-/// True when the directory's `grid.json` exists and parses.
-fn spec_parses(dir: &Path) -> bool {
-    std::fs::read_to_string(dir.join("grid.json"))
-        .ok()
-        .and_then(|text| serde_json::from_str::<GridSpec>(&text).ok())
-        .is_some()
-}
-
 fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), String> {
     let entries = sorted_entries(dir)?;
     let foreign: Vec<&str> = entries
@@ -195,8 +183,7 @@ fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), St
     // Unresumable directory: no usable grid.json means no spec digests
     // to match records against. Delete it — but only when everything
     // inside is recognisably ours.
-    let spec_ok = spec_parses(dir);
-    if !spec_ok {
+    let Ok(spec) = crate::engine::read_spec(dir) else {
         if foreign.is_empty() {
             let bytes = dir_size(dir);
             report.actions.push(GcAction {
@@ -221,7 +208,7 @@ fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), St
             });
         }
         return Ok(());
-    }
+    };
 
     let remove = |path: &Path| -> Result<(), String> {
         if dry_run {
@@ -245,7 +232,7 @@ fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), St
 
     // Partial checkpoints: redundant once promoted, compacted if torn.
     for path in partial_files(dir)? {
-        let Some(shard) = super_shard_index(&path) else {
+        let Some(shard) = crate::engine::shard_index_of(&path) else {
             continue;
         };
         if dir.join(shard_file_name(shard)).is_file() {
@@ -284,9 +271,9 @@ fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), St
     }
 
     // Shard files: stale beyond the spec's expansion, or corrupt.
-    let shards = expected_shards(dir);
+    let shards = expected_shards(dir, &spec);
     for path in shard_files(dir)? {
-        let Some(index) = super_shard_index(&path) else {
+        let Some(index) = crate::engine::shard_index_of(&path) else {
             continue;
         };
         if let Some(expected) = shards {
@@ -332,13 +319,11 @@ fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), St
     Ok(())
 }
 
-/// `ceil(jobs / shard_size)` for the run, from its `grid.json` and the
-/// shard size recorded in `aggregate.json` when available. Without a
+/// `ceil(jobs / shard_size)` for the run, from its spec and the shard
+/// size recorded in `aggregate.json` when available. Without a
 /// parseable aggregate the shard size is unknown, so staleness cannot
 /// be judged and `None` disables that check.
-fn expected_shards(dir: &Path) -> Option<u64> {
-    let spec_text = std::fs::read_to_string(dir.join("grid.json")).ok()?;
-    let spec: GridSpec = serde_json::from_str(&spec_text).ok()?;
+fn expected_shards(dir: &Path, spec: &GridSpec) -> Option<u64> {
     let agg_text = std::fs::read_to_string(dir.join("aggregate.json")).ok()?;
     let agg: serde_json::Value = serde_json::from_str(&agg_text).ok()?;
     let shard_size = agg.get("shard_size")?.as_u64()?;
@@ -348,22 +333,12 @@ fn expected_shards(dir: &Path) -> Option<u64> {
     Some(spec.total_jobs().div_ceil(shard_size))
 }
 
-/// The shard index embedded in a `shard-NNNNN[.partial].jsonl` name.
-fn super_shard_index(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    name.strip_prefix("shard-")?
-        .strip_suffix(".jsonl")?
-        .trim_end_matches(".partial")
-        .parse()
-        .ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{run, GridConfig};
-    use crate::gen::{GridSpec, SeedAxis, SeedRange, WorkloadKind};
-    use fcdpm_runner::PolicySpec;
+    use crate::gen::GridSpec;
+    use fcdpm_runner::{PolicySpec, SeedAxis, SeedRange, WorkloadKind};
 
     fn spec() -> GridSpec {
         GridSpec::new(

@@ -6,9 +6,11 @@
 //!
 //! * [`GridSpec`] (in [`gen`]) — an *intensional* cross product of
 //!   seeds × workloads × fault presets × capacities × resilience ×
-//!   policies, described in a few hundred bytes of JSON and expanded
-//!   lazily: any index decodes to its [`JobSpec`](fcdpm_runner::JobSpec)
-//!   in O(axes), so there is never a `Vec<JobSpec>` of the fleet.
+//!   policies, described in a few hundred bytes of JSON and decoded
+//!   lazily by the runner's one job-grid decoder
+//!   ([`Axes`](fcdpm_runner::Axes)): any index decodes to its
+//!   [`JobSpec`](fcdpm_runner::JobSpec) in O(axes), so there is never a
+//!   `Vec<JobSpec>` of the fleet.
 //! * [`engine::run`] — a sharded streaming executor: at most
 //!   `shard_size` jobs resident, records spilled to
 //!   `shard-NNNNN.jsonl` under the run directory, deterministic
@@ -51,10 +53,10 @@ pub use engine::{
     nominal_seconds, run, status, CrashPoint, GridAggregate, GridConfig, GridRun, GridStatus,
     ShardSummary,
 };
+pub use fcdpm_runner::{spec_digest, FaultPreset, SeedAxis, SeedRange, WorkloadKind};
 pub use gc::{gc, GcAction, GcKind, GcReport};
-pub use gen::{spec_digest, FaultPreset, GridIter, GridSpec, SeedAxis, SeedRange, WorkloadKind};
+pub use gen::GridSpec;
 pub use manifest::{
-    digest_hex, for_each_record, partial_file_name, partial_files, read_partial, read_records,
-    read_shard, shard_file_name, shard_files, write_atomic, write_shard, GridJobRecord,
-    PartialRead, PartialShardWriter,
+    digest_hex, partial_file_name, partial_files, read_partial, read_shard, shard_file_name,
+    shard_files, write_atomic, write_shard, GridJobRecord, PartialRead, PartialShardWriter,
 };

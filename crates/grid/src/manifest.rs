@@ -22,20 +22,16 @@
 //! `shard-NNNNN.jsonl.tmp`, which is renamed into place when the shard
 //! completes; then the partial file is removed.
 //!
-//! [`for_each_record`] is the one reader. It also migrates the legacy
-//! single-file [`RunManifest`](fcdpm_runner::RunManifest) format that
-//! `fcdpm batch` writes: pointing it at a `*.json` manifest yields the
-//! same record stream, with digests recomputed from the embedded specs.
+//! [`read_shard`] reads one promoted shard and [`read_partial`] one
+//! checkpoint; the engine, `status` and `gc` all read through them.
 
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
-use fcdpm_runner::{JobOutcome, RunManifest};
+use fcdpm_runner::JobOutcome;
 use serde::{Deserialize, Serialize};
-
-use crate::gen::spec_digest;
 
 /// One job's record in a shard file: identity, cache key and outcome —
 /// nothing scheduling-dependent, nothing reconstructable from the spec.
@@ -322,7 +318,10 @@ pub fn partial_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
 }
 
 /// Directory entries whose file name satisfies `keep`, sorted.
-fn list_matching(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<PathBuf>, String> {
+pub(crate) fn list_matching(
+    dir: &Path,
+    keep: impl Fn(&str) -> bool,
+) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot list `{}`: {e}", dir.display()))?;
@@ -478,73 +477,10 @@ pub fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     })
 }
 
-/// Converts one legacy [`RunManifest`] job record into the chunked
-/// form, recomputing the digest from the embedded spec.
-fn migrate_record(record: &fcdpm_runner::JobRecord) -> GridJobRecord {
-    GridJobRecord {
-        index: record.index as u64,
-        id: record.id.clone(),
-        digest: digest_hex(spec_digest(&record.spec)),
-        outcome: record.outcome.clone(),
-        attempts: 1,
-    }
-}
-
-/// Streams every record reachable from `path`, in index order, calling
-/// `visit` once per record. Two layouts are accepted:
-///
-/// * a **run directory** holding chunked `shard-*.jsonl` files — shards
-///   are read one at a time, so memory stays bounded by the shard size;
-/// * a **legacy single-file manifest** (the `*.json` written by
-///   `fcdpm batch`) — migrated on the fly to the same record stream.
-///
-/// # Errors
-///
-/// Returns a message when the path is neither layout, or on I/O or
-/// parse failures.
-pub fn for_each_record(path: &Path, mut visit: impl FnMut(GridJobRecord)) -> Result<(), String> {
-    if path.is_dir() {
-        let files = shard_files(path)?;
-        if files.is_empty() {
-            return Err(format!("`{}` holds no shard-*.jsonl files", path.display()));
-        }
-        for file in files {
-            for record in read_shard(&file)? {
-                visit(record);
-            }
-        }
-        return Ok(());
-    }
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-    let legacy: RunManifest = serde_json::from_str(&text).map_err(|e| {
-        format!(
-            "`{}` is not a run directory and does not parse as a legacy RunManifest: {e}",
-            path.display()
-        )
-    })?;
-    for record in &legacy.records {
-        visit(migrate_record(record));
-    }
-    Ok(())
-}
-
-/// [`for_each_record`] collected into memory — for tests and small runs
-/// only; production paths stream.
-///
-/// # Errors
-///
-/// Same as [`for_each_record`].
-pub fn read_records(path: &Path) -> Result<Vec<GridJobRecord>, String> {
-    let mut records = Vec::new();
-    for_each_record(path, |record| records.push(record))?;
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcdpm_runner::{JobSpec, PolicySpec, RunConfig, WorkloadSpec};
+    use fcdpm_runner::{spec_digest, JobSpec, PolicySpec, WorkloadSpec};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fcdpm-grid-manifest-{tag}"));
@@ -569,7 +505,10 @@ mod tests {
         let dir = temp_dir("roundtrip");
         write_shard(&dir, 1, &[record(2), record(3)]).expect("writes");
         write_shard(&dir, 0, &[record(0), record(1)]).expect("writes");
-        let back = read_records(&dir).expect("reads");
+        let mut back = Vec::new();
+        for file in shard_files(&dir).expect("lists") {
+            back.extend(read_shard(&file).expect("reads"));
+        }
         assert_eq!(back.len(), 4);
         for (i, r) in back.iter().enumerate() {
             assert_eq!(r.index, i as u64, "records stream in shard order");
@@ -604,32 +543,6 @@ mod tests {
             .expect("puts");
         assert!(gap.finish(2).unwrap_err().contains("slot 0 of 2"));
         assert!(!dir.join(shard_file_name(1)).exists(), "nothing promoted");
-    }
-
-    #[test]
-    fn legacy_single_file_manifest_migrates() {
-        let dir = temp_dir("legacy");
-        let grid = fcdpm_runner::JobGrid::new(
-            vec![PolicySpec::Conv, PolicySpec::FcDpm],
-            vec![WorkloadSpec::Experiment1(0xDAC0_2007)],
-        );
-        let manifest = fcdpm_runner::run_grid(&grid, &RunConfig::with_workers(2));
-        let path = dir.join("batch.manifest.json");
-        std::fs::write(&path, manifest.to_json()).expect("writes");
-
-        let migrated = read_records(&path).expect("migrates");
-        assert_eq!(migrated.len(), manifest.records.len());
-        for (old, new) in manifest.records.iter().zip(&migrated) {
-            assert_eq!(new.index, old.index as u64);
-            assert_eq!(new.id, old.id);
-            assert_eq!(new.outcome, old.outcome);
-            assert_eq!(new.digest, digest_hex(spec_digest(&old.spec)));
-        }
-
-        // And the migrated records round-trip through the chunked form.
-        write_shard(&dir, 0, &migrated).expect("writes");
-        let back = read_shard(&dir.join(shard_file_name(0))).expect("reads");
-        assert_eq!(back, migrated);
     }
 
     #[test]
@@ -696,7 +609,7 @@ mod tests {
         drop(writer);
         assert_eq!(shard_files(&dir).expect("lists").len(), 1);
         assert_eq!(partial_files(&dir).expect("lists").len(), 1);
-        let back = read_records(&dir).expect("reads");
+        let back = read_shard(&shard_files(&dir).expect("lists")[0]).expect("reads");
         assert_eq!(back, vec![record(0)], "only promoted shards stream");
     }
 
@@ -711,15 +624,5 @@ mod tests {
             !dir.join("aggregate.json.tmp").exists(),
             "no tmp file survives"
         );
-    }
-
-    #[test]
-    fn unreadable_paths_are_named_errors() {
-        let dir = temp_dir("errors");
-        assert!(read_records(&dir).unwrap_err().contains("no shard"));
-        let bogus = dir.join("bogus.json");
-        std::fs::write(&bogus, "not json").expect("writes");
-        assert!(read_records(&bogus).unwrap_err().contains("legacy"));
-        assert!(read_records(&dir.join("missing.json")).is_err());
     }
 }

@@ -8,11 +8,10 @@
 //! sleep transition. Each function here checks one value and returns a
 //! message naming what is wrong with it; callers prefix the field.
 //!
-//! [`JobGrid::validate`](crate::JobGrid::validate) and
-//! `fcdpm_grid::GridSpec::validate` run them on a whole grid at load
-//! time, before the first job. [`execute`](crate::execute) runs the
-//! policy and fault-schedule checks on every job, since a job can also
-//! arrive without a grid.
+//! [`Axes::validate`](crate::spec::Axes::validate), behind both grid
+//! spellings, runs them on a whole grid at load time, before the first
+//! job. [`execute`](crate::execute) runs the policy and fault-schedule
+//! checks on every job, since a job can also arrive without a grid.
 
 use fcdpm_faults::{FaultKind, FaultSchedule};
 use fcdpm_fuelcell::LinearEfficiency;

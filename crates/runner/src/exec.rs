@@ -633,7 +633,7 @@ mod tests {
     #[test]
     fn invalid_fault_schedule_is_rejected_before_running() {
         let mut spec = JobSpec::new(PolicySpec::FcDpm, WorkloadSpec::Experiment1(SEED));
-        spec.faults = Some(crate::sweep::starvation_schedule(SEED));
+        spec.faults = crate::FaultPreset::Starvation.schedule(SEED);
         if let Some(s) = spec.faults.as_mut() {
             s.events[0].at_s = f64::NAN;
         }
@@ -644,7 +644,7 @@ mod tests {
     #[test]
     fn faults_on_multi_device_are_rejected() {
         let mut spec = JobSpec::new(PolicySpec::WindowedAverage, WorkloadSpec::MultiDevice(1));
-        spec.faults = Some(crate::sweep::starvation_schedule(SEED));
+        spec.faults = crate::FaultPreset::Starvation.schedule(SEED);
         let err = execute(&spec).unwrap_err();
         assert!(err.contains("slot structure"), "{err}");
         // An empty schedule is no fault injection at all, so it runs.
@@ -655,7 +655,7 @@ mod tests {
     #[test]
     fn resilient_wrapper_lowers_starvation_deficit() {
         let mut plain = JobSpec::new(PolicySpec::FcDpm, WorkloadSpec::Experiment1(SEED));
-        plain.faults = Some(crate::sweep::starvation_schedule(SEED));
+        plain.faults = crate::FaultPreset::Starvation.schedule(SEED);
         let mut wrapped = plain.clone();
         wrapped.resilient = Some(true);
         let plain = execute(&plain).unwrap();
@@ -679,7 +679,7 @@ mod tests {
         // lands and the resilient ladder reacts — pin the seeded
         // wrapped-vs-unwrapped deficit ordering like experiment 1 does.
         let mut plain = JobSpec::new(PolicySpec::FcDpm, WorkloadSpec::Dvs(SEED));
-        plain.faults = Some(crate::sweep::starvation_schedule(SEED));
+        plain.faults = crate::FaultPreset::Starvation.schedule(SEED);
         let mut wrapped = plain.clone();
         wrapped.resilient = Some(true);
         let plain = execute(&plain).unwrap();

@@ -7,8 +7,9 @@
 //!
 //! * [`JobSpec`] / [`JobGrid`] — declarative, serde-serializable run
 //!   descriptions; a grid is the cartesian product of per-axis lists.
-//! * [`JobGrid::validate`] — the load-time feasibility checks
-//!   ([`check`]) a grid file must pass before its first job runs.
+//! * [`Axes`] — the one lazy decoder both grid spellings ([`JobGrid`]
+//!   and `fcdpm_grid::GridSpec`) lower into: expansion order, job count,
+//!   random access, and the load-time feasibility checks ([`check`]).
 //! * [`run_grid`] — executes a grid on a dependency-light thread pool
 //!   ([`pool`]), with per-job panic isolation and optional wall-clock
 //!   timeouts.
@@ -46,7 +47,8 @@ pub mod sweep;
 pub use exec::{execute, JobMetrics};
 pub use manifest::{JobOutcome, JobRecord, RunAggregates, RunManifest};
 pub use spec::{
-    DevicePreset, JobGrid, JobSpec, PolicySpec, PredictorSpec, StorageSpec, WorkloadSpec,
+    spec_digest, Axes, DevicePreset, FaultPreset, JobGrid, JobSpec, PolicySpec, PredictorSpec,
+    SeedAxis, SeedRange, StorageSpec, WorkloadKind, WorkloadSpec, Workloads,
 };
 pub use sweep::{fault_sweep, fault_sweep_labeled};
 
@@ -71,14 +73,40 @@ impl RunConfig {
     }
 }
 
-/// Expands `grid` and executes every job on the worker pool, returning
+/// Decodes `grid` and executes every job on the worker pool, returning
 /// the run's manifest. Record order and job IDs depend only on the grid,
 /// never on scheduling; a panicking or erroring job becomes
 /// [`JobOutcome::Failed`] without aborting the rest of the run.
 #[must_use]
 pub fn run_grid(grid: &JobGrid, config: &RunConfig) -> RunManifest {
-    let specs = grid.expand();
+    let specs: Vec<JobSpec> = grid.axes().iter().map(|(_, job)| job).collect();
     run_specs(&specs, config)
+}
+
+/// Hashes every spec's canonical JSON once: the per-job digests, and the
+/// grid digest over `[` + those JSON texts joined by `,` + `]` (the
+/// compact JSON of the whole list), or over the empty string when a spec
+/// does not serialize.
+fn digests(specs: &[JobSpec]) -> (u64, Vec<u64>) {
+    let mut grid = spec::fnv1a(b"[");
+    let mut whole = true;
+    let mut digests = Vec::with_capacity(specs.len());
+    for (i, job) in specs.iter().enumerate() {
+        let json = serde_json::to_string(job);
+        whole &= json.is_ok();
+        let json = json.unwrap_or_default();
+        if i > 0 {
+            grid = spec::fnv1a_extend(grid, b",");
+        }
+        grid = spec::fnv1a_extend(grid, json.as_bytes());
+        digests.push(spec::fnv1a(json.as_bytes()));
+    }
+    let grid = if whole {
+        spec::fnv1a_extend(grid, b"]")
+    } else {
+        spec::fnv1a(b"")
+    };
+    (grid, digests)
 }
 
 /// [`run_grid`] over an already-expanded job list.
@@ -86,9 +114,7 @@ pub fn run_grid(grid: &JobGrid, config: &RunConfig) -> RunManifest {
 pub fn run_specs(specs: &[JobSpec], config: &RunConfig) -> RunManifest {
     let start = Instant::now();
     let workers = pool::resolve_workers(config.workers);
-
-    let grid_json = serde_json::to_string(&specs.to_vec()).unwrap_or_default();
-    let grid_digest = format!("{:016x}", spec::fnv1a(grid_json.as_bytes()));
+    let (grid_digest, digests) = digests(specs);
 
     let jobs: Vec<_> = specs
         .iter()
@@ -103,19 +129,11 @@ pub fn run_specs(specs: &[JobSpec], config: &RunConfig) -> RunManifest {
         .into_iter()
         .map(|result| {
             let spec = &specs[result.index];
-            let outcome = match result.execution {
-                pool::Execution::Completed(Ok(metrics)) => JobOutcome::Completed(metrics),
-                pool::Execution::Completed(Err(message)) => JobOutcome::Failed(message),
-                pool::Execution::Panicked(message) => {
-                    JobOutcome::Failed(format!("panic: {message}"))
-                }
-                pool::Execution::TimedOut => JobOutcome::TimedOut,
-            };
             JobRecord {
-                id: spec.id(result.index),
+                id: spec.id_from_digest(result.index as u64, digests[result.index]),
                 index: result.index,
                 spec: spec.clone(),
-                outcome,
+                outcome: result.execution.into(),
                 wall_ms: u64::try_from(result.wall.as_millis()).unwrap_or(u64::MAX),
                 worker: result.worker,
             }
@@ -124,7 +142,7 @@ pub fn run_specs(specs: &[JobSpec], config: &RunConfig) -> RunManifest {
 
     let aggregates = RunAggregates::from_records(&records);
     RunManifest {
-        grid_digest,
+        grid_digest: format!("{grid_digest:016x}"),
         workers,
         records,
         aggregates,
@@ -167,6 +185,59 @@ mod tests {
         match &manifest.records[1].outcome {
             JobOutcome::Failed(msg) => assert!(msg.contains("injected"), "msg: {msg}"),
             other => panic!("expected failure, got {other:?}"),
+        }
+    }
+
+    /// `id`, `spec_digest` and `grid_digest` as they were computed before
+    /// they shared one serialization per job, over random grids.
+    #[test]
+    fn one_hash_per_job_matches_the_separate_formulas() {
+        let mut state = SEED;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % n
+        };
+        for round in 0..64 {
+            let mut grid = JobGrid::new(
+                vec![
+                    PolicySpec::Conv,
+                    PolicySpec::Constant(next(900) as f64 / 1e3),
+                ],
+                vec![
+                    WorkloadSpec::Experiment1(next(u64::MAX)),
+                    WorkloadSpec::Dvs(next(9)),
+                ],
+            );
+            grid.capacities_mamin = Some(vec![50.0 + next(999) as f64 / 7.0, 100.0]);
+            grid.predictors = Some(vec![
+                PredictorSpec::Exponential(next(99) as f64 / 99.0),
+                PredictorSpec::Oracle,
+            ]);
+            // Every fourth grid holds specs that cannot serialize.
+            let beta = if round % 4 == 3 {
+                f64::NAN
+            } else {
+                next(200) as f64 / 1e3
+            };
+            grid.betas = Some(vec![beta]);
+            let mut extra = JobSpec::new(PolicySpec::FcDpm, WorkloadSpec::Experiment1(SEED));
+            extra.faults = FaultPreset::Combined.schedule(next(100));
+            grid.extra_jobs = Some(vec![extra]);
+
+            let specs = grid.expand();
+            let (grid_digest, job_digests) = digests(&specs);
+            let whole = serde_json::to_string(&specs).unwrap_or_default();
+            assert_eq!(grid_digest, spec::fnv1a(whole.as_bytes()), "round {round}");
+            for (i, (job, &digest)) in specs.iter().zip(&job_digests).enumerate() {
+                let json = serde_json::to_string(job).unwrap_or_default();
+                let hash = spec::fnv1a(json.as_bytes());
+                let id = format!("job-{i:04}-{}-{:08x}", job.policy.label(), hash as u32);
+                assert_eq!((digest, spec_digest(job)), (hash, hash));
+                assert_eq!(job.id(i), id);
+                assert_eq!(job.id_from_digest(i as u64, digest), id);
+            }
         }
     }
 

@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::exec::JobMetrics;
+use crate::pool::Execution;
 use crate::spec::JobSpec;
 
 /// How one job ended.
@@ -31,6 +32,19 @@ impl JobOutcome {
         match self {
             JobOutcome::Completed(m) => Some(m),
             _ => None,
+        }
+    }
+}
+
+/// How a pool execution of a job reads as a record outcome: an executor
+/// error or a panic is a failure, never an aborted run.
+impl From<Execution<Result<JobMetrics, String>>> for JobOutcome {
+    fn from(execution: Execution<Result<JobMetrics, String>>) -> Self {
+        match execution {
+            Execution::Completed(Ok(metrics)) => JobOutcome::Completed(metrics),
+            Execution::Completed(Err(message)) => JobOutcome::Failed(message),
+            Execution::Panicked(message) => JobOutcome::Failed(format!("panic: {message}")),
+            Execution::TimedOut => JobOutcome::TimedOut,
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The canonical seeded fault sweep.
 //!
-//! [`fault_sweep`] expands a fixed catalogue of fault schedules —
-//! fuel starvation, FC efficiency fade, storage degradation, predictor
-//! loss, and all of them combined — against the Experiment-1 camcorder
-//! trace, running each schedule under the unwrapped FC-DPM planner, the
+//! [`fault_sweep`] expands the fixed catalogue of [`FaultPreset`] fault
+//! schedules — fuel starvation, FC efficiency fade, storage
+//! degradation, predictor loss, and all of them combined — against the
+//! Experiment-1 camcorder trace, running each schedule under the
+//! unwrapped FC-DPM planner, the
 //! [`ResilientPolicy`](fcdpm_core::policy::ResilientPolicy)-wrapped
 //! planner, and the Conv-DPM worst-case baseline. A no-fault control
 //! pair (no schedule vs an empty schedule) rides along so manifests
@@ -14,123 +15,9 @@
 //! [`RunManifest::deterministic_json`](crate::RunManifest::deterministic_json)
 //! regardless of worker count.
 
-use fcdpm_faults::{
-    EfficiencyFade, FaultEvent, FaultKind, FaultSchedule, FuelStarvation, PredictorDropout,
-    PredictorNoise, SelfDischarge, StorageFade,
-};
+use fcdpm_faults::FaultSchedule;
 
-use crate::spec::{JobSpec, PolicySpec, WorkloadSpec};
-
-fn at(at_s: f64, kind: FaultKind) -> FaultEvent {
-    FaultEvent { at_s, kind }
-}
-
-/// The canonical starvation schedule: the stack loses most of its
-/// load-following headroom for a nine-minute window mid-trace. The
-/// 0.47 A cap sits above FC-DPM's fuel-optimal idle setpoints but well
-/// below the camcorder's active draw, so the window separates policies
-/// that rebuild reserve (strictly less brownout time) from ones that
-/// keep optimizing fuel against a range that no longer exists.
-#[must_use]
-pub fn starvation_schedule(seed: u64) -> FaultSchedule {
-    FaultSchedule {
-        seed,
-        events: vec![at(
-            200.0,
-            FaultKind::FuelStarvation(FuelStarvation {
-                until_s: 740.0,
-                max_a: 0.47,
-            }),
-        )],
-    }
-}
-
-/// The canonical efficiency-fade schedule: `α` drops and `β` steepens
-/// a third of the way in, permanently.
-#[must_use]
-pub fn fade_schedule(seed: u64) -> FaultSchedule {
-    FaultSchedule {
-        seed,
-        events: vec![at(
-            560.0,
-            FaultKind::EfficiencyFade(EfficiencyFade {
-                alpha_scale: 0.85,
-                beta_scale: 1.3,
-            }),
-        )],
-    }
-}
-
-/// The canonical storage-degradation schedule: a capacity fade
-/// followed by a parasitic self-discharge leak.
-#[must_use]
-pub fn storage_schedule(seed: u64) -> FaultSchedule {
-    FaultSchedule {
-        seed,
-        events: vec![
-            at(
-                400.0,
-                FaultKind::StorageFade(StorageFade {
-                    capacity_scale: 0.6,
-                }),
-            ),
-            at(
-                700.0,
-                FaultKind::SelfDischarge(SelfDischarge { leak_a: 0.02 }),
-            ),
-        ],
-    }
-}
-
-/// The canonical predictor-loss schedule: a dropout window followed by
-/// a seeded noise window.
-#[must_use]
-pub fn predictor_schedule(seed: u64) -> FaultSchedule {
-    FaultSchedule {
-        seed,
-        events: vec![
-            at(
-                250.0,
-                FaultKind::PredictorDropout(PredictorDropout { until_s: 640.0 }),
-            ),
-            at(
-                900.0,
-                FaultKind::PredictorNoise(PredictorNoise {
-                    until_s: 1300.0,
-                    magnitude: 0.3,
-                }),
-            ),
-        ],
-    }
-}
-
-/// Every canonical fault at once — the stress case the degradation
-/// ladder exists for.
-#[must_use]
-pub fn combined_schedule(seed: u64) -> FaultSchedule {
-    let mut events = Vec::new();
-    for schedule in [
-        starvation_schedule(seed),
-        fade_schedule(seed),
-        storage_schedule(seed),
-        predictor_schedule(seed),
-    ] {
-        events.extend(schedule.events);
-    }
-    FaultSchedule { seed, events }
-}
-
-/// The canonical `(label, schedule)` catalogue, in sweep order.
-#[must_use]
-pub fn canonical_schedules(seed: u64) -> Vec<(&'static str, FaultSchedule)> {
-    vec![
-        ("starvation", starvation_schedule(seed)),
-        ("fade", fade_schedule(seed)),
-        ("storage", storage_schedule(seed)),
-        ("predictor", predictor_schedule(seed)),
-        ("combined", combined_schedule(seed)),
-    ]
-}
+use crate::spec::{FaultPreset, JobSpec, PolicySpec, WorkloadSpec};
 
 /// [`fault_sweep`] with a human-facing row label per job
 /// (`"<schedule>/<variant>"`), for report tables.
@@ -144,10 +31,15 @@ pub fn fault_sweep_labeled(seed: u64, quick: bool) -> Vec<(String, JobSpec)> {
     control.faults = Some(FaultSchedule::none(seed));
     jobs.push(("control/empty".to_owned(), control));
 
-    for (label, schedule) in canonical_schedules(seed) {
-        if quick && label != "starvation" && label != "combined" {
+    for preset in FaultPreset::CANONICAL {
+        if quick && !matches!(preset, FaultPreset::Starvation | FaultPreset::Combined) {
             continue;
         }
+        let Some(schedule) = preset.schedule(seed) else {
+            continue;
+        };
+        // The row label is the preset's name in lower case.
+        let label = format!("{preset:?}").to_lowercase();
         let mut plain = base();
         plain.faults = Some(schedule.clone());
         jobs.push((format!("{label}/fcdpm"), plain));
@@ -191,7 +83,11 @@ mod tests {
 
     #[test]
     fn canonical_schedules_validate_and_fit_the_trace() {
-        for (label, schedule) in canonical_schedules(SEED) {
+        for preset in FaultPreset::CANONICAL {
+            let label = format!("{preset:?}");
+            let schedule = preset
+                .schedule(SEED)
+                .expect("canonical presets inject faults");
             schedule.validate().unwrap_or_else(|e| {
                 panic!("canonical schedule `{label}` is invalid: {e}");
             });

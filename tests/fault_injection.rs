@@ -61,7 +61,9 @@ fn empty_fault_schedule_is_invisible() {
 
 #[test]
 fn resilient_wrapper_strictly_reduces_starvation_brownouts() {
-    let schedule = fcdpm_runner::sweep::starvation_schedule(SEED);
+    let schedule = fcdpm_runner::FaultPreset::Starvation
+        .schedule(SEED)
+        .expect("injects");
     let mut plain = JobSpec::new(PolicySpec::FcDpm, WorkloadSpec::Experiment1(SEED));
     plain.faults = Some(schedule);
     let mut wrapped = plain.clone();

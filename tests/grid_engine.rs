@@ -1,12 +1,13 @@
 //! Workspace-level integration tests for the fleet-simulation engine:
-//! resume byte-identity, legacy-manifest migration through the chunked
-//! reader, and the bounded-memory (structure-of-arrays) guarantee.
+//! resume byte-identity, `fcdpm batch` and `fcdpm grid run` agreeing
+//! record for record through the one job-grid decoder, and the
+//! bounded-memory (structure-of-arrays) guarantee.
 
 use std::path::{Path, PathBuf};
 
 use fcdpm_grid::{
-    for_each_record, run, spec_digest, status, FaultPreset, GridConfig, GridSpec, SeedAxis,
-    SeedRange, WorkloadKind,
+    digest_hex, read_shard, run, shard_files, spec_digest, status, FaultPreset, GridConfig,
+    GridSpec, SeedAxis, SeedRange, WorkloadKind,
 };
 use fcdpm_runner::{JobGrid, PolicySpec, RunConfig, WorkloadSpec};
 
@@ -121,64 +122,79 @@ fn resume_after_axis_edit_keeps_prefix_cache_hits() {
     assert_eq!(resumed.aggregate.completed, 12);
 }
 
-#[test]
-fn legacy_manifest_and_chunked_run_agree_through_one_reader() {
-    // The same four jobs, once through the legacy eager runner's
-    // single-file manifest and once through the sharded engine.
-    let legacy_grid = JobGrid::new(
-        vec![PolicySpec::Conv, PolicySpec::FcDpm],
-        vec![
-            WorkloadSpec::Experiment1(0xDAC0_2007),
-            WorkloadSpec::Experiment1(0xDAC0_2008),
-        ],
-    );
-    let manifest = fcdpm_runner::run_grid(&legacy_grid, &RunConfig::with_workers(2));
-    let dir = fresh_dir("legacy");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let legacy_path = dir.join("old-run.manifest.json");
-    std::fs::write(&legacy_path, manifest.to_json()).expect("write legacy manifest");
-
-    let spec = GridSpec::new(
+/// Seeds × workloads × capacities × policies, spelled once as a
+/// `GridSpec` and once as a `JobGrid` that lists its workloads
+/// seed-major.
+fn both_spellings() -> (GridSpec, JobGrid) {
+    let policies = vec![PolicySpec::Conv, PolicySpec::FcDpm];
+    let mut spec = GridSpec::new(
         SeedAxis::Range(SeedRange {
             start: 0xDAC0_2007,
             count: 2,
         }),
-        vec![WorkloadKind::Experiment1],
-        vec![PolicySpec::Conv, PolicySpec::FcDpm],
+        vec![WorkloadKind::Experiment1, WorkloadKind::Dvs],
+        policies.clone(),
     );
+    spec.capacities_mamin = Some(vec![60.0, 100.0]);
+    let mut grid = JobGrid::new(
+        policies,
+        vec![
+            WorkloadSpec::Experiment1(0xDAC0_2007),
+            WorkloadSpec::Dvs(0xDAC0_2007),
+            WorkloadSpec::Experiment1(0xDAC0_2008),
+            WorkloadSpec::Dvs(0xDAC0_2008),
+        ],
+    );
+    grid.capacities_mamin = spec.capacities_mamin.clone();
+    (spec, grid)
+}
+
+#[test]
+fn both_spellings_decode_to_the_same_jobs() {
+    let (spec, grid) = both_spellings();
+    let keyed = |(index, job): (u64, fcdpm_runner::JobSpec)| {
+        let id = job.id(usize::try_from(index).expect("small grid"));
+        (spec_digest(&job), id, job)
+    };
+    let from_spec: Vec<_> = spec.iter().map(keyed).collect();
+    let from_grid: Vec<_> = grid.axes().iter().map(keyed).collect();
+    assert_eq!(from_spec.len(), 16);
+    assert_eq!(from_spec, from_grid);
+    assert_eq!(spec.validate(), grid.validate());
+    // A seed list decodes in list order, exactly as the range does.
+    let mut listed = spec.clone();
+    listed.seeds = SeedAxis::List(vec![0xDAC0_2007, 0xDAC0_2008]);
+    assert!(listed.iter().eq(spec.iter()));
+}
+
+#[test]
+fn batch_records_match_the_grid_run_shards_in_order() {
+    let (spec, grid) = both_spellings();
+    let manifest = fcdpm_runner::run_grid(&grid, &RunConfig::with_workers(2));
+    let dir = fresh_dir("batch-vs-grid");
     let grid_run = run(
         &spec,
         &GridConfig {
             workers: 2,
-            shard_size: 2,
+            shard_size: 5,
             out_dir: dir.clone(),
             ..GridConfig::default()
         },
     )
-    .expect("chunked run");
+    .expect("grid run");
 
-    let mut legacy_digests = Vec::new();
-    for_each_record(&legacy_path, |r| legacy_digests.push(r.digest))
-        .expect("legacy manifest streams through the chunked reader");
-    let mut chunked_digests = Vec::new();
-    for_each_record(&dir.join(&grid_run.run_id), |r| {
-        chunked_digests.push(r.digest)
-    })
-    .expect("chunked run streams");
-
-    assert_eq!(legacy_digests.len(), 4);
-    assert_eq!(chunked_digests.len(), 4);
-    // Same job population either way — the axis nesting differs
-    // (legacy: workload-major; grid: seed-major), so compare as sets.
-    legacy_digests.sort();
-    chunked_digests.sort();
-    assert_eq!(
-        legacy_digests, chunked_digests,
-        "digest keying is identical across formats"
-    );
-    // And the digests really are the canonical spec digests.
-    let expected = format!("{:016x}", spec_digest(&spec.job_at(0).expect("job 0")));
-    assert!(chunked_digests.contains(&expected));
+    let mut shard_records = Vec::new();
+    for file in shard_files(&dir.join(&grid_run.run_id)).expect("lists shards") {
+        shard_records.extend(read_shard(&file).expect("shard reads"));
+    }
+    assert_eq!(manifest.records.len(), 16);
+    assert_eq!(shard_records.len(), manifest.records.len());
+    for (batch, shard) in manifest.records.iter().zip(&shard_records) {
+        assert_eq!(batch.index as u64, shard.index);
+        assert_eq!(batch.id, shard.id);
+        assert_eq!(digest_hex(spec_digest(&batch.spec)), shard.digest);
+        assert_eq!(batch.outcome, shard.outcome, "job {}", batch.id);
+    }
 }
 
 #[test]

@@ -1,21 +1,22 @@
-//! Property tests pinning the lazy grid decoder to eager expansion.
+//! Property tests pinning the lazy job-grid decoder to eager expansion.
 //!
-//! The fleet engine's correctness rests on one invariant: the
-//! mixed-radix decoder behind `GridSpec::job_at` (used for iteration,
-//! random access and shard slicing) and the nested-loop reference
-//! expansion `expand_eager` describe the *same* job sequence. These
-//! tests generate small random grids over every axis combination and
-//! require count, ordering, specs and deterministic job ids to agree
-//! bit for bit.
+//! Both on-disk spellings of a job grid — `JobGrid` (`fcdpm batch`) and
+//! `GridSpec` (`fcdpm grid run`) — lower into one `fcdpm_runner::Axes`,
+//! whose mixed-radix `job_at` drives iteration, random access and shard
+//! slicing. These tests generate small random grids of both shapes and
+//! require the decoder and the nested-loop reference `Axes::expand` to
+//! agree bit for bit: count, ordering, specs, digests and job IDs, and
+//! random access in any visit order.
 
-use fcdpm_grid::{FaultPreset, GridSpec, SeedAxis, SeedRange, WorkloadKind};
-use fcdpm_runner::PolicySpec;
+use fcdpm_grid::{spec_digest, FaultPreset, GridSpec, SeedAxis, SeedRange, WorkloadKind};
+use fcdpm_runner::{Axes, DevicePreset, JobGrid, JobSpec, PolicySpec, PredictorSpec, StorageSpec};
 use proptest::prelude::*;
 
-const WORKLOADS: [WorkloadKind; 3] = [
+const WORKLOADS: [WorkloadKind; 4] = [
     WorkloadKind::Experiment1,
     WorkloadKind::Experiment2,
     WorkloadKind::MultiDevice,
+    WorkloadKind::Dvs,
 ];
 
 const POLICIES: [PolicySpec; 5] = [
@@ -35,103 +36,141 @@ const FAULTS: [FaultPreset; 6] = [
     FaultPreset::Combined,
 ];
 
-/// Builds a spec from scalar knobs so every axis shape (list vs range,
-/// present vs defaulted, 1..N entries) is reachable from plain integer
-/// strategies.
-#[allow(clippy::too_many_arguments)]
-fn build_spec(
-    seed_start: u64,
-    seed_count: u64,
-    seed_as_list: bool,
-    workload_count: usize,
-    policy_count: usize,
-    fault_count: usize,
-    capacity_count: usize,
-    resilient_mode: usize,
-) -> GridSpec {
-    let seeds = if seed_as_list {
-        SeedAxis::List((0..seed_count).map(|i| seed_start ^ (i * 7919)).collect())
+/// The first `count` values of `values`; zero leaves the axis out.
+fn axis<T: Clone>(values: &[T], count: usize) -> Option<Vec<T>> {
+    (count > 0).then(|| values[..count].to_vec())
+}
+
+/// A `GridSpec` whose every axis shape (list vs range, present vs
+/// defaulted, 1..N entries) is reachable from integer knobs.
+fn grid_spec(seed: u64, seeds_as_list: bool, counts: [usize; 6]) -> GridSpec {
+    let [seed_count, workloads, policies, faults, capacities, resilient] = counts;
+    let seeds = if seeds_as_list {
+        SeedAxis::List((0..seed_count as u64).map(|i| seed ^ (i * 7919)).collect())
     } else {
         SeedAxis::Range(SeedRange {
-            start: seed_start,
-            count: seed_count,
+            start: seed,
+            count: seed_count as u64,
         })
     };
     let mut spec = GridSpec::new(
         seeds,
-        WORKLOADS[..workload_count].to_vec(),
-        POLICIES[..policy_count].to_vec(),
+        WORKLOADS[..workloads].to_vec(),
+        POLICIES[..policies].to_vec(),
     );
-    if fault_count > 0 {
-        spec.faults = Some(FAULTS[..fault_count].to_vec());
-    }
-    if capacity_count > 0 {
-        spec.capacities_mamin = Some(
-            (0..capacity_count)
-                .map(|i| 50.0 + 25.0 * i as f64)
-                .collect(),
-        );
-    }
-    spec.resilient = match resilient_mode {
-        0 => None,
-        1 => Some(vec![false]),
-        _ => Some(vec![false, true]),
-    };
+    spec.faults = axis(&FAULTS, faults);
+    spec.capacities_mamin = axis(&[50.0, 75.0], capacities);
+    spec.resilient = axis(&[false, true], resilient);
     spec
+}
+
+/// A `JobGrid` with explicit seeded workloads, every optional axis
+/// present or defaulted, and `extra` one-off jobs.
+fn job_grid(seed: u64, counts: [usize; 9]) -> JobGrid {
+    let [workloads, policies, devices, storages, predictors, betas, paths, capacities, extra] =
+        counts;
+    let workloads = (0..workloads as u64)
+        .map(|i| WORKLOADS[i as usize].with_seed(seed ^ (i * 104_729)))
+        .collect();
+    let mut grid = JobGrid::new(POLICIES[..policies].to_vec(), workloads);
+    let device_axis = [
+        DevicePreset::Default,
+        DevicePreset::DvdCamcorder,
+        DevicePreset::Experiment2,
+    ];
+    grid.devices = axis(&device_axis, devices);
+    let storage_axis = [
+        StorageSpec::Ideal,
+        StorageSpec::SuperCapacitor,
+        StorageSpec::Kibam,
+    ];
+    grid.storages = axis(&storage_axis, storages);
+    let predictor_axis = [PredictorSpec::Exponential(0.5), PredictorSpec::Oracle];
+    grid.predictors = axis(&predictor_axis, predictors);
+    grid.betas = axis(&[0.13, 0.2], betas);
+    grid.buffer_path_efficiencies = axis(&[1.0, 0.9], paths);
+    grid.capacities_mamin = axis(&[50.0, 100.0], capacities);
+    let mut one_off = JobSpec::new(PolicySpec::FcDpm, WORKLOADS[0].with_seed(seed));
+    one_off.faults = FaultPreset::Combined.schedule(seed);
+    one_off.resilient = Some(true);
+    grid.extra_jobs = axis(&[one_off.clone(), one_off], extra);
+    grid
+}
+
+/// The decoder must reproduce the eager reference exactly, and random
+/// access at `probes`, in the order given, must agree with it: decoding
+/// never depends on visit order.
+fn decoder_matches_reference(axes: Axes<'_>, probes: &[u64]) -> Result<(), String> {
+    prop_assert!(axes.validate().is_ok(), "{:?}", axes.validate());
+    let eager = axes.expand();
+    prop_assert_eq!(eager.len() as u64, axes.len());
+    prop_assert_eq!(axes.iter().count(), eager.len());
+    for (index, lazy_job) in axes.iter() {
+        let i = usize::try_from(index).expect("small grid");
+        prop_assert_eq!(&lazy_job, &eager[i], "spec diverges at index {}", index);
+        prop_assert_eq!(
+            lazy_job.id(i),
+            eager[i].id(i),
+            "job id diverges at {}",
+            index
+        );
+        prop_assert_eq!(spec_digest(&lazy_job), spec_digest(&eager[i]));
+    }
+    for &probe in probes {
+        let probe = probe % axes.len();
+        let job = axes.job_at(probe).expect("in range");
+        prop_assert_eq!(&job, &eager[usize::try_from(probe).expect("small grid")]);
+    }
+    prop_assert!(axes.job_at(axes.len()).is_none());
+    prop_assert!(axes.job_at(u64::MAX).is_none());
+    Ok(())
 }
 
 proptest! {
     #[test]
     fn lazy_count_ordering_and_ids_match_eager(
-        seed_start in 0u64..1_000_000_000,
-        seed_count in 1u64..4,
-        seed_as_list in any::<bool>(),
-        workload_count in 1usize..4,
-        policy_count in 1usize..6,
-        fault_count in 0usize..4,
-        capacity_count in 0usize..3,
-        resilient_mode in 0usize..3,
+        seed in 0u64..1_000_000_000,
+        seeds_as_list in any::<bool>(),
+        axes in (1usize..4, 1usize..5, 1usize..6),
+        options in (0usize..4, 0usize..3, 0usize..3),
+        inject_panic in any::<bool>(),
     ) {
-        let spec = build_spec(
-            seed_start, seed_count, seed_as_list,
-            workload_count, policy_count, fault_count,
-            capacity_count, resilient_mode,
+        let (seeds, workloads, policies) = axes;
+        let (faults, capacities, resilient) = options;
+        let counts = [seeds, workloads, policies, faults, capacities, resilient];
+        let mut spec = grid_spec(seed, seeds_as_list, counts);
+        spec.inject_panic = inject_panic.then_some(true);
+        prop_assert_eq!(spec.total_jobs(), spec.axes().len());
+        decoder_matches_reference(spec.axes(), &[])?;
+    }
+
+    #[test]
+    fn job_grid_lazy_count_ordering_and_ids_match_eager(
+        seed in 0u64..1_000_000_000,
+        outer in (1usize..5, 1usize..6, 0usize..3, 0usize..3),
+        inner in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+        extra in 0usize..3,
+    ) {
+        let (workloads, policies, devices, storages) = outer;
+        let (predictors, betas, paths, capacities) = inner;
+        let grid = job_grid(
+            seed,
+            [workloads, policies, devices, storages, predictors, betas, paths, capacities, extra],
         );
-        prop_assert!(spec.validate().is_ok());
-
-        let eager = spec.expand_eager();
-        prop_assert_eq!(eager.len() as u64, spec.total_jobs());
-        prop_assert_eq!(spec.iter().count(), eager.len());
-
-        for (index, lazy_job) in spec.iter() {
-            let i = usize::try_from(index).expect("small grid");
-            prop_assert_eq!(&lazy_job, &eager[i], "spec diverges at index {}", index);
-            prop_assert_eq!(
-                lazy_job.id(i),
-                eager[i].id(i),
-                "job id diverges at index {}", index
-            );
-            prop_assert_eq!(
-                fcdpm_grid::spec_digest(&lazy_job),
-                fcdpm_grid::spec_digest(&eager[i])
-            );
-        }
+        prop_assert_eq!(grid.expand(), grid.axes().expand());
+        decoder_matches_reference(grid.axes(), &[])?;
     }
 
     #[test]
     fn random_access_agrees_with_iteration(
-        seed_start in 0u64..1_000_000_000,
-        policy_count in 1usize..6,
-        fault_count in 0usize..4,
+        seed in 0u64..1_000_000_000,
+        axes in (1usize..6, 0usize..4, 0usize..4, 0usize..3),
+        probes in prop::collection::vec(0u64..1_000_000, 3..8),
     ) {
-        let spec = build_spec(seed_start, 2, false, 2, policy_count, fault_count, 0, 0);
-        let via_iter: Vec<_> = spec.iter().collect();
-        // Probe out of order: decoding must not depend on visit order.
-        for probe in [spec.total_jobs() - 1, 0, spec.total_jobs() / 2] {
-            let job = spec.job_at(probe).expect("in range");
-            let i = usize::try_from(probe).expect("small grid");
-            prop_assert_eq!(&job, &via_iter[i].1);
-        }
-        prop_assert!(spec.job_at(spec.total_jobs()).is_none());
+        let (policies, faults, devices, extra) = axes;
+        let spec = grid_spec(seed, false, [2, 2, policies, faults, 2, 2]);
+        decoder_matches_reference(spec.axes(), &probes)?;
+        let grid = job_grid(seed, [2, policies, devices, 2, 1, 1, 2, 1, extra]);
+        decoder_matches_reference(grid.axes(), &probes)?;
     }
 }
