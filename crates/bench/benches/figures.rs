@@ -3,9 +3,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use fcdpm_bench::{run_policy, PolicyKind};
 use fcdpm_core::optimizer::{FuelOptimizer, SlotProfile, StorageContext};
 use fcdpm_fuelcell::{FcSystem, PolarizationCurve};
+use fcdpm_sim::fixture::{run_reference, ReferencePolicy};
 use fcdpm_units::{Amps, Charge, Seconds};
 use fcdpm_workload::Scenario;
 
@@ -60,13 +60,13 @@ fn fig7_profiles(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("asap", |b| {
         b.iter(|| {
-            black_box(run_policy(&scenario, PolicyKind::Asap))
+            black_box(run_reference(&scenario, ReferencePolicy::Asap))
                 .expect("paper configuration simulates cleanly")
         });
     });
     group.bench_function("fcdpm", |b| {
         b.iter(|| {
-            black_box(run_policy(&scenario, PolicyKind::FcDpm))
+            black_box(run_reference(&scenario, ReferencePolicy::FcDpm))
                 .expect("paper configuration simulates cleanly")
         });
     });

@@ -4,21 +4,20 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use fcdpm_bench::{run_policy, PolicyKind};
+use fcdpm_sim::fixture::{run_reference, ReferencePolicy};
 use fcdpm_workload::Scenario;
 
-fn table2_experiment1(c: &mut Criterion) {
-    let scenario = Scenario::experiment1();
-    let mut group = c.benchmark_group("table2_experiment1");
+/// Benches each Section-5 policy on `scenario` in one group.
+fn paper_policies(c: &mut Criterion, group: &str, scenario: &Scenario) {
+    let mut group = c.benchmark_group(group);
     group.sample_size(10);
-    for (name, kind) in [
-        ("conv", PolicyKind::Conv),
-        ("asap", PolicyKind::Asap),
-        ("fcdpm", PolicyKind::FcDpm),
-    ] {
+    for (name, policy) in ["conv", "asap", "fcdpm"]
+        .into_iter()
+        .zip(ReferencePolicy::PAPER)
+    {
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(run_policy(&scenario, kind))
+                black_box(run_reference(scenario, policy))
                     .expect("paper configuration simulates cleanly")
             });
         });
@@ -26,23 +25,12 @@ fn table2_experiment1(c: &mut Criterion) {
     group.finish();
 }
 
+fn table2_experiment1(c: &mut Criterion) {
+    paper_policies(c, "table2_experiment1", &Scenario::experiment1());
+}
+
 fn table3_experiment2(c: &mut Criterion) {
-    let scenario = Scenario::experiment2();
-    let mut group = c.benchmark_group("table3_experiment2");
-    group.sample_size(10);
-    for (name, kind) in [
-        ("conv", PolicyKind::Conv),
-        ("asap", PolicyKind::Asap),
-        ("fcdpm", PolicyKind::FcDpm),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(run_policy(&scenario, kind))
-                    .expect("paper configuration simulates cleanly")
-            });
-        });
-    }
-    group.finish();
+    paper_policies(c, "table3_experiment2", &Scenario::experiment2());
 }
 
 criterion_group!(tables, table2_experiment1, table3_experiment2);

@@ -1,11 +1,12 @@
-//! Shared fixtures and the wall-clock bench harness.
+//! The Criterion benches and the wall-clock bench harness.
 //!
 //! Each Criterion bench target regenerates one of the paper's tables or
 //! figures (`benches/figures.rs`, `benches/tables.rs`) or measures a
-//! core primitive (`benches/micro.rs`). The fixtures delegate to
-//! [`fcdpm_sim::fixture`], the same reference configuration the
-//! integration tests and the batch runner use, so the benches time
-//! exactly the code that produces the published numbers.
+//! core primitive (`benches/micro.rs`). The table and figure benches
+//! time [`fcdpm_sim::fixture::run_reference`] directly, the same
+//! reference recipe the CLI, the experiment binaries and the
+//! integration tests run, so the benches time exactly the code that
+//! produces the published numbers.
 //!
 //! [`harness`] drives the `fcdpm bench` CLI subcommand: the reference
 //! workloads under every policy through the batch runner, plus a
@@ -15,56 +16,3 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-
-use fcdpm_sim::fixture::{run_reference, ReferencePolicy};
-use fcdpm_sim::{SimError, SimMetrics};
-use fcdpm_workload::Scenario;
-
-/// Which FC output policy a fixture run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// The Conv-DPM baseline.
-    Conv,
-    /// The ASAP-DPM baseline.
-    Asap,
-    /// The paper's FC-DPM.
-    FcDpm,
-}
-
-impl PolicyKind {
-    /// The shared reference-fixture policy this bench fixture selects.
-    #[must_use]
-    pub fn reference(self) -> ReferencePolicy {
-        match self {
-            Self::Conv => ReferencePolicy::Conv,
-            Self::Asap => ReferencePolicy::Asap,
-            Self::FcDpm => ReferencePolicy::FcDpm,
-        }
-    }
-}
-
-/// Runs one policy on a scenario with the paper's storage configuration
-/// and returns the metrics — the unit of work every table/figure bench
-/// times. Delegates to [`fcdpm_sim::fixture::run_reference`] so the
-/// benched configuration cannot drift from the tested one.
-///
-/// # Errors
-///
-/// Propagates the simulation error (cannot happen for the paper's
-/// configurations; bench targets unwrap at the harness edge).
-pub fn run_policy(scenario: &Scenario, kind: PolicyKind) -> Result<SimMetrics, SimError> {
-    run_reference(scenario, kind.reference())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixture_runs_all_policies() {
-        let scenario = Scenario::experiment1();
-        let conv = run_policy(&scenario, PolicyKind::Conv).expect("paper configuration");
-        let fc = run_policy(&scenario, PolicyKind::FcDpm).expect("paper configuration");
-        assert!(fc.fuel.total() < conv.fuel.total());
-    }
-}

@@ -1,6 +1,7 @@
 //! Argument parsing.
 
 use core::fmt;
+use core::str::FromStr;
 
 /// Which of the paper's experiments to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,6 +224,32 @@ fn take_value<'a, I: Iterator<Item = &'a str>>(
         .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
 }
 
+/// The one shape of every bad-flag-value message.
+fn bad(what: &str, v: &str) -> ParseCliError {
+    err(format!("bad {what} `{v}`"))
+}
+
+/// Parses a flag value as any `T`.
+fn number<T: FromStr>(v: &str, what: &str) -> Result<T, ParseCliError> {
+    v.parse().map_err(|_| bad(what, v))
+}
+
+/// Parses a flag value as a `T` above zero (a count or a size).
+fn positive<T: FromStr + PartialOrd + Default>(v: &str, what: &str) -> Result<T, ParseCliError> {
+    v.parse()
+        .ok()
+        .filter(|n: &T| *n > T::default())
+        .ok_or_else(|| bad(what, v))
+}
+
+/// Parses a flag value as a positive, finite quantity.
+fn positive_finite(v: &str, what: &str) -> Result<f64, ParseCliError> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|x| *x > 0.0 && x.is_finite())
+        .ok_or_else(|| bad(what, v))
+}
+
 /// Parses an argument list (without the program name).
 ///
 /// # Errors
@@ -248,19 +275,10 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             while let Some(flag) = iter.next() {
                 match flag {
                     "--capacity-mamin" => {
-                        let v = take_value(flag, &mut iter)?;
-                        capacity_mamin = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|c| *c > 0.0 && c.is_finite())
-                            .ok_or_else(|| err(format!("bad capacity `{v}`")))?;
+                        capacity_mamin = positive_finite(take_value(flag, &mut iter)?, "capacity")?;
                     }
                     "--seed" => {
-                        let v = take_value(flag, &mut iter)?;
-                        seed = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| err(format!("bad seed `{v}`")))?,
-                        );
+                        seed = Some(number(take_value(flag, &mut iter)?, "seed")?);
                     }
                     "--policy" => {
                         let v = take_value(flag, &mut iter)?;
@@ -294,19 +312,10 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             while let Some(flag) = iter.next() {
                 match flag {
                     "--seed" => {
-                        let v = take_value(flag, &mut iter)?;
-                        seed = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| err(format!("bad seed `{v}`")))?,
-                        );
+                        seed = Some(number(take_value(flag, &mut iter)?, "seed")?);
                     }
                     "--minutes" => {
-                        let v = take_value(flag, &mut iter)?;
-                        minutes = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|m| *m > 0.0 && m.is_finite())
-                            .ok_or_else(|| err(format!("bad minutes `{v}`")))?;
+                        minutes = positive_finite(take_value(flag, &mut iter)?, "minutes")?;
                     }
                     other => return Err(err(format!("unknown flag `{other}`"))),
                 }
@@ -340,12 +349,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
                         };
                     }
                     "--capacity-mamin" => {
-                        let v = take_value(flag, &mut iter)?;
-                        capacity_mamin = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|c| *c > 0.0 && c.is_finite())
-                            .ok_or_else(|| err(format!("bad capacity `{v}`")))?;
+                        capacity_mamin = positive_finite(take_value(flag, &mut iter)?, "capacity")?;
                     }
                     other => return Err(err(format!("unknown flag `{other}`"))),
                 }
@@ -362,20 +366,10 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             while let Some(flag) = iter.next() {
                 match flag {
                     "--moles" => {
-                        let v = take_value(flag, &mut iter)?;
-                        moles = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|m| *m > 0.0 && m.is_finite())
-                            .ok_or_else(|| err(format!("bad moles `{v}`")))?;
+                        moles = positive_finite(take_value(flag, &mut iter)?, "moles")?;
                     }
                     "--capacity-mamin" => {
-                        let v = take_value(flag, &mut iter)?;
-                        capacity_mamin = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|c| *c > 0.0 && c.is_finite())
-                            .ok_or_else(|| err(format!("bad capacity `{v}`")))?;
+                        capacity_mamin = positive_finite(take_value(flag, &mut iter)?, "capacity")?;
                     }
                     other => return Err(err(format!("unknown flag `{other}`"))),
                 }
@@ -390,12 +384,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             while let Some(flag) = iter.next() {
                 match flag {
                     "--tolerance-as" => {
-                        let v = take_value(flag, &mut iter)?;
-                        tolerance_as = v
-                            .parse::<f64>()
-                            .ok()
-                            .filter(|t| *t > 0.0 && t.is_finite())
-                            .ok_or_else(|| err(format!("bad tolerance `{v}`")))?;
+                        tolerance_as = positive_finite(take_value(flag, &mut iter)?, "tolerance")?;
                     }
                     other => return Err(err(format!("unknown flag `{other}`"))),
                 }
@@ -414,13 +403,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             while let Some(flag) = iter.next() {
                 match flag {
                     "--jobs" => {
-                        let v = take_value(flag, &mut iter)?;
-                        jobs = Some(
-                            v.parse::<usize>()
-                                .ok()
-                                .filter(|n| *n > 0)
-                                .ok_or_else(|| err(format!("bad worker count `{v}`")))?,
-                        );
+                        jobs = Some(positive(take_value(flag, &mut iter)?, "worker count")?);
                     }
                     "--out" => {
                         let v = take_value(flag, &mut iter)?;
@@ -462,22 +445,10 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             while let Some(flag) = iter.next() {
                 match flag {
                     "--jobs" => {
-                        let v = take_value(flag, &mut iter)?;
-                        jobs = Some(
-                            v.parse::<usize>()
-                                .ok()
-                                .filter(|n| *n > 0)
-                                .ok_or_else(|| err(format!("bad worker count `{v}`")))?,
-                        );
+                        jobs = Some(positive(take_value(flag, &mut iter)?, "worker count")?);
                     }
                     "--shard-size" => {
-                        let v = take_value(flag, &mut iter)?;
-                        shard_size = Some(
-                            v.parse::<u64>()
-                                .ok()
-                                .filter(|n| *n > 0)
-                                .ok_or_else(|| err(format!("bad shard size `{v}`")))?,
-                        );
+                        shard_size = Some(positive(take_value(flag, &mut iter)?, "shard size")?);
                     }
                     "--out" => {
                         out = Some(take_value(flag, &mut iter)?.to_owned());
@@ -486,27 +457,15 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
                         run_id = Some(take_value(flag, &mut iter)?.to_owned());
                     }
                     "--max-attempts" => {
-                        let v = take_value(flag, &mut iter)?;
-                        max_attempts = Some(
-                            v.parse::<u32>()
-                                .ok()
-                                .filter(|n| *n > 0)
-                                .ok_or_else(|| err(format!("bad attempt count `{v}`")))?,
-                        );
+                        max_attempts =
+                            Some(positive(take_value(flag, &mut iter)?, "attempt count")?);
                     }
                     "--retry-backoff-ms" => {
-                        let v = take_value(flag, &mut iter)?;
-                        retry_backoff_ms = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| err(format!("bad backoff `{v}`")))?,
-                        );
+                        retry_backoff_ms = Some(number(take_value(flag, &mut iter)?, "backoff")?);
                     }
                     "--checkpoint-batch" => {
-                        let v = take_value(flag, &mut iter)?;
-                        checkpoint_batch = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| err(format!("bad checkpoint batch `{v}`")))?,
-                        );
+                        checkpoint_batch =
+                            Some(number(take_value(flag, &mut iter)?, "checkpoint batch")?);
                     }
                     "--dry-run" => {
                         dry_run = true;
@@ -536,20 +495,10 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
                 match flag {
                     "--quick" => quick = true,
                     "--seed" => {
-                        let v = take_value(flag, &mut iter)?;
-                        seed = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| err(format!("bad seed `{v}`")))?,
-                        );
+                        seed = Some(number(take_value(flag, &mut iter)?, "seed")?);
                     }
                     "--jobs" => {
-                        let v = take_value(flag, &mut iter)?;
-                        jobs = Some(
-                            v.parse::<usize>()
-                                .ok()
-                                .filter(|n| *n > 0)
-                                .ok_or_else(|| err(format!("bad worker count `{v}`")))?,
-                        );
+                        jobs = Some(positive(take_value(flag, &mut iter)?, "worker count")?);
                     }
                     "--out" => {
                         out = Some(take_value(flag, &mut iter)?.to_owned());
@@ -985,5 +934,35 @@ mod tests {
             .unwrap_err()
             .message
             .contains("bad minutes"));
+        // Every other flag-value message, pinned byte for byte.
+        let cases: [(&[&str], &str); 9] = [
+            (&["lifetime", "--moles", "0"], "bad moles `0`"),
+            (&["sizing", "--tolerance-as", "inf"], "bad tolerance `inf`"),
+            (&["batch", "g.json", "--jobs", "0"], "bad worker count `0`"),
+            (&["faults", "--jobs", "x"], "bad worker count `x`"),
+            (
+                &["grid", "run", "g.json", "--jobs", "-1"],
+                "bad worker count `-1`",
+            ),
+            (
+                &["grid", "run", "g.json", "--shard-size", "0"],
+                "bad shard size `0`",
+            ),
+            (
+                &["grid", "run", "g.json", "--max-attempts", "0"],
+                "bad attempt count `0`",
+            ),
+            (
+                &["grid", "run", "g.json", "--retry-backoff-ms", "-5"],
+                "bad backoff `-5`",
+            ),
+            (
+                &["grid", "run", "g.json", "--checkpoint-batch", "x"],
+                "bad checkpoint batch `x`",
+            ),
+        ];
+        for (args, message) in cases {
+            assert_eq!(parse(args).unwrap_err().message, message, "{args:?}");
+        }
     }
 }

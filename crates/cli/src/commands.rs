@@ -3,12 +3,11 @@
 use core::fmt::Write as _;
 
 use fcdpm_core::dpm::PredictiveSleep;
-use fcdpm_core::policy::{AsapDpm, ConvDpm, FcDpm};
 use fcdpm_core::sizing::minimum_storage_capacity;
-use fcdpm_core::{FcOutputPolicy, FuelOptimizer};
+use fcdpm_core::FuelOptimizer;
 use fcdpm_fuelcell::{FcSystem, GibbsCoefficient, HydrogenTank, PolarizationCurve};
+use fcdpm_sim::fixture::{self, ReferencePolicy};
 use fcdpm_sim::{HybridSimulator, SimMetrics};
-use fcdpm_storage::IdealStorage;
 use fcdpm_units::{Amps, Charge, CurrentRange, Seconds};
 use fcdpm_workload::{CamcorderTrace, Scenario, SyntheticTrace};
 
@@ -527,30 +526,22 @@ fn run_simulate(path: &str, device: DeviceChoice, capacity_mamin: f64) -> Result
     scenario.trace = trace;
     scenario.active_current_estimate = None;
     let capacity = Charge::from_milliamp_minutes(capacity_mamin);
+    let rows = run_rows(&scenario, &ReferencePolicy::PAPER, capacity)?;
+    let conv = &rows[0].1;
     let mut out = String::new();
     let _ = writeln!(out, "{}", scenario.name);
-    let conv = run_one(&scenario, capacity, &mut ConvDpm::dac07())?;
-    let asap = run_one(&scenario, capacity, &mut AsapDpm::dac07(capacity))?;
-    let mut fc_policy = FcDpm::new(
-        FuelOptimizer::dac07(),
-        &scenario.device,
-        capacity,
-        scenario.sigma,
-        scenario.active_current_estimate,
-    );
-    let fc = run_one(&scenario, capacity, &mut fc_policy)?;
     let _ = writeln!(
         out,
         "{:<10} {:>12} {:>10}",
         "policy", "fuel [A*s]", "vs Conv"
     );
-    for (name, m) in [("Conv-DPM", &conv), ("ASAP-DPM", &asap), ("FC-DPM", &fc)] {
+    for (policy, m) in &rows {
         let _ = writeln!(
             out,
             "{:<10} {:>12.1} {:>9.1}%",
-            name,
+            policy.label(),
             m.fuel.total().amp_seconds(),
-            m.normalized_fuel(&conv) * 100.0
+            m.normalized_fuel(conv) * 100.0
         );
     }
     Ok(out)
@@ -572,28 +563,14 @@ fn run_lifetime(moles: f64, capacity_mamin: f64) -> Result<String, String> {
         "{:<10} {:>12} {:>12}",
         "policy", "lifetime [h]", "cycles"
     );
-    let fc_policy = || {
-        FcDpm::new(
-            FuelOptimizer::dac07(),
-            &scenario.device,
-            capacity,
-            scenario.sigma,
-            scenario.active_current_estimate,
-        )
-    };
-    let mut rows: Vec<(&str, Box<dyn FcOutputPolicy>)> = vec![
-        ("Conv-DPM", Box::new(ConvDpm::dac07())),
-        ("ASAP-DPM", Box::new(AsapDpm::dac07(capacity))),
-        ("FC-DPM", Box::new(fc_policy())),
-    ];
-    for (name, policy) in &mut rows {
-        let mut storage = IdealStorage::new(capacity, capacity * 0.5);
+    for policy in ReferencePolicy::PAPER {
+        let mut storage = fixture::storage_at(capacity);
         let mut sleep = PredictiveSleep::new(scenario.rho);
         let res = sim
             .run_until_depleted(
                 &scenario.trace,
                 &mut sleep,
-                policy.as_mut(),
+                policy.build_at(&scenario, capacity).as_mut(),
                 &mut storage,
                 &tank,
                 100_000,
@@ -601,7 +578,8 @@ fn run_lifetime(moles: f64, capacity_mamin: f64) -> Result<String, String> {
             .map_err(|e| format!("simulation failed: {e}"))?;
         let _ = writeln!(
             out,
-            "{name:<10} {:>12.2} {:>12}",
+            "{:<10} {:>12.2} {:>12}",
+            policy.label(),
             res.lifetime.seconds() / 3600.0,
             res.full_cycles
         );
@@ -642,17 +620,22 @@ fn scenario_for(id: ExperimentId, seed: Option<u64>) -> Scenario {
     }
 }
 
-fn run_one(
+/// Runs each of `policies` on `scenario` through the reference fixture
+/// at `capacity`, in order.
+fn run_rows(
     scenario: &Scenario,
+    policies: &[ReferencePolicy],
     capacity: Charge,
-    policy: &mut dyn FcOutputPolicy,
-) -> Result<SimMetrics, String> {
+) -> Result<Vec<(ReferencePolicy, SimMetrics)>, String> {
     let sim = HybridSimulator::dac07(&scenario.device);
-    let mut storage = IdealStorage::new(capacity, capacity * 0.5);
-    let mut sleep = PredictiveSleep::new(scenario.rho);
-    sim.run(&scenario.trace, &mut sleep, policy, &mut storage)
-        .map(|r| r.metrics)
-        .map_err(|e| format!("simulation failed: {e}"))
+    policies
+        .iter()
+        .map(|&policy| {
+            fixture::run_reference_at(&sim, scenario, policy, capacity)
+                .map(|m| (policy, m))
+                .map_err(|e| format!("simulation failed: {e}"))
+        })
+        .collect()
 }
 
 fn run_experiment(
@@ -672,58 +655,27 @@ fn run_experiment(
         scenario.trace.total_duration().minutes(),
         capacity_mamin
     );
-    let fc_policy = || {
-        FcDpm::new(
-            FuelOptimizer::dac07(),
-            &scenario.device,
-            capacity,
-            scenario.sigma,
-            scenario.active_current_estimate,
-        )
+    let policies: &[ReferencePolicy] = match policy {
+        PolicyChoice::Conv => &[ReferencePolicy::Conv],
+        PolicyChoice::Asap => &[ReferencePolicy::Asap],
+        PolicyChoice::FcDpm => &[ReferencePolicy::FcDpm],
+        PolicyChoice::All => &ReferencePolicy::PAPER,
     };
-    let mut rows: Vec<(&str, SimMetrics)> = Vec::new();
-    match policy {
-        PolicyChoice::Conv => {
-            rows.push((
-                "Conv-DPM",
-                run_one(&scenario, capacity, &mut ConvDpm::dac07())?,
-            ));
-        }
-        PolicyChoice::Asap => {
-            rows.push((
-                "ASAP-DPM",
-                run_one(&scenario, capacity, &mut AsapDpm::dac07(capacity))?,
-            ));
-        }
-        PolicyChoice::FcDpm => {
-            rows.push(("FC-DPM", run_one(&scenario, capacity, &mut fc_policy())?));
-        }
-        PolicyChoice::All => {
-            rows.push((
-                "Conv-DPM",
-                run_one(&scenario, capacity, &mut ConvDpm::dac07())?,
-            ));
-            rows.push((
-                "ASAP-DPM",
-                run_one(&scenario, capacity, &mut AsapDpm::dac07(capacity))?,
-            ));
-            rows.push(("FC-DPM", run_one(&scenario, capacity, &mut fc_policy())?));
-        }
-    }
-    let baseline = rows[0].1.clone();
+    let rows = run_rows(&scenario, policies, capacity)?;
+    let baseline = &rows[0].1;
     let _ = writeln!(
         out,
         "{:<10} {:>12} {:>14} {:>10}",
         "policy", "fuel [A*s]", "mean I_fc [A]", "vs first"
     );
-    for (name, m) in &rows {
+    for (policy, m) in &rows {
         let _ = writeln!(
             out,
             "{:<10} {:>12.1} {:>14.4} {:>9.1}%",
-            name,
+            policy.label(),
             m.fuel.total().amp_seconds(),
             m.mean_stack_current().amps(),
-            m.normalized_fuel(&baseline) * 100.0
+            m.normalized_fuel(baseline) * 100.0
         );
     }
     Ok(out)

@@ -17,8 +17,8 @@ use fcdpm_core::FuelOptimizer;
 use fcdpm_runner::{
     run_grid, JobGrid, JobMetrics, JobOutcome, PolicySpec, PredictorSpec, RunConfig, WorkloadSpec,
 };
+use fcdpm_sim::fixture::{reference_capacity, storage_at};
 use fcdpm_sim::{HybridSimulator, SimMetrics};
-use fcdpm_storage::IdealStorage;
 use fcdpm_units::Charge;
 use fcdpm_workload::Scenario;
 
@@ -32,7 +32,7 @@ fn run_with_sleep(
     policy: &mut FcDpm,
 ) -> SimMetrics {
     let sim = HybridSimulator::dac07(&scenario.device);
-    let mut storage = IdealStorage::new(capacity, capacity * 0.5);
+    let mut storage = storage_at(capacity);
     sim.run(&scenario.trace, sleep, policy, &mut storage)
         .expect("simulation succeeds")
         .metrics
@@ -40,7 +40,7 @@ fn run_with_sleep(
 
 fn main() {
     let scenario = Scenario::experiment1();
-    let capacity = Charge::from_milliamp_minutes(100.0);
+    let capacity = reference_capacity();
 
     println!("# predictor ablation, Experiment 1, FC-DPM policy");
     println!("predictor,fuel_as,mean_i_fc_a");

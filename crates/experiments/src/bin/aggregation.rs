@@ -4,24 +4,17 @@
 //! task deferral merges the idles into sleepable stretches.
 
 use fcdpm_core::dpm::PredictiveSleep;
-use fcdpm_core::policy::FcDpm;
 use fcdpm_core::FuelOptimizer;
+use fcdpm_sim::fixture::{fc_dpm, reference_capacity, storage_at};
 use fcdpm_sim::HybridSimulator;
-use fcdpm_storage::IdealStorage;
-use fcdpm_units::{Charge, Seconds, Watts};
+use fcdpm_units::{Seconds, Watts};
 use fcdpm_workload::{aggregate_idles, Scenario, SyntheticTrace, Trace};
 
 fn run(trace: &Trace, scenario: &Scenario) -> (f64, usize) {
-    let capacity = Charge::from_milliamp_minutes(100.0);
+    let capacity = reference_capacity();
     let sim = HybridSimulator::dac07(&scenario.device);
-    let mut policy = FcDpm::new(
-        FuelOptimizer::dac07(),
-        &scenario.device,
-        capacity,
-        scenario.sigma,
-        scenario.active_current_estimate,
-    );
-    let mut storage = IdealStorage::new(capacity, capacity * 0.5);
+    let mut policy = fc_dpm(scenario, capacity, FuelOptimizer::dac07());
+    let mut storage = storage_at(capacity);
     let mut sleep = PredictiveSleep::new(scenario.rho);
     let m = sim
         .run(trace, &mut sleep, &mut policy, &mut storage)

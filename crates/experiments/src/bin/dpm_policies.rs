@@ -12,24 +12,16 @@ use fcdpm_core::dpm::{
     AdaptiveTimeoutSleep, AlwaysSleep, NeverSleep, OracleSleep, PredictiveSleep,
     ProbabilisticSleep, SleepPolicy, TimeoutSleep,
 };
-use fcdpm_core::policy::FcDpm;
 use fcdpm_core::FuelOptimizer;
+use fcdpm_sim::fixture::{fc_dpm, reference_capacity, storage_at};
 use fcdpm_sim::HybridSimulator;
-use fcdpm_storage::IdealStorage;
-use fcdpm_units::Charge;
 use fcdpm_workload::Scenario;
 
 fn run(scenario: &Scenario, sleep: &mut dyn SleepPolicy) -> (f64, f64, usize) {
-    let capacity = Charge::from_milliamp_minutes(100.0);
+    let capacity = reference_capacity();
     let sim = HybridSimulator::dac07(&scenario.device);
-    let mut policy = FcDpm::new(
-        FuelOptimizer::dac07(),
-        &scenario.device,
-        capacity,
-        scenario.sigma,
-        scenario.active_current_estimate,
-    );
-    let mut storage = IdealStorage::new(capacity, capacity * 0.5);
+    let mut policy = fc_dpm(scenario, capacity, FuelOptimizer::dac07());
+    let mut storage = storage_at(capacity);
     let m = sim
         .run(&scenario.trace, sleep, &mut policy, &mut storage)
         .expect("simulation succeeds")

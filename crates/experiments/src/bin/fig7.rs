@@ -3,27 +3,19 @@
 //! ASAP-DPM, (c) the FC system output under FC-DPM. Prints one merged CSV
 //! series (the load column is identical across policies by construction).
 
-use fcdpm_core::policy::{AsapDpm, FcDpm};
-use fcdpm_core::FuelOptimizer;
 use fcdpm_experiments::record_profile;
-use fcdpm_units::{Charge, Seconds};
+use fcdpm_sim::fixture::{reference_capacity, ReferencePolicy};
+use fcdpm_units::Seconds;
 use fcdpm_workload::Scenario;
 
 fn main() {
     let scenario = Scenario::experiment1();
-    let capacity = Charge::from_milliamp_minutes(100.0);
-    let horizon = Seconds::new(300.0);
-
-    let asap = record_profile(&scenario, &mut AsapDpm::dac07(capacity), capacity, horizon)
-        .expect("simulation succeeds");
-    let mut fc = FcDpm::new(
-        FuelOptimizer::dac07(),
-        &scenario.device,
-        capacity,
-        scenario.sigma,
-        scenario.active_current_estimate,
-    );
-    let fcdpm = record_profile(&scenario, &mut fc, capacity, horizon).expect("simulation succeeds");
+    let profile = |policy| {
+        record_profile(&scenario, policy, reference_capacity(), Seconds::new(300.0))
+            .expect("simulation succeeds")
+    };
+    let asap = profile(ReferencePolicy::Asap);
+    let fcdpm = profile(ReferencePolicy::FcDpm);
 
     println!("# Figure 7: 300 s current profiles, Experiment 1");
     println!("time_s,load_a,asap_i_f_a,fcdpm_i_f_a");

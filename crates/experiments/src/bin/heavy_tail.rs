@@ -13,15 +13,14 @@ use fcdpm_core::dpm::{
 use fcdpm_core::policy::FcDpm;
 use fcdpm_core::FuelOptimizer;
 use fcdpm_device::presets;
+use fcdpm_sim::fixture::{reference_capacity, storage_at};
 use fcdpm_sim::HybridSimulator;
-use fcdpm_storage::IdealStorage;
-use fcdpm_units::Charge;
 use fcdpm_workload::ParetoTrace;
 
 fn main() {
     let device = presets::experiment2_device(); // T_be = 10 s
     let trace = ParetoTrace::interactive().seed(42).build();
-    let capacity = Charge::from_milliamp_minutes(100.0);
+    let capacity = reference_capacity();
     let sim = HybridSimulator::dac07(&device);
 
     let stats = trace.stats();
@@ -59,7 +58,7 @@ fn main() {
             0.5,
             Some(fcdpm_units::Amps::new(1.0)),
         );
-        let mut storage = IdealStorage::new(capacity, capacity * 0.5);
+        let mut storage = storage_at(capacity);
         let m = sim
             .run(&trace, sleep.as_mut(), &mut policy, &mut storage)
             .expect("simulation succeeds")

@@ -5,17 +5,14 @@
 //! the paper's FC-DPM-vs-ASAP number on Table 2's rates).
 
 use fcdpm_core::dpm::PredictiveSleep;
-use fcdpm_core::policy::{AsapDpm, ConvDpm, FcDpm};
-use fcdpm_core::FuelOptimizer;
 use fcdpm_fuelcell::{GibbsCoefficient, HydrogenTank};
+use fcdpm_sim::fixture::{reference_capacity, storage_at, ReferencePolicy};
 use fcdpm_sim::HybridSimulator;
-use fcdpm_storage::IdealStorage;
-use fcdpm_units::Charge;
 use fcdpm_workload::Scenario;
 
 fn main() {
     let scenario = Scenario::experiment1();
-    let capacity = Charge::from_milliamp_minutes(100.0);
+    let capacity = reference_capacity();
     let tank = HydrogenTank::from_hydrogen_moles(2.0, GibbsCoefficient::dac07());
     let sim = HybridSimulator::dac07(&scenario.device);
 
@@ -23,28 +20,17 @@ fn main() {
     println!("# tank capacity: {:.0} of stack charge", tank.capacity());
     println!("policy,lifetime_h,full_cycles,mean_i_fc_a");
     let mut lifetimes = Vec::new();
-    let policies: Vec<(&str, Box<dyn fcdpm_core::FcOutputPolicy>)> = vec![
-        ("conv", Box::new(ConvDpm::dac07())),
-        ("asap", Box::new(AsapDpm::dac07(capacity))),
-        (
-            "fcdpm",
-            Box::new(FcDpm::new(
-                FuelOptimizer::dac07(),
-                &scenario.device,
-                capacity,
-                scenario.sigma,
-                scenario.active_current_estimate,
-            )),
-        ),
-    ];
-    for (name, mut policy) in policies {
-        let mut storage = IdealStorage::new(capacity, capacity * 0.5);
+    for (name, policy) in ["conv", "asap", "fcdpm"]
+        .into_iter()
+        .zip(ReferencePolicy::PAPER)
+    {
+        let mut storage = storage_at(capacity);
         let mut sleep = PredictiveSleep::new(scenario.rho);
         let res = sim
             .run_until_depleted(
                 &scenario.trace,
                 &mut sleep,
-                policy.as_mut(),
+                policy.build_at(&scenario, capacity).as_mut(),
                 &mut storage,
                 &tank,
                 10_000,

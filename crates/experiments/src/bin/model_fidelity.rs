@@ -7,17 +7,13 @@
 //! This is the controller/plant mismatch every real deployment has — the
 //! policy's model is an approximation of the hardware.
 
-use fcdpm_core::dpm::PredictiveSleep;
-use fcdpm_core::policy::{AsapDpm, ConvDpm, FcDpm};
-use fcdpm_core::FuelOptimizer;
 use fcdpm_fuelcell::{FcSystem, LinearEfficiency};
+use fcdpm_sim::fixture::{reference_capacity, run_reference_at, ReferencePolicy};
 use fcdpm_sim::HybridSimulator;
-use fcdpm_storage::IdealStorage;
-use fcdpm_units::{Charge, CurrentRange, Seconds};
+use fcdpm_units::{CurrentRange, Seconds};
 use fcdpm_workload::Scenario;
 
-fn run_table(scenario: &Scenario, physical: bool) -> Vec<(String, f64)> {
-    let capacity = Charge::from_milliamp_minutes(100.0);
+fn run_table(scenario: &Scenario, physical: bool) -> Vec<(&'static str, f64)> {
     let sim = if physical {
         HybridSimulator::new(
             &scenario.device,
@@ -29,31 +25,16 @@ fn run_table(scenario: &Scenario, physical: bool) -> Vec<(String, f64)> {
     } else {
         HybridSimulator::dac07(&scenario.device)
     };
-    let mut rows = Vec::new();
-    let policies: Vec<(String, Box<dyn fcdpm_core::FcOutputPolicy>)> = vec![
-        ("conv".into(), Box::new(ConvDpm::dac07())),
-        ("asap".into(), Box::new(AsapDpm::dac07(capacity))),
-        (
-            "fcdpm".into(),
-            Box::new(FcDpm::new(
-                FuelOptimizer::dac07(), // still plans with the LINEAR model
-                &scenario.device,
-                capacity,
-                scenario.sigma,
-                scenario.active_current_estimate,
-            )),
-        ),
-    ];
-    for (name, mut policy) in policies {
-        let mut storage = IdealStorage::new(capacity, capacity * 0.5);
-        let mut sleep = PredictiveSleep::new(scenario.rho);
-        let m = sim
-            .run(&scenario.trace, &mut sleep, policy.as_mut(), &mut storage)
-            .expect("simulation succeeds")
-            .metrics;
-        rows.push((name, m.mean_stack_current().amps()));
-    }
-    rows
+    // The fixture's FC-DPM still plans with the LINEAR model.
+    ["conv", "asap", "fcdpm"]
+        .into_iter()
+        .zip(ReferencePolicy::PAPER)
+        .map(|(name, policy)| {
+            let m = run_reference_at(&sim, scenario, policy, reference_capacity())
+                .expect("simulation succeeds");
+            (name, m.mean_stack_current().amps())
+        })
+        .collect()
 }
 
 fn main() {

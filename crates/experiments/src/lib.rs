@@ -1,7 +1,9 @@
 //! Shared harness for the table/figure regeneration binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper; this library holds the policy-comparison runner they share. See
+//! paper; this library holds the policy-comparison runner and the
+//! profile recorder they share. Both, and every binary that runs the
+//! paper's policies itself, are wired by [`fcdpm_sim::fixture`]. See
 //! `DESIGN.md` (experiment index) and `EXPERIMENTS.md` (paper-vs-measured)
 //! at the repository root.
 
@@ -9,10 +11,8 @@
 #![warn(missing_docs)]
 
 use fcdpm_core::dpm::PredictiveSleep;
-use fcdpm_core::policy::{AsapDpm, ConvDpm, FcDpm};
-use fcdpm_core::FuelOptimizer;
+use fcdpm_sim::fixture::{self, ReferencePolicy};
 use fcdpm_sim::{HybridSimulator, ProfileRecorder, SimError, SimMetrics};
-use fcdpm_storage::IdealStorage;
 use fcdpm_units::{Charge, Seconds};
 use fcdpm_workload::Scenario;
 
@@ -35,7 +35,7 @@ impl PolicyComparison {
     ///
     /// Propagates any [`SimError`].
     pub fn run(scenario: &Scenario) -> Result<Self, SimError> {
-        Self::run_with_capacity(scenario, Charge::from_milliamp_minutes(100.0))
+        Self::run_with_capacity(scenario, fixture::reference_capacity())
     }
 
     /// Runs all three policies with an explicit storage capacity.
@@ -45,24 +45,12 @@ impl PolicyComparison {
     /// Propagates any [`SimError`].
     pub fn run_with_capacity(scenario: &Scenario, capacity: Charge) -> Result<Self, SimError> {
         let sim = HybridSimulator::dac07(&scenario.device);
-        let run = |policy: &mut dyn fcdpm_core::FcOutputPolicy| -> Result<SimMetrics, SimError> {
-            let mut storage = IdealStorage::new(capacity, capacity * 0.5);
-            let mut sleep = PredictiveSleep::new(scenario.rho);
-            Ok(sim
-                .run(&scenario.trace, &mut sleep, policy, &mut storage)?
-                .metrics)
-        };
-        let conv = run(&mut ConvDpm::dac07())?;
-        let asap = run(&mut AsapDpm::dac07(capacity))?;
-        let mut fc = FcDpm::new(
-            FuelOptimizer::dac07(),
-            &scenario.device,
-            capacity,
-            scenario.sigma,
-            scenario.active_current_estimate,
-        );
-        let fc_dpm = run(&mut fc)?;
-        Ok(Self { conv, asap, fc_dpm })
+        let run = |policy| fixture::run_reference_at(&sim, scenario, policy, capacity);
+        Ok(Self {
+            conv: run(ReferencePolicy::Conv)?,
+            asap: run(ReferencePolicy::Asap)?,
+            fc_dpm: run(ReferencePolicy::FcDpm)?,
+        })
     }
 
     /// ASAP-DPM's fuel normalized to Conv-DPM (a Table 2/3 cell).
@@ -109,22 +97,29 @@ impl PolicyComparison {
     }
 }
 
-/// Records the Figure-7-style current profile of one policy run.
+/// Records the Figure-7-style current profile of one reference policy
+/// run at `capacity`.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`].
 pub fn record_profile(
     scenario: &Scenario,
-    policy: &mut dyn fcdpm_core::FcOutputPolicy,
+    policy: ReferencePolicy,
     capacity: Charge,
     horizon: Seconds,
 ) -> Result<ProfileRecorder, SimError> {
     let sim = HybridSimulator::dac07(&scenario.device);
-    let mut storage = IdealStorage::new(capacity, capacity * 0.5);
+    let mut storage = fixture::storage_at(capacity);
     let mut sleep = PredictiveSleep::new(scenario.rho);
     let mut rec = ProfileRecorder::new(Seconds::new(0.5), horizon);
-    sim.run_recorded(&scenario.trace, &mut sleep, policy, &mut storage, &mut rec)?;
+    sim.run_recorded(
+        &scenario.trace,
+        &mut sleep,
+        policy.build_at(scenario, capacity).as_mut(),
+        &mut storage,
+        &mut rec,
+    )?;
     Ok(rec)
 }
 
@@ -159,12 +154,11 @@ mod tests {
 
     #[test]
     fn profile_recording_helper() {
-        use fcdpm_core::policy::ConvDpm;
         let scenario = Scenario::experiment1();
         let rec = record_profile(
             &scenario,
-            &mut ConvDpm::dac07(),
-            Charge::from_milliamp_minutes(100.0),
+            ReferencePolicy::Conv,
+            fixture::reference_capacity(),
             Seconds::new(30.0),
         )
         .unwrap();

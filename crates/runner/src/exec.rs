@@ -6,7 +6,7 @@
 
 use fcdpm_core::dpm::{OracleSleep, PredictiveSleep, SleepPolicy};
 use fcdpm_core::policy::{
-    AsapDpm, ConvDpm, FcDpm, FcOutputPolicy, OutputLevels, PolicyPhase, Quantized, ResilientPolicy,
+    AsapDpm, ConvDpm, FcOutputPolicy, OutputLevels, PolicyPhase, Quantized, ResilientPolicy,
     SegmentPlan, WindowedAverage,
 };
 use fcdpm_core::FuelOptimizer;
@@ -14,8 +14,8 @@ use fcdpm_fuelcell::{GibbsCoefficient, HydrogenTank, LinearEfficiency};
 use fcdpm_predict::{
     AdaptiveLearningTree, ExponentialAverage, LastValue, Predictor, SlidingWindowRegression,
 };
-use fcdpm_sim::{HybridSimulator, SimMetrics};
-use fcdpm_storage::{ChargeStorage, IdealStorage, KineticBattery, SuperCapacitor};
+use fcdpm_sim::{fixture, HybridSimulator, SimMetrics};
+use fcdpm_storage::{ChargeStorage, KineticBattery, SuperCapacitor};
 use fcdpm_units::{Amps, Charge, CurrentRange, Seconds, Volts, Watts};
 use fcdpm_workload::{CamcorderTrace, LoadProfile, Scenario, SyntheticTrace, TaskSlot, Trace};
 
@@ -205,9 +205,8 @@ fn build_scenario(spec: &JobSpec) -> Result<Scenario, String> {
 }
 
 fn build_storage(spec: &JobSpec, capacity: Charge) -> Box<dyn ChargeStorage> {
-    let initial = capacity * 0.5;
     match spec.storage.as_ref().unwrap_or(&StorageSpec::Ideal) {
-        StorageSpec::Ideal => Box::new(IdealStorage::new(capacity, initial)),
+        StorageSpec::Ideal => Box::new(fixture::storage_at(capacity)),
         StorageSpec::SuperCapacitor => {
             // 6–12 V window: capacitance sized so C·ΔV equals the
             // requested capacity, half-charged like the other models.
@@ -218,7 +217,7 @@ fn build_storage(spec: &JobSpec, capacity: Charge) -> Box<dyn ChargeStorage> {
                 Volts::new(6.0),
                 Volts::new(12.0),
                 0.0,
-                initial,
+                capacity * 0.5,
             ))
         }
         StorageSpec::Kibam => Box::new(KineticBattery::new(capacity, 0.5, 0.3, 0.01)),
@@ -273,33 +272,33 @@ impl FcOutputPolicy for ConstantOutput {
     }
 }
 
+/// Builds the spec's FC output policy. `slots` carries the scenario and
+/// planning optimizer FC-DPM needs; profile-driven (multi-device) runs
+/// pass `None`, and a policy that plans per slot is then an error.
 fn build_policy(
     spec: &JobSpec,
-    scenario: &Scenario,
+    slots: Option<(&Scenario, FuelOptimizer)>,
     capacity: Charge,
-    optimizer: FuelOptimizer,
-) -> Box<dyn FcOutputPolicy + Send> {
-    let fc = |opt: FuelOptimizer| {
-        FcDpm::new(
-            opt,
-            &scenario.device,
-            capacity,
-            scenario.sigma,
-            scenario.active_current_estimate,
-        )
+) -> Result<Box<dyn FcOutputPolicy + Send>, String> {
+    let fc = || match slots {
+        Some((scenario, optimizer)) => Ok(fixture::fc_dpm(scenario, capacity, optimizer)),
+        None => Err(format!(
+            "policy `{}` needs slot structure; multi-device runs are profile-driven",
+            spec.policy.label()
+        )),
     };
-    match spec.policy {
+    Ok(match spec.policy {
         PolicySpec::Conv => Box::new(ConvDpm::dac07()),
         PolicySpec::Asap => Box::new(AsapDpm::dac07(capacity)),
-        PolicySpec::FcDpm => Box::new(fc(optimizer)),
+        PolicySpec::FcDpm => Box::new(fc()?),
         PolicySpec::WindowedAverage => Box::new(WindowedAverage::dac07()),
         PolicySpec::Quantized(count) => {
             let levels = OutputLevels::uniform(CurrentRange::dac07(), count);
-            Box::new(Quantized::new(fc(optimizer), levels))
+            Box::new(Quantized::new(fc()?, levels))
         }
         // Range-checked by `check::policy` before this is reached.
         PolicySpec::Constant(amps) => Box::new(ConstantOutput::new(Amps::new(amps))),
-    }
+    })
 }
 
 fn build_sim<'d>(
@@ -412,29 +411,11 @@ pub fn multi_device_profile(seed: u64) -> LoadProfile {
 }
 
 fn execute_multi_device(spec: &JobSpec, seed: u64) -> Result<JobMetrics, String> {
-    match spec.policy {
-        PolicySpec::Conv
-        | PolicySpec::Asap
-        | PolicySpec::WindowedAverage
-        | PolicySpec::Constant(_) => {}
-        PolicySpec::FcDpm | PolicySpec::Quantized(_) => {
-            return Err(format!(
-                "policy `{}` needs slot structure; multi-device runs are profile-driven",
-                spec.policy.label()
-            ));
-        }
-    }
     let capacity = Charge::from_milliamp_minutes(spec.capacity_mamin_or_default());
+    let mut policy = wrap_resilient(spec, build_policy(spec, None, capacity)?);
     let device = fcdpm_device::presets::dvd_camcorder(); // spec unused on profiles
     let (sim, _optimizer, coefficient) = build_sim(spec, &device)?;
     let profile = multi_device_profile(seed);
-    let policy: Box<dyn FcOutputPolicy + Send> = match spec.policy {
-        PolicySpec::Conv => Box::new(ConvDpm::dac07()),
-        PolicySpec::Asap => Box::new(AsapDpm::dac07(capacity)),
-        PolicySpec::Constant(amps) => Box::new(ConstantOutput::new(Amps::new(amps))),
-        _ => Box::new(WindowedAverage::dac07()),
-    };
-    let mut policy = wrap_resilient(spec, policy);
     let mut storage = build_storage(spec, capacity);
     let metrics = sim
         .run_profile(&profile, policy.as_mut(), storage.as_mut())
@@ -476,7 +457,10 @@ pub fn execute(spec: &JobSpec) -> Result<JobMetrics, String> {
     let capacity = Charge::from_milliamp_minutes(spec.capacity_mamin_or_default());
     let (sim, optimizer, coefficient) = build_sim(spec, &scenario.device)?;
     let mut sleep = build_sleep(spec, &scenario);
-    let mut policy = wrap_resilient(spec, build_policy(spec, &scenario, capacity, optimizer));
+    let mut policy = wrap_resilient(
+        spec,
+        build_policy(spec, Some((&scenario, optimizer)), capacity)?,
+    );
     let mut storage = build_storage(spec, capacity);
     let metrics = sim
         .run(
@@ -517,6 +501,43 @@ mod tests {
         assert!(fc.mean_stack_current_a < asap.mean_stack_current_a);
         assert!(asap.mean_stack_current_a < conv.mean_stack_current_a);
         assert!(fc.lifetime_h > asap.lifetime_h);
+    }
+
+    #[test]
+    fn runner_and_fixture_build_the_same_runs() {
+        use fcdpm_sim::fixture::{run_reference, ReferencePolicy};
+        let coefficient = LinearEfficiency::dac07().coefficient();
+        for seed in [SEED, 7] {
+            let workloads = [
+                (
+                    WorkloadSpec::Experiment1(seed),
+                    Scenario::experiment1_seeded(seed),
+                ),
+                (
+                    WorkloadSpec::Experiment2(seed),
+                    Scenario::experiment2_seeded(seed),
+                ),
+            ];
+            for (workload, scenario) in workloads {
+                for reference in ReferencePolicy::ALL {
+                    let policy = match reference {
+                        ReferencePolicy::Conv => PolicySpec::Conv,
+                        ReferencePolicy::Asap => PolicySpec::Asap,
+                        ReferencePolicy::FcDpm => PolicySpec::FcDpm,
+                        ReferencePolicy::Windowed => PolicySpec::WindowedAverage,
+                        ReferencePolicy::Quantized => PolicySpec::Quantized(12),
+                    };
+                    let job = execute(&JobSpec::new(policy, workload.clone())).expect("runs");
+                    let fixture = run_reference(&scenario, reference).expect("runs");
+                    assert_eq!(
+                        job,
+                        JobMetrics::from_sim(&fixture, coefficient),
+                        "{} on {workload:?}",
+                        reference.label()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,26 @@
-//! The paper's reference experiment fixture, shared by tests, benches,
-//! the batch runner and the CLI.
+//! The paper's reference experiment recipe: policy P on scenario S
+//! behind a buffer of capacity C, wired one way for every consumer.
 //!
-//! Before this module existed the reference configuration — a
-//! 100 mA·min ideal buffer at half charge behind a DAC'07 simulator with
-//! the scenario's predictive sleep — was wired up independently by the
-//! simulator's unit tests, the Criterion bench fixtures and the CLI,
-//! each with its own hard-coded capacity. One drifting copy would
-//! silently bench a configuration nobody tests; every consumer now goes
-//! through here.
+//! The Section-5 comparison (Tables 2–3, Figure 7, the lifetime claim)
+//! is fair only while Conv-DPM, ASAP-DPM and FC-DPM see the same
+//! wiring: an ideal buffer at half charge behind a DAC'07 simulator
+//! with the scenario's predictive sleep. The pieces live here and
+//! nowhere else:
+//!
+//! * [`ReferencePolicy::build_at`], [`run_reference_at`] — the whole
+//!   run, at any capacity. The CLI's `experiment`, `simulate` and
+//!   `lifetime`, `fcdpm_experiments::{PolicyComparison,
+//!   record_profile}` and the `fig7`, `lifetime` and `model_fidelity`
+//!   binaries run through these.
+//! * [`fc_dpm`], [`storage_at`] — the FC-DPM-from-a-scenario
+//!   constructor and the half-charged ideal buffer, for runs that swap
+//!   one other piece: the sleep policy in `dpm_policies`, the trace in
+//!   `aggregation`, the storage model and β in `fcdpm_runner::exec`.
+//!   `ablation` (oracle FC-DPM) and `heavy_tail` (a custom device) take
+//!   only the buffer.
+//! * [`run_reference`], [`run_reference_on`] — the same at
+//!   [`reference_capacity`], for the Criterion benches, the bench
+//!   harness, the integration tests and the benchmark helper.
 
 use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_core::policy::{
@@ -32,12 +45,30 @@ pub fn reference_capacity() -> Charge {
     Charge::from_milliamp_minutes(REFERENCE_CAPACITY_MAMIN)
 }
 
-/// The reference storage element: the ideal buffer at half charge, as
-/// every Section-5 experiment starts it.
+/// The reference storage element at `capacity`: the ideal buffer at
+/// half charge, as every Section-5 experiment starts it.
+#[must_use]
+pub fn storage_at(capacity: Charge) -> IdealStorage {
+    IdealStorage::new(capacity, capacity * 0.5)
+}
+
+/// [`storage_at`] the reference capacity.
 #[must_use]
 pub fn reference_storage() -> IdealStorage {
-    let capacity = reference_capacity();
-    IdealStorage::new(capacity, capacity * 0.5)
+    storage_at(reference_capacity())
+}
+
+/// The paper's FC-DPM for `scenario` with a `capacity` buffer, planning
+/// with `optimizer` (the DAC'07 one unless the caller varies β).
+#[must_use]
+pub fn fc_dpm(scenario: &Scenario, capacity: Charge, optimizer: FuelOptimizer) -> FcDpm {
+    FcDpm::new(
+        optimizer,
+        &scenario.device,
+        capacity,
+        scenario.sigma,
+        scenario.active_current_estimate,
+    )
 }
 
 /// The shipped FC output policies: the paper's Section-5 comparison
@@ -68,6 +99,9 @@ impl ReferencePolicy {
         Self::Quantized,
     ];
 
+    /// The paper's Section-5 comparison, in table order.
+    pub const PAPER: [Self; 3] = [Self::Conv, Self::Asap, Self::FcDpm];
+
     /// Short label for reports.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -80,20 +114,17 @@ impl ReferencePolicy {
         }
     }
 
-    /// Builds the policy wired exactly as the paper's experiments run it,
-    /// against the reference capacity.
+    /// [`build_at`](Self::build_at) the reference capacity.
     #[must_use]
     pub fn build(self, scenario: &Scenario) -> Box<dyn FcOutputPolicy + Send> {
-        let capacity = reference_capacity();
-        let fcdpm = || {
-            FcDpm::new(
-                FuelOptimizer::dac07(),
-                &scenario.device,
-                capacity,
-                scenario.sigma,
-                scenario.active_current_estimate,
-            )
-        };
+        self.build_at(scenario, reference_capacity())
+    }
+
+    /// Builds the policy wired exactly as the paper's experiments run it,
+    /// against a `capacity` buffer.
+    #[must_use]
+    pub fn build_at(self, scenario: &Scenario, capacity: Charge) -> Box<dyn FcOutputPolicy + Send> {
+        let fcdpm = || fc_dpm(scenario, capacity, FuelOptimizer::dac07());
         match self {
             Self::Conv => Box::new(ConvDpm::dac07()),
             Self::Asap => Box::new(AsapDpm::dac07(capacity)),
@@ -118,9 +149,7 @@ pub fn run_reference(scenario: &Scenario, policy: ReferencePolicy) -> Result<Sim
     run_reference_on(&HybridSimulator::dac07(&scenario.device), scenario, policy)
 }
 
-/// As [`run_reference`], but on a caller-configured simulator (a custom
-/// control step, or [`HybridSimulator::without_coalescing`] for A/B
-/// comparisons). The simulator should be built over `scenario.device`.
+/// [`run_reference_at`] the reference capacity.
 ///
 /// # Errors
 ///
@@ -130,9 +159,26 @@ pub fn run_reference_on(
     scenario: &Scenario,
     policy: ReferencePolicy,
 ) -> Result<SimMetrics, SimError> {
-    let mut storage = reference_storage();
+    run_reference_at(sim, scenario, policy, reference_capacity())
+}
+
+/// Runs one reference policy on `scenario` with a `capacity` buffer, on
+/// a caller-configured simulator (a custom fuel model or control step,
+/// or [`HybridSimulator::without_coalescing`] for A/B comparisons). The
+/// simulator should be built over `scenario.device`.
+///
+/// # Errors
+///
+/// Propagates [`SimError`] from the simulator.
+pub fn run_reference_at(
+    sim: &HybridSimulator<'_>,
+    scenario: &Scenario,
+    policy: ReferencePolicy,
+    capacity: Charge,
+) -> Result<SimMetrics, SimError> {
+    let mut storage = storage_at(capacity);
     let mut sleep = PredictiveSleep::new(scenario.rho);
-    let mut policy = policy.build(scenario);
+    let mut policy = policy.build_at(scenario, capacity);
     Ok(sim
         .run(&scenario.trace, &mut sleep, policy.as_mut(), &mut storage)?
         .metrics)

@@ -27,7 +27,8 @@ pub struct LifetimeResult {
     /// Whether the tank was actually emptied (false if `max_cycles`
     /// elapsed first).
     pub depleted: bool,
-    /// Metrics accumulated over the whole run.
+    /// Metrics over the whole run, each cycle folded in with
+    /// [`SimMetrics::append`].
     pub metrics: SimMetrics,
 }
 
@@ -64,7 +65,7 @@ impl HybridSimulator<'_> {
         for _ in 0..max_cycles {
             let before = total.fuel.total();
             let cycle = self.run(trace, sleep, policy, storage)?.metrics;
-            accumulate(&mut total, &cycle);
+            total.append(&cycle);
             if total.fuel.total() >= tank.capacity() {
                 // Interpolate the depletion instant within this cycle.
                 let cycle_fuel = total.fuel.total() - before;
@@ -94,22 +95,6 @@ impl HybridSimulator<'_> {
             metrics: total,
         })
     }
-}
-
-fn accumulate(total: &mut SimMetrics, cycle: &SimMetrics) {
-    total.fuel.merge(&cycle.fuel);
-    total.load_charge += cycle.load_charge;
-    total.delivered_charge += cycle.delivered_charge;
-    total.bled_charge += cycle.bled_charge;
-    total.deficit_charge += cycle.deficit_charge;
-    total.deficit_time += cycle.deficit_time;
-    total.sleeps += cycle.sleeps;
-    total.slots += cycle.slots;
-    total.task_latency += cycle.task_latency;
-    total.final_soc = cycle.final_soc;
-    total.chunks_stepped += cycle.chunks_stepped;
-    total.chunks_coalesced += cycle.chunks_coalesced;
-    total.policy_consultations += cycle.policy_consultations;
 }
 
 #[cfg(test)]
@@ -189,6 +174,73 @@ mod tests {
         assert!(!res.depleted);
         assert_eq!(res.full_cycles, 3);
         assert_eq!(res.metrics.slots, scenario.trace.len() * 3);
+    }
+
+    #[test]
+    fn faulted_lifetime_carries_the_fault_counters() {
+        use crate::fixture::{reference_storage, ReferencePolicy};
+        use fcdpm_core::policy::ResilientPolicy;
+        use fcdpm_faults::{FaultEvent, FaultKind, FaultSchedule, FuelStarvation};
+        use fcdpm_units::CurrentRange;
+        let scenario = Scenario::experiment1();
+        // A starvation window in every cycle (times are per run).
+        let sim = HybridSimulator::dac07(&scenario.device).with_faults(FaultSchedule {
+            seed: 1,
+            events: vec![FaultEvent {
+                at_s: 50.0,
+                kind: FaultKind::FuelStarvation(FuelStarvation {
+                    until_s: 400.0,
+                    max_a: 0.15,
+                }),
+            }],
+        });
+        // A fresh storage, sleep and resilient FC-DPM per replay.
+        let fresh = || {
+            (
+                reference_storage(),
+                PredictiveSleep::new(scenario.rho),
+                ResilientPolicy::new(
+                    ReferencePolicy::FcDpm.build(&scenario),
+                    CurrentRange::dac07(),
+                ),
+            )
+        };
+        let tank = HydrogenTank::from_stack_charge(Charge::new(1e9));
+        let (mut storage, mut sleep, mut policy) = fresh();
+        let res = sim
+            .run_until_depleted(
+                &scenario.trace,
+                &mut sleep,
+                &mut policy,
+                &mut storage,
+                &tank,
+                3,
+            )
+            .expect("simulation succeeds");
+        // The same three cycles, replayed one run at a time.
+        let (mut storage, mut sleep, mut policy) = fresh();
+        let cycles: Vec<SimMetrics> = (0..3)
+            .map(|_| {
+                sim.run(&scenario.trace, &mut sleep, &mut policy, &mut storage)
+                    .expect("simulation succeeds")
+                    .metrics
+            })
+            .collect();
+        let last = &cycles[2];
+        assert!(last.faults_applied > 0 && last.degradations > 0);
+        assert!(last.time_in_fallback > Seconds::ZERO);
+        let m = &res.metrics;
+        assert_eq!(
+            m.faults_applied,
+            cycles.iter().map(|c| c.faults_applied).sum::<u64>()
+        );
+        let sum =
+            |f: fn(&SimMetrics) -> Seconds| cycles.iter().fold(Seconds::ZERO, |acc, c| acc + f(c));
+        assert_eq!(m.time_in_fallback, sum(|c| c.time_in_fallback));
+        assert_eq!(m.fault_deficit_time, sum(|c| c.fault_deficit_time));
+        // A snapshot of the carried policy's cumulative count.
+        assert_eq!(m.degradations, last.degradations);
+        assert_eq!(m.final_soc, last.final_soc);
     }
 
     #[test]

@@ -135,6 +135,51 @@ impl SimMetrics {
         self.bled_charge.is_zero() && self.deficit_charge.is_zero()
     }
 
+    /// Folds in the metrics of a run that continued from this one's end
+    /// state (the next cycle of a looped trace): every per-run quantity
+    /// sums, while the snapshots — `final_soc` and the carried policy's
+    /// cumulative `degradations` — take `next`'s value.
+    pub fn append(&mut self, next: &Self) {
+        // Destructured without `..`, so a new field fails to compile
+        // until it is folded here.
+        let Self {
+            fuel,
+            load_charge,
+            delivered_charge,
+            bled_charge,
+            deficit_charge,
+            deficit_time,
+            sleeps,
+            slots,
+            task_latency,
+            final_soc,
+            chunks_stepped,
+            chunks_coalesced,
+            policy_consultations,
+            faults_applied,
+            degradations,
+            time_in_fallback,
+            fault_deficit_time,
+        } = next;
+        self.fuel.merge(fuel);
+        self.load_charge += *load_charge;
+        self.delivered_charge += *delivered_charge;
+        self.bled_charge += *bled_charge;
+        self.deficit_charge += *deficit_charge;
+        self.deficit_time += *deficit_time;
+        self.sleeps += sleeps;
+        self.slots += slots;
+        self.task_latency += *task_latency;
+        self.final_soc = *final_soc;
+        self.chunks_stepped += chunks_stepped;
+        self.chunks_coalesced += chunks_coalesced;
+        self.policy_consultations += policy_consultations;
+        self.faults_applied += faults_applied;
+        self.degradations = *degradations;
+        self.time_in_fallback += *time_in_fallback;
+        self.fault_deficit_time += *fault_deficit_time;
+    }
+
     /// A copy with the work counters (`chunks_stepped`,
     /// `chunks_coalesced`, `policy_consultations`) zeroed.
     ///

@@ -38,6 +38,10 @@
 //! # }
 //! ```
 //!
+//! [`sim::fixture`] holds this wiring once for every shipped policy and
+//! any buffer capacity; the CLI and the experiment binaries run through
+//! it.
+//!
 //! # Crate map
 //!
 //! | Module | Workspace crate | Contents |
