@@ -178,7 +178,10 @@ fn run_batch(
         Some(workers) => fcdpm_runner::RunConfig::with_workers(workers),
         None => fcdpm_runner::RunConfig::default(),
     };
-    let manifest = fcdpm_runner::run_grid(&grid, &config);
+    let start = std::time::Instant::now();
+    let specs: Vec<fcdpm_runner::JobSpec> = grid.axes().iter().map(|(_, job)| job).collect();
+    let run = fcdpm_runner::BatchRun::new(&specs, &config);
+    let workers = run.workers();
 
     let out_dir = std::path::Path::new(out_dir.unwrap_or("results"));
     std::fs::create_dir_all(out_dir)
@@ -188,16 +191,19 @@ fn run_batch(
         .and_then(|s| s.to_str())
         .unwrap_or("batch");
     let manifest_path = out_dir.join(format!("{stem}.manifest.json"));
-    std::fs::write(&manifest_path, manifest.to_json())
-        .map_err(|e| format!("cannot write `{}`: {e}", manifest_path.display()))?;
+    let mut manifest =
+        fcdpm_runner::ManifestWriter::create(&manifest_path, run.grid_digest(), workers)?;
 
+    // The committer: each record is encoded and written, and its row
+    // printed, on this thread in index order while the workers run.
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:<28} {:>10} {:>12} {:>12}",
         "job", "outcome", "fuel [A*s]", "I_fc [A]"
     );
-    for record in &manifest.records {
+    let aggregates = run.stream(|record| {
+        manifest.put(&record)?;
         match &record.outcome {
             fcdpm_runner::JobOutcome::Completed(m) => {
                 let _ = writeln!(
@@ -214,8 +220,11 @@ fn run_batch(
                 let _ = writeln!(out, "{:<28} {:>10}", record.id, "TIMEOUT");
             }
         }
-    }
-    let _ = writeln!(out, "{}", manifest.summary());
+        Ok::<(), String>(())
+    })?;
+    let total_wall_ms = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
+    manifest.finish(&aggregates, total_wall_ms)?;
+    let _ = writeln!(out, "{}", aggregates.summary(total_wall_ms, workers));
     let _ = writeln!(out, "manifest: {}", manifest_path.display());
     Ok(out)
 }

@@ -2,7 +2,13 @@
 //!
 //! Everything a job needs (trace, device, policy, storage, predictor)
 //! is constructed *inside* the job from its spec, so specs — plain data
-//! — are all that crosses thread boundaries.
+//! — are all that crosses thread boundaries. The one part jobs share,
+//! the scenario, is remembered per thread: a grid's workload and device
+//! axes are its outermost, so consecutive jobs on a worker almost
+//! always ask for the scenario the previous one built.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use fcdpm_core::dpm::{OracleSleep, PredictiveSleep, SleepPolicy};
 use fcdpm_core::policy::{
@@ -201,6 +207,33 @@ fn build_scenario(spec: &JobSpec) -> Result<Scenario, String> {
             scenario.device = fcdpm_device::presets::experiment2_device();
         }
     }
+    Ok(scenario)
+}
+
+/// What [`build_scenario`] reads from a spec, and so the memo's key.
+type ScenarioKey = (WorkloadSpec, Option<DevicePreset>);
+
+thread_local! {
+    /// This thread's last built scenario and the key it was built for.
+    static LAST_SCENARIO: RefCell<Option<(ScenarioKey, Rc<Scenario>)>> =
+        const { RefCell::new(None) };
+}
+
+/// [`build_scenario`] behind a one-entry, per-thread memo. Scenarios
+/// are immutable once built, so a hit is indistinguishable from a
+/// rebuild; errors are returned, never remembered.
+fn scenario_for(spec: &JobSpec) -> Result<Rc<Scenario>, String> {
+    let hit = LAST_SCENARIO.with_borrow(|last| {
+        last.as_ref()
+            .filter(|((workload, device), _)| *workload == spec.workload && *device == spec.device)
+            .map(|(_, scenario)| Rc::clone(scenario))
+    });
+    if let Some(scenario) = hit {
+        return Ok(scenario);
+    }
+    let scenario = Rc::new(build_scenario(spec)?);
+    let key = (spec.workload.clone(), spec.device.clone());
+    LAST_SCENARIO.set(Some((key, Rc::clone(&scenario))));
     Ok(scenario)
 }
 
@@ -453,13 +486,13 @@ pub fn execute(spec: &JobSpec) -> Result<JobMetrics, String> {
         }
         return execute_multi_device(spec, seed);
     }
-    let scenario = build_scenario(spec)?;
+    let scenario = scenario_for(spec)?;
     let capacity = Charge::from_milliamp_minutes(spec.capacity_mamin_or_default());
     let (sim, optimizer, coefficient) = build_sim(spec, &scenario.device)?;
     let mut sleep = build_sleep(spec, &scenario);
     let mut policy = wrap_resilient(
         spec,
-        build_policy(spec, Some((&scenario, optimizer)), capacity)?,
+        build_policy(spec, Some((&*scenario, optimizer)), capacity)?,
     );
     let mut storage = build_storage(spec, capacity);
     let metrics = sim

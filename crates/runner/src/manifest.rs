@@ -5,7 +5,12 @@
 //! record; [`RunManifest::deterministic_json`] masks wall-time and
 //! worker fields so two runs of the same grid are byte-identical
 //! regardless of worker count (the runner determinism test relies on
-//! this).
+//! this). [`ManifestWriter`] writes the same bytes as `to_json` one
+//! record at a time, so `fcdpm batch` never holds the whole run.
+
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
@@ -89,36 +94,73 @@ impl RunAggregates {
     /// Computes aggregates from `records`.
     #[must_use]
     pub fn from_records(records: &[JobRecord]) -> Self {
-        let mut aggregates = Self {
-            jobs: records.len(),
-            completed: 0,
-            failed: 0,
-            timed_out: 0,
-            total_fuel_as: 0.0,
-            mean_stack_current_a: 0.0,
-            most_fuel_efficient: None,
-        };
-        let mut rate_sum = 0.0;
-        let mut best: Option<(f64, &str)> = None;
+        let mut fold = AggregateFold::default();
         for record in records {
-            match &record.outcome {
-                JobOutcome::Completed(m) => {
-                    aggregates.completed += 1;
-                    aggregates.total_fuel_as += m.fuel_as;
-                    rate_sum += m.mean_stack_current_a;
-                    if best.is_none_or(|(rate, _)| m.mean_stack_current_a < rate) {
-                        best = Some((m.mean_stack_current_a, &record.id));
-                    }
+            fold.push(record);
+        }
+        fold.finish()
+    }
+
+    /// One-line human summary of a run with these aggregates.
+    #[must_use]
+    pub fn summary(&self, total_wall_ms: u64, workers: usize) -> String {
+        format!(
+            "{} jobs: {} completed, {} failed, {} timed out ({} ms, {} workers)",
+            self.jobs, self.completed, self.failed, self.timed_out, total_wall_ms, workers
+        )
+    }
+}
+
+/// [`RunAggregates`] folded one record at a time. Records pushed in
+/// index order sum their floats in the same order as
+/// [`RunAggregates::from_records`], so the two agree bit for bit.
+#[derive(Debug, Default)]
+pub(crate) struct AggregateFold {
+    jobs: usize,
+    completed: usize,
+    failed: usize,
+    timed_out: usize,
+    total_fuel_as: f64,
+    rate_sum: f64,
+    /// Lowest fuel rate so far and the ID of the job that ran it.
+    best: Option<(f64, String)>,
+}
+
+impl AggregateFold {
+    pub(crate) fn push(&mut self, record: &JobRecord) {
+        self.jobs += 1;
+        match &record.outcome {
+            JobOutcome::Completed(m) => {
+                self.completed += 1;
+                self.total_fuel_as += m.fuel_as;
+                self.rate_sum += m.mean_stack_current_a;
+                if self
+                    .best
+                    .as_ref()
+                    .is_none_or(|(rate, _)| m.mean_stack_current_a < *rate)
+                {
+                    self.best = Some((m.mean_stack_current_a, record.id.clone()));
                 }
-                JobOutcome::Failed(_) => aggregates.failed += 1,
-                JobOutcome::TimedOut => aggregates.timed_out += 1,
             }
+            JobOutcome::Failed(_) => self.failed += 1,
+            JobOutcome::TimedOut => self.timed_out += 1,
         }
-        if aggregates.completed > 0 {
-            aggregates.mean_stack_current_a = rate_sum / aggregates.completed as f64;
+    }
+
+    pub(crate) fn finish(self) -> RunAggregates {
+        RunAggregates {
+            jobs: self.jobs,
+            completed: self.completed,
+            failed: self.failed,
+            timed_out: self.timed_out,
+            total_fuel_as: self.total_fuel_as,
+            mean_stack_current_a: if self.completed > 0 {
+                self.rate_sum / self.completed as f64
+            } else {
+                0.0
+            },
+            most_fuel_efficient: self.best.map(|(_, id)| id),
         }
-        aggregates.most_fuel_efficient = best.map(|(_, id)| id.to_owned());
-        aggregates
     }
 }
 
@@ -169,15 +211,116 @@ impl RunManifest {
     /// One-line human summary.
     #[must_use]
     pub fn summary(&self) -> String {
-        format!(
-            "{} jobs: {} completed, {} failed, {} timed out ({} ms, {} workers)",
-            self.aggregates.jobs,
-            self.aggregates.completed,
-            self.aggregates.failed,
-            self.aggregates.timed_out,
-            self.total_wall_ms,
-            self.workers
-        )
+        self.aggregates.summary(self.total_wall_ms, self.workers)
+    }
+}
+
+/// Writes a manifest to disk record by record, byte-identical to
+/// [`RunManifest::to_json`] of the same run.
+///
+/// The header is written on [`create`](Self::create), each record as
+/// its pretty-JSON fragment on [`put`](Self::put), and the aggregates
+/// and total on [`finish`](Self::finish). The bytes go to
+/// `<path>.tmp`, which `finish` renames to `path`: a run that fails or
+/// is killed first never leaves a torn or empty manifest at `path`,
+/// and a writer dropped unfinished removes its `.tmp`.
+#[derive(Debug)]
+pub struct ManifestWriter {
+    tmp: PathBuf,
+    path: PathBuf,
+    out: BufWriter<File>,
+    /// Records written so far.
+    records: usize,
+    /// Set once the file has been renamed into place.
+    done: bool,
+}
+
+impl ManifestWriter {
+    /// Creates (truncating) `<path>.tmp` and writes the manifest header.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for I/O failures.
+    pub fn create(path: &Path, grid_digest: &str, workers: usize) -> Result<Self, String> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let file =
+            File::create(&tmp).map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
+        let mut writer = Self {
+            tmp,
+            path: path.to_owned(),
+            out: BufWriter::new(file),
+            records: 0,
+            done: false,
+        };
+        let digest = serde_json::to_string(grid_digest).map_err(|e| e.to_string())?;
+        let header = format!(
+            "{{\n  \"grid_digest\": {digest},\n  \"workers\": {workers},\n  \"records\": ["
+        );
+        writer.write(&header)?;
+        Ok(writer)
+    }
+
+    /// Appends the next record. Records must arrive in index order.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the record's index when it does not
+    /// serialize (a non-finite float), and for I/O failures.
+    pub fn put(&mut self, record: &JobRecord) -> Result<(), String> {
+        let json = serde_json::to_string_pretty(record)
+            .map_err(|e| format!("record {} does not serialize: {e}", record.index))?;
+        let separator = if self.records == 0 {
+            "\n    "
+        } else {
+            ",\n    "
+        };
+        self.records += 1;
+        self.write(separator)?;
+        // The pretty printer escapes every newline inside a string, so
+        // each one here is structural: indenting after it moves the
+        // record to its depth (2) in the manifest.
+        self.write(&json.replace('\n', "\n    "))
+    }
+
+    /// Writes the aggregates and total, then renames the file into
+    /// place.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the aggregates do not serialize, and for
+    /// I/O failures; the `.tmp` file is then removed.
+    pub fn finish(mut self, aggregates: &RunAggregates, total_wall_ms: u64) -> Result<(), String> {
+        let json = serde_json::to_string_pretty(aggregates)
+            .map_err(|e| format!("aggregates do not serialize: {e}"))?;
+        let close = if self.records == 0 { "]" } else { "\n  ]" };
+        let tail = format!(
+            "{close},\n  \"aggregates\": {},\n  \"total_wall_ms\": {total_wall_ms}\n}}",
+            json.replace('\n', "\n  ")
+        );
+        self.write(&tail)?;
+        self.out
+            .flush()
+            .map_err(|e| format!("cannot write `{}`: {e}", self.tmp.display()))?;
+        std::fs::rename(&self.tmp, &self.path)
+            .map_err(|e| format!("cannot move `{}` into place: {e}", self.path.display()))?;
+        self.done = true;
+        Ok(())
+    }
+
+    fn write(&mut self, text: &str) -> Result<(), String> {
+        self.out
+            .write_all(text.as_bytes())
+            .map_err(|e| format!("cannot write `{}`: {e}", self.tmp.display()))
+    }
+}
+
+impl Drop for ManifestWriter {
+    fn drop(&mut self) {
+        if !self.done {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
     }
 }
 
