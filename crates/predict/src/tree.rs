@@ -1,10 +1,12 @@
 //! Adaptive learning-tree predictor.
 
-use std::collections::BTreeMap;
-
 use fcdpm_units::Seconds;
 
 use crate::Predictor;
+
+/// Largest counter table [`AdaptiveLearningTree::new`] accepts: 2²⁰
+/// counters (4 MiB). The shipped 6-bin, depth-3 tree uses 1,548.
+const MAX_COUNTERS: usize = 1 << 20;
 
 /// A quantized context-tree predictor (after Chung, Benini & De Micheli,
 /// the paper's reference \[3\]).
@@ -17,6 +19,14 @@ use crate::Predictor;
 /// observations that fell in it) is returned. Shallow contexts act as
 /// fallback, so the tree adapts quickly to pattern changes while exploiting
 /// long patterns when they exist.
+///
+/// The counters live in one flat table allocated by [`new`](Self::new):
+/// contexts of length `L` own a block of `bins^L` rows of `bins`
+/// counters, and a context's row within its block is its base-`bins`
+/// code (most recent bin least significant). A context never seen is an
+/// all-zero row. [`observe`](Predictor::observe) and
+/// [`predict`](Predictor::predict) are O(depth) index arithmetic and never
+/// allocate.
 ///
 /// # Examples
 ///
@@ -36,14 +46,17 @@ use crate::Predictor;
 pub struct AdaptiveLearningTree {
     /// Ascending bin edges; `edges.len() + 1` bins.
     edges: Vec<f64>,
-    /// Maximum context depth.
-    depth: usize,
-    /// Recent bin history, most recent last (at most `depth` entries).
-    context: Vec<u8>,
-    /// Saturating counters: context → per-bin counts. A `BTreeMap`
-    /// keeps iteration order independent of the hasher seed, so runs
-    /// are bit-identical.
-    counters: BTreeMap<Vec<u8>, Vec<u32>>,
+    /// `(first row, rows)` of the block of length-`L` contexts at index
+    /// `L - 1`; `rows` is `bins^L`.
+    blocks: Vec<(usize, usize)>,
+    /// The recent bin history as a base-`bins` number, most recent bin
+    /// least significant; its last `L` bins are `context % bins^L`.
+    context: usize,
+    /// Bins in `context` (at most the depth).
+    context_len: usize,
+    /// Saturating counters: row `r`'s per-bin counts are
+    /// `counters[r * bins..(r + 1) * bins]`.
+    counters: Vec<u32>,
     /// Running mean of observations per bin (the bin's representative).
     bin_means: Vec<(f64, u64)>,
     /// Counter saturation limit.
@@ -56,12 +69,16 @@ impl AdaptiveLearningTree {
     ///
     /// # Panics
     ///
-    /// Panics if `edges` is empty or not strictly ascending, if any edge
-    /// is not finite and positive, or if `depth` is zero.
+    /// Panics if `edges` is empty, holds more than 255 edges (bins are
+    /// counted in a `u8`) or is not strictly ascending, if any edge is
+    /// not finite and positive, if `depth` is zero, or if the counter
+    /// table (`bins · Σ bins^L` for `L` in `1..=depth`) would exceed
+    /// 2²⁰ counters (4 MiB).
     #[must_use]
     #[track_caller]
     pub fn new(edges: Vec<f64>, depth: usize) -> Self {
         assert!(!edges.is_empty(), "need at least one bin edge");
+        assert!(edges.len() <= 255, "at most 255 bin edges (256 bins)");
         assert!(depth >= 1, "context depth must be at least 1");
         assert!(
             edges.iter().all(|e| e.is_finite() && *e > 0.0),
@@ -72,11 +89,24 @@ impl AdaptiveLearningTree {
             "bin edges must be strictly ascending"
         );
         let bins = edges.len() + 1;
+        let max_rows = MAX_COUNTERS / bins;
+        let mut blocks = Vec::with_capacity(depth);
+        let (mut first, mut rows) = (0, 1);
+        for _ in 0..depth {
+            rows *= bins;
+            assert!(
+                first + rows <= max_rows,
+                "learning-tree counter table exceeds {MAX_COUNTERS} counters"
+            );
+            blocks.push((first, rows));
+            first += rows;
+        }
         Self {
             edges,
-            depth,
-            context: Vec::new(),
-            counters: BTreeMap::new(),
+            blocks,
+            context: 0,
+            context_len: 0,
+            counters: vec![0; first * bins],
             bin_means: vec![(0.0, 0); bins],
             saturation: 16,
         }
@@ -89,7 +119,7 @@ impl AdaptiveLearningTree {
     /// # Panics
     ///
     /// Panics if `bins < 2`, or `lo`/`hi` do not describe a positive
-    /// ascending range.
+    /// ascending range, or as [`new`](Self::new) does.
     #[must_use]
     #[track_caller]
     pub fn with_uniform_bins(lo: f64, hi: f64, bins: usize, depth: usize) -> Self {
@@ -118,6 +148,12 @@ impl AdaptiveLearningTree {
         bin
     }
 
+    /// Index of the first counter of the row of the context formed by
+    /// the last `L` bins, where `(first, rows)` is length `L`'s block.
+    fn row_start(&self, (first, rows): (usize, usize)) -> usize {
+        (first + self.context % rows) * self.bins()
+    }
+
     fn bin_representative(&self, bin: usize) -> Option<f64> {
         let (sum, n) = self.bin_means[bin];
         if n == 0 {
@@ -133,23 +169,22 @@ impl Predictor for AdaptiveLearningTree {
         if self.bin_means.iter().all(|(_, n)| *n == 0) {
             return None;
         }
+        let bins = self.bins();
         // Deepest confident context wins.
-        for len in (1..=self.context.len().min(self.depth)).rev() {
-            let ctx = &self.context[self.context.len() - len..];
-            if let Some(counts) = self.counters.get(ctx) {
-                let total: u32 = counts.iter().sum();
-                if total == 0 {
-                    continue;
-                }
-                let Some((best_bin, best)) = counts.iter().enumerate().max_by_key(|(_, c)| **c)
-                else {
-                    continue;
-                };
-                // Confidence: strict majority of the context's mass.
-                if *best * 2 > total {
-                    if let Some(v) = self.bin_representative(best_bin) {
-                        return Some(Seconds::new(v));
-                    }
+        for &block in self.blocks[..self.context_len].iter().rev() {
+            let start = self.row_start(block);
+            let counts = &self.counters[start..start + bins];
+            let total: u32 = counts.iter().sum();
+            if total == 0 {
+                continue;
+            }
+            let Some((best_bin, best)) = counts.iter().enumerate().max_by_key(|(_, c)| **c) else {
+                continue;
+            };
+            // Confidence: strict majority of the context's mass.
+            if *best * 2 > total {
+                if let Some(v) = self.bin_representative(best_bin) {
+                    return Some(Seconds::new(v));
                 }
             }
         }
@@ -168,38 +203,35 @@ impl Predictor for AdaptiveLearningTree {
             "observed period must be non-negative"
         );
         let value = actual.seconds();
-        let bin = self.quantize(value);
+        let bin = usize::from(self.quantize(value));
+        let bins = self.bins();
         // Update counters for every suffix context seen before this value.
-        for len in 1..=self.context.len().min(self.depth) {
-            let ctx = self.context[self.context.len() - len..].to_vec();
-            let counts = self
-                .counters
-                .entry(ctx)
-                .or_insert_with(|| vec![0; self.edges.len() + 1]);
-            let c = &mut counts[bin as usize];
-            if *c < self.saturation {
-                *c += 1;
+        for &block in &self.blocks[..self.context_len] {
+            let start = self.row_start(block);
+            let counts = &mut self.counters[start..start + bins];
+            if counts[bin] < self.saturation {
+                counts[bin] += 1;
             } else {
                 // Saturated: decay competitors so the tree can re-learn.
                 for (i, other) in counts.iter_mut().enumerate() {
-                    if i != bin as usize && *other > 0 {
+                    if i != bin && *other > 0 {
                         *other -= 1;
                     }
                 }
             }
         }
-        let (sum, n) = &mut self.bin_means[bin as usize];
+        let (sum, n) = &mut self.bin_means[bin];
         *sum += value;
         *n += 1;
-        self.context.push(bin);
-        if self.context.len() > self.depth {
-            self.context.remove(0);
-        }
+        let (_, deepest) = self.blocks[self.blocks.len() - 1];
+        self.context = (self.context * bins + bin) % deepest;
+        self.context_len = (self.context_len + 1).min(self.blocks.len());
     }
 
     fn reset(&mut self) {
-        self.context.clear();
-        self.counters.clear();
+        self.context = 0;
+        self.context_len = 0;
+        self.counters.fill(0);
         for m in &mut self.bin_means {
             *m = (0.0, 0);
         }
@@ -207,8 +239,80 @@ impl Predictor for AdaptiveLearningTree {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
+    use super::reference::ReferenceTree;
     use super::*;
+
+    /// The value of one `(bin pick, position)` draw: it sits in bin
+    /// `pick % bins` at `position` across it, or exactly on its lower
+    /// edge when `position` is below 0.1. The last bin spans its lower
+    /// edge to twice it.
+    fn value(edges: &[f64], (pick, position): (usize, f64)) -> f64 {
+        let bin = pick % (edges.len() + 1);
+        let lo = if bin == 0 { 0.0 } else { edges[bin - 1] };
+        let hi = edges.get(bin).copied().unwrap_or(2.0 * lo);
+        if position < 0.1 {
+            lo
+        } else {
+            lo + position * (hi - lo)
+        }
+    }
+
+    /// 200 observations: the `lead` runs, each value repeated, then the
+    /// `phrase` runs cycled. Long lead runs saturate counters; a cycled
+    /// phrase over few bins gives shallow contexts mixed followers, so
+    /// saturated counters decay their competitors.
+    fn observations(
+        edges: &[f64],
+        lead: &[(usize, f64, usize)],
+        phrase: &[(usize, f64, usize)],
+    ) -> Vec<f64> {
+        let run = |&(pick, position, repeats): &(usize, f64, usize)| {
+            std::iter::repeat_n(value(edges, (pick, position)), repeats)
+        };
+        let mut values: Vec<f64> = lead.iter().flat_map(run).collect();
+        values.extend(phrase.iter().cycle().flat_map(run).take(200 - values.len()));
+        values
+    }
+
+    proptest! {
+        /// The flat table predicts bit for bit what the `BTreeMap` tree
+        /// predicts, after every observation and across a reset.
+        #[test]
+        fn flat_table_matches_the_btree_model(
+            gaps in prop::collection::vec(0.5f64..10.0, 1..9),
+            depth in 1usize..5,
+            lead in prop::collection::vec((0usize..16, 0.0f64..1.0, 1usize..40), 0..4),
+            phrase in prop::collection::vec((0usize..3, 0.0f64..1.0, 1usize..4), 1..6),
+            reset_at in 0usize..400,
+        ) {
+            let edges: Vec<f64> = gaps
+                .iter()
+                .scan(0.0, |edge, gap| {
+                    *edge += gap;
+                    Some(*edge)
+                })
+                .collect();
+            let mut flat = AdaptiveLearningTree::new(edges.clone(), depth);
+            let mut model = ReferenceTree::new(edges.clone(), depth);
+            let bits = |p: Option<Seconds>| p.map(|s| s.seconds().to_bits());
+            for (k, value) in observations(&edges, &lead, &phrase).into_iter().enumerate() {
+                if k == reset_at {
+                    flat.reset();
+                    model.reset();
+                    prop_assert_eq!(flat.predict(), None);
+                }
+                flat.observe(Seconds::new(value));
+                model.observe(Seconds::new(value));
+                prop_assert_eq!(bits(flat.predict()), bits(model.predict()), "after observation {}", k);
+            }
+        }
+    }
 
     #[test]
     fn quantization_boundaries() {
@@ -302,5 +406,32 @@ mod tests {
     #[should_panic(expected = "strictly ascending")]
     fn unsorted_edges_panic() {
         let _ = AdaptiveLearningTree::new(vec![10.0, 5.0], 2);
+    }
+
+    #[test]
+    fn the_shipped_tree_holds_1548_counters() {
+        let t = AdaptiveLearningTree::with_uniform_bins(8.0, 20.0, 6, 3);
+        assert_eq!(t.counters.len(), 1548);
+    }
+
+    #[test]
+    fn two_hundred_fifty_five_edges_quantize_into_the_top_bin() {
+        let edges: Vec<f64> = (1..=255).map(f64::from).collect();
+        let t = AdaptiveLearningTree::new(edges, 1);
+        assert_eq!(t.quantize(1e9), 255);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 bin edges")]
+    fn two_hundred_fifty_six_edges_panic() {
+        let edges = (1..=256).map(f64::from).collect();
+        let _ = AdaptiveLearningTree::new(edges, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter table exceeds")]
+    fn oversized_table_panics() {
+        // 2 bins, depth 20: 2 · (2²¹ − 2) counters.
+        let _ = AdaptiveLearningTree::new(vec![10.0], 20);
     }
 }

@@ -3,7 +3,8 @@
 //! wall-time and worker-assignment fields are masked.
 
 use fcdpm_runner::{
-    run_grid, JobGrid, JobSpec, PolicySpec, PredictorSpec, RunConfig, WorkloadSpec,
+    run_grid, JobGrid, JobOutcome, JobSpec, PolicySpec, PredictorSpec, RunConfig, StorageSpec,
+    WorkloadSpec,
 };
 
 fn paper_grid() -> JobGrid {
@@ -58,4 +59,54 @@ fn failed_jobs_are_deterministic_too() {
     let last = manifest.records.last().expect("non-empty run");
     assert_eq!(last.index, 12);
     assert!(matches!(last.outcome, fcdpm_runner::JobOutcome::Failed(_)));
+}
+
+/// FNV-1a of the compact outcome JSON of [`learning_tree_grid`]'s
+/// records, joined as one JSON list. Any change to the learning-tree
+/// predictor's decisions, the simulator or the JSON writer moves it.
+const LEARNING_TREE_OUTCOMES_FNV: u64 = 0x0650_b960_3bb1_219e;
+
+/// {Experiment1, Experiment2, Dvs} × 2 seeds × {Ideal, SuperCapacitor,
+/// Kibam} × the learning tree × five policies: 90 jobs.
+fn learning_tree_grid() -> JobGrid {
+    let mut grid = JobGrid::new(
+        vec![
+            PolicySpec::Conv,
+            PolicySpec::Asap,
+            PolicySpec::FcDpm,
+            PolicySpec::WindowedAverage,
+            PolicySpec::Quantized(12),
+        ],
+        [3, 0xDAC0_2007]
+            .into_iter()
+            .flat_map(|seed| {
+                [
+                    WorkloadSpec::Experiment1(seed),
+                    WorkloadSpec::Experiment2(seed),
+                    WorkloadSpec::Dvs(seed),
+                ]
+            })
+            .collect(),
+    );
+    grid.storages = Some(vec![
+        StorageSpec::Ideal,
+        StorageSpec::SuperCapacitor,
+        StorageSpec::Kibam,
+    ]);
+    grid.predictors = Some(vec![PredictorSpec::LearningTree]);
+    grid
+}
+
+#[test]
+fn learning_tree_outcomes_are_pinned() {
+    let manifest = run_grid(&learning_tree_grid(), &RunConfig::with_workers(2));
+    assert_eq!(manifest.records.len(), 90);
+    assert!(manifest.all_completed(), "a learning-tree job failed");
+    let outcomes: Vec<&JobOutcome> = manifest.records.iter().map(|r| &r.outcome).collect();
+    let json = serde_json::to_string(&outcomes).expect("outcomes serialize");
+    assert_eq!(
+        fcdpm_runner::spec::fnv1a(json.as_bytes()),
+        LEARNING_TREE_OUTCOMES_FNV,
+        "learning-tree outcomes moved"
+    );
 }
