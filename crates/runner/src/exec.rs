@@ -2,10 +2,11 @@
 //!
 //! Everything a job needs (trace, device, policy, storage, predictor)
 //! is constructed *inside* the job from its spec, so specs — plain data
-//! — are all that crosses thread boundaries. The one part jobs share,
-//! the scenario, is remembered per thread: a grid's workload and device
-//! axes are its outermost, so consecutive jobs on a worker almost
-//! always ask for the scenario the previous one built.
+//! — are all that crosses thread boundaries. The parts jobs share, the
+//! scenario and the sleep schedules planned on it, are remembered per
+//! thread: a grid's workload and device axes are its outermost, so
+//! consecutive jobs on a worker almost always ask for the scenario the
+//! previous one built, and for a schedule it already planned.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -20,7 +21,7 @@ use fcdpm_fuelcell::{GibbsCoefficient, HydrogenTank, LinearEfficiency};
 use fcdpm_predict::{
     AdaptiveLearningTree, ExponentialAverage, LastValue, Predictor, SlidingWindowRegression,
 };
-use fcdpm_sim::{fixture, HybridSimulator, SimMetrics};
+use fcdpm_sim::{fixture, HybridSimulator, SimMetrics, SlotSchedule};
 use fcdpm_storage::{ChargeStorage, KineticBattery, SuperCapacitor};
 use fcdpm_units::{Amps, Charge, CurrentRange, Seconds, Volts, Watts};
 use fcdpm_workload::{CamcorderTrace, LoadProfile, Scenario, SyntheticTrace, TaskSlot, Trace};
@@ -213,18 +214,40 @@ fn build_scenario(spec: &JobSpec) -> Result<Scenario, String> {
 /// What [`build_scenario`] reads from a spec, and so the memo's key.
 type ScenarioKey = (WorkloadSpec, Option<DevicePreset>);
 
+/// Most sleep schedules a worker keeps. A scenario is planned once per
+/// predictor its jobs name (four on the perfbench sweep, one on the
+/// fleet), so eight leaves room; past it the last entry is re-planned.
+const MAX_SCHEDULES: usize = 8;
+
+/// One worker's memo: its last scenario, and the sleep schedules planned
+/// on it, one per predictor.
+struct Memo {
+    scenario: Option<(ScenarioKey, Rc<Scenario>)>,
+    /// `schedules[..fresh]` were planned on `scenario`, for the predictor
+    /// beside each; the rest are stale buffers, refilled in place by the
+    /// next plans.
+    schedules: Vec<(Option<PredictorSpec>, Rc<SlotSchedule>)>,
+    fresh: usize,
+}
+
 thread_local! {
-    /// This thread's last built scenario and the key it was built for.
-    static LAST_SCENARIO: RefCell<Option<(ScenarioKey, Rc<Scenario>)>> =
-        const { RefCell::new(None) };
+    /// This thread's memo.
+    static MEMO: RefCell<Memo> = const {
+        RefCell::new(Memo {
+            scenario: None,
+            schedules: Vec::new(),
+            fresh: 0,
+        })
+    };
 }
 
 /// [`build_scenario`] behind a one-entry, per-thread memo. Scenarios
 /// are immutable once built, so a hit is indistinguishable from a
 /// rebuild; errors are returned, never remembered.
 fn scenario_for(spec: &JobSpec) -> Result<Rc<Scenario>, String> {
-    let hit = LAST_SCENARIO.with_borrow(|last| {
-        last.as_ref()
+    let hit = MEMO.with_borrow(|memo| {
+        memo.scenario
+            .as_ref()
             .filter(|((workload, device), _)| *workload == spec.workload && *device == spec.device)
             .map(|(_, scenario)| Rc::clone(scenario))
     });
@@ -233,8 +256,65 @@ fn scenario_for(spec: &JobSpec) -> Result<Rc<Scenario>, String> {
     }
     let scenario = Rc::new(build_scenario(spec)?);
     let key = (spec.workload.clone(), spec.device.clone());
-    LAST_SCENARIO.set(Some((key, Rc::clone(&scenario))));
+    MEMO.with_borrow_mut(|memo| {
+        memo.scenario = Some((key, Rc::clone(&scenario)));
+        memo.fresh = 0;
+    });
     Ok(scenario)
+}
+
+/// Predictor equality for the memo: bitwise on an exponential average's
+/// ρ, so an explicit NaN (the scenario's own ρ) finds its schedule and
+/// `-0.0` never shares one with `0.0`.
+fn same_predictor(a: &Option<PredictorSpec>, b: &Option<PredictorSpec>) -> bool {
+    match (a, b) {
+        (Some(PredictorSpec::Exponential(x)), Some(PredictorSpec::Exponential(y))) => {
+            x.to_bits() == y.to_bits()
+        }
+        _ => a == b,
+    }
+}
+
+/// The sleep schedule of `spec`'s predictor on `scenario` (the thread's
+/// memoized one, from [`scenario_for`]), planned on a miss by `sim`.
+/// The plan reads only the trace, the device and the predictor, so a
+/// hit is indistinguishable from a re-plan whatever the job's policy,
+/// storage, capacity, β or faults.
+fn schedule_for(
+    spec: &JobSpec,
+    scenario: &Rc<Scenario>,
+    sim: &HybridSimulator<'_>,
+) -> Rc<SlotSchedule> {
+    MEMO.with_borrow_mut(|memo| {
+        debug_assert!(memo
+            .scenario
+            .as_ref()
+            .is_some_and(|(_, memoized)| Rc::ptr_eq(memoized, scenario)));
+        let fresh = memo.fresh;
+        if let Some((_, schedule)) = memo.schedules[..fresh]
+            .iter()
+            .find(|(predictor, _)| same_predictor(predictor, &spec.predictor))
+        {
+            return Rc::clone(schedule);
+        }
+        // Entry `at` is stale while it is refilled, so a plan that
+        // panics leaves no half-planned schedule behind a key.
+        let at = fresh.min(MAX_SCHEDULES - 1);
+        memo.fresh = at;
+        if at == memo.schedules.len() {
+            memo.schedules
+                .push((None, Rc::new(SlotSchedule::default())));
+        }
+        let (predictor, schedule) = &mut memo.schedules[at];
+        sim.plan_into(
+            Rc::make_mut(schedule),
+            &scenario.trace,
+            build_sleep(spec, scenario).as_mut(),
+        );
+        predictor.clone_from(&spec.predictor);
+        memo.fresh = at + 1;
+        Rc::clone(schedule)
+    })
 }
 
 fn build_storage(spec: &JobSpec, capacity: Charge) -> Box<dyn ChargeStorage> {
@@ -489,19 +569,14 @@ pub fn execute(spec: &JobSpec) -> Result<JobMetrics, String> {
     let scenario = scenario_for(spec)?;
     let capacity = Charge::from_milliamp_minutes(spec.capacity_mamin_or_default());
     let (sim, optimizer, coefficient) = build_sim(spec, &scenario.device)?;
-    let mut sleep = build_sleep(spec, &scenario);
+    let schedule = schedule_for(spec, &scenario, &sim);
     let mut policy = wrap_resilient(
         spec,
         build_policy(spec, Some((&*scenario, optimizer)), capacity)?,
     );
     let mut storage = build_storage(spec, capacity);
     let metrics = sim
-        .run(
-            &scenario.trace,
-            sleep.as_mut(),
-            policy.as_mut(),
-            storage.as_mut(),
-        )
+        .run_schedule(&schedule, policy.as_mut(), storage.as_mut())
         .map_err(|e| format!("simulation: {e}"))?
         .metrics;
     Ok(JobMetrics::from_sim(&metrics, coefficient))

@@ -51,6 +51,7 @@ mod lifetime;
 mod metrics;
 mod profile;
 mod profile_run;
+mod schedule;
 mod simulator;
 
 pub use error::SimError;
@@ -58,4 +59,5 @@ pub use fuel_model::FuelFlowModel;
 pub use lifetime::LifetimeResult;
 pub use metrics::SimMetrics;
 pub use profile::{ProfileRecorder, ProfileSample};
+pub use schedule::SlotSchedule;
 pub use simulator::{HybridSimulator, SimResult};

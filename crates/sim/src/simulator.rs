@@ -11,7 +11,8 @@ use fcdpm_storage::{ChargeStorage, StorageFlow};
 use fcdpm_units::{Amps, Charge, CurrentRange, Seconds};
 use fcdpm_workload::Trace;
 
-use crate::{FuelFlowModel, ProfileRecorder, SimError, SimMetrics};
+use crate::schedule::{PlannedSegment, PlannedSlot};
+use crate::{FuelFlowModel, ProfileRecorder, SimError, SimMetrics, SlotSchedule};
 
 /// Residual floor for the chunk loop, as a fraction of the control step:
 /// `remaining -= dt` accumulates floating-point error, and without a
@@ -61,6 +62,12 @@ pub struct SimResult {
 /// ASAP-DPM's recharge trigger fire "as soon as possible" mid-segment
 /// without stepping. Unstructured load profiles
 /// ([`run_profile`](Self::run_profile)) go through the same integrator.
+///
+/// A slot run has two halves. [`plan`](Self::plan) replays the sleep
+/// policy into a [`SlotSchedule`] (decisions and timelines), and
+/// [`run_schedule`](Self::run_schedule) integrates one; [`run`](Self::run)
+/// is the two in a row, so one schedule can serve many policy × storage
+/// runs without changing any of them.
 ///
 /// [`Self::without_coalescing`] integrates the identical plan sequence
 /// in *control chunks* (default 0.5 s) for A/B comparison: the physics
@@ -123,7 +130,8 @@ impl<'a> HybridSimulator<'a> {
     }
 
     /// Attaches a fault schedule: the events fire at their scheduled
-    /// simulated times during [`run`](Self::run), reshaping the physics
+    /// simulated times during [`run`](Self::run) and
+    /// [`run_schedule`](Self::run_schedule), reshaping the physics
     /// mid-run (efficiency fade, fuel starvation, storage fade and
     /// leakage, predictor dropout/noise). An empty schedule leaves every
     /// metric bit-identical to running without one. Profile runs
@@ -466,7 +474,9 @@ impl<'a> HybridSimulator<'a> {
         Ok(())
     }
 
-    /// Runs `trace` and returns the aggregate metrics.
+    /// Runs `trace` and returns the aggregate metrics: plans the sleep
+    /// schedule ([`plan`](Self::plan)), then integrates it
+    /// ([`run_schedule`](Self::run_schedule)).
     ///
     /// # Errors
     ///
@@ -479,7 +489,7 @@ impl<'a> HybridSimulator<'a> {
         policy: &mut dyn FcOutputPolicy,
         storage: &mut dyn ChargeStorage,
     ) -> Result<SimResult, SimError> {
-        self.run_internal(trace, sleep, policy, storage, None)
+        self.run_schedule(&self.plan(trace, sleep), policy, storage)
     }
 
     /// Runs `trace` while sampling the current profile into `recorder`
@@ -496,37 +506,37 @@ impl<'a> HybridSimulator<'a> {
         storage: &mut dyn ChargeStorage,
         recorder: &mut ProfileRecorder,
     ) -> Result<SimResult, SimError> {
-        self.run_internal(trace, sleep, policy, storage, Some(recorder))
+        self.run_planned(&self.plan(trace, sleep), policy, storage, Some(recorder))
     }
 
-    fn run_internal(
+    /// Plans the DPM half of a run: replays `sleep` over `trace` and
+    /// lays out each slot's timeline on this simulator's device. The
+    /// schedule depends on nothing else — not the FC policy, the storage,
+    /// the fuel model or the fault schedule — so one schedule serves
+    /// every [`run_schedule`](Self::run_schedule) on the same device,
+    /// trace and sleep policy.
+    #[must_use]
+    pub fn plan(&self, trace: &Trace, sleep: &mut dyn SleepPolicy) -> SlotSchedule {
+        let mut schedule = SlotSchedule::default();
+        self.plan_into(&mut schedule, trace, sleep);
+        schedule
+    }
+
+    /// [`plan`](Self::plan) into an existing schedule, reusing its
+    /// buffers.
+    pub fn plan_into(
         &self,
+        schedule: &mut SlotSchedule,
         trace: &Trace,
         sleep: &mut dyn SleepPolicy,
-        policy: &mut dyn FcOutputPolicy,
-        storage: &mut dyn ChargeStorage,
-        mut recorder: Option<&mut ProfileRecorder>,
-    ) -> Result<SimResult, SimError> {
+    ) {
         let t_be = self.device.break_even_time();
-        let mut metrics = SimMetrics::new();
-        let mut time = Seconds::ZERO;
-        let mut faults = self.faults.as_ref().map(FaultState::new);
-
-        for (index, slot) in trace.slots().iter().enumerate() {
+        schedule.slots.clear();
+        schedule.segments.clear();
+        schedule.slots.reserve_exact(trace.len());
+        for slot in trace.slots() {
             let decision = sleep.decide(t_be);
             let i_active = slot.active_current(self.device.bus_voltage());
-            let mut predicted_idle = decision.predicted_idle;
-            if let Some(fs) = faults.as_mut() {
-                metrics.faults_applied += fs.advance_to(time);
-                policy.observe_conditions(&self.conditions(fs, storage));
-                predicted_idle = fs.perturb_prediction(index, predicted_idle);
-            }
-            policy.begin_slot(&SlotStart {
-                index,
-                directive: decision.directive,
-                predicted_idle,
-                soc: storage.soc(),
-            });
             let timeline = SlotTimeline::build_with_directive(
                 self.device,
                 slot.idle,
@@ -534,27 +544,99 @@ impl<'a> HybridSimulator<'a> {
                 slot.active,
                 i_active,
             );
-            if timeline.slept() {
+            let segments = timeline.segments();
+            let idle = segments
+                .iter()
+                .take_while(|seg| seg.kind.is_idle_phase())
+                .count();
+            debug_assert!(segments[idle..].iter().all(|seg| !seg.kind.is_idle_phase()));
+            let active_start = schedule.segments.len() + idle;
+            schedule
+                .segments
+                .extend(segments.iter().map(|seg| PlannedSegment {
+                    duration: seg.duration,
+                    load: seg.load,
+                }));
+            schedule.slots.push(PlannedSlot {
+                decision,
+                t_idle: slot.idle,
+                t_active: slot.active,
+                i_active,
+                task_latency: timeline.task_latency(),
+                slept: timeline.slept(),
+                active_start,
+                segments_end: schedule.segments.len(),
+            });
+            sleep.observe_idle(slot.idle);
+        }
+    }
+
+    /// Integrates a planned sleep schedule under `policy` and `storage`:
+    /// the FC half of a run. The schedule must have been planned on a
+    /// simulator over the same device. Active faults perturb the
+    /// planned predictions here, per run, so a faulted run replays the
+    /// fault-free schedule.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Self::run).
+    pub fn run_schedule(
+        &self,
+        schedule: &SlotSchedule,
+        policy: &mut dyn FcOutputPolicy,
+        storage: &mut dyn ChargeStorage,
+    ) -> Result<SimResult, SimError> {
+        self.run_planned(schedule, policy, storage, None)
+    }
+
+    /// The one slot loop: [`run_schedule`](Self::run_schedule), and
+    /// with a recorder attached, [`run_recorded`](Self::run_recorded).
+    fn run_planned(
+        &self,
+        schedule: &SlotSchedule,
+        policy: &mut dyn FcOutputPolicy,
+        storage: &mut dyn ChargeStorage,
+        mut recorder: Option<&mut ProfileRecorder>,
+    ) -> Result<SimResult, SimError> {
+        let mut metrics = SimMetrics::new();
+        let mut time = Seconds::ZERO;
+        let mut faults = self.faults.as_ref().map(FaultState::new);
+
+        let mut segments_start = 0;
+        for (index, slot) in schedule.slots.iter().enumerate() {
+            let segments = &schedule.segments[segments_start..slot.segments_end];
+            let idle = slot.active_start - segments_start;
+            segments_start = slot.segments_end;
+            let mut predicted_idle = slot.decision.predicted_idle;
+            if let Some(fs) = faults.as_mut() {
+                metrics.faults_applied += fs.advance_to(time);
+                policy.observe_conditions(&self.conditions(fs, storage));
+                predicted_idle = fs.perturb_prediction(index, predicted_idle);
+            }
+            policy.begin_slot(&SlotStart {
+                index,
+                directive: slot.decision.directive,
+                predicted_idle,
+                soc: storage.soc(),
+            });
+            if slot.slept {
                 metrics.sleeps += 1;
             }
-            metrics.task_latency += timeline.task_latency();
+            metrics.task_latency += slot.task_latency;
 
             // Active-phase totals, known on task arrival.
             let mut active_duration = Seconds::ZERO;
             let mut active_charge = Charge::ZERO;
-            for seg in timeline.segments() {
-                if !seg.kind.is_idle_phase() {
-                    active_duration += seg.duration;
-                    active_charge += seg.charge();
-                }
+            for seg in &segments[idle..] {
+                active_duration += seg.duration;
+                active_charge += seg.load * seg.duration;
             }
 
             let mut active_started = false;
-            let segments = timeline.segments();
             let mut si = 0;
             while si < segments.len() {
                 let seg = &segments[si];
-                let phase = if seg.kind.is_idle_phase() {
+                let phase = if si < idle {
                     PolicyPhase::Idle
                 } else {
                     PolicyPhase::Active
@@ -587,9 +669,7 @@ impl<'a> HybridSimulator<'a> {
                 let mut duration = seg.duration;
                 if !record_pending {
                     while let Some(nxt) = segments.get(si + 1) {
-                        if nxt.kind.is_idle_phase() == seg.kind.is_idle_phase()
-                            && nxt.load == seg.load
-                        {
+                        if (si + 1 < idle) == (phase == PolicyPhase::Idle) && nxt.load == seg.load {
                             duration += nxt.duration;
                             si += 1;
                         } else {
@@ -663,11 +743,10 @@ impl<'a> HybridSimulator<'a> {
                 si += 1;
             }
 
-            sleep.observe_idle(slot.idle);
             policy.end_slot(&SlotEnd {
-                t_idle: slot.idle,
-                t_active: slot.active,
-                i_active,
+                t_idle: slot.t_idle,
+                t_active: slot.t_active,
+                i_active: slot.i_active,
                 soc: storage.soc(),
             });
             metrics.slots += 1;
@@ -1216,5 +1295,69 @@ mod tests {
             .metrics;
         assert_eq!(m.slots, 0);
         assert!(m.fuel.total().is_zero());
+    }
+
+    #[test]
+    fn schedule_holds_each_slots_decision_and_timeline() {
+        // The plan is the sleep policy's decision sequence and the
+        // device's timelines, nothing else; refilling a schedule planned
+        // on another trace leaves nothing of it behind.
+        let scenario = Scenario::experiment1();
+        let sim = HybridSimulator::dac07(&scenario.device);
+        let mut schedule = sim.plan(
+            &Scenario::experiment2().trace,
+            &mut PredictiveSleep::new(0.5),
+        );
+        sim.plan_into(
+            &mut schedule,
+            &scenario.trace,
+            &mut PredictiveSleep::new(scenario.rho),
+        );
+        assert_eq!(schedule.len(), scenario.trace.len());
+        let t_be = scenario.device.break_even_time();
+        let mut sleep = PredictiveSleep::new(scenario.rho);
+        let mut start = 0;
+        for (planned, slot) in schedule.slots.iter().zip(scenario.trace.slots()) {
+            let decision = sleep.decide(t_be);
+            assert_eq!(planned.decision, decision);
+            let i_active = slot.active_current(scenario.device.bus_voltage());
+            let timeline = SlotTimeline::build_with_directive(
+                &scenario.device,
+                slot.idle,
+                decision.directive,
+                slot.active,
+                i_active,
+            );
+            let segments: Vec<_> = schedule.segments[start..planned.segments_end]
+                .iter()
+                .map(|seg| (seg.duration, seg.load))
+                .collect();
+            let expected: Vec<_> = timeline
+                .segments()
+                .iter()
+                .map(|seg| (seg.duration, seg.load))
+                .collect();
+            assert_eq!(segments, expected);
+            let idle = timeline
+                .segments()
+                .iter()
+                .filter(|seg| seg.kind.is_idle_phase())
+                .count();
+            assert_eq!(planned.active_start, start + idle);
+            assert_eq!(
+                (planned.t_idle, planned.t_active, planned.i_active),
+                (slot.idle, slot.active, i_active)
+            );
+            assert_eq!(
+                (planned.slept, planned.task_latency),
+                (timeline.slept(), timeline.task_latency())
+            );
+            start = planned.segments_end;
+            sleep.observe_idle(slot.idle);
+        }
+        assert_eq!(start, schedule.segments.len());
+        assert!(sim
+            .plan(&Trace::new(), &mut PredictiveSleep::new(0.5))
+            .is_empty());
     }
 }

@@ -133,11 +133,15 @@ impl KineticBattery {
     /// fallback for the degenerate cases where the closed form yields no
     /// usable root (zero effective discharge, a W argument outside the
     /// real domain, or a candidate the rail tolerance rejects).
-    fn feasible_prefix(&self, i: f64, dt: f64) -> f64 {
+    ///
+    /// Returns the prefix together with the state advanced through it:
+    /// the validating probe where there is one, so a step never repeats
+    /// the probe's advance.
+    fn feasible_prefix(&self, i: f64, dt: f64) -> (f64, Self) {
         let mut probe = self.clone();
         probe.advance(i, dt);
         if !self.violated(&probe) {
-            return dt;
+            return (dt, probe);
         }
         let candidate = if i > 0.0 {
             // Charging: d(y1+y2)/dt = i exactly, and the available well
@@ -152,10 +156,13 @@ impl KineticBattery {
             let mut probe = self.clone();
             probe.advance(i, t);
             if !self.violated(&probe) {
-                return t;
+                return (t, probe);
             }
         }
-        self.bisect_prefix(i, dt)
+        let t = self.bisect_prefix(i, dt);
+        let mut advanced = self.clone();
+        advanced.advance(i, t);
+        (t, advanced)
     }
 
     /// Analytic time at which the available well empties under constant
@@ -299,8 +306,8 @@ impl ChargeStorage for KineticBattery {
         }
         let i = net.amps();
         let total = dt.seconds();
-        let feasible = self.feasible_prefix(i, total);
-        self.advance(i, feasible);
+        let (feasible, advanced) = self.feasible_prefix(i, total);
+        *self = advanced;
         // Numerical guards at the boundaries.
         self.y1 = self.y1.max(0.0);
         let cap = self.capacity.amp_seconds();
@@ -477,7 +484,7 @@ mod tests {
             (&drained, -0.25, 400.0),
         ];
         for (batt, i, dt) in cases {
-            let analytic = batt.feasible_prefix(i, dt);
+            let analytic = batt.feasible_prefix(i, dt).0;
             let bisected = batt.bisect_prefix(i, dt);
             assert!(
                 analytic < dt,
@@ -492,7 +499,7 @@ mod tests {
         }
         // Charge rail: linear crossing vs bisection.
         let nearly_full = KineticBattery::new(Charge::new(100.0), 0.95, 0.3, 0.005);
-        let analytic = nearly_full.feasible_prefix(2.0, 60.0);
+        let analytic = nearly_full.feasible_prefix(2.0, 60.0).0;
         let bisected = nearly_full.bisect_prefix(2.0, 60.0);
         assert!(analytic < 60.0);
         assert!((analytic - bisected).abs() < 1e-6);
@@ -509,7 +516,7 @@ mod tests {
         b.y2 = 60.0;
         let i = -0.1;
         let dt = 2000.0;
-        let analytic = b.feasible_prefix(i, dt);
+        let analytic = b.feasible_prefix(i, dt).0;
         let bisected = b.bisect_prefix(i, dt);
         assert!(
             analytic > 1.0,

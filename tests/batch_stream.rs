@@ -1,15 +1,15 @@
 //! `fcdpm batch` streams its manifest: records are encoded on the
 //! calling thread in index order while the workers run, and each worker
-//! reuses the scenario its previous job built. Neither shortcut may be
-//! visible in the output — the streamed file is byte-identical to
+//! reuses the scenario its previous job built and the sleep schedules
+//! planned on it. Neither shortcut may be visible in the output — the streamed file is byte-identical to
 //! `RunManifest::to_json` of the same run, and a job's metrics do not
 //! depend on which job ran before it on the same thread.
 
 use std::path::{Path, PathBuf};
 
 use fcdpm_runner::{
-    execute, BatchRun, DevicePreset, JobGrid, JobRecord, JobSpec, ManifestWriter, PolicySpec,
-    PredictorSpec, RunAggregates, RunConfig, RunManifest, StorageSpec, WorkloadSpec,
+    execute, BatchRun, DevicePreset, FaultPreset, JobGrid, JobRecord, JobSpec, ManifestWriter,
+    PolicySpec, PredictorSpec, RunAggregates, RunConfig, RunManifest, StorageSpec, WorkloadSpec,
 };
 
 const SEED: u64 = 0xDAC0_2007;
@@ -159,6 +159,29 @@ fn streamed_manifest_is_byte_identical_to_to_json() {
 #[test]
 fn scenario_reuse_cannot_be_observed() {
     let mut rng = Lcg(SEED ^ 0x5EED);
+    // Every predictor spelling. `None` and an explicit NaN ρ both mean
+    // the scenario's own ρ, but they are different keys.
+    let predictors = [
+        None,
+        Some(PredictorSpec::Exponential(f64::NAN)),
+        Some(PredictorSpec::Exponential(0.3)),
+        Some(PredictorSpec::LastValue),
+        Some(PredictorSpec::Regression(8)),
+        Some(PredictorSpec::LearningTree),
+        Some(PredictorSpec::Oracle),
+    ];
+    let storages = [
+        StorageSpec::Ideal,
+        StorageSpec::SuperCapacitor,
+        StorageSpec::Kibam,
+    ];
+    // Fault jobs replay the fault-free schedule; the predictor faults
+    // perturb its predictions per job.
+    let faults = [
+        (FaultPreset::None, None),
+        (FaultPreset::Predictor, None),
+        (FaultPreset::Combined, Some(true)),
+    ];
     let mut jobs = Vec::new();
     for workload in [
         WorkloadSpec::Experiment1(SEED),
@@ -170,11 +193,17 @@ fn scenario_reuse_cannot_be_observed() {
             Some(DevicePreset::DvdCamcorder),
             Some(DevicePreset::Experiment2),
         ] {
-            for policy in [PolicySpec::Conv, PolicySpec::Asap, PolicySpec::FcDpm] {
-                let mut job = JobSpec::new(policy, workload.clone());
-                job.device = device.clone();
-                job.predictor = Some(PredictorSpec::Oracle);
-                jobs.push(job);
+            for predictor in &predictors {
+                for policy in [PolicySpec::Conv, PolicySpec::Asap, PolicySpec::FcDpm] {
+                    let mut job = JobSpec::new(policy, workload.clone());
+                    job.device = device.clone();
+                    job.predictor = predictor.clone();
+                    job.storage = Some(storages[rng.below(3) as usize].clone());
+                    let (preset, resilient) = faults[rng.below(3) as usize];
+                    job.faults = preset.schedule(SEED);
+                    job.resilient = resilient;
+                    jobs.push(job);
+                }
             }
         }
     }
@@ -188,8 +217,37 @@ fn scenario_reuse_cannot_be_observed() {
     let plain = JobSpec::new(PolicySpec::FcDpm, WorkloadSpec::Experiment1(SEED + 1));
     let mut other_device = plain.clone();
     other_device.device = Some(DevicePreset::Experiment2);
-    let at = rng.below(jobs.len() as u64) as usize;
-    jobs.splice(at..at, [plain, other_device]);
+    // Same workload and device, different predictor, back to back: a
+    // memo keyed on the scenario alone would hand the second job the
+    // first's sleep schedule.
+    let mut last_value = JobSpec::new(PolicySpec::FcDpm, WorkloadSpec::Experiment2(SEED + 1));
+    last_value.predictor = Some(PredictorSpec::LastValue);
+    let mut other_predictor = last_value.clone();
+    other_predictor.predictor = Some(PredictorSpec::Oracle);
+    // More predictors on one scenario than a worker keeps schedules,
+    // twice through, so planned entries are re-planned in place.
+    let many: Vec<JobSpec> = predictors
+        .iter()
+        .cloned()
+        .chain([
+            Some(PredictorSpec::Exponential(0.7)),
+            Some(PredictorSpec::Regression(4)),
+        ])
+        .map(|predictor| {
+            let mut job = JobSpec::new(PolicySpec::Asap, WorkloadSpec::Dvs(SEED + 1));
+            job.predictor = predictor;
+            job
+        })
+        .collect();
+    let blocks = [
+        vec![plain, other_device.clone()],
+        vec![last_value, other_predictor.clone()],
+        [many.clone(), many].concat(),
+    ];
+    for block in blocks {
+        let at = rng.below(jobs.len() as u64 + 1) as usize;
+        jobs.splice(at..at, block);
+    }
 
     let one_thread: Vec<_> = jobs.iter().map(execute).collect();
     let fresh_threads: Vec<_> = jobs
@@ -204,11 +262,18 @@ fn scenario_reuse_cannot_be_observed() {
     for (i, (reused, fresh)) in one_thread.iter().zip(&fresh_threads).enumerate() {
         assert_eq!(reused, fresh, "job {i}: {:?}", jobs[i]);
     }
-    assert_ne!(
-        fresh_threads[at],
-        fresh_threads[at + 1],
-        "the device pair must differ, or it proves nothing"
-    );
+    for second in [other_device, other_predictor] {
+        let at = jobs
+            .iter()
+            .position(|job| *job == second)
+            .expect("pair kept");
+        assert_ne!(
+            fresh_threads[at - 1],
+            fresh_threads[at],
+            "the pair must differ, or it proves nothing: {:?}",
+            jobs[at]
+        );
+    }
 }
 
 #[test]

@@ -15,15 +15,23 @@
 //! * **Control-step invariance** — the plan split points come from
 //!   `time_to_soc`, not the chunk grid, so `deficit_time` and the
 //!   other time-normalized metrics do not move with the control step.
+//! * **Schedule replay** — one planned sleep schedule serves every FC
+//!   policy, storage element and fault schedule on its trace, bit for
+//!   bit.
 
+use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_device::{SleepDirective, SlotTimeline};
 use fcdpm_faults::{
-    EfficiencyFade, FaultEvent, FaultKind, FaultSchedule, FuelStarvation, SelfDischarge,
+    EfficiencyFade, FaultEvent, FaultKind, FaultSchedule, FuelStarvation, PredictorDropout,
+    PredictorNoise, SelfDischarge, StorageFade,
 };
 use fcdpm_fuelcell::LinearEfficiency;
-use fcdpm_sim::fixture::{reference_storage, run_reference_on, ReferencePolicy};
+use fcdpm_sim::fixture::{
+    reference_capacity, reference_storage, run_reference_on, storage_at, ReferencePolicy,
+};
 use fcdpm_sim::{HybridSimulator, SimError, SimMetrics};
-use fcdpm_units::{CurrentRange, Seconds, Watts};
+use fcdpm_storage::{ChargeStorage, KineticBattery, SuperCapacitor};
+use fcdpm_units::{CurrentRange, Seconds, Volts, Watts};
 use fcdpm_workload::{LoadProfile, Scenario, SyntheticTrace};
 use proptest::prelude::*;
 
@@ -139,6 +147,23 @@ fn run_profile_on(
     Ok(sim
         .run_profile(profile, policy.as_mut(), &mut storage)?
         .metrics)
+}
+
+/// The three storage elements at the reference capacity, half charged,
+/// wired as the batch runner wires them.
+fn storages() -> [Box<dyn ChargeStorage>; 3] {
+    let capacity = reference_capacity();
+    [
+        Box::new(storage_at(capacity)),
+        Box::new(SuperCapacitor::new(
+            capacity.amp_seconds() / 6.0,
+            Volts::new(6.0),
+            Volts::new(12.0),
+            0.0,
+            capacity * 0.5,
+        )),
+        Box::new(KineticBattery::new(capacity, 0.5, 0.3, 0.01)),
+    ]
 }
 
 fn sim_with_step(scenario: &Scenario, step: f64) -> HybridSimulator<'_> {
@@ -292,6 +317,84 @@ proptest! {
                     "{} stepped chunks at {} s", policy.label(), step
                 );
                 physics_match(&m, &reference, &format!("{} @ {step} s", policy.label()))?;
+            }
+        }
+    }
+
+    /// One sleep schedule, planned once on a fault-free simulator,
+    /// replays every run on its trace: each shipped policy on an ideal,
+    /// super-capacitor and KiBaM buffer, with no faults and under a
+    /// drawn schedule that also drops and perturbs the predictions.
+    /// Every replay equals an independent `run` with a fresh sleep
+    /// policy, work counters included.
+    #[test]
+    fn one_schedule_replays_every_policy_storage_and_fault(
+        seed in 0u64..10_000,
+        p_hi in 10.0f64..18.0,
+        horizon in 60.0f64..200.0,
+        starve_at in 10.0f64..80.0,
+        starve_len in 5.0f64..60.0,
+        starve_max in 0.3f64..0.9,
+        fade_at in 20.0f64..150.0,
+        capacity_scale in 0.3f64..1.0,
+        dropout_at in 0.0f64..60.0,
+        dropout_len in 5.0f64..40.0,
+        noise_at in 60.0f64..120.0,
+        noise_magnitude in 0.0f64..0.9,
+    ) {
+        let scenario = random_scenario(seed, 20.0, 5.0, p_hi, horizon);
+        let faults = FaultSchedule {
+            seed,
+            events: vec![
+                FaultEvent {
+                    at_s: starve_at,
+                    kind: FaultKind::FuelStarvation(FuelStarvation {
+                        until_s: starve_at + starve_len,
+                        max_a: starve_max,
+                    }),
+                },
+                FaultEvent {
+                    at_s: fade_at,
+                    kind: FaultKind::StorageFade(StorageFade { capacity_scale }),
+                },
+                FaultEvent {
+                    at_s: dropout_at,
+                    kind: FaultKind::PredictorDropout(PredictorDropout {
+                        until_s: dropout_at + dropout_len,
+                    }),
+                },
+                FaultEvent {
+                    at_s: noise_at,
+                    kind: FaultKind::PredictorNoise(PredictorNoise {
+                        until_s: noise_at + 60.0,
+                        magnitude: noise_magnitude,
+                    }),
+                },
+            ],
+        };
+        let plain = HybridSimulator::dac07(&scenario.device);
+        let faulted = HybridSimulator::dac07(&scenario.device).with_faults(faults);
+        let schedule = plain.plan(&scenario.trace, &mut PredictiveSleep::new(scenario.rho));
+        prop_assert_eq!(schedule.len(), scenario.trace.len());
+        for (sim, fault_label) in [(&plain, "no faults"), (&faulted, "faults")] {
+            for policy in ReferencePolicy::ALL {
+                for (mut replay_storage, mut run_storage) in storages().into_iter().zip(storages()) {
+                    let label = format!("{} on {} ({fault_label})", policy.label(), seed);
+                    let replayed = sim
+                        .run_schedule(&schedule, policy.build(&scenario).as_mut(), replay_storage.as_mut())
+                        .map_err(|e| format!("{label}: replay failed: {e}"))?
+                        .metrics;
+                    let independent = sim
+                        .run(
+                            &scenario.trace,
+                            &mut PredictiveSleep::new(scenario.rho),
+                            policy.build(&scenario).as_mut(),
+                            run_storage.as_mut(),
+                        )
+                        .map_err(|e| format!("{label}: run failed: {e}"))?
+                        .metrics;
+                    prop_assert_eq!(replayed, independent, "{}", label);
+                }
             }
         }
     }
