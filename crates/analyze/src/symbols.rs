@@ -82,7 +82,7 @@ fn strip_visibility(line: &str) -> &str {
 /// without parsing Cargo.toml at analysis time. A crate may import
 /// itself, `std`/`core`/`alloc`, external shims and anything listed
 /// here; everything else `fcdpm_*` is a layering violation.
-const ALLOWED_DEPS: [(&str, &[&str]); 17] = [
+const ALLOWED_DEPS: [(&str, &[&str]); 16] = [
     ("units", &[]),
     ("analyze", &[]),
     ("device", &["units"]),
@@ -119,17 +119,10 @@ const ALLOWED_DEPS: [(&str, &[&str]); 17] = [
         ],
     ),
     (
-        "bench",
-        &[
-            "core", "device", "faults", "fuelcell", "grid", "predict", "runner", "sim", "storage",
-            "units", "workload",
-        ],
-    ),
-    (
         "cli",
         &[
-            "analyze", "bench", "core", "device", "faults", "fuelcell", "grid", "predict",
-            "runner", "sim", "storage", "units", "workload",
+            "analyze", "core", "device", "faults", "fuelcell", "grid", "predict", "runner", "sim",
+            "storage", "units", "workload",
         ],
     ),
     (

@@ -167,18 +167,16 @@ pub enum Command {
         /// Output directory for the manifest (default `results`).
         out: Option<String>,
     },
-    /// Run the wall-clock bench harness (fixture grid plus the
-    /// chunk-coalescing A/B) and write the deterministic payload.
+    /// Run the bench harness (fixture grid, coalescing gates, fault
+    /// sweep, grid-engine resume) and write the deterministic payload.
     Bench {
-        /// Fewer timing repetitions — for CI smoke runs.
-        quick: bool,
         /// Output path for the JSON payload (default `BENCH_4.json`).
         out: Option<String>,
     },
-    /// Run the static analysis over the workspace (per-file lexical
-    /// rules, crate layering, unit-dimension dataflow, paper-constants
-    /// conformance, job-grid feasibility, lock discipline, digest
-    /// stability, atomic artifacts).
+    /// Run the static analysis over the workspace: the nine rules of
+    /// `fcdpm_analyze::Rule::ALL` (determinism, unit-safety,
+    /// panic-policy, crate-hygiene, unit-dataflow, layering,
+    /// paper-constants, digest-stability, atomic-artifact).
     Analyze {
         /// Diagnostics format (default human).
         format: ReportFormat,
@@ -514,18 +512,16 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             })
         }
         "bench" => {
-            let mut quick = false;
             let mut out = None;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--quick" => quick = true,
                     "--out" => {
                         out = Some(take_value(flag, &mut iter)?.to_owned());
                     }
                     other => return Err(err(format!("unknown flag `{other}`"))),
                 }
             }
-            Ok(Command::Bench { quick, out })
+            Ok(Command::Bench { out })
         }
         "analyze" => {
             let mut format = ReportFormat::Human;
@@ -845,20 +841,14 @@ mod tests {
 
     #[test]
     fn bench_parse() {
+        assert_eq!(parse(&["bench"]).unwrap(), Command::Bench { out: None });
         assert_eq!(
-            parse(&["bench"]).unwrap(),
+            parse(&["bench", "--out", "target/b.json"]).unwrap(),
             Command::Bench {
-                quick: false,
-                out: None,
-            }
-        );
-        assert_eq!(
-            parse(&["bench", "--quick", "--out", "target/b.json"]).unwrap(),
-            Command::Bench {
-                quick: true,
                 out: Some("target/b.json".into()),
             }
         );
+        assert!(parse(&["bench", "--quick"]).is_err());
         assert!(parse(&["bench", "--out"]).is_err());
         assert!(parse(&["bench", "--frob"]).is_err());
     }

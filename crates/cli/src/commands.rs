@@ -100,7 +100,7 @@ pub fn execute(command: &Command) -> Result<CmdOutput, String> {
             jobs,
             out,
         } => run_faults(*quick, *seed, *jobs, out.as_deref()).map(CmdOutput::success),
-        Command::Bench { quick, out } => run_bench(*quick, out.as_deref()).map(CmdOutput::success),
+        Command::Bench { out } => run_bench(out.as_deref()).map(CmdOutput::success),
         Command::Analyze {
             format,
             baseline,
@@ -444,78 +444,14 @@ fn run_faults(
     Ok(out)
 }
 
-fn run_bench(quick: bool, out: Option<&str>) -> Result<String, String> {
-    let options = fcdpm_bench::harness::BenchOptions { quick };
-    let report = fcdpm_bench::harness::run(&options)?;
-    let out_path = std::path::Path::new(out.unwrap_or("BENCH_4.json"));
+fn run_bench(out: Option<&str>) -> Result<String, String> {
+    let report = crate::bench::run()?;
+    let out_path = out.unwrap_or("BENCH_4.json");
     std::fs::write(out_path, &report.json)
-        .map_err(|e| format!("cannot write `{}`: {e}", out_path.display()))?;
+        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
     let mut text = report.text;
-    let _ = writeln!(text, "payload: {}", out_path.display());
-
-    // Trend tracking: keep sequential payload copies next to the
-    // payload (default `results/bench-history/`) and print the metric
-    // drift against the most recent previous entry. The payload is
-    // timing-free, so drift means the simulation itself changed.
-    let history_dir = out_path
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(
-            || std::path::PathBuf::from("results/bench-history"),
-            |p| p.join("bench-history"),
-        );
-    std::fs::create_dir_all(&history_dir)
-        .map_err(|e| format!("cannot create `{}`: {e}", history_dir.display()))?;
-    let previous = latest_bench_entry(&history_dir);
-    let next_seq = previous.as_ref().map_or(1, |(n, _)| n + 1);
-    match &previous {
-        None => {
-            let _ = writeln!(text, "bench history: first entry");
-        }
-        Some((_, path)) => {
-            let drift = std::fs::read_to_string(path)
-                .ok()
-                .and_then(|prev| fcdpm_bench::harness::drift_against(&prev, &report.json));
-            match drift {
-                Some(drift) => {
-                    let _ = writeln!(text, "drift vs {}:", path.display());
-                    text.push_str(&drift);
-                }
-                None => {
-                    let _ = writeln!(
-                        text,
-                        "previous payload `{}` unreadable (schema change)",
-                        path.display()
-                    );
-                }
-            }
-        }
-    }
-    let entry = history_dir.join(format!("bench-{next_seq:04}.json"));
-    std::fs::write(&entry, &report.json)
-        .map_err(|e| format!("cannot write `{}`: {e}", entry.display()))?;
-    let _ = writeln!(text, "history: {}", entry.display());
+    let _ = writeln!(text, "payload: {out_path}");
     Ok(text)
-}
-
-/// Highest-numbered `bench-NNNN.json` in the history directory.
-fn latest_bench_entry(dir: &std::path::Path) -> Option<(u64, std::path::PathBuf)> {
-    let mut best: Option<(u64, std::path::PathBuf)> = None;
-    for entry in std::fs::read_dir(dir).ok()?.flatten() {
-        let name = entry.file_name();
-        let Some(seq) = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("bench-"))
-            .and_then(|n| n.strip_suffix(".json"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(b, _)| seq > *b) {
-            best = Some((seq, entry.path()));
-        }
-    }
-    best
 }
 
 fn run_simulate(path: &str, device: DeviceChoice, capacity_mamin: f64) -> Result<String, String> {
@@ -900,36 +836,24 @@ mod tests {
     }
 
     #[test]
-    fn bench_history_tracks_drift_across_runs() {
-        let dir = std::env::temp_dir().join("fcdpm-bench-cli-test");
-        // Start from a clean slate so the sequence numbering is known.
-        let _ = std::fs::remove_dir_all(&dir);
+    fn bench_writes_the_payload_it_reports() {
+        let dir = std::env::temp_dir().join(format!("fcdpm-bench-cli-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let payload = dir.join("bench.json");
-        let run = || {
-            execute(&Command::Bench {
-                quick: true,
-                out: Some(payload.to_string_lossy().into_owned()),
-            })
-            .unwrap()
-            .text
-        };
-        let first = run();
-        assert!(first.contains("bench history: first entry"), "{first}");
-        assert!(dir.join("bench-history/bench-0001.json").exists());
-        let second = run();
-        assert!(second.contains("drift vs"), "{second}");
-        assert!(second.contains("no drift"), "{second}");
-        assert!(dir.join("bench-history/bench-0002.json").exists());
-        // An unreadable (pre-schema-bump) previous entry is tolerated.
-        std::fs::write(
-            dir.join("bench-history/bench-0003.json"),
-            "{\"schema\": \"fcdpm-bench/1\"}",
-        )
-        .unwrap();
-        let third = run();
-        assert!(third.contains("unreadable (schema change)"), "{third}");
-        assert!(dir.join("bench-history/bench-0004.json").exists());
+        let text = execute(&Command::Bench {
+            out: Some(payload.to_string_lossy().into_owned()),
+        })
+        .unwrap()
+        .text;
+        assert!(text.contains("payload: "), "{text}");
+        let json = std::fs::read_to_string(&payload).unwrap();
+        assert!(json.contains("\"schema\": \"fcdpm-bench/4\""), "{json}");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "bench writes its payload and nothing else"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -8,6 +8,7 @@
 #![warn(missing_docs)]
 
 mod args;
+mod bench;
 mod commands;
 
 pub use args::{
@@ -35,7 +36,7 @@ USAGE:
     fcdpm grid status <run-dir>
     fcdpm grid gc <grid-root> [--dry-run]
     fcdpm faults [--quick] [--seed <N>] [--jobs <N>] [--out <DIR>]
-    fcdpm bench [--quick] [--out <FILE>]
+    fcdpm bench [--out <FILE>]
     fcdpm analyze [--format <human|json|sarif>] [--baseline <FILE>] [--root <DIR>] [--write-baseline]
     fcdpm help
 
@@ -52,14 +53,24 @@ COMMANDS:
                  mid-shard checkpointing, bounded retry, crash-artifact gc
     faults       seeded fault-injection sweep: canonical schedules under plain,
                  resilient and Conv-DPM policies, deterministic manifest
-    bench        wall-clock harness: fixture grid + chunk-coalescing A/B,
-                 deterministic payload to BENCH_4.json (timings on stdout)
-    analyze      static analysis: determinism, unit safety, panic policy,
-                 crate hygiene, crate layering, unit-dimension dataflow,
-                 paper-constants conformance, job-grid feasibility, lock
-                 discipline, digest stability and atomic artifacts
+    bench        deterministic harness: fixture grid, coalescing gates, fault
+                 sweep and grid resume, payload to BENCH_4.json
+    analyze      static analysis, nine rules: determinism, unit-safety,
+                 panic-policy, crate-hygiene, unit-dataflow, layering,
+                 paper-constants, digest-stability, atomic-artifact
                  (exit 1 on any non-baselined finding)
     help         show this message
 "
     .to_owned()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn usage_lists_every_analyze_rule() {
+        let usage = super::usage();
+        for rule in fcdpm_analyze::Rule::ALL {
+            assert!(usage.contains(rule.id()), "usage omits `{}`", rule.id());
+        }
+    }
 }

@@ -266,6 +266,10 @@ pub struct GridRun {
     pub recomputed: u64,
     /// Largest number of jobs resident at once (≤ shard size).
     pub peak_resident_jobs: u64,
+    /// Checkpoint batches committed this invocation, one `sync_data`
+    /// each: ⌈misses / `checkpoint_batch`⌉ per shard, plus one per
+    /// shard that replayed known records; 0 with checkpointing off.
+    pub checkpoint_commits: u64,
     /// Wall-clock time of this invocation (s).
     pub wall_s: f64,
     /// Wall-clock throughput of this invocation (jobs/s, all jobs
@@ -441,14 +445,16 @@ fn clean_stale(dir: &Path, shards: u64, resume: bool) -> Result<(), String> {
 }
 
 /// The checkpoint stream for one invocation: owns the per-shard partial
-/// writer, the invocation-wide checkpointed-job counter, and the
-/// crash-injection hooks (which fire *inside* the commit path, so the
-/// on-disk state at the abort instant is exactly what a kill would
-/// leave).
+/// writer, the invocation-wide checkpointed-job and commit counters,
+/// and the crash-injection hooks (which fire *inside* the commit path,
+/// so the on-disk state at the abort instant is exactly what a kill
+/// would leave).
 struct Checkpointer {
     writer: Option<PartialShardWriter>,
     crash: Option<CrashPoint>,
     appended: u64,
+    /// Commits that wrote pending lines — one `sync_data` each.
+    commits: u64,
 }
 
 impl Checkpointer {
@@ -492,6 +498,9 @@ impl Checkpointer {
             // produces.
             writer.commit_torn()?;
             std::process::abort();
+        }
+        if writer.pending() > 0 {
+            self.commits += 1;
         }
         writer.commit()
     }
@@ -558,6 +567,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         writer: None,
         crash: config.crash_point,
         appended: 0,
+        commits: 0,
     };
 
     for shard in 0..shards {
@@ -706,6 +716,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         recovered_jobs,
         recomputed,
         peak_resident_jobs,
+        checkpoint_commits: checkpointer.commits,
         wall_s,
         jobs_per_sec_wall: if wall_s > 0.0 {
             total as f64 / wall_s

@@ -19,8 +19,8 @@
 //!   `ablation` (oracle FC-DPM) and `heavy_tail` (a custom device) take
 //!   only the buffer.
 //! * [`run_reference`], [`run_reference_on`] — the same at
-//!   [`reference_capacity`], for the Criterion benches, the bench
-//!   harness, the integration tests and the benchmark helper.
+//!   [`reference_capacity`], for `fcdpm bench`, the integration tests
+//!   and the benchmark helper.
 
 use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_core::policy::{

@@ -350,6 +350,7 @@ impl ChargeStorage for KineticBattery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn battery() -> KineticBattery {
         KineticBattery::new(Charge::new(100.0), 1.0, 0.3, 0.005)
@@ -504,6 +505,78 @@ mod tests {
         assert!(analytic < 60.0);
         assert!((analytic - bisected).abs() < 1e-6);
         assert!((analytic - 2.5).abs() < 1e-9, "5 A·s of headroom at 2 A");
+    }
+
+    proptest! {
+        /// The closed-form crossing agrees with the bisection over the
+        /// parameter space. `rail` picks which one each case drives
+        /// into: 0 the convex discharge rail (α ≥ 0), 1 the concave one
+        /// (α < 0: a drained available well under a load the valve can
+        /// briefly outpace), 2 the charge rail, 3 a discharge whose W
+        /// argument overflows, so the closed form refuses and the
+        /// bisection fallback answers. `dt` overshoots an upper bound
+        /// on the crossing, so every case hits its rail.
+        #[test]
+        fn feasible_prefix_matches_bisection_on_every_rail(
+            rail in 0u32..4,
+            capacity in 1.0f64..500.0,
+            c in 0.05f64..0.95,
+            log_k in -4.0f64..-1.0,
+            fill in 0.05f64..1.0,
+            split in 0.0f64..1.0,
+            load in 0.05f64..0.95,
+            overshoot in 0.01f64..2.0,
+        ) {
+            let k = 10f64.powf(log_k);
+            let y0 = capacity * fill;
+            let (c, k, y0, y1, i, bound) = match rail {
+                0 => {
+                    // At or above the equilibrium share; α ≥ 0 bounds
+                    // the crossing by y1(0) / (I·c).
+                    let i = 5.0 * load;
+                    let y1 = y0 * (c + split * (1.0 - c));
+                    (c, k, y0, y1, -i, y1 / (i * c))
+                }
+                1 => {
+                    // β > 0 needs I < y0·k/(1−c)²; y1 below β makes
+                    // α < 0, and the crossing lies before β / (I·c).
+                    let i = load * y0 * k / ((1.0 - c) * (1.0 - c));
+                    let beta = y0 * c - i * (1.0 - c) * c * (1.0 - c) / k;
+                    (c, k, y0, split * beta, -i, beta / (i * c))
+                }
+                2 => {
+                    let i = 5.0 * load;
+                    let y0 = capacity * fill.min(0.99);
+                    (c, k, y0, y0 * split, i, (capacity - y0) / i)
+                }
+                _ => {
+                    // c < 1e-3 and k·y0/I ≤ 0.05 put the exponent of z
+                    // above 900, so z = ∞ and no W is ever evaluated.
+                    let (c, k, i) = (c * 1e-3, k.min(1e-4), 1.0 + 4.0 * load);
+                    (c, k, y0, y0 * c, -i, y0 / i)
+                }
+            };
+            let batt = KineticBattery { capacity: Charge::new(capacity), c, k, y1, y2: y0 - y1 };
+            let dt = (1.0 + overshoot) * bound;
+            let (analytic, advanced) = batt.feasible_prefix(i, dt);
+            prop_assert!(analytic < dt, "rail {rail} not hit: prefix {analytic} of {dt}");
+            if i < 0.0 {
+                let alpha = y1 - y0 * c - i * (1.0 - c) * c * (1.0 - c) / k;
+                let closed_form = batt.depletion_time(-i, dt);
+                if rail == 3 {
+                    prop_assert!(closed_form.is_none(), "closed form answered: {closed_form:?}");
+                } else {
+                    prop_assert!((alpha >= 0.0) == (rail == 0), "rail {rail} has α = {alpha}");
+                    prop_assert!(closed_form.is_some(), "rail {rail}: closed form refused");
+                }
+            }
+            let bisected = batt.bisect_prefix(i, dt);
+            prop_assert!(
+                (analytic - bisected).abs() <= 1e-9 * dt,
+                "rail {rail}: analytic {analytic} vs bisection {bisected} (dt {dt})"
+            );
+            prop_assert!(!batt.violated(&advanced), "the prefix overshoots its rail");
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use fcdpm_grid::{
-    partial_files, read_partial, run, shard_files, FaultPreset, GridConfig, GridSpec,
-    PartialShardWriter, SeedAxis, SeedRange, WorkloadKind,
+    partial_files, read_partial, read_shard, run, shard_file_name, shard_files, FaultPreset,
+    GridConfig, GridSpec, PartialShardWriter, SeedAxis, SeedRange, WorkloadKind,
 };
 use fcdpm_runner::PolicySpec;
 use proptest::prelude::*;
@@ -307,6 +307,68 @@ fn injected_panics_succeed_within_bounded_retries() {
     assert_eq!(agg.retried, agg.jobs, "each recovery is recorded");
     assert_eq!(agg.quarantined, 0);
     let _ = std::fs::remove_dir_all(&out);
+}
+
+/// The checkpoint fsync count: a fresh run commits ⌈shard jobs /
+/// batch⌉ batches per shard, a resume commits one more batch per shard
+/// that replays known records, and checkpointing off commits none.
+/// Committing per line instead of per batch fails this at batch 3 and
+/// 32.
+#[test]
+fn checkpoint_commits_are_one_per_batch_per_shard() {
+    let spec = crash_spec();
+    let shard_jobs = [3u64, 3, 2];
+    let expected = |replayed: [u64; 3], batch: u64| -> u64 {
+        if batch == 0 {
+            return 0;
+        }
+        shard_jobs
+            .iter()
+            .zip(replayed)
+            .map(|(&jobs, known)| u64::from(known > 0) + (jobs - known).div_ceil(batch))
+            .sum()
+    };
+    for workers in [1, 2] {
+        for batch in [0, 1, 3, 32] {
+            let out = fresh_dir(&format!("commits-{workers}-{batch}"));
+            let config = GridConfig {
+                workers,
+                checkpoint_batch: batch,
+                ..crash_config(&out)
+            };
+            let fresh = run(&spec, &config).expect("fresh run");
+            assert_eq!(
+                fresh.checkpoint_commits,
+                expected([0, 0, 0], batch),
+                "fresh run, {workers} workers, batch {batch}"
+            );
+
+            // Shard 0 keeps one checkpointed record, shard 1 stays
+            // promoted, shard 2 is lost outright.
+            let shard0 = fresh.dir.join(shard_file_name(0));
+            let records = read_shard(&shard0).expect("shard 0 reads");
+            std::fs::remove_file(&shard0).expect("demote shard 0");
+            PartialShardWriter::create(&fresh.dir, 0)
+                .and_then(|mut writer| writer.append(&records[..1]))
+                .expect("checkpoint one record");
+            std::fs::remove_file(fresh.dir.join(shard_file_name(2))).expect("drop shard 2");
+            let resumed = run(
+                &spec,
+                &GridConfig {
+                    resume: true,
+                    ..config
+                },
+            )
+            .expect("resume");
+            assert_eq!(resumed.recomputed, 4);
+            assert_eq!(
+                resumed.checkpoint_commits,
+                expected([1, 3, 0], batch),
+                "resume, {workers} workers, batch {batch}"
+            );
+            let _ = std::fs::remove_dir_all(&out);
+        }
+    }
 }
 
 /// The bytes of a valid 3-record partial checkpoint. Built once (each
