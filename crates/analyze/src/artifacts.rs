@@ -5,7 +5,8 @@
 //! prefix and recomputes the rest) holds only if every byte that lands
 //! in a run directory is either (a) published atomically — written to a
 //! `*.tmp` sibling and renamed into place by `write_atomic`/
-//! `write_shard` — or (b) appended through the checksummed
+//! `write_shard`, both over the runner's one tmp+rename type
+//! `AtomicFile` — or (b) appended through the checksummed
 //! `PartialShardWriter`, whose per-line digests let the reader truncate
 //! a torn tail. A raw `fs::write`/`File::create` anywhere else in the
 //! run-dir-owning files can leave a half-written artifact that a later

@@ -300,7 +300,6 @@ fn run_grid_cmd(cmd: GridCmd<'_>) -> Result<String, String> {
         out_dir: std::path::PathBuf::from(cmd.out_dir.unwrap_or("results/grid")),
         run_id: cmd.run_id.map(ToOwned::to_owned),
         resume: cmd.action == GridAction::Resume,
-        timeout: None,
         retry: fcdpm_runner::pool::RetryPolicy {
             max_attempts: cmd.max_attempts.unwrap_or(1),
             backoff: std::time::Duration::from_millis(cmd.retry_backoff_ms.unwrap_or(0)),
@@ -387,8 +386,7 @@ fn run_faults(
     std::fs::create_dir_all(out_dir)
         .map_err(|e| format!("cannot create `{}`: {e}", out_dir.display()))?;
     let manifest_path = out_dir.join(format!("faults-{seed:x}.manifest.json"));
-    std::fs::write(&manifest_path, manifest.deterministic_json())
-        .map_err(|e| format!("cannot write `{}`: {e}", manifest_path.display()))?;
+    fcdpm_runner::write_atomic(&manifest_path, &manifest.deterministic_json())?;
 
     let mut out = String::new();
     let _ = writeln!(

@@ -26,35 +26,38 @@
 //!
 //! # Crash safety
 //!
-//! The calling thread is the committer. As each job finishes it
-//! encodes the record's JSON once and appends `checksum\t` + that JSON
-//! to `shard-NNNNN.partial.jsonl`, fsyncing every
-//! [`GridConfig::checkpoint_batch`] records while the workers keep
-//! computing. Checkpoint lines are therefore in completion order, not
-//! index order; resume keys them by index and digest. A `kill -9` loses
-//! only the records not yet in an fsync'd batch: `resume` replays every
-//! checksum-valid line of the checkpoint's maximal valid prefix as a
-//! cache hit (surfaced as [`GridRun::recovered_jobs`]) and recomputes
-//! only the rest. The same JSON lines stream in index order into
-//! `shard-NNNNN.jsonl.tmp`, which is renamed into place when the shard
+//! The calling thread is the committer. It checkpoints a shard's
+//! replayed records to `shard-NNNNN.partial.jsonl` as one fsync'd batch
+//! first; then the pool hands it each fresh result in index order, and
+//! it encodes the record's JSON once, appends `checksum\t` + that JSON,
+//! and fsyncs every [`GridConfig::checkpoint_batch`] records while the
+//! workers keep computing. Resume keys lines by index and digest, not
+//! by position. A `kill -9` loses only the records not yet in an
+//! fsync'd batch (at most the open batch, one shard's results waiting
+//! behind a slower earlier job, and the running jobs): `resume` replays
+//! every checksum-valid line of the checkpoint's maximal valid prefix
+//! as a cache hit (surfaced as [`GridRun::recovered_jobs`]) and
+//! recomputes only the rest. The same JSON lines go, slot by slot, into
+//! `shard-NNNNN.jsonl.tmp`, renamed into place when the shard
 //! completes; that promotion and every whole-file artifact
-//! (`grid.json`, `aggregate.json`) go through atomic tmp+rename, so no
-//! reader ever observes a torn committed artifact. The [`CrashPoint`]
+//! (`grid.json`, `aggregate.json`) go through
+//! [`fcdpm_runner::AtomicFile`], so no reader ever observes a torn
+//! committed artifact. The [`CrashPoint`]
 //! hooks exist solely so the integration harness can kill the process
 //! at each of these moments deterministically.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fcdpm_runner::pool::{stream, RetryPolicy};
-use fcdpm_runner::{execute, spec_digest, JobMetrics, JobOutcome, JobSpec};
+use fcdpm_runner::{execute, spec_digest, write_atomic, JobMetrics, JobOutcome, JobSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::gen::GridSpec;
 use crate::manifest::{
     digest_hex, encode_record, partial_file_name, read_partial, read_shard, shard_file_name,
-    write_atomic, GridJobRecord, PartialShardWriter, ShardWriter,
+    GridJobRecord, PartialShardWriter, ShardWriter,
 };
 
 /// Deterministic crash-injection hooks. Setting one on [`GridConfig`]
@@ -112,12 +115,10 @@ pub struct GridConfig {
     /// Reuse digest-matching records from a previous run's spill —
     /// promoted shards *and* partial checkpoints.
     pub resume: bool,
-    /// Per-job wall-clock budget (`None` = unbounded).
-    pub timeout: Option<Duration>,
     /// Retry policy for panicked/timed-out jobs.
     pub retry: RetryPolicy,
-    /// Records per fsync'd checkpoint batch, committed in completion
-    /// order while the workers run (0 disables mid-shard
+    /// Records per fsync'd checkpoint batch, committed in index order
+    /// while the workers run (0 disables mid-shard
     /// checkpointing: a kill then loses the whole in-flight shard,
     /// exactly the pre-checkpointing behavior).
     pub checkpoint_batch: u64,
@@ -134,7 +135,6 @@ impl Default for GridConfig {
             out_dir: PathBuf::from("results/grid"),
             run_id: None,
             resume: false,
-            timeout: None,
             retry: RetryPolicy::default(),
             checkpoint_batch: 32,
             crash_point: None,
@@ -511,15 +511,19 @@ impl Checkpointer {
         }
     }
 
-    /// Drops the writer and removes the checkpoint file — the shard has
-    /// been promoted, so the partial is now redundant.
+    /// Drops the writer and removes the shard's checkpoint file, if
+    /// any — the shard has been promoted, so the partial is now
+    /// redundant. With checkpointing off there is no writer, but a
+    /// resume may still have replayed a crashed run's partial.
     fn retire(&mut self, dir: &Path, shard: u64) -> Result<(), String> {
-        if self.writer.take().is_some() {
-            let path = dir.join(partial_file_name(shard));
-            std::fs::remove_file(&path)
-                .map_err(|e| format!("cannot remove `{}`: {e}", path.display()))?;
+        self.writer = None;
+        let path = dir.join(partial_file_name(shard));
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                Err(format!("cannot remove `{}`: {e}", path.display()))
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -649,24 +653,26 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         // first, as one batch, so a crash during the fresh work below
         // never loses what was already known. Each record is encoded
         // once, on this thread; the same line goes to the checkpoint
-        // and to the promoted shard.
+        // now and to the promoted shard when its slot comes up.
         checkpointer.open(&dir, shard, config.checkpoint_batch)?;
-        let mut promoted = ShardWriter::create(&dir, shard)?;
+        let mut replayed: Vec<Option<String>> = vec![None; specs.len()];
         for (slot, known) in outcomes.iter_mut().enumerate() {
             if let Some((outcome, attempts)) = known.take() {
                 let record = record_at(slot, outcome, attempts);
                 let line = encode_record(&record)?;
                 checkpointer.push(&line)?;
-                promoted.put(slot, line)?;
+                replayed[slot] = Some(line);
                 *known = Some((record.outcome, record.attempts));
             }
         }
         checkpointer.commit(shard)?;
 
         // Execute the misses in one streaming pool call under the retry
-        // policy. Results arrive here in completion order while the
-        // workers keep computing; every `checkpoint_batch` of them is
-        // committed as one fsync'd batch.
+        // policy. Results arrive here in index order while the workers
+        // keep computing; every `checkpoint_batch` of them is committed
+        // as one fsync'd batch, and each goes into the shard after the
+        // replayed lines of the slots before it.
+        let mut promoted = ShardWriter::create(&dir, shard)?;
         let jobs: Vec<_> = misses
             .iter()
             .map(|&slot| {
@@ -677,7 +683,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         stream(
             jobs,
             config.workers,
-            config.timeout,
+            None,
             &config.retry,
             |result| -> Result<(), String> {
                 let slot = misses[result.index];
@@ -687,12 +693,14 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
                 if checkpointer.pending() >= config.checkpoint_batch {
                     checkpointer.commit(shard)?;
                 }
-                promoted.put(slot, line)?;
+                promoted.put_replayed(&mut replayed)?;
+                promoted.put(slot, &line)?;
                 outcomes[slot] = Some((record.outcome, record.attempts));
                 Ok(())
             },
         )?;
         checkpointer.commit(shard)?;
+        promoted.put_replayed(&mut replayed)?;
 
         // Promote the shard (atomic tmp+rename; it fails unless every
         // slot arrived), retire its checkpoint, fold it in index order,
@@ -845,7 +853,6 @@ mod tests {
             out_dir: std::env::temp_dir().join(format!("fcdpm-grid-engine-{tag}")),
             run_id: None,
             resume,
-            timeout: None,
             ..GridConfig::default()
         }
     }
@@ -925,7 +932,21 @@ mod tests {
         .expect("resumes");
         assert_eq!(resumed.recomputed, 4, "half the grid changed policy");
         assert_eq!(resumed.cache_hits, 4);
+
+        // Hits and misses alternate inside the one shard; the resumed
+        // files must still be exactly a fresh run's of the edited spec.
+        let fresh_cfg = config("partial-fresh", 8, false);
+        wipe(&fresh_cfg);
+        let fresh = run(&edited, &fresh_cfg).expect("runs");
+        for name in [shard_file_name(0).as_str(), "aggregate.json"] {
+            assert_eq!(
+                std::fs::read(resumed.dir.join(name)).expect("reads"),
+                std::fs::read(fresh.dir.join(name)).expect("reads"),
+                "{name} is byte-identical to a fresh run"
+            );
+        }
         wipe(&cfg);
+        wipe(&fresh_cfg);
     }
 
     #[test]
@@ -1022,8 +1043,9 @@ mod tests {
         let shard_bytes = std::fs::read(&shard_path).expect("reads");
         let aggregate = std::fs::read(first.dir.join("aggregate.json")).expect("reads");
 
-        // Checkpoint lines land in completion order: demote the shard
-        // into a partial whose lines run backwards.
+        // Resume keys checkpoint lines by index and digest, not by
+        // position: demote the shard into a partial whose lines run
+        // backwards.
         let mut records = read_shard(&shard_path).expect("shard reads");
         records.reverse();
         std::fs::remove_file(&shard_path).expect("shard removed");

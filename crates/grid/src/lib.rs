@@ -53,10 +53,10 @@ pub use engine::{
     nominal_seconds, run, status, CrashPoint, GridAggregate, GridConfig, GridRun, GridStatus,
     ShardSummary,
 };
-pub use fcdpm_runner::{spec_digest, FaultPreset, SeedAxis, SeedRange, WorkloadKind};
+pub use fcdpm_runner::{spec_digest, write_atomic, FaultPreset, SeedAxis, SeedRange, WorkloadKind};
 pub use gc::{gc, GcAction, GcKind, GcReport};
 pub use gen::GridSpec;
 pub use manifest::{
     digest_hex, partial_file_name, partial_files, read_partial, read_shard, shard_file_name,
-    shard_files, write_atomic, write_shard, GridJobRecord, PartialRead, PartialShardWriter,
+    shard_files, write_shard, GridJobRecord, PartialRead, PartialShardWriter,
 };

@@ -12,25 +12,25 @@
 //! directly.
 //!
 //! While a shard is in flight, completed records stream into an
-//! append-only `shard-NNNNN.partial.jsonl` checkpoint, in completion
-//! order: each line is `<16-hex FNV-1a of the JSON>\t<JSON>\n`, written
-//! in fsync'd batches by [`PartialShardWriter`]. A `kill -9` mid-shard
-//! can therefore tear at most the last batch's tail; [`read_partial`]
-//! recovers the maximal checksum-valid prefix and resume replays it as
-//! cache hits. The same JSON ([`encode_record`], rendered once per
-//! record) streams in index order through a `ShardWriter` into
-//! `shard-NNNNN.jsonl.tmp`, which is renamed into place when the shard
+//! append-only `shard-NNNNN.partial.jsonl` checkpoint: each line is
+//! `<16-hex FNV-1a of the JSON>\t<JSON>\n`, written in fsync'd batches
+//! by [`PartialShardWriter`]. A `kill -9` mid-shard can therefore tear
+//! at most the last batch's tail; [`read_partial`] recovers the maximal
+//! checksum-valid prefix and resume replays it as cache hits, keyed by
+//! index and digest, whatever order the lines are in. The same JSON
+//! ([`encode_record`], rendered once per record) goes, slot by slot in
+//! index order, through a `ShardWriter` into `shard-NNNNN.jsonl.tmp` (an
+//! [`AtomicFile`]), which is renamed into place when the shard
 //! completes; then the partial file is removed.
 //!
 //! [`read_shard`] reads one promoted shard and [`read_partial`] one
 //! checkpoint; the engine, `status` and `gc` all read through them.
 
-use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
-use fcdpm_runner::JobOutcome;
+use fcdpm_runner::{AtomicFile, JobOutcome};
 use serde::{Deserialize, Serialize};
 
 /// One job's record in a shard file: identity, cache key and outcome —
@@ -85,24 +85,6 @@ pub fn shard_file_name(shard: u64) -> String {
 #[must_use]
 pub fn partial_file_name(shard: u64) -> String {
     format!("shard-{shard:05}.partial.jsonl")
-}
-
-/// Writes `contents` to `path` atomically: a sibling `.tmp` file is
-/// written, flushed, and renamed into place, so readers never observe a
-/// half-written artifact. This is the one sanctioned way to produce a
-/// whole-file artifact inside a run directory — the `atomic-artifact`
-/// analyze rule flags raw `fs::write` calls there.
-///
-/// # Errors
-///
-/// Returns a message for I/O failures.
-pub fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, contents).map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("cannot move `{}` into place: {e}", path.display()))
 }
 
 /// Renders one record as the compact JSON both the checkpoint line and
@@ -337,95 +319,54 @@ pub(crate) fn list_matching(
     Ok(files)
 }
 
-/// Streaming writer for a promoted shard file.
-///
-/// Records arrive as encoded lines in any order, keyed by their slot
-/// (index within the shard); lines go out in slot order, so a line that
-/// arrives early waits in a small reorder buffer until the slots before
-/// it have been written. The file is written as `shard-NNNNN.jsonl.tmp`
-/// and renamed into place by [`finish`](Self::finish), so a crashed run
-/// never leaves a half shard behind.
+/// Sequential writer for a promoted shard file: an [`AtomicFile`] at
+/// `shard-NNNNN.jsonl` that takes one encoded line per slot, in slot
+/// order, so a crashed run never leaves a half shard behind.
 #[derive(Debug)]
 pub(crate) struct ShardWriter {
-    tmp: PathBuf,
-    path: PathBuf,
-    out: BufWriter<File>,
+    out: AtomicFile,
     /// The next slot to write.
     next: usize,
-    /// Lines that arrived ahead of `next`, keyed by slot.
-    ahead: BTreeMap<usize, String>,
 }
 
 impl ShardWriter {
     /// Creates (truncating) the temporary file for `shard` under `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for I/O failures.
     pub(crate) fn create(dir: &Path, shard: u64) -> Result<Self, String> {
-        let path = dir.join(shard_file_name(shard));
-        let tmp = dir.join(format!("{}.tmp", shard_file_name(shard)));
-        let file =
-            File::create(&tmp).map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
         Ok(Self {
-            tmp,
-            path,
-            out: BufWriter::new(file),
+            out: AtomicFile::create(&dir.join(shard_file_name(shard)))?,
             next: 0,
-            ahead: BTreeMap::new(),
         })
     }
 
-    /// Takes the encoded line (no newline) of the record in `slot`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for I/O failures.
-    pub(crate) fn put(&mut self, slot: usize, line: String) -> Result<(), String> {
-        if slot != self.next {
-            self.ahead.insert(slot, line);
-            return Ok(());
+    /// Writes the encoded line (no newline) of the record in `slot`,
+    /// which must be the next slot.
+    pub(crate) fn put(&mut self, slot: usize, line: &str) -> Result<(), String> {
+        let next = self.next;
+        if slot != next {
+            return Err(format!("shard slot {slot} arrived before slot {next}"));
         }
-        self.write_line(&line)?;
-        while let Some(line) = self.ahead.remove(&self.next) {
-            self.write_line(&line)?;
+        self.next += 1;
+        self.out.write(line)?;
+        self.out.write("\n")
+    }
+
+    /// Writes the replayed lines waiting in `replayed`, from the next
+    /// slot up to the first slot that has none (a miss not yet
+    /// computed, or the end).
+    pub(crate) fn put_replayed(&mut self, replayed: &mut [Option<String>]) -> Result<(), String> {
+        while let Some(line) = replayed.get_mut(self.next).and_then(Option::take) {
+            self.put(self.next, &line)?;
         }
         Ok(())
     }
 
-    fn write_line(&mut self, line: &str) -> Result<(), String> {
-        self.next += 1;
-        self.out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-            .map_err(|e| format!("cannot write `{}`: {e}", self.tmp.display()))
-    }
-
-    /// Flushes the file and renames it into place once slots
-    /// `0..slots` have all been written.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a slot is missing or for I/O failures.
-    pub(crate) fn finish(mut self, slots: usize) -> Result<PathBuf, String> {
-        if self.next != slots || !self.ahead.is_empty() {
-            return Err(format!(
-                "`{}`: slot {} of {slots} never arrived",
-                self.tmp.display(),
-                self.next
-            ));
+    /// Renames the file into place if slots `0..slots` have all been
+    /// written; otherwise nothing is promoted.
+    pub(crate) fn finish(self, slots: usize) -> Result<PathBuf, String> {
+        if self.next != slots {
+            return Err(format!("shard slot {} of {slots} never arrived", self.next));
         }
-        self.out
-            .flush()
-            .map_err(|e| format!("cannot flush `{}`: {e}", self.tmp.display()))?;
-        drop(self.out);
-        std::fs::rename(&self.tmp, &self.path).map_err(|e| {
-            format!(
-                "cannot move shard into place at `{}`: {e}",
-                self.path.display()
-            )
-        })?;
-        Ok(self.path)
+        self.out.finish()
     }
 }
 
@@ -438,7 +379,7 @@ impl ShardWriter {
 pub fn write_shard(dir: &Path, shard: u64, records: &[GridJobRecord]) -> Result<PathBuf, String> {
     let mut out = ShardWriter::create(dir, shard)?;
     for (slot, record) in records.iter().enumerate() {
-        out.put(slot, encode_record(record)?)?;
+        out.put(slot, &encode_record(record)?)?;
     }
     out.finish(records.len())
 }
@@ -522,27 +463,35 @@ mod tests {
     }
 
     #[test]
-    fn shard_writer_reorders_lines_into_index_order() {
-        let dir = temp_dir("reorder");
-        write_shard(&dir, 0, &[record(0), record(1), record(2), record(3)]).expect("writes");
-        let in_order = std::fs::read(dir.join(shard_file_name(0))).expect("reads");
+    fn shard_writer_takes_slots_in_order_and_promotes_only_whole_shards() {
+        let dir = temp_dir("slots");
+        let line = |index: u64| encode_record(&record(index)).expect("encodes");
+        write_shard(&dir, 0, &[record(0), record(1), record(2)]).expect("writes");
+        // Replayed slots 0 and 2 merge around the fresh slot 1.
+        let mut replayed = vec![Some(line(0)), None, Some(line(2))];
+        let mut out = ShardWriter::create(&dir, 1).expect("creates");
+        out.put_replayed(&mut replayed).expect("writes slot 0");
+        out.put(1, &line(1)).expect("puts");
+        out.put_replayed(&mut replayed).expect("writes slot 2");
+        out.finish(3).expect("all three slots arrived");
+        let bytes = |shard| std::fs::read(dir.join(shard_file_name(shard))).expect("reads");
+        assert_eq!(bytes(1), bytes(0));
 
-        let mut out = ShardWriter::create(&dir, 0).expect("creates");
-        for slot in [2usize, 0, 3, 1] {
-            let line = encode_record(&record(slot as u64)).expect("encodes");
-            out.put(slot, line).expect("puts");
-        }
-        out.finish(4).expect("all four slots arrived");
-        assert_eq!(
-            std::fs::read(dir.join(shard_file_name(0))).expect("reads"),
-            in_order
+        let tmp = dir.join(format!("{}.tmp", shard_file_name(2)));
+        let mut early = ShardWriter::create(&dir, 2).expect("creates");
+        let err = early.put(1, &line(1)).unwrap_err();
+        assert!(err.contains("slot 1 arrived before slot 0"), "{err}");
+        drop(early);
+        assert!(
+            !tmp.exists(),
+            "a writer dropped after an error removes its tmp"
         );
-
-        let mut gap = ShardWriter::create(&dir, 1).expect("creates");
-        gap.put(1, encode_record(&record(5)).expect("encodes"))
-            .expect("puts");
-        assert!(gap.finish(2).unwrap_err().contains("slot 0 of 2"));
-        assert!(!dir.join(shard_file_name(1)).exists(), "nothing promoted");
+        let mut gap = ShardWriter::create(&dir, 2).expect("creates");
+        gap.put(0, &line(0)).expect("puts");
+        let err = gap.finish(2).unwrap_err();
+        assert!(err.contains("slot 1 of 2 never arrived"), "{err}");
+        assert!(!dir.join(shard_file_name(2)).exists(), "nothing promoted");
+        assert!(!tmp.exists(), "a failed finish removes its tmp");
     }
 
     #[test]
@@ -611,18 +560,5 @@ mod tests {
         assert_eq!(partial_files(&dir).expect("lists").len(), 1);
         let back = read_shard(&shard_files(&dir).expect("lists")[0]).expect("reads");
         assert_eq!(back, vec![record(0)], "only promoted shards stream");
-    }
-
-    #[test]
-    fn write_atomic_replaces_whole_files() {
-        let dir = temp_dir("atomic");
-        let path = dir.join("aggregate.json");
-        write_atomic(&path, "first").expect("writes");
-        write_atomic(&path, "second").expect("rewrites");
-        assert_eq!(std::fs::read_to_string(&path).expect("reads"), "second");
-        assert!(
-            !dir.join("aggregate.json.tmp").exists(),
-            "no tmp file survives"
-        );
     }
 }

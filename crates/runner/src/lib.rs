@@ -11,10 +11,10 @@
 //!   and `fcdpm_grid::GridSpec`) lower into: expansion order, job count,
 //!   random access, and the load-time feasibility checks ([`check`]).
 //! * [`BatchRun`] — executes a job list on a dependency-light thread
-//!   pool ([`pool`]), with per-job panic isolation and optional
-//!   wall-clock timeouts, handing each record to the calling thread in
-//!   index order while the workers run. [`run_grid`] and [`run_specs`]
-//!   collect that stream into a [`RunManifest`].
+//!   pool ([`pool`]), with per-job panic isolation, handing each record
+//!   to the calling thread in index order while the workers run.
+//!   [`run_grid`] and [`run_specs`] collect that stream into a
+//!   [`RunManifest`].
 //! * [`RunManifest`] — the JSON record of a run: per-job fuel,
 //!   conversion efficiency, projected lifetime, wall-time and worker
 //!   ID, plus run-level aggregates. Job IDs and record order are
@@ -22,6 +22,9 @@
 //!   [`RunManifest::deterministic_json`] is byte-identical across
 //!   worker counts. [`ManifestWriter`] streams the same bytes to disk
 //!   record by record.
+//! * [`AtomicFile`] — the one tmp+rename writer every published run
+//!   file goes through: batch manifests here, shards and whole-file
+//!   artifacts in `fcdpm-grid`.
 //!
 //! ```
 //! use fcdpm_runner::{run_grid, JobGrid, PolicySpec, RunConfig, WorkloadSpec};
@@ -38,11 +41,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+pub mod atomic;
 pub mod check;
 pub mod exec;
 pub mod manifest;
@@ -50,6 +53,7 @@ pub mod pool;
 pub mod spec;
 pub mod sweep;
 
+pub use atomic::{write_atomic, AtomicFile};
 pub use exec::{execute, JobMetrics};
 pub use manifest::{JobOutcome, JobRecord, ManifestWriter, RunAggregates, RunManifest};
 pub use spec::{
@@ -64,8 +68,6 @@ pub struct RunConfig {
     /// Worker threads (clamped to the job count; 0 = available
     /// parallelism).
     pub workers: usize,
-    /// Per-job wall-clock budget (`None` = unbounded).
-    pub timeout: Option<Duration>,
 }
 
 impl RunConfig {
@@ -74,7 +76,6 @@ impl RunConfig {
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
-            ..Self::default()
         }
     }
 }
@@ -150,7 +151,6 @@ pub struct BatchRun<'a> {
     digests: Vec<u64>,
     grid_digest: String,
     workers: usize,
-    timeout: Option<Duration>,
 }
 
 impl<'a> BatchRun<'a> {
@@ -163,7 +163,6 @@ impl<'a> BatchRun<'a> {
             digests,
             grid_digest: format!("{grid_digest:016x}"),
             workers: pool::resolve_workers(config.workers),
-            timeout: config.timeout,
         }
     }
 
@@ -180,11 +179,11 @@ impl<'a> BatchRun<'a> {
     }
 
     /// Runs every job on the pool in one streaming call and hands each
-    /// record to `on_record` on the calling thread, in index order,
-    /// while the workers keep running. A record that finishes ahead of
-    /// an earlier one waits in a buffer until that one arrives. Returns
-    /// the aggregates, folded in the same order, so they equal
-    /// [`RunAggregates::from_records`] over the records bit for bit.
+    /// record to `on_record` on the calling thread, in index order (the
+    /// order [`pool::stream`] reports in), while the workers keep
+    /// running. Returns the aggregates, folded in the same order, so
+    /// they equal [`RunAggregates::from_records`] over the records bit
+    /// for bit.
     ///
     /// # Errors
     ///
@@ -201,13 +200,11 @@ impl<'a> BatchRun<'a> {
                 move |_attempt: u32| execute(&specs[index])
             })
             .collect();
-        let mut next = 0;
-        let mut ahead = BTreeMap::new();
         let mut fold = manifest::AggregateFold::default();
         pool::stream(
             jobs,
             self.workers,
-            self.timeout,
+            None,
             &pool::RetryPolicy::default(),
             |result| {
                 let spec = &self.specs[result.index];
@@ -219,13 +216,8 @@ impl<'a> BatchRun<'a> {
                     wall_ms: millis(result.wall),
                     worker: result.worker,
                 };
-                ahead.insert(result.index, record);
-                while let Some(ready) = ahead.remove(&next) {
-                    fold.push(&ready);
-                    on_record(ready)?;
-                    next += 1;
-                }
-                Ok(())
+                fold.push(&record);
+                on_record(record)
             },
         )?;
         Ok(fold.finish())

@@ -8,12 +8,11 @@
 //! this). [`ManifestWriter`] writes the same bytes as `to_json` one
 //! record at a time, so `fcdpm batch` never holds the whole run.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
+use crate::atomic::AtomicFile;
 use crate::exec::JobMetrics;
 use crate::pool::Execution;
 use crate::spec::JobSpec;
@@ -220,19 +219,15 @@ impl RunManifest {
 ///
 /// The header is written on [`create`](Self::create), each record as
 /// its pretty-JSON fragment on [`put`](Self::put), and the aggregates
-/// and total on [`finish`](Self::finish). The bytes go to
-/// `<path>.tmp`, which `finish` renames to `path`: a run that fails or
-/// is killed first never leaves a torn or empty manifest at `path`,
-/// and a writer dropped unfinished removes its `.tmp`.
+/// and total on [`finish`](Self::finish). The bytes go through an
+/// [`AtomicFile`]: a run that fails or is killed first never leaves a
+/// torn or empty manifest at `path`, and a writer dropped unfinished
+/// removes its `.tmp`.
 #[derive(Debug)]
 pub struct ManifestWriter {
-    tmp: PathBuf,
-    path: PathBuf,
-    out: BufWriter<File>,
+    out: AtomicFile,
     /// Records written so far.
     records: usize,
-    /// Set once the file has been renamed into place.
-    done: bool,
 }
 
 impl ManifestWriter {
@@ -242,24 +237,12 @@ impl ManifestWriter {
     ///
     /// Returns a message for I/O failures.
     pub fn create(path: &Path, grid_digest: &str, workers: usize) -> Result<Self, String> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let file =
-            File::create(&tmp).map_err(|e| format!("cannot create `{}`: {e}", tmp.display()))?;
-        let mut writer = Self {
-            tmp,
-            path: path.to_owned(),
-            out: BufWriter::new(file),
-            records: 0,
-            done: false,
-        };
+        let mut out = AtomicFile::create(path)?;
         let digest = serde_json::to_string(grid_digest).map_err(|e| e.to_string())?;
-        let header = format!(
+        out.write(&format!(
             "{{\n  \"grid_digest\": {digest},\n  \"workers\": {workers},\n  \"records\": ["
-        );
-        writer.write(&header)?;
-        Ok(writer)
+        ))?;
+        Ok(Self { out, records: 0 })
     }
 
     /// Appends the next record. Records must arrive in index order.
@@ -277,11 +260,11 @@ impl ManifestWriter {
             ",\n    "
         };
         self.records += 1;
-        self.write(separator)?;
+        self.out.write(separator)?;
         // The pretty printer escapes every newline inside a string, so
         // each one here is structural: indenting after it moves the
         // record to its depth (2) in the manifest.
-        self.write(&json.replace('\n', "\n    "))
+        self.out.write(&json.replace('\n', "\n    "))
     }
 
     /// Writes the aggregates and total, then renames the file into
@@ -295,32 +278,11 @@ impl ManifestWriter {
         let json = serde_json::to_string_pretty(aggregates)
             .map_err(|e| format!("aggregates do not serialize: {e}"))?;
         let close = if self.records == 0 { "]" } else { "\n  ]" };
-        let tail = format!(
+        self.out.write(&format!(
             "{close},\n  \"aggregates\": {},\n  \"total_wall_ms\": {total_wall_ms}\n}}",
             json.replace('\n', "\n  ")
-        );
-        self.write(&tail)?;
-        self.out
-            .flush()
-            .map_err(|e| format!("cannot write `{}`: {e}", self.tmp.display()))?;
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| format!("cannot move `{}` into place: {e}", self.path.display()))?;
-        self.done = true;
-        Ok(())
-    }
-
-    fn write(&mut self, text: &str) -> Result<(), String> {
-        self.out
-            .write_all(text.as_bytes())
-            .map_err(|e| format!("cannot write `{}`: {e}", self.tmp.display()))
-    }
-}
-
-impl Drop for ManifestWriter {
-    fn drop(&mut self) {
-        if !self.done {
-            let _ = std::fs::remove_file(&self.tmp);
-        }
+        ))?;
+        self.out.finish().map(drop)
     }
 }
 

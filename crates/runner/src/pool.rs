@@ -9,10 +9,12 @@
 //! every job runs exactly once and there is no queue and no lock. Jobs
 //! are coarse-grained simulations, so the one contended cache line
 //! costs nothing measurable. Each finished job is handed to a callback
-//! on the *calling* thread, in completion order, while the workers keep
-//! computing — so the caller can commit results (the grid engine's
-//! fsync'd checkpoint) without a barrier. [`run_with_retry`] and
-//! [`run_to_completion`] collect that stream and sort it by index.
+//! on the *calling* thread, in index order, while the workers keep
+//! computing, so the caller can commit results (a manifest, a shard, a
+//! checkpoint) as they stream. A job that finishes ahead of an earlier
+//! one waits in a small reorder buffer on the calling thread: about one
+//! result per worker, more behind a slow or retrying job.
+//! [`run_with_retry`] and [`run_to_completion`] collect that stream.
 //!
 //! Every job runs under `catch_unwind`: a panicking job is reported as
 //! [`Execution::Panicked`] and the rest of the run continues. An
@@ -22,6 +24,7 @@
 //! its result is discarded. Under a [`RetryPolicy`] the worker that ran
 //! a failed attempt retries it in place, after that job's own backoff.
 
+use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -124,7 +127,6 @@ where
         results.push(result);
         Ok::<(), Infallible>(())
     });
-    results.sort_by_key(|r| r.index);
     results
 }
 
@@ -148,8 +150,10 @@ where
 }
 
 /// Runs `jobs` on `workers` threads and hands each job's final
-/// [`PoolResult`] to `on_result` on the calling thread, in completion
-/// order, while the workers keep running.
+/// [`PoolResult`] to `on_result` on the calling thread, in index order,
+/// while the workers keep running. A result that completes ahead of an
+/// earlier index waits in a reorder buffer until every earlier one has
+/// been handed over.
 ///
 /// `workers` = 0 means the host's available parallelism
 /// ([`resolve_workers`]); the count is then clamped to `1..=jobs.len()`
@@ -160,8 +164,8 @@ where
 /// only the last attempt is reported.
 ///
 /// The first error `on_result` returns stops the run: no further job
-/// is claimed, jobs already running finish and are discarded, and the
-/// error is returned.
+/// is claimed, jobs already running or waiting in the buffer are
+/// discarded, and the error is returned.
 ///
 /// Degrades rather than panics: a worker thread the OS refuses to spawn
 /// leaves its share to the workers that did start, and if *every* spawn
@@ -209,14 +213,19 @@ where
     }
     drop(result_tx);
 
-    let mut outcome = Ok(());
-    for result in &result_rx {
-        if let Err(error) = on_result(result) {
-            // Stop claiming: every later index reads as past the end.
-            next.store(jobs.len(), Ordering::Relaxed);
-            outcome = Err(error);
-            break;
+    let mut due = 0;
+    let mut ahead = BTreeMap::new();
+    let outcome = result_rx.iter().try_for_each(|result| {
+        ahead.insert(result.index, result);
+        while let Some(ready) = ahead.remove(&due) {
+            due += 1;
+            on_result(ready)?;
         }
+        Ok(())
+    });
+    if outcome.is_err() {
+        // Stop claiming: every later index reads as past the end.
+        next.store(jobs.len(), Ordering::Relaxed);
     }
     drop(result_rx);
     for handle in handles {
@@ -329,84 +338,79 @@ fn worker_loop<T, F>(
 mod tests {
     use super::*;
 
+    /// Jobs sleep a jittered while, so with two or more workers they
+    /// finish out of index order; under the retry policy every third
+    /// job also fails its first attempt and reruns in place, falling
+    /// further behind. `stream` must still report each index exactly
+    /// once, strictly increasing, on the calling thread, from a worker
+    /// below the clamped worker count, after exactly the attempts the
+    /// job asked for.
     #[test]
-    fn results_are_ordered_by_index() {
-        let jobs: Vec<Box<dyn Fn() -> usize + Send + Sync>> = (0usize..20)
-            .map(|i| Box::new(move || i * i) as Box<dyn Fn() -> usize + Send + Sync>)
-            .collect();
-        let results = run_to_completion(jobs, 4, None);
-        assert_eq!(results.len(), 20);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.index, i);
-            match &r.execution {
-                Execution::Completed(v) => assert_eq!(*v, i * i),
-                other => panic!("job {i} did not complete: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn every_index_runs_exactly_once_in_index_order() {
-        use std::sync::atomic::AtomicU32;
-        for workers in 1..=8 {
-            for count in 0..=64usize {
-                let runs: Arc<Vec<AtomicU32>> =
-                    Arc::new((0..count).map(|_| AtomicU32::new(0)).collect());
-                let jobs: Vec<_> = (0..count)
-                    .map(|i| {
-                        let runs = Arc::clone(&runs);
-                        move || {
-                            runs[i].fetch_add(1, Ordering::Relaxed);
-                            i
-                        }
-                    })
-                    .collect();
-                let results = run_to_completion(jobs, workers, None);
-                assert_eq!(results.len(), count, "{workers} workers, {count} jobs");
-                for (i, r) in results.iter().enumerate() {
-                    assert_eq!(r.index, i);
-                    assert!(r.worker < workers.min(count));
-                    assert!(matches!(r.execution, Execution::Completed(v) if v == i));
-                }
-                assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1));
-            }
-        }
-    }
-
-    #[test]
-    fn stream_reports_every_index_once_on_the_calling_thread() {
-        use std::sync::atomic::AtomicU32;
+    fn stream_reports_each_index_once_in_order_on_the_calling_thread() {
+        use std::sync::atomic::{AtomicBool, AtomicU32};
         let caller = thread::current().id();
-        for workers in 1..=8 {
-            for count in 0..=64usize {
-                let runs: Arc<Vec<AtomicU32>> =
-                    Arc::new((0..count).map(|_| AtomicU32::new(0)).collect());
-                let jobs: Vec<_> = (0..count)
-                    .map(|i| {
-                        let runs = Arc::clone(&runs);
-                        move |attempt: u32| {
-                            runs[i].fetch_add(1, Ordering::Relaxed);
-                            (i, attempt)
-                        }
-                    })
-                    .collect();
-                let mut seen = vec![0u32; count];
-                let streamed = stream(jobs, workers, None, &RetryPolicy::default(), |r| {
-                    assert_eq!(thread::current().id(), caller, "callback off the caller");
-                    assert!(r.worker < workers.min(count));
-                    assert_eq!(r.attempts, 1);
-                    assert!(matches!(r.execution, Execution::Completed((i, 1)) if i == r.index));
-                    seen[r.index] += 1;
-                    Ok::<(), ()>(())
-                });
-                assert!(streamed.is_ok(), "{workers} workers, {count} jobs");
-                assert!(
-                    seen.iter().all(|&n| n == 1),
-                    "{workers} workers, {count} jobs"
-                );
-                assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        let retries = RetryPolicy {
+            max_attempts: 2,
+            backoff: Duration::ZERO,
+        };
+        // Set once some job finishes after a higher index did.
+        let overtaken = Arc::new(AtomicBool::new(false));
+        for retry in [RetryPolicy::default(), retries] {
+            for workers in 1..=8 {
+                for count in 0..=64usize {
+                    let runs: Arc<Vec<AtomicU32>> =
+                        Arc::new((0..count).map(|_| AtomicU32::new(0)).collect());
+                    let finished = Arc::new(AtomicUsize::new(0));
+                    let flaky = retry.max_attempts > 1;
+                    let attempts_of =
+                        move |i: usize| if flaky && i.is_multiple_of(3) { 2 } else { 1 };
+                    let jobs: Vec<_> = (0..count)
+                        .map(|i| {
+                            let (runs, finished) = (Arc::clone(&runs), Arc::clone(&finished));
+                            let overtaken = Arc::clone(&overtaken);
+                            move |attempt: u32| {
+                                runs[i].fetch_add(1, Ordering::Relaxed);
+                                let jitter = (i * 7 + count) % 5;
+                                thread::sleep(Duration::from_micros(50 * jitter as u64));
+                                if attempt < attempts_of(i) {
+                                    // Fails without running the panic hook,
+                                    // so the retries stay quiet.
+                                    std::panic::resume_unwind(Box::new("transient"));
+                                }
+                                if finished.fetch_max(i + 1, Ordering::SeqCst) > i + 1 {
+                                    overtaken.store(true, Ordering::SeqCst);
+                                }
+                                (i, attempt)
+                            }
+                        })
+                        .collect();
+                    let mut due = 0;
+                    let streamed = stream(jobs, workers, None, &retry, |r| {
+                        assert_eq!(thread::current().id(), caller, "callback off the caller");
+                        assert_eq!(r.index, due, "{workers} workers, {count} jobs");
+                        due += 1;
+                        assert!(r.worker < workers.min(count));
+                        let attempts = attempts_of(r.index);
+                        assert_eq!(r.attempts, attempts);
+                        assert!(matches!(
+                            r.execution,
+                            Execution::Completed((i, a)) if i == r.index && a == attempts
+                        ));
+                        Ok::<(), ()>(())
+                    });
+                    assert!(streamed.is_ok(), "{workers} workers, {count} jobs");
+                    assert_eq!(due, count, "{workers} workers, {count} jobs");
+                    assert!(runs
+                        .iter()
+                        .enumerate()
+                        .all(|(i, n)| n.load(Ordering::Relaxed) == attempts_of(i)));
+                }
             }
         }
+        assert!(
+            overtaken.load(Ordering::SeqCst),
+            "no job finished out of order"
+        );
     }
 
     #[test]
@@ -505,22 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_is_isolated() {
-        let jobs: Vec<Box<dyn Fn() -> u32 + Send + Sync>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("deliberate")),
-            Box::new(|| 3),
-        ];
-        let results = run_to_completion(jobs, 2, None);
-        assert!(matches!(results[0].execution, Execution::Completed(1)));
-        match &results[1].execution {
-            Execution::Panicked(msg) => assert!(msg.contains("deliberate")),
-            other => panic!("expected panic, got {other:?}"),
-        }
-        assert!(matches!(results[2].execution, Execution::Completed(3)));
-    }
-
-    #[test]
     fn timeout_abandons_stuck_job() {
         let jobs: Vec<Box<dyn Fn() -> u32 + Send + Sync>> = vec![
             Box::new(|| {
@@ -532,60 +520,6 @@ mod tests {
         let results = run_to_completion(jobs, 2, Some(Duration::from_millis(50)));
         assert!(matches!(results[0].execution, Execution::TimedOut));
         assert!(matches!(results[1].execution, Execution::Completed(7)));
-    }
-
-    #[test]
-    fn single_worker_handles_everything() {
-        let jobs: Vec<Box<dyn Fn() -> usize + Send + Sync>> = (0usize..7)
-            .map(|i| Box::new(move || i) as Box<dyn Fn() -> usize + Send + Sync>)
-            .collect();
-        let results = run_to_completion(jobs, 1, None);
-        assert!(results.iter().all(|r| r.worker == 0));
-        assert_eq!(results.len(), 7);
-    }
-
-    #[test]
-    fn worker_count_is_clamped() {
-        let jobs: Vec<Box<dyn Fn() -> usize + Send + Sync>> =
-            vec![Box::new(|| 5usize) as Box<dyn Fn() -> usize + Send + Sync>];
-        let results = run_to_completion(jobs, 64, None);
-        assert_eq!(results.len(), 1);
-    }
-
-    #[test]
-    fn empty_job_list_is_fine() {
-        let results: Vec<PoolResult<u32>> =
-            run_to_completion(Vec::<Box<dyn Fn() -> u32 + Send + Sync>>::new(), 4, None);
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    fn transient_panic_succeeds_within_max_attempts() {
-        // Job 1 models a transient fault: it panics on attempt 1 and
-        // recovers on attempt 2, driven purely by the attempt number.
-        let jobs: Vec<Box<dyn Fn(u32) -> u32 + Send + Sync>> = vec![
-            Box::new(|_| 10),
-            Box::new(|attempt| {
-                assert!(attempt > 1, "transient fault");
-                20
-            }),
-            Box::new(|_| 30),
-        ];
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-        };
-        let results = run_with_retry(jobs, 2, None, &retry);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].attempts, 1);
-        assert_eq!(results[1].attempts, 2, "retried exactly once");
-        assert_eq!(results[2].attempts, 1);
-        for (i, want) in [(0usize, 10u32), (1, 20), (2, 30)] {
-            match &results[i].execution {
-                Execution::Completed(v) => assert_eq!(*v, want),
-                other => panic!("job {i} did not complete: {other:?}"),
-            }
-        }
     }
 
     #[test]

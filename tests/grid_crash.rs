@@ -95,7 +95,7 @@ fn concurrent_spec() -> GridSpec {
 }
 
 /// Two workers committing 3-line checkpoint batches while they run:
-/// checkpoint lines land in completion order.
+/// jobs finish out of index order, and the pool hands them over in it.
 fn concurrent_config(out: &Path) -> GridConfig {
     GridConfig {
         workers: 2,
@@ -286,6 +286,40 @@ fn mid_write_kill_leaves_a_torn_tail_that_resume_discards() {
     let resumed = run(&crash_spec(), &config).expect("resume succeeds");
     assert_eq!(resumed.aggregate.completed, resumed.aggregate.jobs);
     let _ = std::fs::remove_dir_all(&out);
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn dir_bytes(dir: &Path) -> std::collections::BTreeMap<std::ffi::OsString, Vec<u8>> {
+    let read = |entry: std::fs::DirEntry| (entry.file_name(), std::fs::read(entry.path()));
+    std::fs::read_dir(dir)
+        .expect("listable run dir")
+        .map(|entry| read(entry.expect("dir entry")))
+        .map(|(name, bytes)| (name, bytes.expect("readable file")))
+        .collect()
+}
+
+/// A resume with checkpointing off still retires the crashed run's
+/// partial once it promotes that shard: the finished directory matches
+/// an uninterrupted run's file for file.
+#[test]
+fn resume_with_checkpoints_off_removes_the_replayed_partial() {
+    let control_out = fresh_dir("ckpt-off-control");
+    let control = run(&crash_spec(), &crash_config(&control_out)).expect("control run");
+    let out = fresh_dir("ckpt-off");
+    assert!(!spawn_crash_child("after-job:2", &out).success());
+    let run_dir = out.join("crash");
+    assert_eq!(surviving_state(&run_dir), (0, 2, 0));
+    let config = GridConfig {
+        resume: true,
+        checkpoint_batch: 0,
+        ..crash_config(&out)
+    };
+    let resumed = run(&crash_spec(), &config).expect("resume succeeds");
+    assert_eq!(resumed.recovered_jobs, 2);
+    assert!(partial_files(&run_dir).expect("lists").is_empty());
+    assert_eq!(dir_bytes(&run_dir), dir_bytes(&control.dir));
+    let _ = std::fs::remove_dir_all(&out);
+    let _ = std::fs::remove_dir_all(&control_out);
 }
 
 #[test]
