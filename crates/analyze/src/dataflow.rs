@@ -441,8 +441,7 @@ fn method_result(method: &str, receiver: Ty) -> Ty {
     Ty::Unknown
 }
 
-/// Runs the dataflow pass over one physics source file, returning raw
-/// findings (inline suppression is applied by the caller).
+/// Runs the dataflow pass over one physics source file.
 #[must_use]
 pub fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
     let mut pass = Pass {

@@ -160,14 +160,12 @@ pub fn check_file(rel_path: &str, source: &str, scan: &Scan) -> Vec<Finding> {
     let mut findings = Vec::new();
     let rule = Rule::DigestStability.id();
     let mut push = |line: usize, message: String| {
-        if !scan.is_suppressed(rule, line) {
-            findings.push(Finding {
-                rule,
-                path: rel_path.to_owned(),
-                line,
-                message,
-            });
-        }
+        findings.push(Finding {
+            rule,
+            path: rel_path.to_owned(),
+            line,
+            message,
+        });
     };
 
     for keyed in DIGEST_KEYED.iter().filter(|k| k.file == rel_path) {

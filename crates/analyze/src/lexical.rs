@@ -1,18 +1,12 @@
-//! The per-file lexical rules: determinism, unit safety, panic policy
-//! and crate hygiene.
+//! The per-file lexical rule: unit safety.
 //!
-//! Every rule works on the cleaned text produced by [`Scan`] and is
-//! scoped by the file's workspace-relative path, so the rules can be
-//! exercised against fixture sources by supplying a synthetic path (see
+//! The rule works on the cleaned text produced by [`Scan`]; the caller
+//! runs it on physics-crate sources only, so it can be exercised against
+//! fixture sources by supplying a synthetic path (see
 //! `tests/workspace.rs`).
 
 use crate::scan::{token_occurrences, Scan};
-use crate::{crate_of, is_physics_file, Finding, Rule};
-
-/// Crates whose `src/` trees must be bit-deterministic.
-const DETERMINISTIC_CRATES: [&str; 7] = [
-    "sim", "core", "predict", "fuelcell", "storage", "device", "faults",
-];
+use crate::{Finding, Rule};
 
 /// Identifier suffixes that mark an `f64` parameter as carrying a unit
 /// for which `fcdpm-units` has a newtype.
@@ -24,135 +18,24 @@ const UNIT_SUFFIXES: [&str; 18] = [
 /// Integer/float target types considered narrowing for physics values.
 const NARROWING_TARGETS: [&str; 7] = ["f32", "u8", "i8", "u16", "i16", "u32", "i32"];
 
-/// Whether a path is library (not binary/test/bench/example) source.
-fn is_library_source(rel_path: &str) -> bool {
-    crate_of(rel_path).is_some()
-        && !rel_path.contains("/src/bin/")
-        && !rel_path.ends_with("/main.rs")
-}
-
-fn determinism_applies(rel_path: &str) -> bool {
-    crate_of(rel_path).is_some_and(|name| DETERMINISTIC_CRATES.contains(&name))
-}
-
-fn is_crate_root(rel_path: &str) -> bool {
-    rel_path == "src/lib.rs"
-        || (rel_path.starts_with("crates/") && rel_path.ends_with("/src/lib.rs"))
-}
-
-/// Runs the four lexical rules over one scanned file and returns their
-/// findings before inline suppressions are applied. `rel_path` must use
-/// `/` separators and be relative to the workspace root, because rule
-/// scoping keys off it.
+/// Runs the unit-safety rule over one scanned physics-crate file.
+/// `rel_path` must use `/` separators and be relative to the workspace
+/// root; findings carry it.
 #[must_use]
 pub(crate) fn check_file(rel_path: &str, scan: &Scan) -> Vec<Finding> {
     let mut out = Vec::new();
-    if determinism_applies(rel_path) {
-        check_determinism(rel_path, scan, &mut out);
-    }
-    if is_physics_file(rel_path) {
-        check_unit_safety(rel_path, scan, &mut out);
-    }
-    if is_library_source(rel_path) {
-        check_panic_policy(rel_path, scan, &mut out);
-    }
-    if is_crate_root(rel_path) {
-        check_crate_hygiene(rel_path, scan, &mut out);
-    }
+    check_narrowing_casts(rel_path, scan, &mut out);
+    check_pub_fn_f64(rel_path, scan, &mut out);
     out
 }
 
-fn push(out: &mut Vec<Finding>, rule: Rule, rel_path: &str, line: usize, message: String) {
+fn push(out: &mut Vec<Finding>, rel_path: &str, line: usize, message: String) {
     out.push(Finding {
-        rule: rule.id(),
+        rule: Rule::UnitSafety.id(),
         path: rel_path.to_owned(),
         line,
         message,
     });
-}
-
-fn check_determinism(rel_path: &str, scan: &Scan, out: &mut Vec<Finding>) {
-    let banned: [(&str, &str); 4] = [
-        (
-            "Instant::now",
-            "reads the wall clock; simulation code must be reproducible — take time as an input or move timing to `fcdpm-runner`",
-        ),
-        (
-            "SystemTime",
-            "reads the wall clock; simulation code must be reproducible — take time as an input or move timing to `fcdpm-runner`",
-        ),
-        (
-            "HashMap",
-            "has nondeterministic iteration order (randomized hasher); use `BTreeMap` so runs are bit-identical",
-        ),
-        (
-            "HashSet",
-            "has nondeterministic iteration order (randomized hasher); use `BTreeSet` so runs are bit-identical",
-        ),
-    ];
-    for (needle, why) in banned {
-        for at in token_occurrences(&scan.cleaned, needle) {
-            let line = scan.line_of(at);
-            if scan.is_test_line(line) {
-                continue;
-            }
-            push(
-                out,
-                Rule::Determinism,
-                rel_path,
-                line,
-                format!("`{needle}` {why}"),
-            );
-        }
-    }
-}
-
-fn check_panic_policy(rel_path: &str, scan: &Scan, out: &mut Vec<Finding>) {
-    let banned: [&str; 6] = [
-        ".unwrap()",
-        ".expect(",
-        "panic!(",
-        "unreachable!(",
-        "todo!(",
-        "unimplemented!(",
-    ];
-    for needle in banned {
-        for at in token_occurrences(&scan.cleaned, needle) {
-            let line = scan.line_of(at);
-            if scan.is_test_line(line) {
-                continue;
-            }
-            let shown = needle.trim_start_matches('.').trim_end_matches('(');
-            push(
-                out,
-                Rule::PanicPolicy,
-                rel_path,
-                line,
-                format!(
-                    "`{shown}` in library code; propagate a `Result` or document the invariant and add `// fcdpm-lint: allow(panic-policy)`"
-                ),
-            );
-        }
-    }
-}
-
-fn check_crate_hygiene(rel_path: &str, scan: &Scan, out: &mut Vec<Finding>) {
-    for attr in ["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"] {
-        if !scan.cleaned.contains(attr) {
-            push(
-                out,
-                Rule::CrateHygiene,
-                rel_path,
-                1,
-                format!("crate root is missing `{attr}`"),
-            );
-        }
-    }
-}
-
-fn check_unit_safety(rel_path: &str, scan: &Scan, out: &mut Vec<Finding>) {
-    check_narrowing_casts(rel_path, scan, out);
-    check_pub_fn_f64(rel_path, scan, out);
 }
 
 fn check_narrowing_casts(rel_path: &str, scan: &Scan, out: &mut Vec<Finding>) {
@@ -175,11 +58,10 @@ fn check_narrowing_casts(rel_path: &str, scan: &Scan, out: &mut Vec<Finding>) {
         }
         push(
             out,
-            Rule::UnitSafety,
             rel_path,
             line,
             format!(
-                "narrowing cast `as {target}` in physics code can silently truncate; use `try_from`/a wider type, or document the invariant and add `// fcdpm-lint: allow(unit-safety)`"
+                "narrowing cast `as {target}` in physics code can silently truncate; use `try_from` or a wider type"
             ),
         );
     }
@@ -220,12 +102,11 @@ fn check_pub_fn_f64(rel_path: &str, scan: &Scan, out: &mut Vec<Finding>) {
             if !has_unit_suffix(&name) {
                 continue;
             }
-            // Anchor to the parameter's own line so line-anchored
-            // suppressions work on multi-line signatures.
+            // Anchor to the parameter's own line in multi-line
+            // signatures.
             let param_line = scan.line_of(open + 1 + offset);
             push(
                 out,
-                Rule::UnitSafety,
                 rel_path,
                 param_line,
                 format!(
@@ -276,19 +157,6 @@ fn has_unit_suffix(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scoping_by_path() {
-        assert!(determinism_applies("crates/sim/src/simulator.rs"));
-        assert!(!determinism_applies("crates/runner/src/pool.rs"));
-        assert!(!determinism_applies("crates/sim/tests/integration.rs"));
-        assert!(is_library_source("crates/cli/src/commands.rs"));
-        assert!(!is_library_source("crates/cli/src/main.rs"));
-        assert!(!is_library_source("crates/experiments/src/bin/all.rs"));
-        assert!(is_crate_root("crates/sim/src/lib.rs"));
-        assert!(is_crate_root("src/lib.rs"));
-        assert!(!is_crate_root("crates/sim/src/metrics.rs"));
-    }
 
     #[test]
     fn f64_param_extraction() {

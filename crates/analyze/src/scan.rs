@@ -6,32 +6,13 @@
 //! contents of comments, string literals and char literals are blanked
 //! out (replaced by spaces) while the line structure is preserved
 //! exactly. Rules then do token-level pattern matching on the cleaned
-//! text without ever tripping over `"HashMap"` inside a doc comment or a
+//! text without ever tripping over `"Amps"` inside a doc comment or a
 //! diagnostic message.
 //!
-//! While blanking comments the scanner also collects the inline
-//! suppression directives
-//!
-//! ```text
-//! // fcdpm-lint: allow(panic-policy, unit-safety)
-//! ```
-//!
-//! and the spans of `#[cfg(test)]` items, so that rules can exempt test
-//! code and honor targeted opt-outs.
+//! The scanner also records the spans of `#[cfg(test)]` items, so that
+//! rules can exempt test code.
 
 use std::ops::Range;
-
-/// A suppression directive found in a line comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
-    /// 1-indexed line the directive comment sits on. The directive
-    /// covers findings on this line and on the following line, so it can
-    /// be written either trailing the offending code or on its own line
-    /// directly above it.
-    pub line: usize,
-    /// The rule identifier inside `allow(...)`.
-    pub rule: String,
-}
 
 /// The result of scanning one source file.
 #[derive(Debug, Clone)]
@@ -42,24 +23,20 @@ pub struct Scan {
     pub cleaned: String,
     /// Byte offsets (into `cleaned`) at which each line starts.
     line_starts: Vec<usize>,
-    /// Inline allow directives, one entry per rule they name.
-    pub suppressions: Vec<Suppression>,
     /// 1-indexed line ranges (inclusive) of `#[cfg(test)]` items.
     pub test_spans: Vec<Range<usize>>,
 }
 
 impl Scan {
-    /// Scans `source`, producing the cleaned text, suppression
-    /// directives and test spans.
+    /// Scans `source`, producing the cleaned text and test spans.
     #[must_use]
     pub fn new(source: &str) -> Self {
-        let (cleaned, suppressions) = blank_non_code(source);
+        let cleaned = blank_non_code(source);
         let line_starts = line_starts(&cleaned);
         let test_spans = find_test_spans(&cleaned, &line_starts);
         Self {
             cleaned,
             line_starts,
-            suppressions,
             test_spans,
         }
     }
@@ -79,15 +56,6 @@ impl Scan {
     pub fn is_test_line(&self, line: usize) -> bool {
         self.test_spans.iter().any(|span| span.contains(&line))
     }
-
-    /// Whether a finding of `rule` on `line` is covered by an inline
-    /// suppression (on the same line or the line directly above).
-    #[must_use]
-    pub fn is_suppressed(&self, rule: &str, line: usize) -> bool {
-        self.suppressions
-            .iter()
-            .any(|s| s.rule == rule && (s.line == line || s.line + 1 == line))
-    }
 }
 
 fn line_starts(text: &str) -> Vec<usize> {
@@ -104,35 +72,22 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Blanks comments and literal contents, collecting suppression
-/// directives from line comments along the way.
-fn blank_non_code(source: &str) -> (String, Vec<Suppression>) {
+/// Blanks comments and literal contents.
+fn blank_non_code(source: &str) -> String {
     let chars: Vec<char> = source.chars().collect();
     let mut out = String::with_capacity(source.len());
-    let mut suppressions = Vec::new();
-    let mut line = 1usize;
     let mut i = 0usize;
 
     while i < chars.len() {
         let c = chars[i];
-        if c == '\n' {
-            out.push('\n');
-            line += 1;
-            i += 1;
-        } else if c == '/' && chars.get(i + 1) == Some(&'/') {
-            // Line comment: scan to end of line, harvesting directives.
-            let start = i;
+        if c == '/' && chars.get(i + 1) == Some(&'/') {
+            // Line comment: blank to end of line.
             while i < chars.len() && chars[i] != '\n' {
+                out.push(' ');
                 i += 1;
             }
-            let text: String = chars[start..i].iter().collect();
-            collect_directives(&text, line, &mut suppressions);
-            for _ in start..i {
-                out.push(' ');
-            }
         } else if c == '/' && chars.get(i + 1) == Some(&'*') {
-            // Block comment, possibly nested. Directives are only
-            // honored in line comments, so the content is just blanked.
+            // Block comment, possibly nested.
             let mut depth = 1usize;
             out.push_str("  ");
             i += 2;
@@ -147,7 +102,6 @@ fn blank_non_code(source: &str) -> (String, Vec<Suppression>) {
                     i += 2;
                 } else if chars[i] == '\n' {
                     out.push('\n');
-                    line += 1;
                     i += 1;
                 } else {
                     out.push(' ');
@@ -184,7 +138,6 @@ fn blank_non_code(source: &str) -> (String, Vec<Suppression>) {
                     }
                     Some('\n') => {
                         out.push('\n');
-                        line += 1;
                         j += 1;
                     }
                     Some(_) => {
@@ -210,7 +163,6 @@ fn blank_non_code(source: &str) -> (String, Vec<Suppression>) {
                         out.push(' ');
                         if chars.get(i + 1) == Some(&'\n') {
                             out.push('\n');
-                            line += 1;
                         } else {
                             out.push(' ');
                         }
@@ -223,7 +175,6 @@ fn blank_non_code(source: &str) -> (String, Vec<Suppression>) {
                     }
                     '\n' => {
                         out.push('\n');
-                        line += 1;
                         i += 1;
                     }
                     _ => {
@@ -263,7 +214,7 @@ fn blank_non_code(source: &str) -> (String, Vec<Suppression>) {
         }
     }
 
-    (out, suppressions)
+    out
 }
 
 fn prev_is_ident(chars: &[char], i: usize) -> bool {
@@ -288,28 +239,6 @@ fn is_raw_string_start(chars: &[char], i: usize) -> bool {
 
 fn closes_raw(chars: &[char], quote: usize, hashes: usize) -> bool {
     (1..=hashes).all(|k| chars.get(quote + k) == Some(&'#'))
-}
-
-/// Parses the rule list of an inline allow directive out of one line
-/// comment's text.
-fn collect_directives(comment: &str, line: usize, out: &mut Vec<Suppression>) {
-    const MARKER: &str = "fcdpm-lint: allow(";
-    let Some(pos) = comment.find(MARKER) else {
-        return;
-    };
-    let rest = &comment[pos + MARKER.len()..];
-    let Some(close) = rest.find(')') else {
-        return;
-    };
-    for rule in rest[..close].split(',') {
-        let rule = rule.trim();
-        if !rule.is_empty() {
-            out.push(Suppression {
-                line,
-                rule: rule.to_owned(),
-            });
-        }
-    }
 }
 
 /// Finds the (inclusive) line spans of `#[cfg(test)]` items by matching
@@ -415,16 +344,6 @@ mod tests {
         let src = "let s = \"a\\\"b\"; let t = HashMap::new();\n";
         let scan = Scan::new(src);
         assert!(scan.cleaned.contains("HashMap"));
-    }
-
-    #[test]
-    fn directive_parsing() {
-        let src = "foo(); // fcdpm-lint: allow(panic-policy, determinism) reason\nbar();\n";
-        let scan = Scan::new(src);
-        assert!(scan.is_suppressed("panic-policy", 1));
-        assert!(scan.is_suppressed("determinism", 2), "covers next line too");
-        assert!(!scan.is_suppressed("unit-safety", 1));
-        assert!(!scan.is_suppressed("panic-policy", 3));
     }
 
     #[test]

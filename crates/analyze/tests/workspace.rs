@@ -5,10 +5,18 @@
 //! re-export, an unmasked digest field) are detected in scratch
 //! workspaces.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use fcdpm_analyze::{digest, workspace_files, Baseline, BaselineEntry, Report, Rule, Scan};
+use fcdpm_analyze::{digest, Report, Rule, Scan};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -33,8 +41,8 @@ impl Scratch {
         fs::write(path, contents).expect("write");
     }
 
-    fn analyze(&self, baseline: &Baseline) -> Report {
-        fcdpm_analyze::run(&self.root, baseline).expect("analysis runs")
+    fn analyze(&self) -> Report {
+        fcdpm_analyze::run(&self.root).expect("analysis runs")
     }
 }
 
@@ -60,20 +68,9 @@ struct Pair {
     /// Phrases that must each appear in some bad-file finding.
     mentions: &'static [&'static str],
     ok: &'static str,
-    /// Inline allows the ok file exercises.
-    ok_suppressed: usize,
 }
 
-const PAIRS: [Pair; 6] = [
-    Pair {
-        rule: Rule::Determinism,
-        path: "crates/sim/src/hazards.rs",
-        bad: "determinism_bad.rs",
-        bad_findings: 9,
-        mentions: &["Instant::now", "SystemTime", "BTreeMap", "BTreeSet"],
-        ok: "determinism_ok.rs",
-        ok_suppressed: 1,
-    },
+const PAIRS: [Pair; 3] = [
     Pair {
         rule: Rule::UnitSafety,
         path: "crates/fuelcell/src/signatures.rs",
@@ -81,31 +78,6 @@ const PAIRS: [Pair; 6] = [
         bad_findings: 5,
         mentions: &["duration_s", "current_a", "as u32", "as f32"],
         ok: "unit_safety_ok.rs",
-        ok_suppressed: 0,
-    },
-    Pair {
-        rule: Rule::PanicPolicy,
-        path: "crates/core/src/panics.rs",
-        bad: "panic_bad.rs",
-        bad_findings: 6,
-        mentions: &[
-            "`unwrap()`",
-            "`expect`",
-            "`panic!`",
-            "`unreachable!`",
-            "`todo!`",
-        ],
-        ok: "panic_ok.rs",
-        ok_suppressed: 1,
-    },
-    Pair {
-        rule: Rule::CrateHygiene,
-        path: "crates/x/src/lib.rs",
-        bad: "hygiene_bad.rs",
-        bad_findings: 2,
-        mentions: &["forbid(unsafe_code)", "warn(missing_docs)"],
-        ok: "hygiene_ok.rs",
-        ok_suppressed: 0,
     },
     Pair {
         rule: Rule::UnitDataflow,
@@ -114,7 +86,6 @@ const PAIRS: [Pair; 6] = [
         bad_findings: 3,
         mentions: &["Amps and Seconds", "Seconds and Amps", "Amps and Charge"],
         ok: "dimension_ok.rs",
-        ok_suppressed: 0,
     },
     Pair {
         rule: Rule::DigestStability,
@@ -123,7 +94,6 @@ const PAIRS: [Pair; 6] = [
         bad_findings: 2,
         mentions: &["neither folded", "masks `name` which"],
         ok: "digest_masked.rs",
-        ok_suppressed: 0,
     },
 ];
 
@@ -133,7 +103,7 @@ fn each_fixture_pair_fires_only_its_rule() {
         let id = pair.rule.id();
         let scratch = Scratch::new(&format!("analyze-pair-{id}"));
         scratch.write(pair.path, &fixture(pair.bad));
-        let report = scratch.analyze(&Baseline::default());
+        let report = scratch.analyze();
         let human = report.to_human();
         assert_eq!(report.findings.len(), pair.bad_findings, "{id}:\n{human}");
         assert!(
@@ -149,70 +119,37 @@ fn each_fixture_pair_fires_only_its_rule() {
         }
 
         scratch.write(pair.path, &fixture(pair.ok));
-        let report = scratch.analyze(&Baseline::default());
+        let report = scratch.analyze();
         assert!(
             report.is_clean(),
             "{} fired:\n{}",
             pair.ok,
             report.to_human()
         );
-        assert_eq!(report.inline_suppressed, pair.ok_suppressed, "{}", pair.ok);
     }
 }
 
 #[test]
-fn committed_workspace_is_clean_against_committed_baseline() {
-    let root = repo_root();
-    let text = fs::read_to_string(root.join("analyze-baseline.json")).expect("baseline exists");
-    let baseline = Baseline::from_json(&text).expect("baseline parses");
-    let report = fcdpm_analyze::run(&root, &baseline).expect("analysis runs");
+fn committed_workspace_is_clean() {
+    let report = fcdpm_analyze::run(&repo_root()).expect("analysis runs");
     assert!(
         report.is_clean(),
         "committed workspace must analyze clean:\n{}",
         report.to_human()
-    );
-    assert!(
-        report.stale.is_empty(),
-        "committed analyze baseline has stale entries:\n{}",
-        report.to_human()
-    );
-    assert_eq!(
-        report.baselined, 0,
-        "the tree analyzes clean without the baseline's help"
-    );
-    // Rewriting the committed baseline reproduces it byte for byte.
-    assert_eq!(baseline.to_json(), text);
-}
-
-#[test]
-fn every_inline_allow_names_a_catalogued_rule() {
-    let mut dangling = Vec::new();
-    for (rel, path) in workspace_files(&repo_root()).expect("workspace walk") {
-        let scan = Scan::new(&fs::read_to_string(path).expect("source reads"));
-        for allow in &scan.suppressions {
-            if Rule::from_id(&allow.rule).is_none() {
-                dangling.push(format!("{rel}:{}: allow({})", allow.line, allow.rule));
-            }
-        }
-    }
-    assert!(
-        dangling.is_empty(),
-        "allow directives naming no rule in the catalogue:\n{}",
-        dangling.join("\n")
     );
 }
 
 #[test]
 fn seeded_findings_are_byte_identical_across_runs() {
     // Every fixture-pair rule in one scratch workspace: two full runs
-    // must agree byte for byte in every output format.
+    // must print byte-identical reports.
     let scratch = Scratch::new("analyze-double-run");
     for pair in &PAIRS {
         scratch.write(pair.path, &fixture(pair.bad));
     }
 
-    let a = scratch.analyze(&Baseline::default());
-    let b = scratch.analyze(&Baseline::default());
+    let a = scratch.analyze();
+    let b = scratch.analyze();
     for rule in PAIRS.iter().map(|p| p.rule) {
         assert!(
             a.findings.iter().any(|f| f.rule == rule.id()),
@@ -222,59 +159,6 @@ fn seeded_findings_are_byte_identical_across_runs() {
         );
     }
     assert_eq!(a.to_human(), b.to_human());
-    assert_eq!(a.to_json(), b.to_json());
-    assert_eq!(a.to_sarif(), b.to_sarif());
-    for rule in Rule::ALL {
-        assert!(a.to_sarif().contains(rule.summary()), "{}", rule.id());
-    }
-}
-
-#[test]
-fn baseline_absorbs_its_snapshot_and_reports_stale_entries() {
-    let scratch = Scratch::new("analyze-baseline-ledger");
-    scratch.write("crates/sim/src/lib.rs", &fixture("hygiene_ok.rs"));
-    scratch.write("crates/sim/src/hazard.rs", &fixture("determinism_bad.rs"));
-    let report = scratch.analyze(&Baseline::default());
-    assert!(!report.is_clean());
-
-    // `--write-baseline` round trip through the filesystem.
-    let baseline = fcdpm_analyze::snapshot_baseline(&scratch.root, "scratch debt").expect("runs");
-    scratch.write("analyze-baseline.json", &baseline.to_json());
-    let text = fs::read_to_string(scratch.root.join("analyze-baseline.json")).expect("reads");
-    let reloaded = Baseline::from_json(&text).expect("parses");
-    assert_eq!(reloaded, baseline);
-    assert_eq!(reloaded.to_json(), text);
-
-    // Against its own snapshot the tree is clean, with nothing stale.
-    let gated = scratch.analyze(&reloaded);
-    assert!(gated.is_clean(), "{}", gated.to_human());
-    assert_eq!(gated.baselined, report.findings.len());
-    assert!(gated.stale.is_empty());
-
-    // Over-allowance and entries for vanished files are reported as
-    // stale but never fail the run.
-    let mut loose = reloaded;
-    loose.entries[0].count += 3;
-    loose.entries.push(BaselineEntry {
-        rule: "panic-policy".into(),
-        path: "crates/sim/src/ghost.rs".into(),
-        count: 0,
-        note: "file was deleted after this entry was written".into(),
-    });
-    let gated = scratch.analyze(&loose);
-    assert!(gated.is_clean(), "over-allowance must not fail the run");
-    assert_eq!(gated.stale.len(), 2, "{:#?}", gated.stale);
-    assert!(gated.stale.iter().any(|s| s.unused == 3 && !s.missing_path));
-    assert!(gated
-        .stale
-        .iter()
-        .any(|s| s.path == "crates/sim/src/ghost.rs" && s.missing_path));
-    let human = gated.to_human();
-    assert!(human.contains("tighten the baseline"), "{human}");
-    assert!(
-        human.contains("names a file that no longer exists"),
-        "{human}"
-    );
 }
 
 #[test]
@@ -290,7 +174,7 @@ fn seeded_alpha_drift_in_efficiency_copy_is_detected() {
         "paper-constants.toml",
         "[efficiency]\npath = \"crates/fuelcell/src/efficiency.rs\"\nalpha = 0.45\nbeta = 0.13\nv_bus_v = 12.0\n",
     );
-    let report = scratch.analyze(&Baseline::default());
+    let report = scratch.analyze();
     assert_eq!(report.findings.len(), 1, "{}", report.to_human());
     let finding = &report.findings[0];
     assert_eq!(finding.rule, Rule::PaperConstants.id());
@@ -299,7 +183,7 @@ fn seeded_alpha_drift_in_efficiency_copy_is_detected() {
 
     // The undrifted copy is conformant.
     scratch.write("crates/fuelcell/src/efficiency.rs", &committed);
-    let report = scratch.analyze(&Baseline::default());
+    let report = scratch.analyze();
     assert!(report.is_clean(), "{}", report.to_human());
 }
 
@@ -313,22 +197,10 @@ fn mixing_behind_the_core_reexport_is_detected() {
         "crates/sim/src/mix.rs",
         "use fcdpm_core::{Amps, Seconds};\n\npub fn f(i: Amps, t: Seconds) -> f64 {\n    let mixed = i.amps() + t.seconds();\n    mixed\n}\n",
     );
-    let report = scratch.analyze(&Baseline::default());
+    let report = scratch.analyze();
     assert_eq!(report.findings.len(), 1, "{}", report.to_human());
     assert_eq!(report.findings[0].rule, Rule::UnitDataflow.id());
     assert_eq!(report.findings[0].line, 4);
-}
-
-#[test]
-fn inline_suppression_silences_the_dataflow_rule() {
-    let scratch = Scratch::new("analyze-suppression");
-    scratch.write(
-        "crates/sim/src/mix.rs",
-        "pub fn f(i: Amps, t: Seconds) -> f64 {\n    // fcdpm-lint: allow(unit-dataflow)\n    let mixed = i.amps() + t.seconds();\n    mixed\n}\n",
-    );
-    let report = scratch.analyze(&Baseline::default());
-    assert!(report.is_clean(), "{}", report.to_human());
-    assert_eq!(report.inline_suppressed, 1);
 }
 
 #[test]

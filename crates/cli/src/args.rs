@@ -43,17 +43,6 @@ pub enum DeviceChoice {
     Exp2,
 }
 
-/// Output format of `fcdpm analyze`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReportFormat {
-    /// One `path:line: [rule] message` diagnostic per line.
-    Human,
-    /// The machine-readable JSON report.
-    Json,
-    /// SARIF 2.1.0, for code-scanning upload and editor ingestion.
-    Sarif,
-}
-
 /// What a `fcdpm grid` invocation does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridAction {
@@ -173,21 +162,15 @@ pub enum Command {
         /// Output path for the JSON payload (default `BENCH_4.json`).
         out: Option<String>,
     },
-    /// Run the static analysis over the workspace: the nine rules of
-    /// `fcdpm_analyze::Rule::ALL` (determinism, unit-safety,
-    /// panic-policy, crate-hygiene, unit-dataflow, layering,
-    /// paper-constants, digest-stability, atomic-artifact).
+    /// Run the static analysis over the workspace: the five rules of
+    /// `fcdpm_analyze::Rule::ALL` (unit-safety, unit-dataflow,
+    /// paper-constants, digest-stability, atomic-artifact), printed as
+    /// one `path:line: [rule] message` line per finding. Clippy and
+    /// `tests/manifests.rs` enforce determinism, the panic policy, crate
+    /// hygiene and layering.
     Analyze {
-        /// Diagnostics format (default human).
-        format: ReportFormat,
-        /// Baseline file path (default `<root>/analyze-baseline.json`;
-        /// missing file means an empty baseline).
-        baseline: Option<String>,
         /// Workspace root to scan (default: current directory).
         root: Option<String>,
-        /// Regenerate the baseline file from the current findings
-        /// instead of failing on them.
-        write_baseline: bool,
     },
     /// Print usage.
     Help,
@@ -524,37 +507,16 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, ParseCliError> {
             Ok(Command::Bench { out })
         }
         "analyze" => {
-            let mut format = ReportFormat::Human;
-            let mut baseline = None;
             let mut root = None;
-            let mut write_baseline = false;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--format" => {
-                        let v = take_value(flag, &mut iter)?;
-                        format = match v {
-                            "human" => ReportFormat::Human,
-                            "json" => ReportFormat::Json,
-                            "sarif" => ReportFormat::Sarif,
-                            other => return Err(err(format!("unknown format `{other}`"))),
-                        };
-                    }
-                    "--baseline" => {
-                        baseline = Some(take_value(flag, &mut iter)?.to_owned());
-                    }
                     "--root" => {
                         root = Some(take_value(flag, &mut iter)?.to_owned());
                     }
-                    "--write-baseline" => write_baseline = true,
                     other => return Err(err(format!("unknown flag `{other}`"))),
                 }
             }
-            Ok(Command::Analyze {
-                format,
-                baseline,
-                root,
-                write_baseline,
-            })
+            Ok(Command::Analyze { root })
         }
         other => Err(err(format!("unknown command `{other}`"))),
     }
@@ -857,38 +819,23 @@ mod tests {
     fn analyze_parse() {
         assert_eq!(
             parse(&["analyze"]).unwrap(),
-            Command::Analyze {
-                format: ReportFormat::Human,
-                baseline: None,
-                root: None,
-                write_baseline: false,
-            }
+            Command::Analyze { root: None }
         );
         assert_eq!(
-            parse(&[
-                "analyze",
-                "--format",
-                "sarif",
-                "--baseline",
-                "a.json",
-                "--root",
-                "/tmp/ws",
-                "--write-baseline"
-            ])
-            .unwrap(),
+            parse(&["analyze", "--root", "/tmp/ws"]).unwrap(),
             Command::Analyze {
-                format: ReportFormat::Sarif,
-                baseline: Some("a.json".into()),
                 root: Some("/tmp/ws".into()),
-                write_baseline: true,
             }
         );
-        assert!(parse(&["analyze", "--format", "xml"]).is_err());
-        assert!(parse(&["analyze", "--baseline"]).is_err());
+        assert!(parse(&["analyze", "--root"]).is_err());
         assert!(parse(&["analyze", "--frob"]).is_err());
-        // The removed subcommand and cache flags are rejected.
+        // The removed subcommand, cache, report-format and baseline
+        // flags are rejected.
         assert!(parse(&["lint"]).is_err());
         assert!(parse(&["analyze", "--no-cache"]).is_err());
+        assert!(parse(&["analyze", "--format", "json"]).is_err());
+        assert!(parse(&["analyze", "--baseline", "a.json"]).is_err());
+        assert!(parse(&["analyze", "--write-baseline"]).is_err());
     }
 
     #[test]

@@ -11,9 +11,7 @@ use fcdpm_sim::{HybridSimulator, SimMetrics};
 use fcdpm_units::{Amps, Charge, CurrentRange, Seconds};
 use fcdpm_workload::{CamcorderTrace, Scenario, SyntheticTrace};
 
-use crate::{
-    Command, DeviceChoice, ExperimentId, GridAction, PolicyChoice, ReportFormat, TraceKind,
-};
+use crate::{Command, DeviceChoice, ExperimentId, GridAction, PolicyChoice, TraceKind};
 
 /// The outcome of executing a command: the stdout payload plus whether
 /// the process should exit successfully. `fcdpm analyze` is the one
@@ -101,68 +99,25 @@ pub fn execute(command: &Command) -> Result<CmdOutput, String> {
             out,
         } => run_faults(*quick, *seed, *jobs, out.as_deref()).map(CmdOutput::success),
         Command::Bench { out } => run_bench(out.as_deref()).map(CmdOutput::success),
-        Command::Analyze {
-            format,
-            baseline,
-            root,
-            write_baseline,
-        } => run_analyze(
-            *format,
-            baseline.as_deref(),
-            root.as_deref(),
-            *write_baseline,
-        ),
+        Command::Analyze { root } => run_analyze(root.as_deref()),
     }
 }
 
-/// Executes `fcdpm analyze`: any finding not absorbed by an inline
-/// suppression or the baseline fails the run.
-fn run_analyze(
-    format: ReportFormat,
-    baseline: Option<&str>,
-    root: Option<&str>,
-    write_baseline: bool,
-) -> Result<CmdOutput, String> {
+/// Executes `fcdpm analyze`: any finding fails the run.
+fn run_analyze(root: Option<&str>) -> Result<CmdOutput, String> {
     let root_dir = std::path::PathBuf::from(root.unwrap_or("."));
-    let baseline_path = baseline
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| root_dir.join("analyze-baseline.json"));
-    if write_baseline {
-        let snapshot = fcdpm_analyze::snapshot_baseline(
-            &root_dir,
-            "pre-existing debt; see DESIGN.md \u{a7} Static analysis",
-        )
+    let report = fcdpm_analyze::run(&root_dir)
         .map_err(|e| format!("cannot analyze `{}`: {e}", root_dir.display()))?;
-        let entries = snapshot.entries.len();
-        std::fs::write(&baseline_path, snapshot.to_json())
-            .map_err(|e| format!("cannot write `{}`: {e}", baseline_path.display()))?;
-        return Ok(CmdOutput::success(format!(
-            "wrote {entries} baseline entr{} to {}\n",
-            if entries == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        )));
-    }
-    let baseline = if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read `{}`: {e}", baseline_path.display()))?;
-        fcdpm_analyze::Baseline::from_json(&text)
-            .map_err(|e| format!("malformed baseline `{}`: {e}", baseline_path.display()))?
-    } else {
-        fcdpm_analyze::Baseline::default()
-    };
-    let report = fcdpm_analyze::run(&root_dir, &baseline)
-        .map_err(|e| format!("cannot analyze `{}`: {e}", root_dir.display()))?;
-    let text = match format {
-        ReportFormat::Human => report.to_human(),
-        ReportFormat::Json => report.to_json(),
-        ReportFormat::Sarif => report.to_sarif(),
-    };
     Ok(CmdOutput {
-        text,
+        text: report.to_human(),
         ok: report.is_clean(),
     })
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "times the run for the manifest's masked total_wall_ms"
+)]
 fn run_batch(
     spec_path: &str,
     jobs: Option<usize>,
@@ -665,10 +620,16 @@ fn print_curve(stack: bool) -> String {
         let zeta = GibbsCoefficient::dac07();
         let _ = writeln!(out, "i_f_ma,stack_eff,system_eff_variable,system_eff_onoff");
         for i in CurrentRange::dac07().sweep(23) {
-            // The dac07 sweep stays inside the dac07 load-following
-            // range, so `operating_point` cannot reject it.
-            let v = variable.operating_point(i).expect("in range"); // fcdpm-lint: allow(panic-policy)
-            let o = onoff.operating_point(i).expect("in range"); // fcdpm-lint: allow(panic-policy)
+            #[expect(
+                clippy::expect_used,
+                reason = "the dac07 sweep stays inside the dac07 load-following range"
+            )]
+            let v = variable.operating_point(i).expect("in range");
+            #[expect(
+                clippy::expect_used,
+                reason = "the dac07 sweep stays inside the dac07 load-following range"
+            )]
+            let o = onoff.operating_point(i).expect("in range");
             let _ = writeln!(
                 out,
                 "{:.0},{:.4},{:.4},{:.4}",
@@ -695,27 +656,15 @@ mod tests {
     }
 
     #[test]
-    fn analyze_runs_clean_on_this_workspace_in_every_format() {
+    fn analyze_runs_clean_on_this_workspace() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_owned();
-        for format in [ReportFormat::Human, ReportFormat::Json, ReportFormat::Sarif] {
-            let out = execute(&Command::Analyze {
-                format,
-                baseline: None,
-                root: Some(root.clone()),
-                write_baseline: false,
-            })
-            .unwrap();
-            assert!(
-                out.ok,
-                "committed workspace must analyze clean:\n{}",
-                out.text
-            );
-            if format == ReportFormat::Sarif {
-                assert!(out.text.contains("\"fcdpm-analyze\""));
-                assert!(out.text.contains("sarif-schema-2.1.0"));
-                assert!(out.text.contains("panic-policy"));
-            }
-        }
+        let out = execute(&Command::Analyze { root: Some(root) }).unwrap();
+        assert!(
+            out.ok,
+            "committed workspace must analyze clean:\n{}",
+            out.text
+        );
+        assert!(out.text.contains(" 0 finding(s)"), "{}", out.text);
     }
 
     #[test]

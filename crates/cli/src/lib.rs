@@ -4,16 +4,12 @@
 //! which are pure (no process exit, output returned as a `String`) so the
 //! whole surface is unit-testable.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod args;
 mod bench;
 mod commands;
 
 pub use args::{
-    parse, Command, DeviceChoice, ExperimentId, GridAction, ParseCliError, PolicyChoice,
-    ReportFormat, TraceKind,
+    parse, Command, DeviceChoice, ExperimentId, GridAction, ParseCliError, PolicyChoice, TraceKind,
 };
 pub use commands::{execute, CmdOutput};
 
@@ -37,7 +33,7 @@ USAGE:
     fcdpm grid gc <grid-root> [--dry-run]
     fcdpm faults [--quick] [--seed <N>] [--jobs <N>] [--out <DIR>]
     fcdpm bench [--out <FILE>]
-    fcdpm analyze [--format <human|json|sarif>] [--baseline <FILE>] [--root <DIR>] [--write-baseline]
+    fcdpm analyze [--root <DIR>]
     fcdpm help
 
 COMMANDS:
@@ -55,10 +51,9 @@ COMMANDS:
                  resilient and Conv-DPM policies, deterministic manifest
     bench        deterministic harness: fixture grid, coalescing gates, fault
                  sweep and grid resume, payload to BENCH_4.json
-    analyze      static analysis, nine rules: determinism, unit-safety,
-                 panic-policy, crate-hygiene, unit-dataflow, layering,
+    analyze      static analysis, five rules: unit-safety, unit-dataflow,
                  paper-constants, digest-stability, atomic-artifact
-                 (exit 1 on any non-baselined finding)
+                 (exit 1 on any finding)
     help         show this message
 "
     .to_owned()

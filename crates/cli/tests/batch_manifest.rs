@@ -3,6 +3,14 @@
 //! mid-run leaves the previous manifest untouched — never a torn or
 //! empty one.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,6 +25,10 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "bounds the wait for the `.tmp` manifest"
+)]
 fn killed_batch_leaves_the_previous_manifest_intact() {
     let dir = scratch("cli-batch-killed");
     let grid = dir.join("grid.json");

@@ -2,6 +2,14 @@
 //! before the first job: non-zero exit, and no manifest or run
 //! directory left behind.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};

@@ -43,9 +43,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod dpm;
 mod error;
 pub mod offline;

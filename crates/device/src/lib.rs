@@ -26,9 +26,6 @@
 //! assert!((camcorder.break_even_time().seconds() - 1.0).abs() < 0.05);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod fsm;
 mod mode;
 pub mod presets;

@@ -47,9 +47,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod device;
 mod error;
 mod eval;

@@ -10,6 +10,14 @@
 //! offline bounds stay direct calls — they are not expressible as a
 //! [`fcdpm_runner::JobSpec`].
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_core::dpm::SleepPolicy;
 use fcdpm_core::offline::{global_lower_bound, plan_trace};
 use fcdpm_core::policy::FcDpm;

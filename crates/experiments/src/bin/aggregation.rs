@@ -3,6 +3,14 @@
 //! periods sit below the break-even time gains nothing from DPM — until
 //! task deferral merges the idles into sleepable stretches.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_core::FuelOptimizer;
 use fcdpm_sim::fixture::{fc_dpm, reference_capacity, storage_at};

@@ -12,6 +12,14 @@
 //! scheduled across `--jobs` pool workers and failures propagate: a
 //! non-zero child exit prints the child's stderr and fails the run.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;

@@ -8,6 +8,14 @@
 //! claim of Section 4.1 that FC-DPM composes with "any conventional DPM
 //! policy".
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_core::dpm::{
     AdaptiveTimeoutSleep, AlwaysSleep, NeverSleep, OracleSleep, PredictiveSleep,
     ProbabilisticSleep, SleepPolicy, TimeoutSleep,

@@ -2,6 +2,14 @@
 //! energy vs fuel table, and the gap between device-energy-optimal and
 //! source-aware operating points across task utilizations.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_dvs::{evaluate, DvsDevice, DvsTask};
 use fcdpm_fuelcell::LinearEfficiency;
 use fcdpm_units::Seconds;

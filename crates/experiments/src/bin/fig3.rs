@@ -3,6 +3,14 @@
 //! versus the FC system output current. Prints the three curves as CSV and
 //! the linear fit `η_s ≈ α − β·I_F` of curve (b).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_fuelcell::{FcSystem, GibbsCoefficient};
 use fcdpm_units::CurrentRange;
 

@@ -3,6 +3,14 @@
 //! three FC output settings. Reproduces the per-setting fuel totals and
 //! the percentage comparisons.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_core::optimizer::{FuelOptimizer, SlotProfile, StorageContext};
 use fcdpm_units::{Amps, Charge, Seconds};
 

@@ -3,6 +3,14 @@
 //! ASAP-DPM, (c) the FC system output under FC-DPM. Prints one merged CSV
 //! series (the load column is identical across policies by construction).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_experiments::record_profile;
 use fcdpm_sim::fixture::{reference_capacity, ReferencePolicy};
 use fcdpm_units::Seconds;

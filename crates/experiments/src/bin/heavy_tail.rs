@@ -6,6 +6,14 @@
 //! short. This experiment compares the sleep-policy family under FC-DPM
 //! on a bounded-Pareto workload.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_core::dpm::{
     AdaptiveTimeoutSleep, OracleSleep, PredictiveSleep, ProbabilisticSleep, SleepPolicy,
     TimeoutSleep,

@@ -4,6 +4,14 @@
 //! the extension factors ("up to 32 % more system lifetime extension" is
 //! the paper's FC-DPM-vs-ASAP number on Table 2's rates).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_fuelcell::{GibbsCoefficient, HydrogenTank};
 use fcdpm_sim::fixture::{reference_capacity, storage_at, ReferencePolicy};

@@ -7,6 +7,14 @@
 //! This is the controller/plant mismatch every real deployment has — the
 //! policy's model is an approximation of the hardware.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_fuelcell::{FcSystem, LinearEfficiency};
 use fcdpm_sim::fixture::{reference_capacity, run_reference_at, ReferencePolicy};
 use fcdpm_sim::HybridSimulator;

@@ -5,6 +5,14 @@
 //! policies compete on it — scheduled as a [`JobGrid`] on the
 //! [`fcdpm_runner`] worker pool.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_runner::exec::{multi_device_profile, multi_device_profiles};
 use fcdpm_runner::{run_grid, JobGrid, JobOutcome, PolicySpec, RunConfig, WorkloadSpec};
 

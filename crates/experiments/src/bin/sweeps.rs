@@ -14,6 +14,14 @@
 //! computed from the manifest records (policies vary fastest in the
 //! expansion, so each axis value owns one contiguous chunk of records).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_runner::{
     run_grid, JobGrid, JobMetrics, JobOutcome, PolicySpec, PredictorSpec, RunConfig, WorkloadSpec,
 };

@@ -2,6 +2,14 @@
 //! DVD-camcorder MPEG trace). Paper: Conv 100 %, ASAP 40.8 %,
 //! FC-DPM 30.8 % → 24.4 % saving, 1.32× lifetime.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_experiments::PolicyComparison;
 use fcdpm_workload::Scenario;
 

@@ -2,6 +2,14 @@
 //! uniform workload). Paper: Conv 100 %, ASAP 49.1 %, FC-DPM 41.5 % →
 //! 15.5 % saving.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_experiments::PolicyComparison;
 use fcdpm_workload::Scenario;
 

@@ -7,9 +7,6 @@
 //! `DESIGN.md` (experiment index) and `EXPERIMENTS.md` (paper-vs-measured)
 //! at the repository root.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_sim::fixture::{self, ReferencePolicy};
 use fcdpm_sim::{HybridSimulator, ProfileRecorder, SimError, SimMetrics};

@@ -63,9 +63,6 @@
 //! assert_eq!(state.next_boundary(Seconds::new(60.0)), Some(Seconds::new(120.0)));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod schedule;
 mod state;
 

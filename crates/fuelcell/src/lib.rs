@@ -41,9 +41,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod calibrate;
 pub mod controller;
 pub mod dcdc;

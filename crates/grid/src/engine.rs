@@ -546,6 +546,10 @@ fn execute_attempt(job: &JobSpec, attempt: u32) -> Result<JobMetrics, String> {
 ///
 /// Returns a message when the spec fails validation or the run
 /// directory cannot be written.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "times the run for `GridRun::wall_s`, never for aggregate.json"
+)]
 pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
     let axes = spec.axes();
     axes.validate()?;

@@ -41,9 +41,6 @@
 //! assert!(run.peak_resident_jobs <= 2);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod engine;
 pub mod gc;
 pub mod gen;

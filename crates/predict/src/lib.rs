@@ -30,9 +30,6 @@
 //! assert_eq!(p.predict(), Some(Seconds::new(15.0)));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod clamped;
 mod estimator;
 mod exponential;

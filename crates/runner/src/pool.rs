@@ -288,6 +288,10 @@ where
 /// The pool's one worker loop: claim the next unclaimed index, run it
 /// (retrying a failed attempt in place), report it, repeat until the
 /// counter passes the last job or the caller stops listening.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "times each job for the result's wall, which no payload folds"
+)]
 fn worker_loop<T, F>(
     worker: usize,
     jobs: &Arc<[F]>,
@@ -335,6 +339,10 @@ fn worker_loop<T, F>(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests bound their waits and log when attempts ran"
+)]
 mod tests {
     use super::*;
 

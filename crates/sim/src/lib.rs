@@ -41,9 +41,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod error;
 pub mod fixture;
 mod fuel_model;

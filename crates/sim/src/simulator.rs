@@ -236,6 +236,10 @@ impl<'a> HybridSimulator<'a> {
     /// (α = 0.45, β = 0.13), load-following range `[0.1 A, 1.2 A]`,
     /// 0.5 s control chunks.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "0.5 s is positive and finite, so `new` cannot reject it"
+    )]
     pub fn dac07(device: &'a DeviceSpec) -> Self {
         Self::new(
             device,
@@ -243,8 +247,6 @@ impl<'a> HybridSimulator<'a> {
             CurrentRange::dac07(),
             Seconds::new(0.5),
         )
-        // Invariant: 0.5 s is positive and finite, so `new` cannot
-        // reject it. fcdpm-lint: allow(panic-policy)
         .expect("default control step is valid")
     }
 

@@ -33,9 +33,6 @@
 //! assert!((buf.soc().amp_seconds() - 3.3).abs() < 1e-12);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod battery;
 mod flow;
 mod ideal;

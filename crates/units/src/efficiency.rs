@@ -86,12 +86,14 @@ impl Efficiency {
     /// Panics if `value` is outside `[0, 1]` or NaN.
     #[must_use]
     #[track_caller]
+    #[expect(
+        clippy::panic,
+        reason = "documented contract of this literal-convenience constructor; computed values go through `try_new`"
+    )]
     pub fn new(value: f64) -> Self {
         match Self::try_new(value) {
             Ok(v) => v,
-            // Documented contract of this literal-convenience
-            // constructor; computed values go through `try_new`.
-            Err(e) => panic!("invalid efficiency {value}: {e}"), // fcdpm-lint: allow(panic-policy)
+            Err(e) => panic!("invalid efficiency {value}: {e}"),
         }
     }
 

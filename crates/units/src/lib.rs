@@ -72,9 +72,6 @@
 //! Stable rustdoc does not check the error codes on `compile_fail`
 //! blocks; `RUSTC_BOOTSTRAP=1 cargo test -p fcdpm-units --doc` does.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 #[macro_use]
 mod macros;
 

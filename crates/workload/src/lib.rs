@@ -30,9 +30,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod camcorder;
 mod pareto;
 mod profile;

@@ -7,6 +7,14 @@
 //! cargo run --example dvs_scheduling
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm::dvs::{evaluate, to_trace, DvsDevice, DvsTask};
 use fcdpm::prelude::*;
 

@@ -56,9 +56,6 @@
 //! | [`sim`] | `fcdpm-sim` | the hybrid-source co-simulator |
 //! | [`dvs`] | `fcdpm-dvs` | fuel-aware dynamic voltage scaling (the DAC'06/ISLPED'06 companion) |
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use fcdpm_core as core;
 pub use fcdpm_device as device;
 pub use fcdpm_dvs as dvs;

@@ -5,6 +5,14 @@
 //! `RunManifest::to_json` of the same run, and a job's metrics do not
 //! depend on which job ran before it on the same thread.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use std::path::{Path, PathBuf};
 
 use fcdpm_runner::{

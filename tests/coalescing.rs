@@ -13,6 +13,14 @@
 //!   (`deficit_time` foremost, the bug this suite pins) do not scale
 //!   with the chunk size, while the per-chunk work counters do.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_core::policy::ConvDpm;
 use fcdpm_fuelcell::LinearEfficiency;

@@ -3,6 +3,14 @@
 //! tolerances) to catch silent behavioral drift. If an intentional change
 //! moves these numbers, update the pins *and* EXPERIMENTS.md together.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm::prelude::*;
 
 fn run(scenario: &Scenario, policy: &mut dyn FcOutputPolicy) -> SimMetrics {

@@ -12,11 +12,24 @@
 //! 3. Under the canonical fuel-starvation window, wrapping FC-DPM in
 //!    [`ResilientPolicy`](fcdpm_core::policy::ResilientPolicy) strictly
 //!    reduces unserved-load time on the reference camcorder trace.
+//! 4. With no fault to react to, the wrapper is invisible: over random
+//!    traces, policies, storages and predictors, a resilient run equals
+//!    the unwrapped run under full `PartialEq`.
+
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
 
 use fcdpm_faults::FaultSchedule;
 use fcdpm_runner::{
-    fault_sweep, run_specs, JobOutcome, JobSpec, PolicySpec, RunConfig, WorkloadSpec,
+    execute, fault_sweep, run_specs, JobOutcome, JobSpec, PolicySpec, PredictorSpec, RunConfig,
+    StorageSpec, WorkloadSpec,
 };
+use proptest::prelude::*;
 
 const SEED: u64 = 0xDAC0_2007;
 
@@ -85,4 +98,68 @@ fn resilient_wrapper_strictly_reduces_starvation_brownouts() {
     assert!(wrapped.time_in_fallback_s > 0.0);
     assert_eq!(plain.faults_applied, 1);
     assert_eq!(wrapped.faults_applied, 1);
+}
+
+proptest! {
+    /// Contracts 2 and 4 for every policy `execute` accepts on a slot
+    /// workload, every storage model and every predictor. Without a
+    /// schedule the degradation ladder never sees the storage, so the
+    /// wrapped run equals the unwrapped one. An empty schedule changes
+    /// no unwrapped run; with it the simulator reports conditions, and
+    /// the wrapped run may leave the inner policy at the depletion rail,
+    /// but only by a counted degradation.
+    #[test]
+    fn resilient_wrapper_is_invisible_without_faults(
+        seed in 0u64..u64::MAX,
+        exp2 in any::<bool>(),
+        policy in 0usize..6,
+        levels in 2usize..16,
+        amps in 0.1f64..=1.2,
+        storage in 0usize..3,
+        predictor in 0usize..5,
+        rho in 0.0f64..=1.0,
+        window in 1usize..16,
+    ) {
+        let workload = if exp2 {
+            WorkloadSpec::Experiment2(seed)
+        } else {
+            WorkloadSpec::Experiment1(seed)
+        };
+        let policy = [
+            PolicySpec::Conv,
+            PolicySpec::Asap,
+            PolicySpec::FcDpm,
+            PolicySpec::WindowedAverage,
+            PolicySpec::Quantized(levels),
+            PolicySpec::Constant(amps),
+        ][policy]
+            .clone();
+        let mut plain = JobSpec::new(policy, workload);
+        plain.storage = Some(
+            [StorageSpec::Ideal, StorageSpec::SuperCapacitor, StorageSpec::Kibam][storage].clone(),
+        );
+        plain.predictor = Some(
+            [
+                PredictorSpec::Exponential(rho),
+                PredictorSpec::LastValue,
+                PredictorSpec::Regression(window),
+                PredictorSpec::LearningTree,
+                PredictorSpec::Oracle,
+            ][predictor]
+                .clone(),
+        );
+        let mut wrapped = plain.clone();
+        wrapped.resilient = Some(true);
+        let want = execute(&plain);
+        prop_assert!(want.is_ok(), "{plain:?} fails: {want:?}");
+        prop_assert_eq!(execute(&wrapped), want.clone(), "{:?}", wrapped);
+
+        plain.faults = Some(FaultSchedule::none(seed));
+        wrapped.faults = plain.faults.clone();
+        prop_assert_eq!(execute(&plain), want.clone(), "{:?}", plain);
+        let got = execute(&wrapped);
+        if got.as_ref().is_ok_and(|m| m.degradations == 0) {
+            prop_assert_eq!(got, want, "{:?}", wrapped);
+        }
+    }
 }

@@ -1,6 +1,14 @@
 //! Replays slot timelines through the explicit power-state machine to
 //! prove every timeline is a legal mode schedule with the right costs.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm::device::SegmentKind;
 use fcdpm::prelude::*;
 

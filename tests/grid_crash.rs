@@ -11,6 +11,14 @@
 //! abort is a real `SIGABRT`, no unwinding, no destructors, exactly
 //! what `kill -9` leaves on disk.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

@@ -3,6 +3,14 @@
 //! record for record through the one job-grid decoder, and the
 //! bounded-memory (structure-of-arrays) guarantee.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use std::path::{Path, PathBuf};
 
 use fcdpm_grid::{

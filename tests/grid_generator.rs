@@ -8,6 +8,14 @@
 //! agree bit for bit: count, ordering, specs, digests and job IDs, and
 //! random access in any visit order.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_grid::{spec_digest, FaultPreset, GridSpec, SeedAxis, SeedRange, WorkloadKind};
 use fcdpm_runner::{Axes, DevicePreset, JobGrid, JobSpec, PolicySpec, PredictorSpec, StorageSpec};
 use proptest::prelude::*;

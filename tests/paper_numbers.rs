@@ -1,6 +1,14 @@
 //! Integration tests pinning the reproduction to the paper's published
 //! numbers (see EXPERIMENTS.md for the paper-vs-measured discussion).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm::prelude::*;
 use fcdpm::units::CurrentRange;
 

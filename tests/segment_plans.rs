@@ -19,6 +19,14 @@
 //!   policy, storage element and fault schedule on its trace, bit for
 //!   bit.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_device::{SleepDirective, SlotTimeline};
 use fcdpm_faults::{

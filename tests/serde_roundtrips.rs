@@ -1,6 +1,14 @@
 //! JSON round-trips for every serializable public data structure: a
 //! derive regression anywhere in the workspace fails here.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "binaries and tests may panic"
+)]
+
 use fcdpm::core::optimizer::{Overhead, SlotPlan, SlotProfile, StorageContext};
 use fcdpm::device::{SegmentKind, SleepDirective};
 use fcdpm::prelude::*;
