@@ -53,6 +53,34 @@ fn batch_rejects_an_infeasible_grid_before_running() {
     assert!(!out.exists(), "batch created {}", out.display());
 }
 
+/// Without the load-time predictor check, every job of this grid
+/// would panic inside the predictor's constructor instead.
+#[test]
+fn batch_rejects_a_zero_window_regression_before_running() {
+    let dir = scratch("cli-batch-regression-0");
+    let grid = dir.join("grid.json");
+    fs::write(
+        &grid,
+        r#"{"policies": ["FcDpm"], "workloads": [{"Experiment1": 1}],
+            "predictors": [{"Regression": 0}]}"#,
+    )
+    .expect("write grid");
+    let out = dir.join("out");
+    let run = fcdpm(&[
+        "batch",
+        grid.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(!run.status.success());
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains("predictors: Regression needs a window of at least 1 sample"),
+        "{stderr}"
+    );
+    assert!(!out.exists(), "batch created {}", out.display());
+}
+
 #[test]
 fn grid_run_rejects_an_infeasible_spec_before_running() {
     let dir = scratch("cli-grid-infeasible");

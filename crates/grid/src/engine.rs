@@ -1,22 +1,25 @@
 //! The sharded streaming executor: bounded memory, spill, resume.
 //!
 //! [`run`] lowers a [`GridSpec`] once into the runner's job-grid
-//! decoder ([`fcdpm_runner::Axes`]) and walks it shard by shard. Per
-//! shard it decodes at most `shard_size` specs (the only job state ever
-//! resident) and hashes each once — the digest keys the cache and the
-//! job ID is formatted from it — checks each digest against any
-//! previously spilled record, executes the misses in one streaming call
-//! on the [`fcdpm_runner::pool`] worker pool, streams the shard's
-//! records in index order into `shard-NNNNN.jsonl`, folds them into the
-//! run aggregate, and drops everything before moving on. A 100k-job grid therefore peaks at
-//! `shard_size` resident jobs plus two `f64` columns (fuel and
-//! deficit-time per completed job, 8 B each) kept for the p50/p99
-//! quantiles.
+//! decoder ([`fcdpm_runner::Axes`]) and executes the whole grid in one
+//! streaming call on the [`fcdpm_runner::pool`] worker pool. A worker
+//! claims a whole scenario run ([`Axes::scenario_runs`]), so it builds
+//! and plans that scenario once, and decodes, hashes (the digest keys
+//! the cache and goes into the job ID) and executes each job itself.
+//! The calling thread only commits: results reach it in index order,
+//! it opens shard *s* when the first index of *s* arrives and promotes
+//! the shard to `shard-NNNNN.jsonl` and folds it into the aggregate when
+//! the last one lands. It holds at most one shard's replayed records,
+//! plus two `f64` columns (fuel and deficit-time per completed job, 8 B
+//! each) for the p50/p99 quantiles.
 //!
 //! Resume is digest-keyed, not timestamp-keyed: a record is reused iff
 //! the spec decoded at its index hashes to the digest stored on disk.
-//! Re-running an untouched grid recomputes zero jobs; editing one axis
-//! value recomputes exactly the jobs whose specs changed.
+//! The hits are decided before the first claim; a worker reports a hit
+//! without executing it, and the committer takes its record from the
+//! shard's spill, re-read when the shard opens. A fresh run reads no
+//! spill. Re-running an untouched grid recomputes zero jobs; editing
+//! one axis value recomputes exactly the jobs whose specs changed.
 //!
 //! The [`GridAggregate`] written to `aggregate.json` is deliberately
 //! free of wall-clock or cache statistics, so a fresh run and a fully
@@ -26,18 +29,19 @@
 //!
 //! # Crash safety
 //!
-//! The calling thread is the committer. It checkpoints a shard's
-//! replayed records to `shard-NNNNN.partial.jsonl` as one fsync'd batch
-//! first; then the pool hands it each fresh result in index order, and
-//! it encodes the record's JSON once, appends `checksum\t` + that JSON,
-//! and fsyncs every [`GridConfig::checkpoint_batch`] records while the
-//! workers keep computing. Resume keys lines by index and digest, not
-//! by position. A `kill -9` loses only the records not yet in an
-//! fsync'd batch (at most the open batch, one shard's results waiting
-//! behind a slower earlier job, and the running jobs): `resume` replays
-//! every checksum-valid line of the checkpoint's maximal valid prefix
-//! as a cache hit (surfaced as [`GridRun::recovered_jobs`]) and
-//! recomputes only the rest. The same JSON lines go, slot by slot, into
+//! The calling thread is the committer. When a shard opens, it
+//! checkpoints the shard's replayed records to
+//! `shard-NNNNN.partial.jsonl` as one fsync'd batch first; then the
+//! pool hands it each fresh result in index order, and it builds the
+//! record, encodes its JSON once, appends `checksum\t` + that JSON, and
+//! fsyncs every [`GridConfig::checkpoint_batch`] records while the
+//! workers keep computing. Resume keys lines by index and digest, not by
+//! position. A `kill -9` loses only the records not yet in an fsync'd
+//! batch (at most the open batch, the results waiting behind a slower
+//! earlier job, and the running jobs): `resume` replays every
+//! checksum-valid line of the checkpoint's maximal valid prefix as a
+//! cache hit (surfaced as [`GridRun::recovered_jobs`]) and recomputes
+//! only the rest. The same JSON lines go, slot by slot, into
 //! `shard-NNNNN.jsonl.tmp`, renamed into place when the shard
 //! completes; that promotion and every whole-file artifact
 //! (`grid.json`, `aggregate.json`) go through
@@ -47,11 +51,12 @@
 //! at each of these moments deterministically.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
-use fcdpm_runner::pool::{stream, RetryPolicy};
-use fcdpm_runner::{execute, spec_digest, write_atomic, JobMetrics, JobOutcome, JobSpec};
+use fcdpm_runner::pool::{stream, Execution, PoolResult, RetryPolicy};
+use fcdpm_runner::{
+    execute, spec_digest, write_atomic, Axes, JobMetrics, JobOutcome, JobSpec, PolicySpec,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::gen::GridSpec;
@@ -153,7 +158,7 @@ impl GridConfig {
 }
 
 /// One shard's deterministic contribution to the aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardSummary {
     /// Shard index.
     pub shard: u64,
@@ -180,7 +185,7 @@ pub struct ShardSummary {
 /// model (10 µs per stepped chunk, 1 µs per coalesced chunk or policy
 /// consultation), which makes it deterministic and comparable across
 /// machines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GridAggregate {
     /// Payload schema tag.
     pub schema: String,
@@ -264,7 +269,8 @@ pub struct GridRun {
     pub recovered_jobs: u64,
     /// Jobs actually executed this invocation.
     pub recomputed: u64,
-    /// Largest number of jobs resident at once (≤ shard size).
+    /// The largest shard, in jobs: the most replayed records the
+    /// committer holds at once.
     pub peak_resident_jobs: u64,
     /// Checkpoint batches committed this invocation, one `sync_data`
     /// each: ⌈misses / `checkpoint_batch`⌉ per shard, plus one per
@@ -305,39 +311,31 @@ fn quantile(column: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Streaming accumulator for the deterministic aggregate: scalar sums
-/// plus the two quantile columns (structure of arrays, not a
-/// `Vec<JobMetrics>`).
+/// Streaming accumulator for the deterministic aggregate: the run
+/// totals, as `aggregate.json` carries them, plus the stack-current sum
+/// behind the mean and the two quantile columns (structure of arrays,
+/// not a `Vec<JobMetrics>`).
 #[derive(Debug, Default)]
 struct Rollup {
-    completed: u64,
-    failed: u64,
-    timed_out: u64,
-    retried: u64,
-    quarantined: u64,
-    total_fuel_as: f64,
-    total_deficit_time_s: f64,
-    total_sim_time_s: f64,
+    totals: GridAggregate,
     stack_current_sum_a: f64,
-    chunks_stepped: u64,
-    chunks_coalesced: u64,
-    policy_consultations: u64,
     fuel_column: Vec<f64>,
     deficit_column: Vec<f64>,
-    per_shard: Vec<ShardSummary>,
 }
 
 impl Rollup {
     /// Folds one shard's `(outcome, attempts)` pairs, in index order.
     fn fold_shard(&mut self, shard: u64, records: &[(JobOutcome, u32)]) {
+        let Rollup {
+            totals: t,
+            stack_current_sum_a,
+            fuel_column,
+            deficit_column,
+        } = self;
         let mut summary = ShardSummary {
             shard,
             jobs: records.len() as u64,
-            completed: 0,
-            failed: 0,
-            timed_out: 0,
-            fuel_as: 0.0,
-            deficit_time_s: 0.0,
+            ..ShardSummary::default()
         };
         for (outcome, attempts) in records {
             if *attempts > 1 {
@@ -345,9 +343,9 @@ impl Rollup {
                 // driven by the spec (the inject-panic fixture), never
                 // by scheduling, so resumes reproduce them.
                 if matches!(outcome, JobOutcome::Completed(_)) {
-                    self.retried += 1;
+                    t.retried += 1;
                 } else {
-                    self.quarantined += 1;
+                    t.quarantined += 1;
                 }
             }
             match outcome {
@@ -355,64 +353,50 @@ impl Rollup {
                     summary.completed += 1;
                     summary.fuel_as += m.fuel_as;
                     summary.deficit_time_s += m.deficit_time_s;
-                    self.total_sim_time_s += m.duration_s;
-                    self.stack_current_sum_a += m.mean_stack_current_a;
-                    self.chunks_stepped += m.chunks_stepped;
-                    self.chunks_coalesced += m.chunks_coalesced;
-                    self.policy_consultations += m.policy_consultations;
-                    self.fuel_column.push(m.fuel_as);
-                    self.deficit_column.push(m.deficit_time_s);
+                    t.total_sim_time_s += m.duration_s;
+                    *stack_current_sum_a += m.mean_stack_current_a;
+                    t.chunks_stepped += m.chunks_stepped;
+                    t.chunks_coalesced += m.chunks_coalesced;
+                    t.policy_consultations += m.policy_consultations;
+                    fuel_column.push(m.fuel_as);
+                    deficit_column.push(m.deficit_time_s);
                 }
                 JobOutcome::Failed(_) => summary.failed += 1,
                 JobOutcome::TimedOut => summary.timed_out += 1,
             }
         }
-        self.completed += summary.completed;
-        self.failed += summary.failed;
-        self.timed_out += summary.timed_out;
-        self.total_fuel_as += summary.fuel_as;
-        self.total_deficit_time_s += summary.deficit_time_s;
-        self.per_shard.push(summary);
+        t.completed += summary.completed;
+        t.failed += summary.failed;
+        t.timed_out += summary.timed_out;
+        t.total_fuel_as += summary.fuel_as;
+        t.total_deficit_time_s += summary.deficit_time_s;
+        t.per_shard.push(summary);
     }
 
     fn finish(self, spec: &GridSpec, jobs: u64, shard_size: u64) -> GridAggregate {
-        let nominal = nominal_seconds(
-            self.chunks_stepped,
-            self.chunks_coalesced,
-            self.policy_consultations,
-        );
+        let t = self.totals;
+        let nominal = nominal_seconds(t.chunks_stepped, t.chunks_coalesced, t.policy_consultations);
         GridAggregate {
             schema: "fcdpm-grid/2".to_owned(),
             spec_digest: digest_hex(spec.digest()),
             jobs,
-            shards: self.per_shard.len() as u64,
+            shards: t.per_shard.len() as u64,
             shard_size,
-            completed: self.completed,
-            failed: self.failed,
-            timed_out: self.timed_out,
-            retried: self.retried,
-            quarantined: self.quarantined,
-            total_fuel_as: self.total_fuel_as,
             fuel_p50_as: quantile(&self.fuel_column, 0.50),
             fuel_p99_as: quantile(&self.fuel_column, 0.99),
-            total_deficit_time_s: self.total_deficit_time_s,
             deficit_p50_s: quantile(&self.deficit_column, 0.50),
             deficit_p99_s: quantile(&self.deficit_column, 0.99),
-            mean_stack_current_a: if self.completed == 0 {
+            mean_stack_current_a: if t.completed == 0 {
                 0.0
             } else {
-                self.stack_current_sum_a / self.completed as f64
+                self.stack_current_sum_a / t.completed as f64
             },
-            total_sim_time_s: self.total_sim_time_s,
-            chunks_stepped: self.chunks_stepped,
-            chunks_coalesced: self.chunks_coalesced,
-            policy_consultations: self.policy_consultations,
             jobs_per_sec_nominal: if nominal > 0.0 {
                 jobs as f64 / nominal
             } else {
                 0.0
             },
-            per_shard: self.per_shard,
+            ..t
         }
     }
 }
@@ -444,33 +428,47 @@ fn clean_stale(dir: &Path, shards: u64, resume: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// The checkpoint stream for one invocation: owns the per-shard partial
-/// writer, the invocation-wide checkpointed-job and commit counters,
-/// and the crash-injection hooks (which fire *inside* the commit path,
-/// so the on-disk state at the abort instant is exactly what a kill
-/// would leave).
-struct Checkpointer {
-    writer: Option<PartialShardWriter>,
+/// The open shard's spill: its checkpoint (with checkpointing on) and
+/// its promoted file, plus the invocation-wide checkpointed-job and
+/// commit counters and the crash-injection hooks (which fire *inside*
+/// the commit path, so the on-disk state at the abort instant is
+/// exactly what a kill would leave).
+#[derive(Default)]
+struct Spill {
+    batch: u64,
+    partial: Option<PartialShardWriter>,
+    promoted: Option<ShardWriter>,
     crash: Option<CrashPoint>,
     appended: u64,
     /// Commits that wrote pending lines — one `sync_data` each.
     commits: u64,
 }
 
-impl Checkpointer {
-    fn open(&mut self, dir: &Path, shard: u64, batch: u64) -> Result<(), String> {
-        self.writer = if batch > 0 {
-            Some(PartialShardWriter::create(dir, shard)?)
-        } else {
-            None
-        };
+impl Spill {
+    /// Opens `shard`'s files and checkpoints its replayed lines first,
+    /// as one batch, so a crash during the fresh work never loses what
+    /// was already known.
+    fn open(
+        &mut self,
+        dir: &Path,
+        shard: u64,
+        replayed: &[Option<GridJobRecord>],
+    ) -> Result<(), String> {
+        if self.batch > 0 {
+            self.partial = Some(PartialShardWriter::create(dir, shard)?);
+        }
+        for record in replayed.iter().flatten() {
+            self.push(&encode_record(record)?)?;
+        }
+        self.commit(shard)?;
+        self.promoted = Some(ShardWriter::create(dir, shard)?);
         Ok(())
     }
 
-    /// Buffers one record's line; `AfterJob(n)` commits and dies once
-    /// the n-th line of the invocation is in.
+    /// Buffers one record's checkpoint line; `AfterJob(n)` commits and
+    /// dies once the n-th line of the invocation is in.
     fn push(&mut self, json: &str) -> Result<(), String> {
-        let Some(writer) = self.writer.as_mut() else {
+        let Some(writer) = self.partial.as_mut() else {
             return Ok(());
         };
         writer.push(json);
@@ -482,14 +480,9 @@ impl Checkpointer {
         Ok(())
     }
 
-    /// Lines buffered since the last commit.
-    fn pending(&self) -> u64 {
-        self.writer.as_ref().map_or(0, PartialShardWriter::pending)
-    }
-
     /// Writes and fsyncs the buffered lines as one batch.
     fn commit(&mut self, shard: u64) -> Result<(), String> {
-        let Some(writer) = self.writer.as_mut() else {
+        let Some(writer) = self.partial.as_mut() else {
             return Ok(());
         };
         if writer.pending() > 0 && self.crash == Some(CrashPoint::MidPartialWrite(shard)) {
@@ -505,18 +498,39 @@ impl Checkpointer {
         writer.commit()
     }
 
-    fn before_promote(&self, shard: u64) {
+    /// Writes a record's line into its slot of the promoted file; a
+    /// fresh record also goes to the checkpoint, committed every
+    /// `batch` lines.
+    fn put(&mut self, shard: u64, slot: usize, line: &str, fresh: bool) -> Result<(), String> {
+        if fresh {
+            self.push(line)?;
+            if self
+                .partial
+                .as_ref()
+                .is_some_and(|w| w.pending() >= self.batch)
+            {
+                self.commit(shard)?;
+            }
+        }
+        let promoted = self.promoted.as_mut().ok_or("no shard is open")?;
+        promoted.put(slot, line)
+    }
+
+    /// Commits the last batch, promotes the shard (atomic tmp+rename;
+    /// it fails unless all `jobs` slots arrived) and removes its
+    /// checkpoint, now redundant. With checkpointing off there is no
+    /// checkpoint writer, but a resume may still have replayed a
+    /// crashed run's partial.
+    fn promote(&mut self, dir: &Path, shard: u64, jobs: usize) -> Result<(), String> {
+        self.commit(shard)?;
         if self.crash == Some(CrashPoint::BeforeShardPromote(shard)) {
             std::process::abort();
         }
-    }
-
-    /// Drops the writer and removes the shard's checkpoint file, if
-    /// any — the shard has been promoted, so the partial is now
-    /// redundant. With checkpointing off there is no writer, but a
-    /// resume may still have replayed a crashed run's partial.
-    fn retire(&mut self, dir: &Path, shard: u64) -> Result<(), String> {
-        self.writer = None;
+        self.promoted
+            .take()
+            .ok_or("no shard is open")?
+            .finish(jobs)?;
+        self.partial = None;
         let path = dir.join(partial_file_name(shard));
         match std::fs::remove_file(&path) {
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
@@ -538,9 +552,93 @@ fn execute_attempt(job: &JobSpec, attempt: u32) -> Result<JobMetrics, String> {
     execute(job)
 }
 
-/// Executes `spec` under `config`: shard by shard, spilling records,
-/// reusing digest-matching spill when `config.resume` is set, and
-/// writing the deterministic `aggregate.json` last.
+/// Decodes job `index` and hashes its spec once: the job and its
+/// digest, which keys the cache and goes into the job's ID.
+fn decode(axes: &Axes<'_>, index: u64) -> Result<(JobSpec, u64), String> {
+    let job = axes
+        .job_at(index)
+        .ok_or_else(|| format!("index {index} out of range (decoder bug)"))?;
+    let digest = spec_digest(&job);
+    Ok((job, digest))
+}
+
+/// What a worker returns for a job it ran: its policy and spec digest,
+/// and how its last attempt ended. No heap data once the job succeeds,
+/// so results queued while the committer waits on an fsync stay small.
+type Ran = ((PolicySpec, u64), Result<JobMetrics, String>);
+
+/// Job `index`'s record. The worker returns the policy and digest of a
+/// job it ran; a job whose every attempt failed returned nothing, so
+/// only it is decoded here.
+fn record(
+    axes: &Axes<'_>,
+    index: u64,
+    ran: Option<(PolicySpec, u64)>,
+    execution: Execution<Result<JobMetrics, String>>,
+    attempts: u32,
+) -> Result<GridJobRecord, String> {
+    let (policy, digest) = match ran {
+        Some(ran) => ran,
+        None => decode(axes, index).map(|(job, digest)| (job.policy, digest))?,
+    };
+    Ok(GridJobRecord {
+        index,
+        id: policy.job_id(index, digest),
+        digest: digest_hex(digest),
+        outcome: execution.into(),
+        attempts,
+    })
+}
+
+/// The records a previous run left for `shard` (global indices `slots`)
+/// whose digest still matches the spec decoded at their index, by slot:
+/// first from the promoted shard, then from a crash-interrupted run's
+/// partial checkpoint (its maximal checksum-valid prefix — torn tails
+/// never replay), with the count the checkpoint filled. Attempt counts
+/// replay with the outcome, so a resumed run folds the same retry
+/// statistics as the run that computed them.
+fn replay(
+    axes: &Axes<'_>,
+    dir: &Path,
+    shard: u64,
+    slots: std::ops::Range<u64>,
+) -> Result<(Vec<Option<GridJobRecord>>, u64), String> {
+    let path = dir.join(shard_file_name(shard));
+    let promoted = path.is_file().then(|| read_shard(&path)).transpose()?;
+    let path = dir.join(partial_file_name(shard));
+    let partial = path.is_file().then(|| read_partial(&path)).transpose()?;
+    let (promoted, partial) = (promoted.unwrap_or_default(), partial.unwrap_or_default());
+    let mut known = vec![None; slots.clone().count()];
+    let lo = slots.start;
+    let decoded = slots
+        .map(|index| decode(axes, index))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut fill = |record: GridJobRecord| {
+        let slot = usize::try_from(record.index.wrapping_sub(lo)).unwrap_or(usize::MAX);
+        let Some((job, digest)) = decoded.get(slot) else {
+            return false;
+        };
+        if known[slot].is_some() || record.digest != digest_hex(*digest) {
+            return false;
+        }
+        let id = job.policy.job_id(record.index, *digest);
+        known[slot] = Some(GridJobRecord { id, ..record });
+        true
+    };
+    for record in promoted {
+        fill(record);
+    }
+    let mut recovered = 0;
+    for record in partial.records {
+        recovered += u64::from(fill(record));
+    }
+    Ok((known, recovered))
+}
+
+/// Executes `spec` under `config` in one streaming pool call, spilling
+/// records shard by shard, reusing digest-matching spill when
+/// `config.resume` is set, and writing the deterministic
+/// `aggregate.json` last.
 ///
 /// # Errors
 ///
@@ -565,156 +663,82 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
     write_atomic(&dir.join("grid.json"), &spec_json)
         .map_err(|e| format!("cannot write grid.json in `{}`: {e}", dir.display()))?;
     clean_stale(&dir, shards, config.resume)?;
+    let slots_of = |shard: u64| shard * shard_size..total.min((shard + 1) * shard_size);
 
-    let mut rollup = Rollup::default();
-    let mut cache_hits = 0u64;
-    let mut recovered_jobs = 0u64;
-    let mut recomputed = 0u64;
-    let mut peak_resident_jobs = 0u64;
-    let mut checkpointer = Checkpointer {
-        writer: None,
-        crash: config.crash_point,
-        appended: 0,
-        commits: 0,
+    // Cache hits are decided before the first claim, one flag per job.
+    let mut hits = Vec::new();
+    let (mut cache_hits, mut recovered_jobs) = (0, 0);
+    for shard in (0..shards).filter(|_| config.resume) {
+        let (known, recovered) = replay(&axes, &dir, shard, slots_of(shard))?;
+        recovered_jobs += recovered;
+        cache_hits += known.iter().flatten().count() as u64;
+        hits.extend(known.iter().map(Option::is_some));
+    }
+    // A worker reports a hit as `None` without executing it; it decodes
+    // and runs every other job itself.
+    let grid = spec.clone();
+    let job = move |index: usize, attempt: u32| -> Result<Option<Ran>, String> {
+        if hits.get(index) == Some(&true) {
+            return Ok(None);
+        }
+        let (job, digest) = decode(&grid.axes(), index as u64)?;
+        let metrics = execute_attempt(&job, attempt);
+        Ok(Some(((job.policy, digest), metrics)))
     };
 
-    for shard in 0..shards {
-        let lo = shard * shard_size;
-        let hi = (lo + shard_size).min(total);
-
-        // The shard's job state, structure-of-arrays style: parallel
-        // columns indexed by slot, never a Vec of whole-job rows.
-        let mut specs = Vec::with_capacity(usize::try_from(hi - lo).unwrap_or(0));
-        let mut digests = Vec::with_capacity(specs.capacity());
-        for index in lo..hi {
-            let job = axes
-                .job_at(index)
-                .ok_or_else(|| format!("index {index} out of range (decoder bug)"))?;
-            digests.push(spec_digest(&job));
-            specs.push(job);
-        }
-        peak_resident_jobs = peak_resident_jobs.max(specs.len() as u64);
-
-        // Digest-keyed reuse: first from a promoted shard of a previous
-        // run, then from a crash-interrupted run's partial checkpoint
-        // (its maximal checksum-valid prefix — torn tails never replay).
-        // Attempt counts replay with the outcome, so a resumed run folds
-        // the same retry statistics as the run that computed them.
-        let mut outcomes: Vec<Option<(JobOutcome, u32)>> = vec![None; specs.len()];
-        let replay =
-            |record: GridJobRecord, outcomes: &mut Vec<Option<(JobOutcome, u32)>>| -> bool {
-                let Some(slot) = record.index.checked_sub(lo) else {
-                    return false;
-                };
-                let Ok(slot) = usize::try_from(slot) else {
-                    return false;
-                };
-                if slot < outcomes.len()
-                    && outcomes[slot].is_none()
-                    && record.digest == digest_hex(digests[slot])
-                {
-                    outcomes[slot] = Some((record.outcome, record.attempts));
-                    return true;
-                }
-                false
+    let mut rollup = Rollup::default();
+    let mut spill = Spill {
+        batch: config.checkpoint_batch,
+        crash: config.crash_point,
+        ..Spill::default()
+    };
+    // The open shard's replayed records and its outcomes so far.
+    let mut replayed = Vec::new();
+    let mut outcomes = Vec::new();
+    let commit = |result: PoolResult<Result<Option<Ran>, String>>| {
+        let index = result.index as u64;
+        let shard = index / shard_size;
+        let slots = slots_of(shard);
+        let slot = (index - slots.start) as usize;
+        if slot == 0 {
+            replayed = if config.resume {
+                replay(&axes, &dir, shard, slots.clone())?.0
+            } else {
+                Vec::new()
             };
-        if config.resume {
-            let shard_path = dir.join(shard_file_name(shard));
-            if shard_path.is_file() {
-                for record in read_shard(&shard_path)? {
-                    replay(record, &mut outcomes);
-                }
-            }
-            let partial_path = dir.join(partial_file_name(shard));
-            if partial_path.is_file() {
-                for record in read_partial(&partial_path)?.records {
-                    if replay(record, &mut outcomes) {
-                        recovered_jobs += 1;
-                    }
-                }
-            }
+            spill.open(&dir, shard, &replayed)?;
         }
-
-        let misses: Vec<usize> = (0..specs.len())
-            .filter(|&s| outcomes[s].is_none())
-            .collect();
-        cache_hits += (specs.len() - misses.len()) as u64;
-        recomputed += misses.len() as u64;
-
-        let specs: Arc<[JobSpec]> = specs.into();
-        let record_at = |slot: usize, outcome: JobOutcome, attempts: u32| {
-            let index = lo + slot as u64;
-            GridJobRecord {
+        let fresh = !matches!(result.execution, Execution::Completed(Ok(None)));
+        let attempts = result.attempts;
+        let record = match result.execution {
+            Execution::Completed(Ok(None)) => {
+                let known = replayed.get_mut(slot).and_then(Option::take);
+                known.ok_or_else(|| format!("job {index}: no replayed record"))?
+            }
+            Execution::Completed(Ok(Some((ran, metrics)))) => record(
+                &axes,
                 index,
-                id: specs[slot].id_from_digest(index, digests[slot]),
-                digest: digest_hex(digests[slot]),
-                outcome,
+                Some(ran),
+                Execution::Completed(metrics),
                 attempts,
+            )?,
+            Execution::Completed(Err(message)) => return Err(message),
+            Execution::Panicked(panic) => {
+                record(&axes, index, None, Execution::Panicked(panic), attempts)?
             }
+            Execution::TimedOut => record(&axes, index, None, Execution::TimedOut, attempts)?,
         };
-
-        // Open the shard's checkpoint and persist the replayed records
-        // first, as one batch, so a crash during the fresh work below
-        // never loses what was already known. Each record is encoded
-        // once, on this thread; the same line goes to the checkpoint
-        // now and to the promoted shard when its slot comes up.
-        checkpointer.open(&dir, shard, config.checkpoint_batch)?;
-        let mut replayed: Vec<Option<String>> = vec![None; specs.len()];
-        for (slot, known) in outcomes.iter_mut().enumerate() {
-            if let Some((outcome, attempts)) = known.take() {
-                let record = record_at(slot, outcome, attempts);
-                let line = encode_record(&record)?;
-                checkpointer.push(&line)?;
-                replayed[slot] = Some(line);
-                *known = Some((record.outcome, record.attempts));
-            }
+        spill.put(shard, slot, &encode_record(&record)?, fresh)?;
+        outcomes.push((record.outcome, record.attempts));
+        if index + 1 == slots.end {
+            spill.promote(&dir, shard, slot + 1)?;
+            rollup.fold_shard(shard, &outcomes);
+            outcomes.clear();
         }
-        checkpointer.commit(shard)?;
-
-        // Execute the misses in one streaming pool call under the retry
-        // policy. Results arrive here in index order while the workers
-        // keep computing; every `checkpoint_batch` of them is committed
-        // as one fsync'd batch, and each goes into the shard after the
-        // replayed lines of the slots before it.
-        let mut promoted = ShardWriter::create(&dir, shard)?;
-        let jobs: Vec<_> = misses
-            .iter()
-            .map(|&slot| {
-                let specs = Arc::clone(&specs);
-                move |attempt: u32| execute_attempt(&specs[slot], attempt)
-            })
-            .collect();
-        stream(
-            jobs,
-            config.workers,
-            None,
-            &config.retry,
-            |result| -> Result<(), String> {
-                let slot = misses[result.index];
-                let record = record_at(slot, result.execution.into(), result.attempts);
-                let line = encode_record(&record)?;
-                checkpointer.push(&line)?;
-                if checkpointer.pending() >= config.checkpoint_batch {
-                    checkpointer.commit(shard)?;
-                }
-                promoted.put_replayed(&mut replayed)?;
-                promoted.put(slot, &line)?;
-                outcomes[slot] = Some((record.outcome, record.attempts));
-                Ok(())
-            },
-        )?;
-        checkpointer.commit(shard)?;
-        promoted.put_replayed(&mut replayed)?;
-
-        // Promote the shard (atomic tmp+rename; it fails unless every
-        // slot arrived), retire its checkpoint, fold it in index order,
-        // drop it.
-        checkpointer.before_promote(shard);
-        promoted.finish(specs.len())?;
-        checkpointer.retire(&dir, shard)?;
-        let folded: Vec<(JobOutcome, u32)> = outcomes.into_iter().flatten().collect();
-        rollup.fold_shard(shard, &folded);
-    }
+        Ok(())
+    };
+    let blocks = axes.scenario_runs();
+    stream(&blocks, config.workers, None, &config.retry, job, commit)?;
 
     let aggregate = rollup.finish(spec, total, shard_size);
     write_atomic(&dir.join("aggregate.json"), &aggregate.to_pretty_json())
@@ -726,9 +750,9 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         dir,
         cache_hits,
         recovered_jobs,
-        recomputed,
-        peak_resident_jobs,
-        checkpoint_commits: checkpointer.commits,
+        recomputed: total - cache_hits,
+        peak_resident_jobs: shard_size.min(total),
+        checkpoint_commits: spill.commits,
         wall_s,
         jobs_per_sec_wall: if wall_s > 0.0 {
             total as f64 / wall_s
@@ -739,102 +763,10 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
     })
 }
 
-/// Parses a run directory's `grid.json`; the error names the file.
-pub(crate) fn read_spec(dir: &Path) -> Result<GridSpec, String> {
-    let path = dir.join("grid.json");
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-    serde_json::from_str(&text)
-        .map_err(|e| format!("`{}` does not parse as a GridSpec: {e}", path.display()))
-}
-
-/// What `fcdpm grid status` reports about a run directory on disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GridStatus {
-    /// Run directory name.
-    pub run_id: String,
-    /// Jobs the stored `grid.json` expands to.
-    pub expected_jobs: u64,
-    /// Records present across shard files.
-    pub records: u64,
-    /// Completed records.
-    pub completed: u64,
-    /// Failed records.
-    pub failed: u64,
-    /// Timed-out records.
-    pub timed_out: u64,
-    /// Shard files present.
-    pub shards: u64,
-    /// In-flight partial checkpoints present (`shard-*.partial.jsonl`).
-    pub partial_shards: u64,
-    /// Checksum-valid records recoverable from partial checkpoints.
-    pub checkpointed: u64,
-    /// Torn line fragments past the valid prefix of partial checkpoints
-    /// — work a crashed run lost mid-write and will recompute.
-    pub torn_lines: u64,
-    /// Whether `aggregate.json` has been written.
-    pub has_aggregate: bool,
-}
-
-impl GridStatus {
-    /// True when every expected record is on disk and aggregated.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.has_aggregate && self.records == self.expected_jobs
-    }
-}
-
-/// Inspects a run directory without executing anything: parses its
-/// `grid.json`, streams the shard files, and counts outcomes.
-///
-/// # Errors
-///
-/// Returns a message when the directory or its `grid.json` is
-/// unreadable.
-pub fn status(dir: &Path) -> Result<GridStatus, String> {
-    let spec = read_spec(dir)?;
-    let mut state = GridStatus {
-        run_id: dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("<unnamed>")
-            .to_owned(),
-        expected_jobs: spec.total_jobs(),
-        records: 0,
-        completed: 0,
-        failed: 0,
-        timed_out: 0,
-        shards: 0,
-        partial_shards: 0,
-        checkpointed: 0,
-        torn_lines: 0,
-        has_aggregate: dir.join("aggregate.json").is_file(),
-    };
-    for path in crate::manifest::shard_files(dir)? {
-        state.shards += 1;
-        for record in read_shard(&path)? {
-            state.records += 1;
-            match record.outcome {
-                JobOutcome::Completed(_) => state.completed += 1,
-                JobOutcome::Failed(_) => state.failed += 1,
-                JobOutcome::TimedOut => state.timed_out += 1,
-            }
-        }
-    }
-    // An in-flight shard's checkpoint is progress, not absence: count
-    // what a resume would replay and what a tear lost.
-    for path in crate::manifest::partial_files(dir)? {
-        let partial = read_partial(&path)?;
-        state.partial_shards += 1;
-        state.checkpointed += partial.records.len() as u64;
-        state.torn_lines += partial.torn_lines;
-    }
-    Ok(state)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gc::status;
     use fcdpm_runner::{FaultPreset, PolicySpec, SeedAxis, SeedRange, WorkloadKind};
 
     fn tiny_spec() -> GridSpec {
@@ -1119,9 +1051,9 @@ mod tests {
                 (JobOutcome::Failed("first try".into()), 1),
             ],
         );
-        assert_eq!(rollup.retried, 0, "no retried success here");
+        assert_eq!(rollup.totals.retried, 0, "no retried success here");
         assert_eq!(
-            rollup.quarantined, 2,
+            rollup.totals.quarantined, 2,
             "multi-attempt non-completions quarantine; single-attempt failures do not"
         );
     }

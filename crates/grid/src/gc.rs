@@ -1,4 +1,7 @@
-//! Garbage collection for grid run directories.
+//! Inspection and garbage collection for grid run directories.
+//!
+//! Neither executes a job. [`status`] counts what a run directory
+//! holds, committed and checkpointed.
 //!
 //! A `kill -9` (or a crashing job) can leave a run directory in any of
 //! a handful of recoverable-but-untidy states: a torn partial
@@ -15,6 +18,9 @@
 //! grid artifact is never deleted, whatever its `grid.json` says.
 
 use std::path::{Path, PathBuf};
+
+use fcdpm_runner::JobOutcome;
+use serde::{Deserialize, Serialize};
 
 use crate::gen::GridSpec;
 use crate::manifest::{
@@ -183,7 +189,7 @@ fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), St
     // Unresumable directory: no usable grid.json means no spec digests
     // to match records against. Delete it — but only when everything
     // inside is recognisably ours.
-    let Ok(spec) = crate::engine::read_spec(dir) else {
+    let Ok(spec) = read_spec(dir) else {
         if foreign.is_empty() {
             let bytes = dir_size(dir);
             report.actions.push(GcAction {
@@ -331,6 +337,99 @@ fn expected_shards(dir: &Path, spec: &GridSpec) -> Option<u64> {
         return None;
     }
     Some(spec.total_jobs().div_ceil(shard_size))
+}
+
+/// Parses a run directory's `grid.json`; the error names the file.
+fn read_spec(dir: &Path) -> Result<GridSpec, String> {
+    let path = dir.join("grid.json");
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+    serde_json::from_str(&text)
+        .map_err(|e| format!("`{}` does not parse as a GridSpec: {e}", path.display()))
+}
+
+/// What `fcdpm grid status` reports about a run directory on disk.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct GridStatus {
+    /// Run directory name.
+    pub run_id: String,
+    /// Jobs the stored `grid.json` expands to.
+    pub expected_jobs: u64,
+    /// Records present across shard files.
+    pub records: u64,
+    /// Completed records.
+    pub completed: u64,
+    /// Failed records.
+    pub failed: u64,
+    /// Timed-out records.
+    pub timed_out: u64,
+    /// Shard files present.
+    pub shards: u64,
+    /// In-flight partial checkpoints present (`shard-*.partial.jsonl`).
+    pub partial_shards: u64,
+    /// Checksum-valid records recoverable from partial checkpoints.
+    pub checkpointed: u64,
+    /// Torn line fragments past the valid prefix of partial checkpoints
+    /// — work a crashed run lost mid-write and will recompute.
+    pub torn_lines: u64,
+    /// Whether `aggregate.json` has been written.
+    pub has_aggregate: bool,
+}
+
+impl GridStatus {
+    /// True when every expected record is on disk and aggregated.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.has_aggregate && self.records == self.expected_jobs
+    }
+}
+
+/// Inspects a run directory without executing anything: parses its
+/// `grid.json`, streams the shard files, and counts outcomes.
+///
+/// # Errors
+///
+/// Returns a message when the directory or its `grid.json` is
+/// unreadable.
+pub fn status(dir: &Path) -> Result<GridStatus, String> {
+    let spec = read_spec(dir)?;
+    let mut state = GridStatus {
+        run_id: dir
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or("<unnamed>")
+            .to_owned(),
+        expected_jobs: spec.total_jobs(),
+        records: 0,
+        completed: 0,
+        failed: 0,
+        timed_out: 0,
+        shards: 0,
+        partial_shards: 0,
+        checkpointed: 0,
+        torn_lines: 0,
+        has_aggregate: dir.join("aggregate.json").is_file(),
+    };
+    for path in crate::manifest::shard_files(dir)? {
+        state.shards += 1;
+        for record in read_shard(&path)? {
+            state.records += 1;
+            match record.outcome {
+                JobOutcome::Completed(_) => state.completed += 1,
+                JobOutcome::Failed(_) => state.failed += 1,
+                JobOutcome::TimedOut => state.timed_out += 1,
+            }
+        }
+    }
+    // An in-flight shard's checkpoint is progress, not absence: count
+    // what a resume would replay and what a tear lost.
+    for path in crate::manifest::partial_files(dir)? {
+        let partial = read_partial(&path)?;
+        state.partial_shards += 1;
+        state.checkpointed += partial.records.len() as u64;
+        state.torn_lines += partial.torn_lines;
+    }
+    Ok(state)
 }
 
 #[cfg(test)]

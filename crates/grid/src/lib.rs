@@ -11,11 +11,13 @@
 //!   ([`Axes`](fcdpm_runner::Axes)): any index decodes to its
 //!   [`JobSpec`](fcdpm_runner::JobSpec) in O(axes), so there is never a
 //!   `Vec<JobSpec>` of the fleet.
-//! * [`engine::run`] — a sharded streaming executor: at most
-//!   `shard_size` jobs resident, records spilled to
-//!   `shard-NNNNN.jsonl` under the run directory, deterministic
-//!   rollups (fuel/deficit totals, p50/p99, nominal jobs/sec) in
-//!   `aggregate.json`.
+//! * [`engine::run`] — a sharded streaming executor: one pool call per
+//!   run, at most one shard of records waiting on the committer,
+//!   records spilled to `shard-NNNNN.jsonl` under the run directory,
+//!   deterministic rollups (fuel/deficit totals, p50/p99, nominal
+//!   jobs/sec) in `aggregate.json`.
+//! * [`gc`](mod@gc) — reads a run directory without executing a job:
+//!   [`status`] counts its records, [`gc()`] repairs crash damage.
 //! * Digest-keyed resume — every record carries its spec's FNV-1a
 //!   digest; a resumed run re-executes exactly the jobs whose spec
 //!   changed and reloads the rest from spill. An untouched resume
@@ -47,11 +49,10 @@ pub mod gen;
 pub mod manifest;
 
 pub use engine::{
-    nominal_seconds, run, status, CrashPoint, GridAggregate, GridConfig, GridRun, GridStatus,
-    ShardSummary,
+    nominal_seconds, run, CrashPoint, GridAggregate, GridConfig, GridRun, ShardSummary,
 };
 pub use fcdpm_runner::{spec_digest, write_atomic, FaultPreset, SeedAxis, SeedRange, WorkloadKind};
-pub use gc::{gc, GcAction, GcKind, GcReport};
+pub use gc::{gc, status, GcAction, GcKind, GcReport, GridStatus};
 pub use gen::GridSpec;
 pub use manifest::{
     digest_hex, partial_file_name, partial_files, read_partial, read_shard, shard_file_name,

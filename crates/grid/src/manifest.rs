@@ -227,7 +227,7 @@ impl PartialShardWriter {
 }
 
 /// What [`read_partial`] recovered from a checkpoint file.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialRead {
     /// Records in the maximal checksum-valid prefix, file order.
     pub records: Vec<GridJobRecord>,
@@ -350,16 +350,6 @@ impl ShardWriter {
         self.out.write("\n")
     }
 
-    /// Writes the replayed lines waiting in `replayed`, from the next
-    /// slot up to the first slot that has none (a miss not yet
-    /// computed, or the end).
-    pub(crate) fn put_replayed(&mut self, replayed: &mut [Option<String>]) -> Result<(), String> {
-        while let Some(line) = replayed.get_mut(self.next).and_then(Option::take) {
-            self.put(self.next, &line)?;
-        }
-        Ok(())
-    }
-
     /// Renames the file into place if slots `0..slots` have all been
     /// written; otherwise nothing is promoted.
     pub(crate) fn finish(self, slots: usize) -> Result<PathBuf, String> {
@@ -467,12 +457,10 @@ mod tests {
         let dir = temp_dir("slots");
         let line = |index: u64| encode_record(&record(index)).expect("encodes");
         write_shard(&dir, 0, &[record(0), record(1), record(2)]).expect("writes");
-        // Replayed slots 0 and 2 merge around the fresh slot 1.
-        let mut replayed = vec![Some(line(0)), None, Some(line(2))];
         let mut out = ShardWriter::create(&dir, 1).expect("creates");
-        out.put_replayed(&mut replayed).expect("writes slot 0");
-        out.put(1, &line(1)).expect("puts");
-        out.put_replayed(&mut replayed).expect("writes slot 2");
+        for slot in 0..3 {
+            out.put(slot, &line(slot as u64)).expect("puts");
+        }
         out.finish(3).expect("all three slots arrived");
         let bytes = |shard| std::fs::read(dir.join(shard_file_name(shard))).expect("reads");
         assert_eq!(bytes(1), bytes(0));

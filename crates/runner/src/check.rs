@@ -10,14 +10,15 @@
 //!
 //! [`Axes::validate`](crate::spec::Axes::validate), behind both grid
 //! spellings, runs them on a whole grid at load time, before the first
-//! job. [`execute`](crate::execute) runs the policy and fault-schedule
-//! checks on every job, since a job can also arrive without a grid.
+//! job. [`execute`](crate::execute) runs the policy, predictor and
+//! fault-schedule checks on every job, since a job can also arrive
+//! without a grid.
 
 use fcdpm_faults::{FaultKind, FaultSchedule};
 use fcdpm_fuelcell::LinearEfficiency;
 use fcdpm_units::{Amps, Charge, CurrentRange};
 
-use crate::spec::PolicySpec;
+use crate::spec::{PolicySpec, PredictorSpec};
 
 /// `Quantized(n)` needs at least two levels; `Constant(x)` must lie in
 /// the load-following range.
@@ -42,6 +43,26 @@ pub fn policy(policy: &PolicySpec) -> Result<(), String> {
                 ))
             }
         }
+        _ => Ok(()),
+    }
+}
+
+/// A `Regression` window must hold at least one sample, and an
+/// `Exponential` weighting factor ρ must lie in `[0, 1]`.
+/// `Exponential(NaN)` passes: it is the sentinel for the scenario's own
+/// ρ.
+///
+/// # Errors
+///
+/// Returns a message naming the offending value.
+pub fn predictor(predictor: &PredictorSpec) -> Result<(), String> {
+    match *predictor {
+        PredictorSpec::Regression(0) => {
+            Err("Regression needs a window of at least 1 sample, got 0".to_owned())
+        }
+        PredictorSpec::Exponential(rho) if !rho.is_nan() && !(0.0..=1.0).contains(&rho) => Err(
+            format!("exponential-average factor ρ = {rho} is outside [0, 1]"),
+        ),
         _ => Ok(()),
     }
 }
@@ -145,6 +166,28 @@ pub fn faults(schedule: &FaultSchedule) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn predictor_parameters_the_constructors_would_reject_are_caught() {
+        assert!(predictor(&PredictorSpec::Regression(0))
+            .unwrap_err()
+            .contains("at least 1 sample"));
+        for rho in [-0.1, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = predictor(&PredictorSpec::Exponential(rho)).unwrap_err();
+            assert!(err.contains("outside [0, 1]"), "{rho}: {err}");
+        }
+        for ok in [
+            PredictorSpec::Regression(1),
+            PredictorSpec::Exponential(0.0),
+            PredictorSpec::Exponential(1.0),
+            PredictorSpec::Exponential(f64::NAN),
+            PredictorSpec::LastValue,
+            PredictorSpec::LearningTree,
+            PredictorSpec::Oracle,
+        ] {
+            assert_eq!(predictor(&ok), Ok(()), "{ok:?}");
+        }
+    }
 
     #[test]
     fn capacity_floor_is_experiment_2s_sleep_transition() {

@@ -4,10 +4,12 @@
 //! is constructed *inside* the job from its spec, so specs — plain data
 //! — are all that crosses thread boundaries. The parts jobs share, the
 //! scenario and the sleep schedules planned on it, are remembered per
-//! thread: a grid's workload and device axes are its outermost, so
-//! consecutive jobs on a worker almost always ask for the scenario the
-//! previous one built, and for a schedule it already planned.
+//! thread: a grid's workload and device axes are its outermost, and a
+//! worker claims a whole run of one scenario ([`scenario_runs`]), so
+//! consecutive jobs on a worker ask for the scenario the previous one
+//! built, and for a schedule it already planned.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -212,7 +214,46 @@ fn build_scenario(spec: &JobSpec) -> Result<Scenario, String> {
 }
 
 /// What [`build_scenario`] reads from a spec, and so the memo's key.
-type ScenarioKey = (WorkloadSpec, Option<DevicePreset>);
+pub(crate) type ScenarioKey = (WorkloadSpec, Option<DevicePreset>);
+
+/// The end index of each run of consecutive jobs with equal
+/// [`ScenarioKey`], built a run at a time.
+#[derive(Debug, Default)]
+pub(crate) struct ScenarioRuns {
+    pub(crate) ends: Vec<usize>,
+    last: Option<ScenarioKey>,
+}
+
+impl ScenarioRuns {
+    /// Appends `len` jobs of scenario `key`, extending the last run
+    /// when it has the same key.
+    pub(crate) fn push(&mut self, key: ScenarioKey, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let end = self.ends.last().copied().unwrap_or(0) + len;
+        match self.ends.last_mut() {
+            Some(last) if self.last.as_ref() == Some(&key) => *last = end,
+            _ => {
+                self.ends.push(end);
+                self.last = Some(key);
+            }
+        }
+    }
+}
+
+/// The end index of every run of consecutive `specs` that share a
+/// scenario (the same workload and device): the blocks a pool worker
+/// claims whole, so each run's scenario is built and planned once, on
+/// one worker.
+pub fn scenario_runs<S: Borrow<JobSpec>>(specs: impl IntoIterator<Item = S>) -> Vec<usize> {
+    let mut runs = ScenarioRuns::default();
+    for spec in specs {
+        let spec = spec.borrow();
+        runs.push((spec.workload.clone(), spec.device.clone()), 1);
+    }
+    runs.ends
+}
 
 /// Most sleep schedules a worker keeps. A scenario is planned once per
 /// predictor its jobs name (four on the perfbench sweep, one on the
@@ -554,6 +595,9 @@ pub fn execute(spec: &JobSpec) -> Result<JobMetrics, String> {
         "injected panic (inject_panic = true)"
     );
     check::policy(&spec.policy)?;
+    if let Some(predictor) = &spec.predictor {
+        check::predictor(predictor)?;
+    }
     if let Some(schedule) = &spec.faults {
         check::faults(schedule)?;
     }

@@ -51,7 +51,7 @@ pub mod spec;
 pub mod sweep;
 
 pub use atomic::{write_atomic, AtomicFile};
-pub use exec::{execute, JobMetrics};
+pub use exec::{execute, scenario_runs, JobMetrics};
 pub use manifest::{JobOutcome, JobRecord, ManifestWriter, RunAggregates, RunManifest};
 pub use spec::{
     spec_digest, Axes, DevicePreset, FaultPreset, JobGrid, JobSpec, PolicySpec, PredictorSpec,
@@ -182,9 +182,11 @@ impl<'a> BatchRun<'a> {
     /// Runs every job on the pool in one streaming call and hands each
     /// record to `on_record` on the calling thread, in index order (the
     /// order [`pool::stream`] reports in), while the workers keep
-    /// running. Returns the aggregates, folded in the same order, so
-    /// they equal [`RunAggregates::from_records`] over the records bit
-    /// for bit.
+    /// running. A worker claims a whole run of consecutive jobs sharing
+    /// a scenario ([`scenario_runs`]), so it builds and plans that
+    /// scenario once. Returns the aggregates, folded in the same order,
+    /// so they equal [`RunAggregates::from_records`] over the records
+    /// bit for bit.
     ///
     /// # Errors
     ///
@@ -194,33 +196,24 @@ impl<'a> BatchRun<'a> {
         self,
         mut on_record: impl FnMut(JobRecord) -> Result<(), E>,
     ) -> Result<RunAggregates, E> {
-        let shared: Arc<[JobSpec]> = self.specs.into();
-        let jobs: Vec<_> = (0..shared.len())
-            .map(|index| {
-                let specs = Arc::clone(&shared);
-                move |_attempt: u32| execute(&specs[index])
-            })
-            .collect();
+        let specs: Arc<[JobSpec]> = self.specs.into();
+        let blocks = scenario_runs(self.specs);
+        let job = move |index: usize, _attempt| execute(&specs[index]);
         let mut fold = manifest::AggregateFold::default();
-        pool::stream(
-            jobs,
-            self.workers,
-            None,
-            &pool::RetryPolicy::default(),
-            |result| {
-                let spec = &self.specs[result.index];
-                let record = JobRecord {
-                    id: spec.id_from_digest(result.index as u64, self.digests[result.index]),
-                    index: result.index,
-                    spec: spec.clone(),
-                    outcome: result.execution.into(),
-                    wall_ms: millis(result.wall),
-                    worker: result.worker,
-                };
-                fold.push(&record);
-                on_record(record)
-            },
-        )?;
+        let retry = pool::RetryPolicy::default();
+        pool::stream(&blocks, self.workers, None, &retry, job, |result| {
+            let spec = &self.specs[result.index];
+            let record = JobRecord {
+                id: spec.id_from_digest(result.index as u64, self.digests[result.index]),
+                index: result.index,
+                spec: spec.clone(),
+                outcome: result.execution.into(),
+                wall_ms: millis(result.wall),
+                worker: result.worker,
+            };
+            fold.push(&record);
+            on_record(record)
+        })?;
         Ok(fold.finish())
     }
 }

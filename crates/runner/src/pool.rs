@@ -3,18 +3,23 @@
 //! `std::thread` + `std::sync` only — the build environment cannot
 //! always reach a package registry, so no external executor crates.
 //!
-//! There is one pool primitive, [`stream`]. The jobs sit in one shared
-//! slice, and workers claim them in index order from a single atomic
-//! counter: each `fetch_add` hands out the next unclaimed index, so
-//! every job runs exactly once and there is no queue and no lock. Jobs
-//! are coarse-grained simulations, so the one contended cache line
-//! costs nothing measurable. Each finished job is handed to a callback
-//! on the *calling* thread, in index order, while the workers keep
-//! computing, so the caller can commit results (a manifest, a shard, a
-//! checkpoint) as they stream. A job that finishes ahead of an earlier
-//! one waits in a small reorder buffer on the calling thread: about one
-//! result per worker, more behind a slow or retrying job.
-//! [`run_with_retry`] and [`run_to_completion`] collect that stream.
+//! There is one pool primitive, [`stream`]. It runs one job closure
+//! over `0..len`, which the caller cuts into *blocks* of consecutive
+//! indices (for the runner's callers, one scenario each). Workers claim
+//! whole blocks in order from one atomic counter, so every job runs
+//! exactly once and there is no queue; a block longer than ⌈len / (4 ×
+//! workers)⌉ is claimed in pieces, so one or two long blocks still keep
+//! every worker busy. Each finished job is handed to a callback on the
+//! *calling* thread, in index order, while the workers keep computing,
+//! so the caller can commit results (a manifest, a shard, a checkpoint)
+//! as they stream. A job that finishes ahead of an earlier one waits in
+//! a reorder buffer, which the claim window bounds: no worker starts a
+//! block more than `workers × largest block` indices past the start of
+//! the first block not yet finished, so a slow or retrying job holds
+//! back only that many results. The window follows the workers, not the
+//! caller, so a caller busy committing (an fsync) never stalls them.
+//! [`run_with_retry`] and [`run_to_completion`] collect that stream,
+//! one job per block.
 //!
 //! Every job runs under `catch_unwind`: a panicking job is reported as
 //! [`Execution::Panicked`] and the rest of the run continues. An
@@ -26,10 +31,10 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -47,7 +52,7 @@ pub enum Execution<T> {
 /// One job's final execution plus scheduling metadata.
 #[derive(Debug)]
 pub struct PoolResult<T> {
-    /// Index of the job in the submitted vector.
+    /// Index of the job.
     pub index: usize,
     /// How the last attempt ended.
     pub execution: Execution<T>,
@@ -122,8 +127,10 @@ where
     F: Fn(u32) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
+    let blocks: Vec<usize> = (1..=jobs.len()).collect();
     let mut results = Vec::with_capacity(jobs.len());
-    let Ok(()) = stream(jobs, workers, timeout, retry, |result| {
+    let job = move |index: usize, attempt| jobs[index](attempt);
+    let Ok(()) = stream(&blocks, workers, timeout, retry, job, |result| {
         results.push(result);
         Ok::<(), Infallible>(())
     });
@@ -149,21 +156,89 @@ where
     run_with_retry(jobs, workers, timeout, &RetryPolicy::default())
 }
 
-/// Runs `jobs` on `workers` threads and hands each job's final
-/// [`PoolResult`] to `on_result` on the calling thread, in index order,
-/// while the workers keep running. A result that completes ahead of an
-/// earlier index waits in a reorder buffer until every earlier one has
-/// been handed over.
+/// The blocks workers claim: `blocks` (the ascending end index of each
+/// caller block) with every block longer than ⌈len / (4 × workers)⌉
+/// cut into pieces of at most that size, so a call with one or two long
+/// blocks still keeps every worker busy.
+fn claims(blocks: &[usize], workers: usize) -> Vec<Range<usize>> {
+    let most = blocks
+        .last()
+        .map_or(1, |n| n.div_ceil(4 * workers.max(1)).max(1));
+    let mut claims = Vec::with_capacity(blocks.len());
+    let mut start = 0;
+    for &end in blocks {
+        while start < end {
+            claims.push(start..end.min(start + most));
+            start = end.min(start + most);
+        }
+    }
+    claims
+}
+
+/// What the workers of one [`stream`] call share.
+struct Shared<J> {
+    job: J,
+    timeout: Option<Duration>,
+    retry: RetryPolicy,
+    /// The blocks, claimed in order through `next`.
+    claims: Vec<Range<usize>>,
+    next: AtomicUsize,
+    /// The first unfinished claim and which claims have finished, and
+    /// its change signal.
+    finished: Mutex<(usize, Vec<bool>)>,
+    moved: Condvar,
+    /// How far past the first unfinished claim's start a claim may
+    /// start: workers × largest block.
+    span: usize,
+}
+
+impl<J> Shared<J> {
+    /// The next unclaimed block and its number, once it lies inside the
+    /// window; `None` past the last block.
+    fn claim(&self) -> Option<(usize, Range<usize>)> {
+        let number = self.next.fetch_add(1, Ordering::Relaxed);
+        let block = self.claims.get(number)?;
+        let mut finished = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            let anchor = self.claims.get(finished.0).map_or(usize::MAX, |c| c.start);
+            if block.start <= anchor.saturating_add(self.span) {
+                return Some((number, block.clone()));
+            }
+            finished = self
+                .moved
+                .wait(finished)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Marks claim `number` finished.
+    fn finish(&self, number: usize) {
+        let mut finished = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
+        let (first, done) = &mut *finished;
+        done[number] = true;
+        while done.get(*first) == Some(&true) {
+            *first += 1;
+        }
+        self.moved.notify_all();
+    }
+}
+
+/// Runs `job` over the indices `0..len` on `workers` threads, where
+/// `blocks` holds the ascending end index of each block (`len` is the
+/// last), and hands each job's final [`PoolResult`] to `on_result` on
+/// the calling thread, in index order, while the workers keep running.
+/// A worker claims a whole block and runs its jobs in order; blocks are
+/// split and claims are windowed as the [module docs](self) describe.
 ///
 /// `workers` = 0 means the host's available parallelism
-/// ([`resolve_workers`]); the count is then clamped to `1..=jobs.len()`
-/// (a zero-job call returns immediately). `timeout` bounds each
-/// attempt's wall-clock time. A `Panicked` or `TimedOut` attempt is
-/// retried in place by the same worker, with attempt + 1 after
-/// `retry`'s backoff for that attempt, until `retry.max_attempts`;
-/// only the last attempt is reported.
+/// ([`resolve_workers`]); the count is then clamped to the number of
+/// blocks claimed (a zero-job call returns immediately). `timeout`
+/// bounds each attempt's wall-clock time. A `Panicked` or `TimedOut`
+/// attempt is retried in place by the same worker, with attempt + 1
+/// after `retry`'s backoff for that attempt, until
+/// `retry.max_attempts`; only the last attempt is reported.
 ///
-/// The first error `on_result` returns stops the run: no further job
+/// The first error `on_result` returns stops the run: no further block
 /// is claimed, jobs already running or waiting in the buffer are
 /// discarded, and the error is returned.
 ///
@@ -174,42 +249,48 @@ where
 /// # Errors
 ///
 /// Returns the first error `on_result` returned.
-pub fn stream<T, F, E>(
-    jobs: Vec<F>,
+pub fn stream<T, E>(
+    blocks: &[usize],
     workers: usize,
     timeout: Option<Duration>,
     retry: &RetryPolicy,
+    job: impl Fn(usize, u32) -> T + Send + Sync + 'static,
     mut on_result: impl FnMut(PoolResult<T>) -> Result<(), E>,
 ) -> Result<(), E>
 where
-    F: Fn(u32) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    if jobs.is_empty() {
-        return Ok(());
-    }
-    let workers = resolve_workers(workers).min(jobs.len());
-    let jobs: Arc<[F]> = jobs.into();
-    let next = Arc::new(AtomicUsize::new(0));
+    let workers = resolve_workers(workers).min(blocks.last().copied().unwrap_or(0));
+    let claims = claims(blocks, workers);
+    let workers = workers.min(claims.len());
+    let largest = claims.iter().map(ExactSizeIterator::len).max().unwrap_or(0);
+    let shared = Arc::new(Shared {
+        job,
+        timeout,
+        retry: retry.clone(),
+        finished: Mutex::new((0, vec![false; claims.len()])),
+        claims,
+        next: AtomicUsize::new(0),
+        moved: Condvar::new(),
+        span: workers * largest,
+    });
 
     let (result_tx, result_rx) = mpsc::channel::<PoolResult<T>>();
     let mut handles = Vec::with_capacity(workers);
     for worker in 0..workers {
-        let jobs = Arc::clone(&jobs);
-        let next = Arc::clone(&next);
-        let result_tx = result_tx.clone();
-        let retry = retry.clone();
+        let (shared, result_tx) = (Arc::clone(&shared), result_tx.clone());
         let spawned = thread::Builder::new()
             .name(format!("fcdpm-worker-{worker}"))
-            .spawn(move || worker_loop(worker, &jobs, &next, &result_tx, timeout, &retry));
+            .spawn(move || worker_loop(worker, &shared, &result_tx));
         if let Ok(handle) = spawned {
             handles.push(handle);
         }
     }
     if handles.is_empty() {
         // The OS refused every worker thread — drain inline so the run
-        // still completes.
-        worker_loop(0, &jobs, &next, &result_tx, timeout, retry);
+        // still completes. The window never holds it back: the first
+        // unfinished claim is always the one it is running.
+        worker_loop(0, &shared, &result_tx);
     }
     drop(result_tx);
 
@@ -224,8 +305,8 @@ where
         Ok(())
     });
     if outcome.is_err() {
-        // Stop claiming: every later index reads as past the end.
-        next.store(jobs.len(), Ordering::Relaxed);
+        // Stop claiming: every later block reads as past the end.
+        shared.next.store(shared.claims.len(), Ordering::Relaxed);
     }
     drop(result_rx);
     for handle in handles {
@@ -245,20 +326,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs attempt `attempt` of `jobs[index]` under `catch_unwind`, on a
+/// Runs attempt `attempt` of job `index` under `catch_unwind`, on a
 /// detached scratch thread when a timeout applies.
-fn run_guarded<T, F>(
-    jobs: &Arc<[F]>,
-    index: usize,
-    attempt: u32,
-    timeout: Option<Duration>,
-) -> Execution<T>
+fn run_guarded<T, J>(shared: &Arc<Shared<J>>, index: usize, attempt: u32) -> Execution<T>
 where
-    F: Fn(u32) -> T + Send + Sync + 'static,
+    J: Fn(usize, u32) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    match timeout {
-        None => match catch_unwind(AssertUnwindSafe(|| jobs[index](attempt))) {
+    match shared.timeout {
+        None => match catch_unwind(AssertUnwindSafe(|| (shared.job)(index, attempt))) {
             Ok(value) => Execution::Completed(value),
             Err(payload) => Execution::Panicked(panic_message(payload)),
         },
@@ -266,11 +342,11 @@ where
             // A scratch thread per timed job: the only portable way to
             // abandon a stuck computation without unsafe cancellation.
             let (tx, rx) = mpsc::channel();
-            let jobs = Arc::clone(jobs);
+            let shared = Arc::clone(shared);
             let handle = thread::Builder::new()
                 .name("fcdpm-job".to_owned())
                 .spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| jobs[index](attempt)));
+                    let outcome = catch_unwind(AssertUnwindSafe(|| (shared.job)(index, attempt)));
                     let _ = tx.send(outcome);
                 });
             let Ok(_handle) = handle else {
@@ -285,54 +361,53 @@ where
     }
 }
 
-/// The pool's one worker loop: claim the next unclaimed index, run it
-/// (retrying a failed attempt in place), report it, repeat until the
-/// counter passes the last job or the caller stops listening.
+/// The pool's one worker loop: claim the next block, run its jobs in
+/// order (retrying a failed attempt in place) and report each, repeat
+/// until the claims run out or the caller stops listening.
 #[allow(
     clippy::disallowed_methods,
     reason = "times each job for the result's wall, which no payload folds"
 )]
-fn worker_loop<T, F>(
+fn worker_loop<T, J>(
     worker: usize,
-    jobs: &Arc<[F]>,
-    next: &AtomicUsize,
+    shared: &Arc<Shared<J>>,
     result_tx: &mpsc::Sender<PoolResult<T>>,
-    timeout: Option<Duration>,
-    retry: &RetryPolicy,
 ) where
-    F: Fn(u32) -> T + Send + Sync + 'static,
+    J: Fn(usize, u32) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    let max_attempts = retry.max_attempts.max(1);
-    loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        if index >= jobs.len() {
-            return;
-        }
-        let mut attempts = 1;
-        let mut wall = Duration::ZERO;
-        let execution = loop {
-            let start = Instant::now();
-            let execution = run_guarded(jobs, index, attempts, timeout);
-            wall += start.elapsed();
-            let retryable = matches!(execution, Execution::Panicked(_) | Execution::TimedOut);
-            if !retryable || attempts == max_attempts {
-                break execution;
-            }
-            attempts += 1;
-            let delay = retry.delay_before(attempts);
-            if !delay.is_zero() {
-                thread::sleep(delay);
-            }
-        };
-        let result = PoolResult {
-            index,
-            execution,
-            attempts,
-            wall,
-            worker,
-        };
-        if result_tx.send(result).is_err() {
+    let retry = &shared.retry;
+    while let Some((number, block)) = shared.claim() {
+        let listened = block.into_iter().all(|index| {
+            let mut attempts = 1;
+            let mut wall = Duration::ZERO;
+            let execution = loop {
+                let start = Instant::now();
+                let execution = run_guarded(shared, index, attempts);
+                wall += start.elapsed();
+                let retryable = matches!(execution, Execution::Panicked(_) | Execution::TimedOut);
+                if !retryable || attempts >= retry.max_attempts {
+                    break execution;
+                }
+                attempts += 1;
+                let delay = retry.delay_before(attempts);
+                if !delay.is_zero() {
+                    thread::sleep(delay);
+                }
+            };
+            let result = PoolResult {
+                index,
+                execution,
+                attempts,
+                wall,
+                worker,
+            };
+            result_tx.send(result).is_ok()
+        });
+        // A block cut short because the caller stopped listening still
+        // finishes, so a worker waiting behind it wakes and stops too.
+        shared.finish(number);
+        if !listened {
             return;
         }
     }
@@ -346,13 +421,36 @@ fn worker_loop<T, F>(
 mod tests {
     use super::*;
 
+    /// A random partition of `0..count` into blocks, as ascending end
+    /// indices: mostly one to four jobs each, and in some calls one
+    /// block longer than `count / workers`.
+    fn partition(rng: &mut u64, count: usize, workers: usize) -> Vec<usize> {
+        let mut below = |n: usize| {
+            *rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (*rng >> 33) as usize % n
+        };
+        let mut long = Some(count / workers + 1);
+        let mut ends = Vec::new();
+        while ends.last().copied().unwrap_or(0) < count {
+            let len = match below(8) {
+                0 => long.take().unwrap_or(1),
+                _ => 1 + below(4),
+            };
+            ends.push(count.min(ends.last().copied().unwrap_or(0) + len));
+        }
+        ends
+    }
+
     /// Jobs sleep a jittered while, so with two or more workers they
     /// finish out of index order; under the retry policy every third
     /// job also fails its first attempt and reruns in place, falling
-    /// further behind. `stream` must still report each index exactly
-    /// once, strictly increasing, on the calling thread, from a worker
-    /// below the clamped worker count, after exactly the attempts the
-    /// job asked for.
+    /// further behind. Over random block partitions, `stream` must
+    /// still report each index exactly once, strictly increasing, on
+    /// the calling thread, from a worker below the clamped worker
+    /// count, after exactly the attempts the job asked for, and every
+    /// index of one claimed block from the same worker.
     #[test]
     fn stream_reports_each_index_once_in_order_on_the_calling_thread() {
         use std::sync::atomic::{AtomicBool, AtomicU32};
@@ -361,42 +459,41 @@ mod tests {
             max_attempts: 2,
             backoff: Duration::ZERO,
         };
+        let mut rng = 0x5EED;
         // Set once some job finishes after a higher index did.
         let overtaken = Arc::new(AtomicBool::new(false));
         for retry in [RetryPolicy::default(), retries] {
             for workers in 1..=8 {
                 for count in 0..=64usize {
+                    let blocks = partition(&mut rng, count, workers);
                     let runs: Arc<Vec<AtomicU32>> =
                         Arc::new((0..count).map(|_| AtomicU32::new(0)).collect());
                     let finished = Arc::new(AtomicUsize::new(0));
                     let flaky = retry.max_attempts > 1;
                     let attempts_of =
                         move |i: usize| if flaky && i.is_multiple_of(3) { 2 } else { 1 };
-                    let jobs: Vec<_> = (0..count)
-                        .map(|i| {
-                            let (runs, finished) = (Arc::clone(&runs), Arc::clone(&finished));
-                            let overtaken = Arc::clone(&overtaken);
-                            move |attempt: u32| {
-                                runs[i].fetch_add(1, Ordering::Relaxed);
-                                let jitter = (i * 7 + count) % 5;
-                                thread::sleep(Duration::from_micros(50 * jitter as u64));
-                                if attempt < attempts_of(i) {
-                                    // Fails without running the panic hook,
-                                    // so the retries stay quiet.
-                                    std::panic::resume_unwind(Box::new("transient"));
-                                }
-                                if finished.fetch_max(i + 1, Ordering::SeqCst) > i + 1 {
-                                    overtaken.store(true, Ordering::SeqCst);
-                                }
-                                (i, attempt)
+                    let job = {
+                        let (runs, overtaken) = (Arc::clone(&runs), Arc::clone(&overtaken));
+                        move |i: usize, attempt: u32| {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                            let jitter = (i * 7 + count) % 5;
+                            thread::sleep(Duration::from_micros(50 * jitter as u64));
+                            if attempt < attempts_of(i) {
+                                // Fails without running the panic hook,
+                                // so the retries stay quiet.
+                                std::panic::resume_unwind(Box::new("transient"));
                             }
-                        })
-                        .collect();
-                    let mut due = 0;
-                    let streamed = stream(jobs, workers, None, &retry, |r| {
+                            if finished.fetch_max(i + 1, Ordering::SeqCst) > i + 1 {
+                                overtaken.store(true, Ordering::SeqCst);
+                            }
+                            (i, attempt)
+                        }
+                    };
+                    let mut ran_on = Vec::new();
+                    let streamed = stream(&blocks, workers, None, &retry, job, |r| {
                         assert_eq!(thread::current().id(), caller, "callback off the caller");
-                        assert_eq!(r.index, due, "{workers} workers, {count} jobs");
-                        due += 1;
+                        assert_eq!(r.index, ran_on.len(), "{workers} workers, {count} jobs");
+                        ran_on.push(r.worker);
                         assert!(r.worker < workers.min(count));
                         let attempts = attempts_of(r.index);
                         assert_eq!(r.attempts, attempts);
@@ -407,11 +504,18 @@ mod tests {
                         Ok::<(), ()>(())
                     });
                     assert!(streamed.is_ok(), "{workers} workers, {count} jobs");
-                    assert_eq!(due, count, "{workers} workers, {count} jobs");
+                    assert_eq!(ran_on.len(), count, "{workers} workers, {count} jobs");
                     assert!(runs
                         .iter()
                         .enumerate()
                         .all(|(i, n)| n.load(Ordering::Relaxed) == attempts_of(i)));
+                    for block in claims(&blocks, workers.min(count)) {
+                        let worker = ran_on[block.start];
+                        assert!(
+                            ran_on[block].iter().all(|&w| w == worker),
+                            "a block split across workers: {blocks:?}"
+                        );
+                    }
                 }
             }
         }
@@ -421,11 +525,70 @@ mod tests {
         );
     }
 
+    /// Job 0 stalls until released, at two workers: the other worker
+    /// runs ahead only as far as the claim window lets it, so the jobs
+    /// started before the release stay within `workers × largest
+    /// block` of index 0, plus the block that reaches that far.
+    #[test]
+    fn a_stalled_job_holds_the_others_within_the_claim_window() {
+        use std::sync::atomic::AtomicBool;
+        let (workers, block, count) = (2, 3, 60);
+        let blocks: Vec<usize> = (1..=count / block).map(|b| b * block).collect();
+        let started = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        let job = {
+            let (started, release) = (Arc::clone(&started), Arc::clone(&release));
+            move |index: usize, _: u32| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while index == 0 && !release.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                index
+            }
+        };
+        // Once the other worker is under way and the count has stopped
+        // rising, note it and release job 0.
+        let watcher = thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+            let mut seen = 0;
+            loop {
+                thread::sleep(Duration::from_millis(50));
+                let now = started.load(Ordering::SeqCst);
+                if now == seen {
+                    break;
+                }
+                seen = now;
+            }
+            release.store(true, Ordering::SeqCst);
+            seen
+        });
+        let mut due = 0;
+        let streamed = stream(&blocks, workers, None, &RetryPolicy::default(), job, |r| {
+            assert_eq!(r.index, due);
+            due += 1;
+            Ok::<(), ()>(())
+        });
+        let seen = watcher.join().expect("watcher");
+        assert!(streamed.is_ok());
+        assert_eq!(due, count);
+        let bound = workers * block + block;
+        assert!(
+            seen <= bound,
+            "{seen} jobs started behind a stalled job 0 (bound {bound})"
+        );
+        assert!(seen > block, "the other worker never ran ahead: {seen}");
+    }
+
     #[test]
     fn callback_error_stops_the_stream() {
-        let jobs: Vec<_> = (0..1000usize).map(|i| move |_: u32| i).collect();
+        let blocks: Vec<usize> = (1..=1000).collect();
         let mut reported = 0;
-        let streamed = stream(jobs, 2, None, &RetryPolicy::default(), |_| {
+        let job = |i: usize, _: u32| i;
+        let streamed = stream(&blocks, 2, None, &RetryPolicy::default(), job, |_| {
             reported += 1;
             if reported == 3 {
                 Err("disk full")

@@ -24,6 +24,7 @@ use fcdpm_faults::{
 use serde::{Deserialize, Serialize};
 
 use crate::check;
+use crate::exec::ScenarioRuns;
 
 /// Which FC output-current policy drives the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,6 +47,13 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
+    /// [`JobSpec::id`] of job `index` with this policy and spec digest
+    /// `digest`.
+    #[must_use]
+    pub fn job_id(&self, index: u64, digest: u64) -> String {
+        format!("job-{index:04}-{}-{:08x}", self.label(), digest as u32)
+    }
+
     /// Short lowercase label used in job IDs and reports.
     #[must_use]
     pub fn label(&self) -> String {
@@ -349,8 +357,11 @@ pub struct JobSpec {
     pub beta: Option<f64>,
     /// Charger/discharger path efficiency (`None` = lossless).
     pub buffer_path_efficiency: Option<f64>,
-    /// Fault schedule injected mid-run (`None` = no faults; an empty
-    /// schedule is behaviorally identical to `None`).
+    /// Fault schedule injected mid-run (`None` = no faults). An empty
+    /// schedule behaves exactly like `None`, except on a `resilient`
+    /// job: the wrapper then sees the real state of charge and may hold
+    /// the inner policy at the depletion rail (see
+    /// `tests/fault_injection.rs::resilient_wrapper_is_invisible_without_faults`).
     pub faults: Option<FaultSchedule>,
     /// Wrap the FC policy in the graceful-degradation
     /// [`ResilientPolicy`](fcdpm_core::policy::ResilientPolicy) ladder
@@ -400,11 +411,7 @@ impl JobSpec {
     /// caller that keys records by digest serializes the spec once.
     #[must_use]
     pub fn id_from_digest(&self, index: u64, digest: u64) -> String {
-        format!(
-            "job-{index:04}-{}-{:08x}",
-            self.policy.label(),
-            digest as u32
-        )
+        self.policy.job_id(index, digest)
     }
 }
 
@@ -528,10 +535,10 @@ fn at(field: &'static str) -> impl Fn(String) -> String {
 }
 
 impl<'a> Axes<'a> {
-    /// Jobs in the cross product (before `extra_jobs`).
-    fn product_len(&self) -> u64 {
+    /// Jobs per workload and device: the product of every axis inside
+    /// the device axis.
+    fn scenario_len(&self) -> u64 {
         [
-            radix(self.devices),
             radix(self.storages),
             radix(self.predictors),
             radix(self.betas),
@@ -542,7 +549,36 @@ impl<'a> Axes<'a> {
             self.policies.len() as u64,
         ]
         .into_iter()
-        .fold(self.workloads.len(), u64::saturating_mul)
+        .fold(1, u64::saturating_mul)
+    }
+
+    /// Jobs in the cross product (before `extra_jobs`).
+    fn product_len(&self) -> u64 {
+        self.workloads
+            .len()
+            .saturating_mul(radix(self.devices))
+            .saturating_mul(self.scenario_len())
+    }
+
+    /// [`scenario_runs`](crate::scenario_runs) over [`iter`](Self::iter),
+    /// from the radices: workload and device are the two outermost
+    /// digits, so each of their pairs spans one run of consecutive
+    /// product jobs. Only the run keys are decoded, one per pair and
+    /// one per extra job; neighbours with equal keys merge.
+    #[must_use]
+    pub fn scenario_runs(&self) -> Vec<usize> {
+        let mut runs = ScenarioRuns::default();
+        let len = usize::try_from(self.scenario_len()).unwrap_or(usize::MAX);
+        for workload in (0..self.workloads.len()).filter_map(|w| self.workloads.get(w)) {
+            for d in 0..radix(self.devices) {
+                let device = self.devices.get(d as usize).cloned();
+                runs.push((workload.clone(), device), len);
+            }
+        }
+        for job in self.extra_jobs {
+            runs.push((job.workload.clone(), job.device.clone()), 1);
+        }
+        runs.ends
     }
 
     /// Total number of jobs: the product plus `extra_jobs`.
@@ -626,6 +662,9 @@ impl<'a> Axes<'a> {
         }
         for policy in self.policies {
             check::policy(policy).map_err(at("policies"))?;
+        }
+        for predictor in self.predictors {
+            check::predictor(predictor).map_err(at("predictors"))?;
         }
         for &beta in self.betas {
             check::beta(beta).map_err(at("betas"))?;
@@ -718,6 +757,9 @@ impl<'a> Axes<'a> {
 /// [`Axes::validate`] for one pinned job's optional axes.
 fn validate_job(job: &JobSpec) -> Result<(), String> {
     check::policy(&job.policy).map_err(at("policy"))?;
+    if let Some(predictor) = &job.predictor {
+        check::predictor(predictor).map_err(at("predictor"))?;
+    }
     if let Some(beta) = job.beta {
         check::beta(beta).map_err(at("beta"))?;
     }

@@ -1,9 +1,11 @@
 //! `fcdpm batch` streams its manifest: records are encoded on the
 //! calling thread in index order while the workers run, and each worker
 //! reuses the scenario its previous job built and the sleep schedules
-//! planned on it. Neither shortcut may be visible in the output — the streamed file is byte-identical to
+//! planned on it. Neither shortcut may be visible in the output — the
+//! streamed file is byte-identical to
 //! `RunManifest::to_json` of the same run, and a job's metrics do not
-//! depend on which job ran before it on the same thread.
+//! depend on which job ran before it on the same thread. Workers claim
+//! whole scenario runs, so one worker runs every job of a scenario.
 
 #![allow(
     clippy::unwrap_used,
@@ -281,6 +283,44 @@ fn scenario_reuse_cannot_be_observed() {
             "the pair must differ, or it proves nothing: {:?}",
             jobs[at]
         );
+    }
+}
+
+/// At two workers a worker claims a whole scenario run, so every record
+/// of one run names the same worker: each scenario is built and planned
+/// once. The runs here are short enough that the pool never splits one.
+#[test]
+fn each_scenario_run_stays_on_one_worker() {
+    let workloads: Vec<WorkloadSpec> = (0..8)
+        .map(|i| match i % 3 {
+            0 => WorkloadSpec::Experiment1(SEED + i),
+            1 => WorkloadSpec::Experiment2(SEED + i),
+            _ => WorkloadSpec::Dvs(SEED + i),
+        })
+        .collect();
+    let mut grid = JobGrid::new(
+        vec![PolicySpec::Conv, PolicySpec::Asap, PolicySpec::FcDpm],
+        workloads,
+    );
+    grid.storages = Some(vec![StorageSpec::Ideal, StorageSpec::Kibam]);
+    let specs = grid.expand();
+    let runs = fcdpm_runner::scenario_runs(&specs);
+    assert_eq!(runs.len(), 8, "one run per workload");
+    let mut workers = Vec::new();
+    let run = BatchRun::new(&specs, &RunConfig::with_workers(2));
+    run.stream(|record| {
+        workers.push(record.worker);
+        Ok::<(), ()>(())
+    })
+    .expect("streams");
+    let mut start = 0;
+    for end in runs {
+        assert!(
+            workers[start..end].iter().all(|&w| w == workers[start]),
+            "jobs {start}..{end} ran on workers {:?}",
+            &workers[start..end]
+        );
+        start = end;
     }
 }
 

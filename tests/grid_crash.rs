@@ -355,10 +355,18 @@ fn injected_panics_succeed_within_bounded_retries() {
 /// batch⌉ batches per shard, a resume commits one more batch per shard
 /// that replays known records, and checkpointing off commits none.
 /// Committing per line instead of per batch fails this at batch 3 and
-/// 32.
+/// 32. Neither the worker count (0 = the host's parallelism) nor the
+/// batch size shows in the run directory: fresh and resumed, its files
+/// match one worker's unbatched run byte for byte.
 #[test]
 fn checkpoint_commits_are_one_per_batch_per_shard() {
     let spec = crash_spec();
+    let reference_out = fresh_dir("commits-reference");
+    let reference = GridConfig {
+        checkpoint_batch: 0,
+        ..crash_config(&reference_out)
+    };
+    let reference = dir_bytes(&run(&spec, &reference).expect("reference run").dir);
     let shard_jobs = [3u64, 3, 2];
     let expected = |replayed: [u64; 3], batch: u64| -> u64 {
         if batch == 0 {
@@ -370,8 +378,8 @@ fn checkpoint_commits_are_one_per_batch_per_shard() {
             .map(|(&jobs, known)| u64::from(known > 0) + (jobs - known).div_ceil(batch))
             .sum()
     };
-    for workers in [1, 2] {
-        for batch in [0, 1, 3, 32] {
+    for workers in [1, 2, 0] {
+        for batch in [0, 1, 3, 7, 32] {
             let out = fresh_dir(&format!("commits-{workers}-{batch}"));
             let config = GridConfig {
                 workers,
@@ -383,6 +391,10 @@ fn checkpoint_commits_are_one_per_batch_per_shard() {
                 fresh.checkpoint_commits,
                 expected([0, 0, 0], batch),
                 "fresh run, {workers} workers, batch {batch}"
+            );
+            assert!(
+                dir_bytes(&fresh.dir) == reference,
+                "fresh run dir differs, {workers} workers, batch {batch}"
             );
 
             // Shard 0 keeps one checkpointed record, shard 1 stays
@@ -408,9 +420,14 @@ fn checkpoint_commits_are_one_per_batch_per_shard() {
                 expected([1, 3, 0], batch),
                 "resume, {workers} workers, batch {batch}"
             );
+            assert!(
+                dir_bytes(&resumed.dir) == reference,
+                "resumed run dir differs, {workers} workers, batch {batch}"
+            );
             let _ = std::fs::remove_dir_all(&out);
         }
     }
+    let _ = std::fs::remove_dir_all(&reference_out);
 }
 
 /// The bytes of a valid 3-record partial checkpoint. Built once (each

@@ -6,7 +6,9 @@
 //! slicing. These tests generate small random grids of both shapes and
 //! require the decoder and the nested-loop reference `Axes::expand` to
 //! agree bit for bit: count, ordering, specs, digests and job IDs, and
-//! random access in any visit order.
+//! random access in any visit order. The scenario runs `Axes` derives
+//! from its radices (the blocks pool workers claim) must equal a scan
+//! of the decoded jobs.
 
 #![allow(
     clippy::unwrap_used,
@@ -17,7 +19,10 @@
 )]
 
 use fcdpm_grid::{spec_digest, FaultPreset, GridSpec, SeedAxis, SeedRange, WorkloadKind};
-use fcdpm_runner::{Axes, DevicePreset, JobGrid, JobSpec, PolicySpec, PredictorSpec, StorageSpec};
+use fcdpm_runner::{
+    scenario_runs, Axes, DevicePreset, JobGrid, JobSpec, PolicySpec, PredictorSpec, StorageSpec,
+    WorkloadSpec,
+};
 use proptest::prelude::*;
 
 const WORKLOADS: [WorkloadKind; 4] = [
@@ -131,7 +136,30 @@ fn decoder_matches_reference(axes: Axes<'_>, probes: &[u64]) -> Result<(), Strin
     }
     prop_assert!(axes.job_at(axes.len()).is_none());
     prop_assert!(axes.job_at(u64::MAX).is_none());
+    prop_assert_eq!(
+        axes.scenario_runs(),
+        scenario_runs(axes.iter().map(|(_, job)| job)),
+        "scenario runs from the radices diverge from the scan"
+    );
     Ok(())
+}
+
+/// Equal neighbouring scenarios merge into one run, across the end of
+/// the product into the extra jobs too; the random grids above never
+/// repeat a workload, so this pins the merge.
+#[test]
+fn equal_neighbouring_scenarios_merge_into_one_run() {
+    let (exp1, dvs) = (WorkloadSpec::Experiment1(5), WorkloadSpec::Dvs(5));
+    let mut grid = JobGrid::new(
+        vec![PolicySpec::Conv, PolicySpec::FcDpm],
+        vec![exp1.clone(), exp1.clone(), dvs.clone()],
+    );
+    grid.extra_jobs = Some(vec![
+        JobSpec::new(PolicySpec::Asap, dvs),
+        JobSpec::new(PolicySpec::Asap, exp1),
+    ]);
+    assert_eq!(grid.axes().scenario_runs(), vec![4, 7, 8]);
+    assert_eq!(scenario_runs(grid.expand()), vec![4, 7, 8]);
 }
 
 proptest! {

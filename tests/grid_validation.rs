@@ -115,6 +115,21 @@ fn each_infeasible_value_is_rejected_naming_its_field() {
             "policies: ",
             "at least 2 output levels",
         ),
+        (
+            job_grid(r#""predictors": [{"Regression": 0}]"#),
+            "predictors: ",
+            "at least 1 sample",
+        ),
+        (
+            job_grid(r#""predictors": [{"Exponential": 1.5}]"#),
+            "predictors: ",
+            "outside [0, 1]",
+        ),
+        (
+            extra_job(r#""predictor": {"Exponential": -0.2}"#),
+            "extra_jobs[0].predictor: ",
+            "outside [0, 1]",
+        ),
         (job_grid(r#""betas": [0.5]"#), "betas: ", "non-positive"),
         (job_grid(r#""betas": [-0.1]"#), "betas: ", "non-negative"),
         (
