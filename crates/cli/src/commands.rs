@@ -295,6 +295,7 @@ fn run_grid_cmd(cmd: GridCmd<'_>) -> Result<String, String> {
         run.cache_hit_pct()
     );
     let _ = writeln!(out, "recomputed: {}", run.recomputed);
+    let _ = writeln!(out, "simulated: {}", run.simulated);
     if run.recovered_jobs > 0 {
         let _ = writeln!(out, "recovered from checkpoints: {}", run.recovered_jobs);
     }

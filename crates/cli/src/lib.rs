@@ -36,6 +36,8 @@ USAGE:
     fcdpm analyze [--root <DIR>]
     fcdpm help
 
+    --jobs <N> sets the worker threads (N >= 1); leaving --jobs out uses every core.
+
 COMMANDS:
     experiment   run the paper's Experiment 1 or 2 and print the fuel table
     trace        generate a workload trace as CSV on stdout
@@ -67,5 +69,10 @@ mod tests {
         for rule in fcdpm_analyze::Rule::ALL {
             assert!(usage.contains(rule.id()), "usage omits `{}`", rule.id());
         }
+    }
+
+    #[test]
+    fn usage_says_what_leaving_out_jobs_means() {
+        assert!(super::usage().contains("leaving --jobs out uses every core"));
     }
 }

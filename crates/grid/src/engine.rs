@@ -13,11 +13,29 @@
 //! plus two `f64` columns (fuel and deficit-time per completed job, 8 B
 //! each) for the p50/p99 quantiles.
 //!
+//! Each distinct run is simulated once. Two jobs with the same
+//! [`run_key`](fcdpm_runner::run_key) produce the same outcome, and the
+//! decoder maps a job to the first index with its key
+//! ([`Axes::first_with_run_key`]); on the fleet example those are the
+//! `faults: None, resilient: true` jobs, 800 of 4800, each repeating
+//! its unwrapped twin. A worker that draws a repeat returns its policy
+//! and digest and the earlier index without executing. That index is
+//! always within [`Axes::run_key_reach`] of the repeat, and results
+//! arrive in index order, so the committer keeps the `(outcome,
+//! attempts)` of the last `run_key_reach` jobs, fresh or replayed,
+//! across shard boundaries, and writes the repeat's own index, ID and
+//! digest with the earlier job's outcome and attempts, checkpointed
+//! like any fresh line. Which jobs repeat depends only on the grid and
+//! the cache, never on which worker claimed what: [`GridRun::simulated`]
+//! counts the rest.
+//!
 //! Resume is digest-keyed, not timestamp-keyed: a record is reused iff
 //! the spec decoded at its index hashes to the digest stored on disk.
-//! The hits are decided before the first claim; a worker reports a hit
-//! without executing it, and the committer takes its record from the
-//! shard's spill, re-read when the shard opens. A fresh run reads no
+//! The hits are decided before the first claim, the only time the
+//! calling thread decodes a resumed spec; it keeps each hit's digest
+//! (8 B per job). A worker reports a hit without executing it, and the
+//! committer takes its record from the shard's spill, re-read when the
+//! shard opens and matched against those digests. A fresh run reads no
 //! spill. Re-running an untouched grid recomputes zero jobs; editing
 //! one axis value recomputes exactly the jobs whose specs changed.
 //!
@@ -50,7 +68,9 @@
 //! hooks exist solely so the integration harness can kill the process
 //! at each of these moments deterministically.
 
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fcdpm_runner::pool::{stream, Execution, PoolResult, RetryPolicy};
@@ -267,8 +287,14 @@ pub struct GridRun {
     /// files rather than promoted shards — the jobs a crash-interrupted
     /// run did *not* lose.
     pub recovered_jobs: u64,
-    /// Jobs actually executed this invocation.
+    /// Jobs not taken from the spill cache: simulated, or repeats that
+    /// copied the outcome of an earlier job with the same
+    /// [`run_key`](fcdpm_runner::run_key).
     pub recomputed: u64,
+    /// Jobs actually executed this invocation: `recomputed` minus the
+    /// repeats. It depends only on the grid and the cache, never on the
+    /// worker count.
+    pub simulated: u64,
     /// The largest shard, in jobs: the most replayed records the
     /// committer holds at once.
     pub peak_resident_jobs: u64,
@@ -541,6 +567,35 @@ impl Spill {
     }
 }
 
+/// The `(outcome, attempts)` pairs committed from global index `first`
+/// on: the open shard's, which fold into the aggregate when it
+/// promotes, and up to `reach` before them, carried across the shard
+/// boundary for a repeat to copy.
+#[derive(Debug, Default)]
+struct Committed {
+    first: u64,
+    pairs: Vec<(JobOutcome, u32)>,
+    reach: usize,
+}
+
+impl Committed {
+    /// Job `index`'s pair, while it is held.
+    fn get(&self, index: u64) -> Option<&(JobOutcome, u32)> {
+        let at = usize::try_from(index.checked_sub(self.first)?).ok()?;
+        self.pairs.get(at)
+    }
+
+    /// Folds the pairs from global index `lo` on into `rollup` as shard
+    /// `shard`, then keeps only the last `reach` pairs.
+    fn fold(&mut self, rollup: &mut Rollup, shard: u64, lo: u64) {
+        let open = usize::try_from(lo - self.first).unwrap_or(usize::MAX);
+        rollup.fold_shard(shard, self.pairs.get(open..).unwrap_or_default());
+        let retired = self.pairs.len().saturating_sub(self.reach);
+        self.pairs.drain(..retired);
+        self.first += retired as u64;
+    }
+}
+
 /// Runs attempt `attempt` of `job`. The injected-panic fixture arms
 /// only the first attempt, modelling a transient fault.
 fn execute_attempt(job: &JobSpec, attempt: u32) -> Result<JobMetrics, String> {
@@ -562,66 +617,77 @@ fn decode(axes: &Axes<'_>, index: u64) -> Result<(JobSpec, u64), String> {
     Ok((job, digest))
 }
 
-/// What a worker returns for a job it ran: its policy and spec digest,
-/// and how its last attempt ended. No heap data once the job succeeds,
-/// so results queued while the committer waits on an fsync stay small.
-type Ran = ((PolicySpec, u64), Result<JobMetrics, String>);
+/// A job's policy and spec digest: what its record's ID is made of.
+type Named = (PolicySpec, u64);
+
+/// What a worker returns for one job. No heap data once the job
+/// succeeds, so results queued while the committer waits on an fsync
+/// stay small.
+enum Drawn {
+    /// A cache hit: the committer takes the record from the spill.
+    Hit,
+    /// The job has the same run key as the earlier job at this index, so
+    /// it was not executed: the committer copies that job's outcome.
+    Repeat(Named, u64),
+    /// The job ran; this is how its last attempt ended.
+    Ran(Named, Result<JobMetrics, String>),
+}
 
 /// Job `index`'s record. The worker returns the policy and digest of a
-/// job it ran; a job whose every attempt failed returned nothing, so
-/// only it is decoded here.
+/// job it ran or found repeated; a job whose every attempt failed
+/// returned nothing, so only it is decoded here.
 fn record(
     axes: &Axes<'_>,
     index: u64,
-    ran: Option<(PolicySpec, u64)>,
-    execution: Execution<Result<JobMetrics, String>>,
+    named: Option<Named>,
+    outcome: JobOutcome,
     attempts: u32,
 ) -> Result<GridJobRecord, String> {
-    let (policy, digest) = match ran {
-        Some(ran) => ran,
+    let (policy, digest) = match named {
+        Some(named) => named,
         None => decode(axes, index).map(|(job, digest)| (job.policy, digest))?,
     };
     Ok(GridJobRecord {
         index,
         id: policy.job_id(index, digest),
         digest: digest_hex(digest),
-        outcome: execution.into(),
+        outcome,
         attempts,
     })
 }
 
-/// The records a previous run left for `shard` (global indices `slots`)
-/// whose digest still matches the spec decoded at their index, by slot:
-/// first from the promoted shard, then from a crash-interrupted run's
-/// partial checkpoint (its maximal checksum-valid prefix — torn tails
-/// never replay), with the count the checkpoint filled. Attempt counts
-/// replay with the outcome, so a resumed run folds the same retry
-/// statistics as the run that computed them.
+/// The records a previous run left for the shard whose first global
+/// index is `lo`, by slot, where a record is kept iff its digest is
+/// `wanted[slot]`: first from the promoted shard, then from a
+/// crash-interrupted run's partial checkpoint (its maximal
+/// checksum-valid prefix — torn tails never replay), with the count the
+/// checkpoint filled. Each kept record's ID is formatted afresh from its
+/// index, the policy digit and the digest. Attempt counts replay with
+/// the outcome, so a resumed run folds the same retry statistics as the
+/// run that computed them.
 fn replay(
     axes: &Axes<'_>,
     dir: &Path,
     shard: u64,
-    slots: std::ops::Range<u64>,
+    lo: u64,
+    wanted: &[Option<NonZeroU64>],
 ) -> Result<(Vec<Option<GridJobRecord>>, u64), String> {
     let path = dir.join(shard_file_name(shard));
     let promoted = path.is_file().then(|| read_shard(&path)).transpose()?;
     let path = dir.join(partial_file_name(shard));
     let partial = path.is_file().then(|| read_partial(&path)).transpose()?;
     let (promoted, partial) = (promoted.unwrap_or_default(), partial.unwrap_or_default());
-    let mut known = vec![None; slots.clone().count()];
-    let lo = slots.start;
-    let decoded = slots
-        .map(|index| decode(axes, index))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut known = vec![None; wanted.len()];
     let mut fill = |record: GridJobRecord| {
         let slot = usize::try_from(record.index.wrapping_sub(lo)).unwrap_or(usize::MAX);
-        let Some((job, digest)) = decoded.get(slot) else {
+        let (Some(Some(digest)), Some(policy)) = (wanted.get(slot), axes.policy_at(record.index))
+        else {
             return false;
         };
-        if known[slot].is_some() || record.digest != digest_hex(*digest) {
+        if known[slot].is_some() || record.digest != digest_hex(digest.get()) {
             return false;
         }
-        let id = job.policy.job_id(record.index, *digest);
+        let id = policy.job_id(record.index, digest.get());
         known[slot] = Some(GridJobRecord { id, ..record });
         true
     };
@@ -665,25 +731,41 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
     clean_stale(&dir, shards, config.resume)?;
     let slots_of = |shard: u64| shard * shard_size..total.min((shard + 1) * shard_size);
 
-    // Cache hits are decided before the first claim, one flag per job.
-    let mut hits = Vec::new();
-    let (mut cache_hits, mut recovered_jobs) = (0, 0);
+    // Cache hits are decided before the first claim. Each resumed spec
+    // is decoded and hashed once, here; the digest of every job a spill
+    // record matches is kept (8 B per job; a zero digest never matches),
+    // so a shard re-reads its spill without decoding again.
+    let mut matched = Vec::new();
+    let mut recovered_jobs = 0;
     for shard in (0..shards).filter(|_| config.resume) {
-        let (known, recovered) = replay(&axes, &dir, shard, slots_of(shard))?;
+        let slots = slots_of(shard);
+        let lo = slots.start;
+        let digests = slots
+            .map(|index| decode(&axes, index).map(|(_, digest)| NonZeroU64::new(digest)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (known, recovered) = replay(&axes, &dir, shard, lo, &digests)?;
         recovered_jobs += recovered;
-        cache_hits += known.iter().flatten().count() as u64;
-        hits.extend(known.iter().map(Option::is_some));
+        let kept = digests.into_iter().zip(known);
+        matched.extend(kept.map(|(digest, record)| digest.filter(|_| record.is_some())));
     }
-    // A worker reports a hit as `None` without executing it; it decodes
-    // and runs every other job itself.
+    let cache_hits = matched.iter().flatten().count() as u64;
+    let matched: Arc<[Option<NonZeroU64>]> = matched.into();
+    // A worker reports a hit, and a repeat of an earlier job's run key,
+    // without executing it; it decodes and runs every other job itself.
     let grid = spec.clone();
-    let job = move |index: usize, attempt: u32| -> Result<Option<Ran>, String> {
-        if hits.get(index) == Some(&true) {
-            return Ok(None);
+    let hits = Arc::clone(&matched);
+    let job = move |index: usize, attempt: u32| -> Result<Drawn, String> {
+        if hits.get(index).is_some_and(Option::is_some) {
+            return Ok(Drawn::Hit);
         }
-        let (job, digest) = decode(&grid.axes(), index as u64)?;
+        let axes = grid.axes();
+        let (job, digest) = decode(&axes, index as u64)?;
+        let first = axes.first_with_run_key(index as u64, &job);
+        if first < index as u64 {
+            return Ok(Drawn::Repeat((job.policy, digest), first));
+        }
         let metrics = execute_attempt(&job, attempt);
-        Ok(Some(((job.policy, digest), metrics)))
+        Ok(Drawn::Ran((job.policy, digest), metrics))
     };
 
     let mut rollup = Rollup::default();
@@ -692,48 +774,64 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         crash: config.crash_point,
         ..Spill::default()
     };
-    // The open shard's replayed records and its outcomes so far.
+    // The open shard's replayed records, and the outcomes a repeat or
+    // the rollup still needs.
     let mut replayed = Vec::new();
-    let mut outcomes = Vec::new();
-    let commit = |result: PoolResult<Result<Option<Ran>, String>>| {
+    let mut committed = Committed {
+        reach: usize::try_from(axes.run_key_reach()).unwrap_or(usize::MAX),
+        ..Committed::default()
+    };
+    let mut repeats = 0;
+    let commit = |result: PoolResult<Result<Drawn, String>>| {
         let index = result.index as u64;
         let shard = index / shard_size;
         let slots = slots_of(shard);
         let slot = (index - slots.start) as usize;
         if slot == 0 {
-            replayed = if config.resume {
-                replay(&axes, &dir, shard, slots.clone())?.0
-            } else {
-                Vec::new()
+            let wanted = usize::try_from(slots.start)
+                .ok()
+                .zip(usize::try_from(slots.end).ok())
+                .and_then(|(lo, hi)| matched.get(lo..hi));
+            replayed = match wanted {
+                Some(wanted) => replay(&axes, &dir, shard, slots.start, wanted)?.0,
+                None => Vec::new(),
             };
             spill.open(&dir, shard, &replayed)?;
         }
-        let fresh = !matches!(result.execution, Execution::Completed(Ok(None)));
         let attempts = result.attempts;
-        let record = match result.execution {
-            Execution::Completed(Ok(None)) => {
+        let (record, fresh) = match result.execution {
+            Execution::Completed(Ok(Drawn::Hit)) => {
                 let known = replayed.get_mut(slot).and_then(Option::take);
-                known.ok_or_else(|| format!("job {index}: no replayed record"))?
+                let known = known.ok_or_else(|| format!("job {index}: no replayed record"))?;
+                (known, false)
             }
-            Execution::Completed(Ok(Some((ran, metrics)))) => record(
-                &axes,
-                index,
-                Some(ran),
-                Execution::Completed(metrics),
-                attempts,
-            )?,
+            Execution::Completed(Ok(Drawn::Repeat(named, first))) => {
+                let (outcome, attempts) = committed
+                    .get(first)
+                    .cloned()
+                    .ok_or_else(|| format!("job {index}: job {first} is out of reach"))?;
+                repeats += 1;
+                (record(&axes, index, Some(named), outcome, attempts)?, true)
+            }
+            Execution::Completed(Ok(Drawn::Ran(named, metrics))) => {
+                let outcome = Execution::Completed(metrics).into();
+                (record(&axes, index, Some(named), outcome, attempts)?, true)
+            }
             Execution::Completed(Err(message)) => return Err(message),
             Execution::Panicked(panic) => {
-                record(&axes, index, None, Execution::Panicked(panic), attempts)?
+                let outcome = Execution::Panicked(panic).into();
+                (record(&axes, index, None, outcome, attempts)?, true)
             }
-            Execution::TimedOut => record(&axes, index, None, Execution::TimedOut, attempts)?,
+            Execution::TimedOut => {
+                let outcome = JobOutcome::TimedOut;
+                (record(&axes, index, None, outcome, attempts)?, true)
+            }
         };
         spill.put(shard, slot, &encode_record(&record)?, fresh)?;
-        outcomes.push((record.outcome, record.attempts));
+        committed.pairs.push((record.outcome, record.attempts));
         if index + 1 == slots.end {
             spill.promote(&dir, shard, slot + 1)?;
-            rollup.fold_shard(shard, &outcomes);
-            outcomes.clear();
+            committed.fold(&mut rollup, shard, slots.start);
         }
         Ok(())
     };
@@ -751,6 +849,7 @@ pub fn run(spec: &GridSpec, config: &GridConfig) -> Result<GridRun, String> {
         cache_hits,
         recovered_jobs,
         recomputed: total - cache_hits,
+        simulated: total - cache_hits - repeats,
         peak_resident_jobs: shard_size.min(total),
         checkpoint_commits: spill.commits,
         wall_s,
@@ -906,6 +1005,36 @@ mod tests {
         assert_eq!(state.shards, 1);
         assert_eq!(state.records, 8);
         wipe(&cfg);
+    }
+
+    /// 2 seeds × 2 fault presets × 2 resilient settings × 2 policies:
+    /// the 4 `faults: None, resilient: true` jobs repeat the unwrapped
+    /// job two indices earlier, across a shard boundary at shard sizes 3
+    /// and 5. Every record still equals a direct `execute` of its own
+    /// spec, under its own ID and digest.
+    #[test]
+    fn repeats_copy_the_first_outcome_across_shard_boundaries() {
+        let mut spec = tiny_spec();
+        spec.resilient = Some(vec![false, true]);
+        for (shard_size, batch) in [(3, 32), (5, 0), (16, 1)] {
+            let mut cfg = config(&format!("repeats-{shard_size}"), shard_size, false);
+            cfg.checkpoint_batch = batch;
+            wipe(&cfg);
+            let run = run(&spec, &cfg).expect("runs");
+            assert_eq!((run.recomputed, run.simulated), (16, 12));
+            for shard in 0..run.aggregate.shards {
+                let path = run.dir.join(shard_file_name(shard));
+                for record in read_shard(&path).expect("shard reads") {
+                    let job = spec.job_at(record.index).expect("in range");
+                    let digest = spec_digest(&job);
+                    assert_eq!(record.id, job.id_from_digest(record.index, digest));
+                    assert_eq!(record.digest, digest_hex(digest));
+                    let want = JobOutcome::from(Execution::Completed(execute(&job)));
+                    assert_eq!(record.outcome, want, "job {}", record.index);
+                }
+            }
+            wipe(&cfg);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! consecutive jobs on a worker ask for the scenario the previous one
 //! built, and for a schedule it already planned.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -506,6 +506,28 @@ fn wrap_resilient(
         Box::new(ResilientPolicy::new(policy, CurrentRange::dac07()))
     } else {
         policy
+    }
+}
+
+/// The canonical run key: `job` minus the fields that cannot change its
+/// outcome, so two jobs with equal keys produce equal [`execute`]
+/// results. It clears `resilient` when `faults` is `None` and
+/// `inject_panic` is unset: with no fault schedule the simulator reports
+/// no conditions, and the degradation ladder reproduces its inner policy
+/// bit for bit
+/// (`tests/fault_injection.rs::resilient_wrapper_is_invisible_without_faults`).
+/// An empty schedule keeps `resilient`, since the ladder then sees the
+/// real state of charge, and so does an armed `inject_panic`, whose
+/// retries are part of the outcome. Every other field stays.
+#[must_use]
+pub fn run_key(job: &JobSpec) -> Cow<'_, JobSpec> {
+    if job.resilient.is_some() && job.faults.is_none() && job.inject_panic.is_none() {
+        Cow::Owned(JobSpec {
+            resilient: None,
+            ..job.clone()
+        })
+    } else {
+        Cow::Borrowed(job)
     }
 }
 

@@ -51,7 +51,7 @@ pub mod spec;
 pub mod sweep;
 
 pub use atomic::{write_atomic, AtomicFile};
-pub use exec::{execute, scenario_runs, JobMetrics};
+pub use exec::{execute, run_key, scenario_runs, JobMetrics};
 pub use manifest::{JobOutcome, JobRecord, ManifestWriter, RunAggregates, RunManifest};
 pub use spec::{
     spec_digest, Axes, DevicePreset, FaultPreset, JobGrid, JobSpec, PolicySpec, PredictorSpec,
@@ -68,12 +68,11 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// A config with an explicit worker count.
+    /// A config with an explicit worker count (0 = available
+    /// parallelism, resolved by the pool).
     #[must_use]
     pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-        }
+        Self { workers }
     }
 }
 
@@ -307,6 +306,19 @@ mod tests {
                 assert_eq!(job.id_from_digest(i as u64, digest), id);
             }
         }
+    }
+
+    #[test]
+    fn zero_workers_means_the_host_parallelism() {
+        let config = RunConfig::with_workers(0);
+        assert_eq!(config.workers, 0, "0 is kept for the pool to resolve");
+        let specs = [JobSpec::new(
+            PolicySpec::Conv,
+            WorkloadSpec::Experiment1(SEED),
+        )];
+        let host = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(BatchRun::new(&specs, &config).workers(), host);
+        assert!(run_specs(&specs, &config).all_completed());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use fcdpm_faults::{
 use serde::{Deserialize, Serialize};
 
 use crate::check;
-use crate::exec::ScenarioRuns;
+use crate::exec::{run_key, ScenarioRuns};
 
 /// Which FC output-current policy drives the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -360,7 +360,9 @@ pub struct JobSpec {
     /// Fault schedule injected mid-run (`None` = no faults). An empty
     /// schedule behaves exactly like `None`, except on a `resilient`
     /// job: the wrapper then sees the real state of charge and may hold
-    /// the inner policy at the depletion rail (see
+    /// the inner policy at the depletion rail. So
+    /// [`run_key`] drops `resilient` only when this is
+    /// `None` (see
     /// `tests/fault_injection.rs::resilient_wrapper_is_invisible_without_faults`).
     pub faults: Option<FaultSchedule>,
     /// Wrap the FC policy in the graceful-degradation
@@ -632,6 +634,58 @@ impl<'a> Axes<'a> {
         })
     }
 
+    /// The policy of job `index`, read from its least-significant digit
+    /// (or an extra job's own field) without decoding the rest.
+    ///
+    /// Returns `None` past the end of the grid.
+    #[must_use]
+    pub fn policy_at(&self, index: u64) -> Option<&'a PolicySpec> {
+        let product = self.product_len();
+        if index >= product {
+            let extra = usize::try_from(index - product).ok()?;
+            return self.extra_jobs.get(extra).map(|job| &job.policy);
+        }
+        let digit = index % self.policies.len() as u64;
+        self.policies.get(usize::try_from(digit).ok()?)
+    }
+
+    /// The first index whose job has the same [`run_key`] as job
+    /// `index`, given as `job` (the caller has decoded it already).
+    /// Jobs that differ only in their resilient digit sit `stride`
+    /// indices apart, where `stride` is the policy count, so only the
+    /// earlier values of that digit are searched, by index arithmetic;
+    /// each candidate is decoded and its run key compared, so a match
+    /// never rests on which fields the key drops. Returns `index` itself
+    /// when no earlier job matches, and for extra jobs.
+    #[must_use]
+    pub fn first_with_run_key(&self, index: u64, job: &JobSpec) -> u64 {
+        if index >= self.product_len() {
+            return index;
+        }
+        let stride = self.policies.len() as u64;
+        let digit = index / stride % radix(self.resilient);
+        if digit == 0 {
+            return index;
+        }
+        let key = run_key(job);
+        (1..=digit)
+            .rev()
+            .map(|back| index - back * stride)
+            .find(|&earlier| {
+                self.job_at(earlier)
+                    .is_some_and(|other| run_key(&other) == key)
+            })
+            .unwrap_or(index)
+    }
+
+    /// How far back [`first_with_run_key`](Self::first_with_run_key)
+    /// reaches: `index - first_with_run_key(index, job)` is always below
+    /// this (the resilient radix times the policy count).
+    #[must_use]
+    pub fn run_key_reach(&self) -> u64 {
+        radix(self.resilient).saturating_mul(self.policies.len() as u64)
+    }
+
     /// Lazily iterates `(index, spec)` over the whole grid. Nothing is
     /// materialized: each item is decoded on demand.
     pub fn iter(&self) -> impl Iterator<Item = (u64, JobSpec)> + 'a {
@@ -898,6 +952,43 @@ mod tests {
         let jobs = decoded(&grid);
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[1], poison);
+    }
+
+    /// Against a brute-force scan of the whole grid: the resilient digit
+    /// holds duplicates and runs `true` before `false`, so with no fault
+    /// both later values repeat the first, and with one only the
+    /// duplicate does.
+    #[test]
+    fn first_with_run_key_matches_a_brute_force_scan() {
+        let workloads = [WorkloadSpec::Experiment1(1), WorkloadSpec::Dvs(2)];
+        let policies = [PolicySpec::Conv, PolicySpec::FcDpm];
+        let mut axes = Axes {
+            workloads: Workloads::List(&workloads),
+            faults: &[FaultPreset::None, FaultPreset::Starvation],
+            resilient: &[true, false, true],
+            policies: &policies,
+            ..Axes::default()
+        };
+        let extra = [JobSpec::new(PolicySpec::Asap, WorkloadSpec::Experiment2(3))];
+        axes.extra_jobs = &extra;
+        let repeats = |axes: &Axes<'_>| {
+            let mut repeats = 0;
+            for (index, job) in axes.iter() {
+                let first = axes.first_with_run_key(index, &job);
+                let scan = axes
+                    .iter()
+                    .find(|(_, other)| run_key(other) == run_key(&job));
+                assert_eq!(Some(first), scan.map(|(i, _)| i), "job {index}");
+                assert!(index - first < axes.run_key_reach());
+                assert_eq!(axes.policy_at(index), Some(&job.policy));
+                repeats += u64::from(first < index);
+            }
+            assert_eq!(axes.policy_at(axes.len()), None);
+            repeats
+        };
+        assert_eq!(repeats(&axes), 2 * (2 * 2 + 2));
+        axes.inject_panic = true;
+        assert_eq!(repeats(&axes), 2 * 2 * 2, "only the identical specs");
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!    [`ResilientPolicy`](fcdpm_core::policy::ResilientPolicy) strictly
 //!    reduces unserved-load time on the reference camcorder trace.
 //! 4. With no fault to react to, the wrapper is invisible: over random
-//!    traces, policies, storages and predictors, a resilient run equals
-//!    the unwrapped run under full `PartialEq`.
+//!    traces of every workload family, policies, storages, predictors,
+//!    capacities, β and path efficiencies, a resilient run equals the
+//!    unwrapped run under full `PartialEq`, and the two share a
+//!    [`run_key`].
 
 #![allow(
     clippy::unwrap_used,
@@ -26,8 +28,8 @@
 
 use fcdpm_faults::FaultSchedule;
 use fcdpm_runner::{
-    execute, fault_sweep, run_specs, JobOutcome, JobSpec, PolicySpec, PredictorSpec, RunConfig,
-    StorageSpec, WorkloadSpec,
+    execute, fault_sweep, run_key, run_specs, JobOutcome, JobSpec, PolicySpec, PredictorSpec,
+    RunConfig, StorageSpec, WorkloadSpec,
 };
 use proptest::prelude::*;
 
@@ -101,17 +103,21 @@ fn resilient_wrapper_strictly_reduces_starvation_brownouts() {
 }
 
 proptest! {
-    /// Contracts 2 and 4 for every policy `execute` accepts on a slot
-    /// workload, every storage model and every predictor. Without a
-    /// schedule the degradation ladder never sees the storage, so the
-    /// wrapped run equals the unwrapped one. An empty schedule changes
-    /// no unwrapped run; with it the simulator reports conditions, and
-    /// the wrapped run may leave the inner policy at the depletion rail,
-    /// but only by a counted degradation.
+    /// Contracts 2 and 4, through [`run_key`], the key the fleet engine
+    /// reuses outcomes by: for every policy on every workload family
+    /// (profile-driven multi-device runs reject the slot policies, both
+    /// wrapped and not), every storage model, predictor, capacity, β and
+    /// path efficiency. Without a schedule the degradation ladder never
+    /// sees the storage, so the key drops `resilient` and the wrapped
+    /// run equals the unwrapped one. An empty schedule changes no
+    /// unwrapped run; with it the simulator reports conditions, and the
+    /// wrapped run may leave the inner policy at the depletion rail, but
+    /// only by a counted degradation, so the key keeps `resilient`, as
+    /// it does for an armed `inject_panic`.
     #[test]
     fn resilient_wrapper_is_invisible_without_faults(
         seed in 0u64..u64::MAX,
-        exp2 in any::<bool>(),
+        workload in 0usize..4,
         policy in 0usize..6,
         levels in 2usize..16,
         amps in 0.1f64..=1.2,
@@ -119,12 +125,17 @@ proptest! {
         predictor in 0usize..5,
         rho in 0.0f64..=1.0,
         window in 1usize..16,
+        capacity in (any::<bool>(), 40.0f64..=200.0),
+        beta in (any::<bool>(), 0.05f64..=0.3),
+        path_efficiency in (any::<bool>(), 0.7f64..=1.0),
     ) {
-        let workload = if exp2 {
-            WorkloadSpec::Experiment2(seed)
-        } else {
-            WorkloadSpec::Experiment1(seed)
-        };
+        let workload = [
+            WorkloadSpec::Experiment1(seed),
+            WorkloadSpec::Experiment2(seed),
+            WorkloadSpec::Dvs(seed),
+            WorkloadSpec::MultiDevice(seed),
+        ][workload]
+            .clone();
         let policy = [
             PolicySpec::Conv,
             PolicySpec::Asap,
@@ -134,6 +145,8 @@ proptest! {
             PolicySpec::Constant(amps),
         ][policy]
             .clone();
+        let slot_policy_on_profile = matches!(workload, WorkloadSpec::MultiDevice(_))
+            && matches!(policy, PolicySpec::FcDpm | PolicySpec::Quantized(_));
         let mut plain = JobSpec::new(policy, workload);
         plain.storage = Some(
             [StorageSpec::Ideal, StorageSpec::SuperCapacitor, StorageSpec::Kibam][storage].clone(),
@@ -148,14 +161,26 @@ proptest! {
             ][predictor]
                 .clone(),
         );
+        plain.capacity_mamin = capacity.0.then_some(capacity.1);
+        plain.beta = beta.0.then_some(beta.1);
+        plain.buffer_path_efficiency = path_efficiency.0.then_some(path_efficiency.1);
         let mut wrapped = plain.clone();
         wrapped.resilient = Some(true);
+        prop_assert_eq!(run_key(&wrapped), run_key(&plain), "{:?}", wrapped);
         let want = execute(&plain);
-        prop_assert!(want.is_ok(), "{plain:?} fails: {want:?}");
+        prop_assert!(
+            want.is_ok() != slot_policy_on_profile,
+            "{plain:?} gives {want:?}"
+        );
         prop_assert_eq!(execute(&wrapped), want.clone(), "{:?}", wrapped);
+
+        let mut armed = wrapped.clone();
+        armed.inject_panic = Some(true);
+        prop_assert_eq!(run_key(&armed).resilient, Some(true), "{:?}", armed);
 
         plain.faults = Some(FaultSchedule::none(seed));
         wrapped.faults = plain.faults.clone();
+        prop_assert_eq!(run_key(&wrapped).resilient, Some(true), "{:?}", wrapped);
         prop_assert_eq!(execute(&plain), want.clone(), "{:?}", plain);
         let got = execute(&wrapped);
         if got.as_ref().is_ok_and(|m| m.degradations == 0) {

@@ -31,6 +31,7 @@ use proptest::prelude::*;
 
 const CRASH_POINT_VAR: &str = "FCDPM_CRASH_POINT";
 const CRASH_OUT_VAR: &str = "FCDPM_CRASH_OUT";
+const CRASH_WORKERS_VAR: &str = "FCDPM_CRASH_WORKERS";
 
 /// 8 jobs over 3 shards (shard size 3, ragged tail) — every crash point
 /// below lands inside real work.
@@ -135,14 +136,112 @@ fn spawn_crash_child(point: &str, out: &Path) -> std::process::ExitStatus {
 
 /// Re-invokes this test binary on the child entry `entry`.
 fn spawn_child(entry: &str, point: &str, out: &Path) -> std::process::ExitStatus {
-    Command::new(std::env::current_exe().expect("test binary path"))
+    child(entry, point, out)
+        .status()
+        .expect("spawn crash child")
+}
+
+/// The command that re-invokes this test binary on the child entry
+/// `entry`.
+fn child(entry: &str, point: &str, out: &Path) -> Command {
+    let mut command = Command::new(std::env::current_exe().expect("test binary path"));
+    command
         .args([entry, "--exact", "--ignored"])
         .env(CRASH_POINT_VAR, point)
         .env(CRASH_OUT_VAR, out)
         .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("spawn crash child")
+        .stderr(std::process::Stdio::null());
+    command
+}
+
+/// The 4800-job fleet example.
+fn fleet_spec() -> GridSpec {
+    serde_json::from_str(include_str!("../examples/grid_fleet.json")).expect("fleet spec parses")
+}
+
+/// `fcdpm grid run examples/grid_fleet.json --jobs <workers>` with a
+/// fixed run ID.
+fn fleet_config(out: &Path, workers: usize) -> GridConfig {
+    GridConfig {
+        workers,
+        out_dir: out.to_path_buf(),
+        run_id: Some("fleet".to_owned()),
+        ..GridConfig::default()
+    }
+}
+
+/// The child entry for [`fleet_spec`] under [`fleet_config`], with the
+/// worker count in the environment.
+#[test]
+#[ignore = "child entry for the crash-injection driver"]
+fn fleet_crash_child() {
+    let Ok(point) = std::env::var(CRASH_POINT_VAR) else {
+        return;
+    };
+    let out = std::env::var(CRASH_OUT_VAR).expect("crash out dir");
+    let workers = std::env::var(CRASH_WORKERS_VAR).expect("crash worker count");
+    let config = GridConfig {
+        crash_point: Some(parse_point(&point)),
+        ..fleet_config(Path::new(&out), workers.parse().expect("worker count"))
+    };
+    let _ = run(&fleet_spec(), &config);
+}
+
+/// The fleet example simulates each distinct run once, at one and two
+/// workers: 4000 of its 4800 jobs fresh (the 800 `faults: None,
+/// resilient: true` jobs repeat their unwrapped twins), none on a full
+/// resume, and 2752 after a kill at the 1500th checkpointed job, which
+/// loses 3300 jobs, 548 of them repeats. The first four lost jobs
+/// (1500–1503) repeat jobs replayed from the checkpoint, so the
+/// committer copies replayed outcomes as well as fresh ones. Every run
+/// directory matches the fresh one's byte for byte.
+#[test]
+fn fleet_simulates_each_distinct_run_once() {
+    for workers in [1, 2] {
+        let out = fresh_dir(&format!("fleet-{workers}"));
+        let config = fleet_config(&out, workers);
+        let fresh = run(&fleet_spec(), &config).expect("fresh run");
+        assert_eq!(
+            (fresh.recomputed, fresh.simulated),
+            (4800, 4000),
+            "fresh run, {workers} workers"
+        );
+        let reference = dir_bytes(&fresh.dir);
+        let resume = GridConfig {
+            resume: true,
+            ..config
+        };
+        let resumed = run(&fleet_spec(), &resume).expect("full resume");
+        assert_eq!(
+            (resumed.cache_hits, resumed.simulated),
+            (4800, 0),
+            "full resume, {workers} workers"
+        );
+        assert!(dir_bytes(&resumed.dir) == reference);
+
+        let crashed = fresh_dir(&format!("fleet-crash-{workers}"));
+        let status = child("fleet_crash_child", "after-job:1500", &crashed)
+            .env(CRASH_WORKERS_VAR, workers.to_string())
+            .status()
+            .expect("spawn crash child");
+        assert!(
+            !status.success(),
+            "the crash child must die, got {status:?}"
+        );
+        let resume = GridConfig {
+            resume: true,
+            ..fleet_config(&crashed, workers)
+        };
+        let resumed = run(&fleet_spec(), &resume).expect("resume after the kill");
+        assert_eq!(
+            (resumed.cache_hits, resumed.recomputed, resumed.simulated),
+            (1500, 3300, 2752),
+            "resume after the kill, {workers} workers"
+        );
+        assert!(dir_bytes(&resumed.dir) == reference);
+        let _ = std::fs::remove_dir_all(&out);
+        let _ = std::fs::remove_dir_all(&crashed);
+    }
 }
 
 /// Counts (final-shard records, checkpointed records, torn lines) left
