@@ -7,9 +7,11 @@
 //! convention. Each rule lives in exactly one checker. Clippy
 //! (`clippy.toml` and `[workspace.lints]`) enforces determinism and the
 //! panic policy; `tests/manifests.rs` pins crate hygiene and layering;
-//! grid feasibility is a load-time check in `fcdpm-runner`; unit mixing
-//! is a compile error pinned by `fcdpm-units` doctests. The [`Rule`]
-//! catalogue here holds the five rules no other tool can express:
+//! `tests/paper_constants.rs` pins the DAC'07 constants and
+//! `tests/serde_roundtrips.rs` the digest keys; grid feasibility is a
+//! load-time check in `fcdpm-runner`; unit mixing is a compile error
+//! pinned by `fcdpm-units` doctests. The [`Rule`] catalogue here holds
+//! the three rules no other tool can express:
 //!
 //! * [`Rule::UnitSafety`] — physical quantities in public signatures of
 //!   physics crates use `fcdpm-units` newtypes, and physics code avoids
@@ -17,12 +19,6 @@
 //! * [`Rule::UnitDataflow`] — follows raw `f64` projections of unit
 //!   newtypes (`i.amps()`) through `let`-bindings and arithmetic inside
 //!   function bodies, where the compiler sees only `f64` ([`dataflow`]).
-//! * [`Rule::PaperConstants`] — every DAC'07 constant recorded in
-//!   `paper-constants.toml` appears verbatim as a literal in the source
-//!   file its manifest section names ([`constants`]).
-//! * [`Rule::DigestStability`] — digest-keyed structs (`GridSpec`,
-//!   `JobSpec`) account for every serde field in an explicit
-//!   folded/masked manifest pair ([`digest`]).
 //! * [`Rule::AtomicArtifact`] — writes into a grid run directory go
 //!   through the tmp+rename publishers or the checksummed-append
 //!   checkpoint writer ([`artifacts`]).
@@ -34,20 +30,16 @@
 //! so two runs over the same tree print byte-identical reports.
 
 pub mod artifacts;
-pub mod constants;
 pub mod dataflow;
-pub mod digest;
 mod lexical;
 pub mod scan;
 mod syntax;
-pub mod toml;
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use constants::MANIFEST_PATH;
 pub use scan::Scan;
 
 /// The rule catalogue.
@@ -59,23 +51,13 @@ pub enum Rule {
     /// No raw `f64` projections of distinct dimensions mixed inside
     /// function bodies.
     UnitDataflow,
-    /// Hard-coded paper constants match `paper-constants.toml`.
-    PaperConstants,
-    /// Digest-keyed structs account for every field (folded or masked).
-    DigestStability,
     /// Run-directory writes must use the atomic/checksummed helpers.
     AtomicArtifact,
 }
 
 impl Rule {
     /// Every rule, in catalogue order.
-    pub const ALL: [Rule; 5] = [
-        Rule::UnitSafety,
-        Rule::UnitDataflow,
-        Rule::PaperConstants,
-        Rule::DigestStability,
-        Rule::AtomicArtifact,
-    ];
+    pub const ALL: [Rule; 3] = [Rule::UnitSafety, Rule::UnitDataflow, Rule::AtomicArtifact];
 
     /// Stable identifier used in reports.
     #[must_use]
@@ -83,8 +65,6 @@ impl Rule {
         match self {
             Rule::UnitSafety => "unit-safety",
             Rule::UnitDataflow => "unit-dataflow",
-            Rule::PaperConstants => "paper-constants",
-            Rule::DigestStability => "digest-stability",
             Rule::AtomicArtifact => "atomic-artifact",
         }
     }
@@ -118,7 +98,7 @@ impl fmt::Display for Finding {
 pub struct Report {
     /// Every finding, sorted by `(path, line, rule, message)`.
     pub findings: Vec<Finding>,
-    /// Number of input files (sources and the paper manifest) analyzed.
+    /// Number of source files analyzed.
     pub files_scanned: usize,
 }
 
@@ -227,7 +207,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Analyzes the workspace under `root`.
 ///
 /// Every source file is read and lexed once and the per-file rules run
-/// on that scan; then the paper manifest is checked.
+/// on that scan.
 ///
 /// # Errors
 ///
@@ -242,17 +222,7 @@ pub fn run(root: &Path) -> io::Result<Report> {
             findings.extend(lexical::check_file(rel, &scan));
             findings.extend(dataflow::check_file(rel, &scan));
         }
-        findings.extend(digest::check_file(rel, &source, &scan));
         findings.extend(artifacts::check_file(rel, &scan));
-    }
-
-    let mut files_scanned = files.len();
-
-    // Paper-constants conformance — skipped entirely when the manifest
-    // is absent (scratch workspaces in tests have none).
-    if let Ok(text) = fs::read_to_string(root.join(MANIFEST_PATH)) {
-        files_scanned += 1;
-        findings.extend(constants::check(root, &text));
     }
 
     findings.sort_by(|a, b| {
@@ -260,7 +230,7 @@ pub fn run(root: &Path) -> io::Result<Report> {
     });
     Ok(Report {
         findings,
-        files_scanned,
+        files_scanned: files.len(),
     })
 }
 
@@ -271,16 +241,7 @@ mod tests {
     #[test]
     fn rule_ids_are_stable() {
         let ids: Vec<&str> = Rule::ALL.iter().map(|r| r.id()).collect();
-        assert_eq!(
-            ids,
-            [
-                "unit-safety",
-                "unit-dataflow",
-                "paper-constants",
-                "digest-stability",
-                "atomic-artifact"
-            ]
-        );
+        assert_eq!(ids, ["unit-safety", "unit-dataflow", "atomic-artifact"]);
     }
 
     #[test]

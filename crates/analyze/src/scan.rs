@@ -68,7 +68,8 @@ fn line_starts(text: &str) -> Vec<usize> {
     starts
 }
 
-fn is_ident_char(c: char) -> bool {
+/// True for characters that may appear inside a Rust identifier.
+pub(crate) fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 

@@ -1,9 +1,8 @@
 //! End-to-end tests for `fcdpm-analyze`: the committed workspace is
 //! clean, reports are deterministic, every rule with a fixture pair
-//! fires on its bad file and stays quiet on its ok file, and seeded
-//! defects (a drifted paper constant, a dimensional mix behind a
-//! re-export, an unmasked digest field) are detected in scratch
-//! workspaces.
+//! fires on its bad file and stays quiet on its ok file, and a seeded
+//! dimensional mix behind a re-export is detected in a scratch
+//! workspace.
 
 #![allow(
     clippy::unwrap_used,
@@ -16,7 +15,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use fcdpm_analyze::{digest, Report, Rule, Scan};
+use fcdpm_analyze::{Report, Rule};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -70,7 +69,7 @@ struct Pair {
     ok: &'static str,
 }
 
-const PAIRS: [Pair; 3] = [
+const PAIRS: [Pair; 2] = [
     Pair {
         rule: Rule::UnitSafety,
         path: "crates/fuelcell/src/signatures.rs",
@@ -86,14 +85,6 @@ const PAIRS: [Pair; 3] = [
         bad_findings: 3,
         mentions: &["Amps and Seconds", "Seconds and Amps", "Amps and Charge"],
         ok: "dimension_ok.rs",
-    },
-    Pair {
-        rule: Rule::DigestStability,
-        path: "crates/grid/src/gen.rs",
-        bad: "digest_unmasked.rs",
-        bad_findings: 2,
-        mentions: &["neither folded", "masks `name` which"],
-        ok: "digest_masked.rs",
     },
 ];
 
@@ -162,32 +153,6 @@ fn seeded_findings_are_byte_identical_across_runs() {
 }
 
 #[test]
-fn seeded_alpha_drift_in_efficiency_copy_is_detected() {
-    let committed = fs::read_to_string(repo_root().join("crates/fuelcell/src/efficiency.rs"))
-        .expect("committed efficiency.rs");
-    let drifted = committed.replace("0.45", "0.46");
-    assert_ne!(committed, drifted, "seeding must change the file");
-
-    let scratch = Scratch::new("analyze-alpha-drift");
-    scratch.write("crates/fuelcell/src/efficiency.rs", &drifted);
-    scratch.write(
-        "paper-constants.toml",
-        "[efficiency]\npath = \"crates/fuelcell/src/efficiency.rs\"\nalpha = 0.45\nbeta = 0.13\nv_bus_v = 12.0\n",
-    );
-    let report = scratch.analyze();
-    assert_eq!(report.findings.len(), 1, "{}", report.to_human());
-    let finding = &report.findings[0];
-    assert_eq!(finding.rule, Rule::PaperConstants.id());
-    assert_eq!(finding.path, "crates/fuelcell/src/efficiency.rs");
-    assert!(finding.message.contains("alpha = 0.45"), "{finding}");
-
-    // The undrifted copy is conformant.
-    scratch.write("crates/fuelcell/src/efficiency.rs", &committed);
-    let report = scratch.analyze();
-    assert!(report.is_clean(), "{}", report.to_human());
-}
-
-#[test]
 fn mixing_behind_the_core_reexport_is_detected() {
     // `fcdpm-core` re-exports the unit newtypes. The pass keys on the
     // accessor names, not the imports, so a mix behind the re-export is
@@ -201,24 +166,4 @@ fn mixing_behind_the_core_reexport_is_detected() {
     assert_eq!(report.findings.len(), 1, "{}", report.to_human());
     assert_eq!(report.findings[0].rule, Rule::UnitDataflow.id());
     assert_eq!(report.findings[0].line, 4);
-}
-
-#[test]
-fn removing_the_gridspec_name_mask_fails_digest_stability() {
-    // The acceptance check runs against the *real* gen.rs, not a
-    // fixture: dropping `name` from the committed mask manifest must
-    // fail the pass.
-    let committed = fs::read_to_string(repo_root().join("crates/grid/src/gen.rs")).expect("gen.rs");
-    let clean = digest::check_file("crates/grid/src/gen.rs", &committed, &Scan::new(&committed));
-    assert!(clean.is_empty(), "{clean:#?}");
-
-    let drifted = committed.replace(r#"&["name"]"#, "&[]");
-    assert_ne!(committed, drifted, "seeding must change the file");
-    let findings = digest::check_file("crates/grid/src/gen.rs", &drifted, &Scan::new(&drifted));
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == Rule::DigestStability.id() && f.message.contains("`name`")),
-        "{findings:#?}"
-    );
 }

@@ -162,12 +162,13 @@ pub enum Command {
         /// Output path for the JSON payload (default `BENCH_4.json`).
         out: Option<String>,
     },
-    /// Run the static analysis over the workspace: the five rules of
+    /// Run the static analysis over the workspace: the three rules of
     /// `fcdpm_analyze::Rule::ALL` (unit-safety, unit-dataflow,
-    /// paper-constants, digest-stability, atomic-artifact), printed as
-    /// one `path:line: [rule] message` line per finding. Clippy and
-    /// `tests/manifests.rs` enforce determinism, the panic policy, crate
-    /// hygiene and layering.
+    /// atomic-artifact), printed as one `path:line: [rule] message` line
+    /// per finding. Clippy enforces determinism and the panic policy;
+    /// `tests/manifests.rs` crate hygiene and layering;
+    /// `tests/paper_constants.rs` the DAC'07 constants; and
+    /// `tests/serde_roundtrips.rs` the digest keys.
     Analyze {
         /// Workspace root to scan (default: current directory).
         root: Option<String>,

@@ -53,9 +53,10 @@ COMMANDS:
                  resilient and Conv-DPM policies, deterministic manifest
     bench        deterministic harness: fixture grid, coalescing gates, fault
                  sweep and grid resume, payload to BENCH_4.json
-    analyze      static analysis, five rules: unit-safety, unit-dataflow,
-                 paper-constants, digest-stability, atomic-artifact
-                 (exit 1 on any finding)
+    analyze      static analysis, three rules: unit-safety, unit-dataflow,
+                 atomic-artifact (exit 1 on any finding); the paper
+                 constants and digest keys are tier-1 tests
+                 (tests/paper_constants.rs, tests/serde_roundtrips.rs)
     help         show this message
 "
     .to_owned()

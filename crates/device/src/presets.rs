@@ -119,33 +119,3 @@ pub fn wireless_radio() -> DeviceSpec {
 pub fn sensor_node() -> DeviceSpec {
     SENSOR.into_spec()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::PowerMode;
-    use fcdpm_units::Seconds;
-
-    #[test]
-    fn camcorder_matches_figure_6() {
-        let spec = dvd_camcorder();
-        assert_eq!(spec.mode_power(PowerMode::Run).watts(), 14.65);
-        assert_eq!(spec.mode_power(PowerMode::Standby).watts(), 4.84);
-        assert_eq!(spec.mode_power(PowerMode::Sleep).watts(), 2.4);
-        assert_eq!(spec.power_down_time().seconds(), 0.5);
-        assert_eq!(spec.wake_up_time().seconds(), 0.5);
-        assert_eq!(spec.start_up_time().seconds(), 1.5);
-        assert_eq!(spec.shut_down_time().seconds(), 0.5);
-    }
-
-    #[test]
-    fn experiment2_matches_section_5_2() {
-        let spec = experiment2_device();
-        assert_eq!(spec.power_down_time().seconds(), 1.0);
-        assert_eq!(spec.wake_up_time().seconds(), 1.0);
-        assert!((spec.power_down_current().amps() - 1.2).abs() < 1e-12);
-        assert!((spec.wake_up_current().amps() - 1.2).abs() < 1e-12);
-        assert_eq!(spec.break_even_time().seconds(), 10.0);
-        assert_eq!(spec.start_up_time(), Seconds::ZERO);
-    }
-}

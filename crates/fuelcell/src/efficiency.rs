@@ -279,14 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_constants() {
-        let e = dac07();
-        assert_eq!(e.alpha(), 0.45);
-        assert_eq!(e.beta(), 0.13);
-        assert!((e.coefficient() - 0.32).abs() < 1e-12);
-    }
-
-    #[test]
     fn motivational_example_currents() {
         // Section 3.2 Setting (b): I_F = 0.2 A → I_fc ≈ 0.15 A,
         // I_F = 1.2 A → I_fc ≈ 1.3 A.

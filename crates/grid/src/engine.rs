@@ -542,11 +542,11 @@ impl Spill {
         promoted.put(slot, line)
     }
 
-    /// Commits the last batch, promotes the shard (atomic tmp+rename;
-    /// it fails unless all `jobs` slots arrived) and removes its
-    /// checkpoint, now redundant. With checkpointing off there is no
-    /// checkpoint writer, but a resume may still have replayed a
-    /// crashed run's partial.
+    /// Commits the last batch, promotes the shard (atomic tmp+rename,
+    /// synced to disk; it fails unless all `jobs` slots arrived) and
+    /// removes its checkpoint, now redundant. With checkpointing off
+    /// there is no checkpoint writer, but a resume may still have
+    /// replayed a crashed run's partial.
     fn promote(&mut self, dir: &Path, shard: u64, jobs: usize) -> Result<(), String> {
         self.commit(shard)?;
         if self.crash == Some(CrashPoint::BeforeShardPromote(shard)) {

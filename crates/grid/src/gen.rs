@@ -22,10 +22,11 @@ use serde::{Deserialize, Serialize};
 
 /// Every [`GridSpec`] field folded into [`GridSpec::digest`]. Together
 /// with [`GRIDSPEC_DIGEST_MASK`] this must partition the struct's
-/// fields exactly — `fcdpm analyze`'s digest-stability pass checks the
-/// partition statically, so adding a field without deciding its cache
-/// fate fails CI instead of silently aliasing or orphaning resume
-/// directories.
+/// serialized fields exactly — `tests/serde_roundtrips.rs`
+/// (`digest_manifests_match_the_serialized_fields`) checks the partition
+/// and that each field moves the digest exactly when it is folded, so
+/// adding a field without deciding its cache fate fails CI instead of
+/// silently aliasing or orphaning resume directories.
 pub const GRIDSPEC_DIGEST_FIELDS: &[&str] = &[
     "seeds",
     "workloads",
@@ -37,8 +38,7 @@ pub const GRIDSPEC_DIGEST_FIELDS: &[&str] = &[
 ];
 
 /// [`GridSpec`] fields deliberately *excluded* from the digest (each
-/// one neutralized by an explicit `canonical.<field> = …` assignment in
-/// [`GridSpec::digest`]).
+/// one neutralized in [`GridSpec::digest`] before hashing).
 pub const GRIDSPEC_DIGEST_MASK: &[&str] = &["name"];
 
 /// An intensionally-described cross product of fleet-simulation jobs.

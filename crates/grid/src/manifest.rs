@@ -20,8 +20,9 @@
 //! index and digest, whatever order the lines are in. The same JSON
 //! ([`encode_record`], rendered once per record) goes, slot by slot in
 //! index order, through a `ShardWriter` into `shard-NNNNN.jsonl.tmp` (an
-//! [`AtomicFile`]), which is renamed into place when the shard
-//! completes; then the partial file is removed.
+//! [`AtomicFile`]), which is synced, renamed into place and made durable
+//! by a sync of the run directory when the shard completes; only then
+//! is the partial file removed.
 //!
 //! [`read_shard`] reads one promoted shard and [`read_partial`] one
 //! checkpoint; the engine, `status` and `gc` all read through them.
@@ -324,6 +325,7 @@ pub(crate) fn list_matching(
 /// order, so a crashed run never leaves a half shard behind.
 #[derive(Debug)]
 pub(crate) struct ShardWriter {
+    dir: PathBuf,
     out: AtomicFile,
     /// The next slot to write.
     next: usize,
@@ -333,6 +335,7 @@ impl ShardWriter {
     /// Creates (truncating) the temporary file for `shard` under `dir`.
     pub(crate) fn create(dir: &Path, shard: u64) -> Result<Self, String> {
         Ok(Self {
+            dir: dir.to_owned(),
             out: AtomicFile::create(&dir.join(shard_file_name(shard)))?,
             next: 0,
         })
@@ -351,12 +354,20 @@ impl ShardWriter {
     }
 
     /// Renames the file into place if slots `0..slots` have all been
-    /// written; otherwise nothing is promoted.
-    pub(crate) fn finish(self, slots: usize) -> Result<PathBuf, String> {
+    /// written; otherwise nothing is promoted. The file's data is
+    /// synced before the rename and the directory after it, so once
+    /// this returns an OS crash or a power loss cannot take the shard
+    /// back — the caller may then remove its checkpoint.
+    pub(crate) fn finish(mut self, slots: usize) -> Result<PathBuf, String> {
         if self.next != slots {
             return Err(format!("shard slot {} of {slots} never arrived", self.next));
         }
-        self.out.finish()
+        self.out.sync_data()?;
+        let path = self.out.finish()?;
+        File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| format!("cannot sync `{}`: {e}", self.dir.display()))?;
+        Ok(path)
     }
 }
 

@@ -49,6 +49,21 @@ impl AtomicFile {
             .map_err(|e| format!("cannot write `{}`: {e}", self.tmp.display()))
     }
 
+    /// Flushes what is written so far and syncs the `.tmp` file's data
+    /// to disk. [`finish`](Self::finish) alone survives a killed
+    /// process but not an OS crash or a power loss; a caller that then
+    /// deletes the only other copy of the bytes syncs first.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for I/O failures.
+    pub fn sync_data(&mut self) -> Result<(), String> {
+        self.out
+            .flush()
+            .and_then(|()| self.out.get_ref().sync_data())
+            .map_err(|e| format!("cannot sync `{}`: {e}", self.tmp.display()))
+    }
+
     /// Flushes the file and renames it into place; returns its path.
     ///
     /// # Errors
@@ -105,6 +120,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).expect("reads"), "first");
         let mut file = AtomicFile::create(&path).expect("creates");
         file.write("sec").expect("writes");
+        file.sync_data().expect("syncs");
         file.write("ond").expect("writes");
         assert_eq!(file.finish().expect("renames"), path);
         assert_eq!(std::fs::read_to_string(&path).expect("reads"), "second");

@@ -315,8 +315,10 @@ pub enum PredictorSpec {
 /// Every [`JobSpec`] field folded into the spec digest
 /// ([`spec_digest`] hashes the serialized spec whole, so the
 /// list is exhaustive and [`JOBSPEC_DIGEST_MASK`] stays empty).
-/// `fcdpm analyze`'s digest-stability pass checks the partition
-/// statically: a new field fails CI until it is listed here — and the
+/// `tests/serde_roundtrips.rs`
+/// (`digest_manifests_match_the_serialized_fields`) checks the list
+/// against the serialized fields and that changing each one moves the
+/// digest: a new field fails CI until it is listed here — and the
 /// author has decided, reviewably, that re-keying every cache is
 /// intended.
 pub const JOBSPEC_DIGEST_FIELDS: &[&str] = &[

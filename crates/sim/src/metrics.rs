@@ -6,7 +6,7 @@ use fcdpm_fuelcell::FuelGauge;
 use fcdpm_units::{Amps, Charge, Seconds};
 
 /// Aggregate results of one simulation run.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SimMetrics {
     /// Fuel consumption (`∫ I_fc dt`) and elapsed time.
     pub fuel: FuelGauge,
@@ -199,85 +199,6 @@ impl SimMetrics {
     }
 }
 
-// Serde is hand-written (the vendored derive has no attribute support)
-// so manifests predating the fault-injection counters read back with
-// those counters zeroed. Manifests carrying only the retired
-// `deficit_chunks` count are rejected outright: the chunk count scaled
-// with the control step, so no faithful `deficit_time` can be recovered
-// from it, and its two-release migration window has closed.
-impl serde::Serialize for SimMetrics {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("fuel".into(), self.fuel.to_value()),
-            ("load_charge".into(), self.load_charge.to_value()),
-            ("delivered_charge".into(), self.delivered_charge.to_value()),
-            ("bled_charge".into(), self.bled_charge.to_value()),
-            ("deficit_charge".into(), self.deficit_charge.to_value()),
-            ("deficit_time".into(), self.deficit_time.to_value()),
-            ("sleeps".into(), self.sleeps.to_value()),
-            ("slots".into(), self.slots.to_value()),
-            ("task_latency".into(), self.task_latency.to_value()),
-            ("final_soc".into(), self.final_soc.to_value()),
-            ("chunks_stepped".into(), self.chunks_stepped.to_value()),
-            ("chunks_coalesced".into(), self.chunks_coalesced.to_value()),
-            (
-                "policy_consultations".into(),
-                self.policy_consultations.to_value(),
-            ),
-            ("faults_applied".into(), self.faults_applied.to_value()),
-            ("degradations".into(), self.degradations.to_value()),
-            ("time_in_fallback".into(), self.time_in_fallback.to_value()),
-            (
-                "fault_deficit_time".into(),
-                self.fault_deficit_time.to_value(),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for SimMetrics {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("SimMetrics: expected a map"))?;
-        let deficit_time = match serde::field::<Option<Seconds>>(map, "deficit_time")? {
-            Some(t) => t,
-            None if serde::field::<Option<u64>>(map, "deficit_chunks")?.is_some() => {
-                return Err(serde::Error::custom(
-                    "SimMetrics: the `deficit_chunks` schema was retired — the chunk \
-                     count scaled with the control step and cannot be converted to \
-                     `deficit_time`; regenerate the manifest with a current build",
-                ));
-            }
-            None => Seconds::ZERO,
-        };
-        Ok(Self {
-            fuel: serde::field(map, "fuel")?,
-            load_charge: serde::field(map, "load_charge")?,
-            delivered_charge: serde::field(map, "delivered_charge")?,
-            bled_charge: serde::field(map, "bled_charge")?,
-            deficit_charge: serde::field(map, "deficit_charge")?,
-            deficit_time,
-            sleeps: serde::field(map, "sleeps")?,
-            slots: serde::field(map, "slots")?,
-            task_latency: serde::field(map, "task_latency")?,
-            final_soc: serde::field(map, "final_soc")?,
-            // Absent in pre-coalescing manifests: zero work recorded.
-            chunks_stepped: serde::field::<Option<u64>>(map, "chunks_stepped")?.unwrap_or(0),
-            chunks_coalesced: serde::field::<Option<u64>>(map, "chunks_coalesced")?.unwrap_or(0),
-            policy_consultations: serde::field::<Option<u64>>(map, "policy_consultations")?
-                .unwrap_or(0),
-            // Absent in pre-fault-injection manifests: nothing injected.
-            faults_applied: serde::field::<Option<u64>>(map, "faults_applied")?.unwrap_or(0),
-            degradations: serde::field::<Option<u64>>(map, "degradations")?.unwrap_or(0),
-            time_in_fallback: serde::field::<Option<Seconds>>(map, "time_in_fallback")?
-                .unwrap_or(Seconds::ZERO),
-            fault_deficit_time: serde::field::<Option<Seconds>>(map, "fault_deficit_time")?
-                .unwrap_or(Seconds::ZERO),
-        })
-    }
-}
-
 impl fmt::Display for SimMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -397,70 +318,6 @@ mod tests {
         m.fault_deficit_time = Seconds::new(0.5);
         let back = SimMetrics::from_value(&m.to_value()).expect("round trip");
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn serde_no_longer_emits_deficit_chunks_alias() {
-        // The retired field must never reappear on the writer side.
-        use serde::{Serialize, Value};
-        let mut m = SimMetrics::new();
-        m.deficit_time = Seconds::new(1.25);
-        let Value::Map(map) = m.to_value() else {
-            panic!("expected a map");
-        };
-        assert!(map.iter().all(|(k, _)| k != "deficit_chunks"));
-        assert!(map.iter().any(|(k, _)| k == "deficit_time"));
-    }
-
-    #[test]
-    fn serde_rejects_retired_deficit_chunks_manifests() {
-        use serde::{Deserialize, Serialize, Value};
-        // A pre-deficit_time manifest carrying only the retired chunk
-        // count: the count scaled with the control step, so rather than
-        // guess a conversion the reader refuses with a clear error.
-        let mut m = SimMetrics::new();
-        m.fuel.consume(Amps::new(1.0), Seconds::new(10.0));
-        let Value::Map(mut map) = m.to_value() else {
-            panic!("expected a map");
-        };
-        map.retain(|(k, _)| k != "deficit_time");
-        map.push(("deficit_chunks".into(), Value::UInt(4)));
-        let err = SimMetrics::from_value(&Value::Map(map)).expect_err("legacy schema");
-        let msg = err.to_string();
-        assert!(msg.contains("deficit_chunks"), "{msg}");
-        assert!(msg.contains("regenerate"), "{msg}");
-    }
-
-    #[test]
-    fn serde_defaults_optional_counters_when_absent() {
-        use serde::{Deserialize, Serialize, Value};
-        // Manifests predating the work/fault counters (but written after
-        // `deficit_time` replaced the chunk count) still read back, with
-        // the missing counters zeroed.
-        let mut m = SimMetrics::new();
-        m.fuel.consume(Amps::new(1.0), Seconds::new(10.0));
-        m.deficit_time = Seconds::new(2.0);
-        let Value::Map(mut map) = m.to_value() else {
-            panic!("expected a map");
-        };
-        map.retain(|(k, _)| {
-            k != "chunks_stepped"
-                && k != "chunks_coalesced"
-                && k != "policy_consultations"
-                && k != "faults_applied"
-                && k != "degradations"
-                && k != "time_in_fallback"
-                && k != "fault_deficit_time"
-        });
-        let back = SimMetrics::from_value(&Value::Map(map)).expect("pre-counter manifest");
-        assert_eq!(back.deficit_time, Seconds::new(2.0));
-        assert_eq!(back.chunks_stepped, 0);
-        assert_eq!(back.chunks_coalesced, 0);
-        assert_eq!(back.policy_consultations, 0);
-        assert_eq!(back.faults_applied, 0);
-        assert_eq!(back.degradations, 0);
-        assert_eq!(back.time_in_fallback, Seconds::ZERO);
-        assert_eq!(back.fault_deficit_time, Seconds::ZERO);
     }
 
     #[test]

@@ -223,3 +223,132 @@ fn dvs_round_trip() {
             .expect("valid task"),
     );
 }
+
+/// The top-level keys `value` serializes to, in order.
+fn serialized_keys<T: serde::Serialize>(value: &T) -> Vec<String> {
+    let json = value.to_value();
+    let map = json.as_map().expect("structs serialize as maps");
+    map.iter().map(|(key, _)| key.clone()).collect()
+}
+
+/// A named field and an edit that changes it.
+type Perturbation<T> = (&'static str, fn(&mut T));
+
+/// Checks a digest-keyed struct's manifests against its serialized
+/// form and a per-field perturbation table: every serialized key is in
+/// exactly one of `folded` and `masked` (the vendored serde writes
+/// every field, `null` for `None`), the table perturbs each key once,
+/// and a perturbation moves `digest` exactly when its field is folded.
+fn check_digest_keys<T: Clone + serde::Serialize>(
+    base: &T,
+    folded: &[&str],
+    masked: &[&str],
+    perturbations: &[Perturbation<T>],
+    digest: fn(&T) -> u64,
+) {
+    use std::collections::BTreeSet;
+
+    let folded_set: BTreeSet<&str> = folded.iter().copied().collect();
+    let masked_set: BTreeSet<&str> = masked.iter().copied().collect();
+    assert_eq!(folded_set.len(), folded.len(), "duplicate folded field");
+    assert_eq!(masked_set.len(), masked.len(), "duplicate masked field");
+    assert!(
+        folded_set.is_disjoint(&masked_set),
+        "{folded:?} and {masked:?} overlap"
+    );
+    let manifest: BTreeSet<&str> = folded_set.union(&masked_set).copied().collect();
+
+    let keys = serialized_keys(base);
+    let serialized: BTreeSet<&str> = keys.iter().map(String::as_str).collect();
+    assert_eq!(
+        serialized, manifest,
+        "serialized keys must equal the folded and masked fields"
+    );
+    let perturbed: Vec<&str> = perturbations.iter().map(|(name, _)| *name).collect();
+    let perturbed_set: BTreeSet<&str> = perturbed.iter().copied().collect();
+    assert_eq!(
+        perturbed_set.len(),
+        perturbed.len(),
+        "field perturbed twice"
+    );
+    assert_eq!(
+        perturbed_set, manifest,
+        "every field needs one perturbation"
+    );
+
+    let base_json = serde_json::to_string(base).expect("serializes");
+    for (name, perturb) in perturbations {
+        let mut changed = base.clone();
+        perturb(&mut changed);
+        assert_ne!(
+            serde_json::to_string(&changed).expect("serializes"),
+            base_json,
+            "perturbing `{name}` must change the spec"
+        );
+        assert_eq!(
+            digest(&changed) != digest(base),
+            folded_set.contains(name),
+            "`{name}`: the digest must move exactly when the field is folded"
+        );
+    }
+}
+
+#[test]
+fn digest_manifests_match_the_serialized_fields() {
+    use fcdpm_faults::FaultSchedule;
+    use fcdpm_grid::gen::{GRIDSPEC_DIGEST_FIELDS, GRIDSPEC_DIGEST_MASK};
+    use fcdpm_grid::{FaultPreset, GridSpec, SeedAxis, WorkloadKind};
+    use fcdpm_runner::spec::{JOBSPEC_DIGEST_FIELDS, JOBSPEC_DIGEST_MASK};
+    use fcdpm_runner::{
+        spec_digest, DevicePreset, JobSpec, PolicySpec, PredictorSpec, StorageSpec, WorkloadSpec,
+    };
+
+    let grid = GridSpec::new(
+        SeedAxis::List(vec![1, 2]),
+        vec![WorkloadKind::Experiment1],
+        vec![PolicySpec::Conv],
+    );
+    let grid_perturbations: [Perturbation<GridSpec>; 8] = [
+        ("name", |g| g.name = Some("renamed".into())),
+        ("seeds", |g| g.seeds = SeedAxis::List(vec![3])),
+        ("workloads", |g| g.workloads.push(WorkloadKind::Experiment2)),
+        ("policies", |g| g.policies.push(PolicySpec::FcDpm)),
+        ("faults", |g| g.faults = Some(vec![FaultPreset::Fade])),
+        ("capacities_mamin", |g| {
+            g.capacities_mamin = Some(vec![50.0])
+        }),
+        ("resilient", |g| g.resilient = Some(vec![true])),
+        ("inject_panic", |g| g.inject_panic = Some(true)),
+    ];
+    check_digest_keys(
+        &grid,
+        GRIDSPEC_DIGEST_FIELDS,
+        GRIDSPEC_DIGEST_MASK,
+        &grid_perturbations,
+        GridSpec::digest,
+    );
+
+    let job = JobSpec::new(PolicySpec::Conv, WorkloadSpec::Experiment1(1));
+    let job_perturbations: [Perturbation<JobSpec>; 11] = [
+        ("policy", |j| j.policy = PolicySpec::FcDpm),
+        ("workload", |j| j.workload = WorkloadSpec::Experiment1(2)),
+        ("device", |j| j.device = Some(DevicePreset::DvdCamcorder)),
+        ("storage", |j| j.storage = Some(StorageSpec::Kibam)),
+        ("predictor", |j| j.predictor = Some(PredictorSpec::Oracle)),
+        ("capacity_mamin", |j| j.capacity_mamin = Some(50.0)),
+        ("beta", |j| j.beta = Some(0.2)),
+        ("buffer_path_efficiency", |j| {
+            j.buffer_path_efficiency = Some(0.9);
+        }),
+        ("faults", |j| j.faults = Some(FaultSchedule::none(1))),
+        ("resilient", |j| j.resilient = Some(true)),
+        ("inject_panic", |j| j.inject_panic = Some(true)),
+    ];
+    check_digest_keys(
+        &job,
+        JOBSPEC_DIGEST_FIELDS,
+        JOBSPEC_DIGEST_MASK,
+        &job_perturbations,
+        spec_digest,
+    );
+}
