@@ -1,11 +1,13 @@
-//! Shared harness for the table/figure regeneration binaries.
+//! Shared harness for the table/figure regenerators.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper; this library holds the policy-comparison runner and the
-//! profile recorder they share. Both, and every binary that runs the
-//! paper's policies itself, are wired by [`fcdpm_sim::fixture`]. See
-//! `DESIGN.md` (experiment index) and `EXPERIMENTS.md` (paper-vs-measured)
-//! at the repository root.
+//! The crate's one binary, `all`, holds one module per table, figure or
+//! ablation of the paper; this library holds the policy-comparison
+//! runner and the profile recorder they share. Both, and every module
+//! that runs the paper's policies itself, are wired by
+//! [`fcdpm_sim::fixture`]. See `DESIGN.md` (experiment index) and
+//! `EXPERIMENTS.md` (paper-vs-measured) at the repository root.
+
+use std::fmt;
 
 use fcdpm_core::dpm::PredictiveSleep;
 use fcdpm_sim::fixture::{self, ReferencePolicy};
@@ -75,22 +77,24 @@ impl PolicyComparison {
         self.fc_dpm.lifetime_extension_over(&self.asap)
     }
 
-    /// Prints the normalized-fuel table in the paper's format.
-    pub fn print_table(&self, title: &str) {
-        println!("{title}");
-        println!("{:<28} {:>12}", "DPM policy", "vs Conv-DPM");
-        println!("{:<28} {:>11.1}%", "Conv-DPM", 100.0);
-        println!(
-            "{:<28} {:>11.1}%",
-            "ASAP-DPM",
-            self.asap_normalized() * 100.0
-        );
-        println!("{:<28} {:>11.1}%", "FC-DPM", self.fc_normalized() * 100.0);
-        println!(
-            "FC-DPM saves {:.1}% fuel vs ASAP-DPM -> {:.2}x lifetime",
-            self.fc_saving_vs_asap() * 100.0,
-            self.fc_lifetime_extension()
-        );
+    /// Writes the normalized-fuel table in the paper's format.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`fmt::Error`] from `out`.
+    pub fn write_table(&self, out: &mut impl fmt::Write, title: &str) -> fmt::Result {
+        let (asap, fc) = (self.asap_normalized() * 100.0, self.fc_normalized() * 100.0);
+        let saving = self.fc_saving_vs_asap() * 100.0;
+        let lifetime = self.fc_lifetime_extension();
+        writeln!(out, "{title}")?;
+        writeln!(out, "{:<28} {:>12}", "DPM policy", "vs Conv-DPM")?;
+        writeln!(out, "{:<28} {:>11.1}%", "Conv-DPM", 100.0)?;
+        writeln!(out, "{:<28} {asap:>11.1}%", "ASAP-DPM")?;
+        writeln!(out, "{:<28} {fc:>11.1}%", "FC-DPM")?;
+        writeln!(
+            out,
+            "FC-DPM saves {saving:.1}% fuel vs ASAP-DPM -> {lifetime:.2}x lifetime"
+        )
     }
 }
 

@@ -11,7 +11,7 @@
 //!   run, at any capacity. The CLI's `experiment`, `simulate` and
 //!   `lifetime`, `fcdpm_experiments::{PolicyComparison,
 //!   record_profile}` and the `fig7`, `lifetime` and `model_fidelity`
-//!   binaries run through these.
+//!   experiments run through these.
 //! * [`fc_dpm`], [`storage_at`] — the FC-DPM-from-a-scenario
 //!   constructor and the half-charged ideal buffer, for runs that swap
 //!   one other piece: the sleep policy in `dpm_policies`, the trace in

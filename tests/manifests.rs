@@ -67,8 +67,7 @@ const ALLOWED_DEPS: [(&str, &[&str]); 16] = [
     (
         "experiments",
         &[
-            "core", "device", "dvs", "fuelcell", "predict", "runner", "sim", "storage", "units",
-            "workload",
+            "core", "device", "dvs", "fuelcell", "runner", "sim", "units", "workload",
         ],
     ),
     (
