@@ -8,9 +8,10 @@
 //! `write_shard`, both over the runner's one tmp+rename type
 //! `AtomicFile` — or (b) appended through the checksummed
 //! `PartialShardWriter`, whose per-line digests let the reader truncate
-//! a torn tail. A raw `fs::write`/`File::create` anywhere else in the
-//! run-dir-owning files can leave a half-written artifact that a later
-//! resume happily parses.
+//! a torn tail, and whose checkpoint becomes the shard file by a rename
+//! once it is whole. A raw `fs::write`/`File::create` anywhere else in
+//! the run-dir-owning files can leave a half-written artifact that a
+//! later resume happily parses.
 //!
 //! This pass is lexical and file-scoped: in each of [`RUN_DIR_FILES`],
 //! any raw file-creation call outside the `SANCTIONED` helper

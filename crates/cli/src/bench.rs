@@ -324,9 +324,9 @@ pub(crate) fn run() -> Result<BenchReport, String> {
         agg.jobs_per_sec_nominal, grid_run.peak_resident_jobs,
     ));
 
-    // Crash-safety exercise: demote the first promoted shard back to a
-    // partial checkpoint (exactly what a kill mid-promote leaves
-    // behind), then resume. Every demoted record must replay from the
+    // Crash-safety exercise: rename the first promoted shard back to its
+    // partial checkpoint (exactly what a kill just before the promoting
+    // rename leaves behind), then resume. Every demoted record must replay from the
     // checkpoint — zero recomputation — and the aggregate must come out
     // byte-identical.
     let aggregate_path = grid_run.dir.join("aggregate.json");
@@ -334,11 +334,7 @@ pub(crate) fn run() -> Result<BenchReport, String> {
         .map_err(|e| format!("cannot read {}: {e}", aggregate_path.display()))?;
     let shard0 = grid_run.dir.join(fcdpm_grid::shard_file_name(0));
     let demoted = fcdpm_grid::read_shard(&shard0).map_err(|e| format!("demoting shard 0: {e}"))?;
-    std::fs::remove_file(&shard0).map_err(|e| format!("demoting shard 0: {e}"))?;
-    let mut writer = fcdpm_grid::PartialShardWriter::create(&grid_run.dir, 0)
-        .map_err(|e| format!("demoting shard 0: {e}"))?;
-    writer
-        .append(&demoted)
+    std::fs::rename(&shard0, grid_run.dir.join(fcdpm_grid::partial_file_name(0)))
         .map_err(|e| format!("demoting shard 0: {e}"))?;
     let resume_config = fcdpm_grid::GridConfig {
         resume: true,

@@ -33,9 +33,11 @@ pub enum GcKind {
     /// `grid.json` missing or unparseable and only grid artifacts
     /// inside: the directory cannot be resumed and is removed.
     AbandonedDir,
-    /// A `*.tmp` left behind by an interrupted atomic rename — among
-    /// them the half-streamed `shard-NNNNN.jsonl.tmp` of a shard that
-    /// was killed before promotion.
+    /// A `*.tmp` left behind by an interrupted atomic rename of
+    /// `grid.json`, `aggregate.json` or a shard published from records.
+    /// The engine no longer streams a shard into `shard-NNNNN.jsonl.tmp`
+    /// (its checkpoint is renamed into place instead), but a run killed
+    /// before that change may have left one.
     OrphanedTmp,
     /// A partial checkpoint with torn bytes past its valid prefix;
     /// compacted in place so a resume replays only whole records.
@@ -45,8 +47,10 @@ pub enum GcKind {
     RedundantPartial,
     /// A shard file with an index beyond what the spec expands to.
     StaleShard,
-    /// A shard file that no longer parses; a resume would fail on it,
-    /// so it is removed and its jobs recompute.
+    /// A shard file with a line that is not a checksum-valid record:
+    /// torn, flipped, or in the plain-JSON format from before record
+    /// lines carried a checksum. A resume would replay only its valid
+    /// prefix; it is removed and its jobs recompute.
     CorruptShard,
     /// An `aggregate.json` that no longer parses; a resume rewrites it.
     CorruptAggregate,
@@ -298,7 +302,7 @@ fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), St
             report.actions.push(GcAction {
                 path: path.clone(),
                 kind: GcKind::CorruptShard,
-                detail: "records no longer parse; jobs will recompute".into(),
+                detail: "not all checksum-valid records; jobs will recompute".into(),
                 bytes: file_len(&path),
             });
             remove(&path)?;
@@ -506,12 +510,12 @@ mod tests {
         let root = temp_root("torn");
         let dir = run_into(&root);
         // Demote shard 1 to a torn partial: one whole record, one torn.
-        let records = crate::manifest::read_shard(&dir.join(shard_file_name(1))).expect("reads");
-        std::fs::remove_file(dir.join(shard_file_name(1))).expect("removes");
-        let mut writer = crate::manifest::PartialShardWriter::create(&dir, 1).expect("creates");
-        writer.append(&records[..1]).expect("appends");
-        writer.append_torn(&records[1]).expect("tears");
-        let path = writer.path().to_path_buf();
+        let path = dir.join(crate::manifest::partial_file_name(1));
+        std::fs::rename(dir.join(shard_file_name(1)), &path).expect("demotes");
+        let bytes = std::fs::read(&path).expect("reads");
+        let second = bytes.iter().position(|&b| b == b'\n').expect("two lines") + 1;
+        let cut = second + (bytes.len() - second) / 2;
+        std::fs::write(&path, &bytes[..cut]).expect("tears");
 
         let report = gc(&root, false).expect("gc applies");
         assert!(report
@@ -533,10 +537,8 @@ mod tests {
     fn promoted_shard_supersedes_its_partial() {
         let root = temp_root("redundant");
         let dir = run_into(&root);
-        let records = crate::manifest::read_shard(&dir.join(shard_file_name(0))).expect("reads");
-        let mut writer = crate::manifest::PartialShardWriter::create(&dir, 0).expect("creates");
-        writer.append(&records).expect("appends");
-        let partial_path = writer.path().to_path_buf();
+        let partial_path = dir.join(crate::manifest::partial_file_name(0));
+        std::fs::copy(dir.join(shard_file_name(0)), &partial_path).expect("copies");
 
         let report = gc(&root, false).expect("gc applies");
         assert!(report

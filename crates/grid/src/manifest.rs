@@ -1,9 +1,9 @@
 //! Chunked manifest spill: the on-disk record stream of a grid run.
 //!
 //! A grid run's job records live in `shard-NNNNN.jsonl` files under the
-//! run directory — one compact JSON record per line, ordered by global
-//! job index — so a million-job run is never resident at once: writers
-//! spill one shard at a time and readers stream line by line.
+//! run directory, one record line per job, ordered by global job index,
+//! so a million-job run is never resident at once: writers spill one
+//! shard at a time and readers stream line by line.
 //!
 //! Records deliberately carry *no spec*: the spec is reconstructable
 //! from the [`GridSpec`](crate::GridSpec) plus the index, and *no
@@ -11,24 +11,25 @@
 //! identical across runs and worker counts — resume diffs them
 //! directly.
 //!
-//! While a shard is in flight, completed records stream into an
-//! append-only `shard-NNNNN.partial.jsonl` checkpoint: each line is
-//! `<16-hex FNV-1a of the JSON>\t<JSON>\n`, written in fsync'd batches
-//! by [`PartialShardWriter`]. A `kill -9` mid-shard can therefore tear
-//! at most the last batch's tail; [`read_partial`] recovers the maximal
-//! checksum-valid prefix and resume replays it as cache hits, keyed by
-//! index and digest, whatever order the lines are in. The same JSON
-//! ([`encode_record`], rendered once per record) goes, slot by slot in
-//! index order, through a `ShardWriter` into `shard-NNNNN.jsonl.tmp` (an
-//! [`AtomicFile`]), which is synced, renamed into place and made durable
-//! by a sync of the run directory when the shard completes; only then
-//! is the partial file removed.
+//! Every line, in a checkpoint and in a shard alike, is
+//! `<16-hex FNV-1a of the JSON>\t<JSON>\n`, where the JSON is the
+//! record's [`encode_record`] form. While a shard is in flight its lines
+//! go into an append-only `shard-NNNNN.partial.jsonl` checkpoint, in
+//! fsync'd batches, through [`PartialShardWriter`]. A `kill -9`
+//! mid-shard can therefore tear at most the last batch's tail. When the
+//! shard completes, the checkpoint *is* the shard: it is renamed to
+//! `shard-NNNNN.jsonl` and the run directory is synced. [`write_shard`]
+//! publishes the same bytes from records in one tmp+rename, for a
+//! checkpoint that is not in slot order.
 //!
-//! [`read_shard`] reads one promoted shard and [`read_partial`] one
-//! checkpoint; the engine, `status` and `gc` all read through them.
+//! One validating reader parses both files. [`read_partial`] returns the
+//! maximal checksum-valid prefix and counts the torn tail after it;
+//! resume replays that prefix as cache hits, keyed by index and digest,
+//! whatever order the lines are in. [`read_shard`] is the same reading
+//! with no torn bytes allowed, for `status` and `gc`.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use fcdpm_runner::{AtomicFile, JobOutcome};
@@ -88,8 +89,8 @@ pub fn partial_file_name(shard: u64) -> String {
     format!("shard-{shard:05}.partial.jsonl")
 }
 
-/// Renders one record as the compact JSON both the checkpoint line and
-/// the promoted shard line carry — the one encoding a record gets.
+/// Renders one record as the compact JSON its line carries — the one
+/// encoding a record gets.
 ///
 /// # Errors
 ///
@@ -99,7 +100,20 @@ pub fn encode_record(record: &GridJobRecord) -> Result<String, String> {
         .map_err(|e| format!("record {} does not serialize: {e}", record.index))
 }
 
-/// Append-only writer for a shard's in-flight checkpoint file.
+/// Appends one record's line, `<16-hex FNV-1a of the JSON>\t<JSON>\n`,
+/// to `lines`, where `json` is the record's [`encode_record`] form. The
+/// checksum covers exactly the JSON bytes, so a torn tail (or a bit
+/// flip, even one that leaves the JSON parseable) fails validation and
+/// [`read_partial`] stops there.
+pub(crate) fn push_line(lines: &mut String, json: &str) {
+    lines.push_str(&digest_hex(fcdpm_runner::spec::fnv1a(json.as_bytes())));
+    lines.push('\t');
+    lines.push_str(json);
+    lines.push('\n');
+}
+
+/// Append-only writer for a shard's in-flight checkpoint file, which
+/// becomes the shard file when it is promoted.
 ///
 /// Lines are buffered one per record, in whatever order the caller
 /// produces them; each commit ([`append`](Self::append) is one) writes
@@ -108,6 +122,7 @@ pub fn encode_record(record: &GridJobRecord) -> Result<String, String> {
 #[derive(Debug)]
 pub struct PartialShardWriter {
     path: PathBuf,
+    shard: u64,
     file: File,
     /// Checkpoint lines pushed since the last commit.
     buffered: String,
@@ -132,6 +147,7 @@ impl PartialShardWriter {
             File::create(&path).map_err(|e| format!("cannot create `{}`: {e}", path.display()))?;
         Ok(Self {
             path,
+            shard,
             file,
             buffered: String::new(),
             lines: 0,
@@ -145,18 +161,10 @@ impl PartialShardWriter {
         &self.path
     }
 
-    /// Buffers one record's checkpoint line,
-    /// `<16-hex FNV-1a of the JSON>\t<JSON>\n`, where `json` is the
-    /// record's [`encode_record`] form. The checksum covers exactly the
-    /// JSON bytes, so a torn tail (or a bit flip) fails validation and
-    /// [`read_partial`] stops there.
+    /// Buffers one record's line (see [`push_line`]).
     pub(crate) fn push(&mut self, json: &str) {
         self.last_line = self.buffered.len();
-        self.buffered
-            .push_str(&digest_hex(fcdpm_runner::spec::fnv1a(json.as_bytes())));
-        self.buffered.push('\t');
-        self.buffered.push_str(json);
-        self.buffered.push('\n');
+        push_line(&mut self.buffered, json);
         self.lines += 1;
     }
 
@@ -201,16 +209,21 @@ impl PartialShardWriter {
         self.write_synced(self.last_line + last / 2)
     }
 
-    /// Appends `record`'s line torn: every line buffered before it
-    /// intact, then the front half of its own. Crash-injection only.
+    /// Commits the pending lines, renames the checkpoint into place as
+    /// `shard-NNNNN.jsonl` and syncs the run directory, so that neither
+    /// a killed process nor an OS crash can take the shard back. The
+    /// caller must have pushed the shard's lines in slot order.
     ///
     /// # Errors
     ///
-    /// Returns a message for I/O or serialization failures.
-    #[doc(hidden)]
-    pub fn append_torn(&mut self, record: &GridJobRecord) -> Result<(), String> {
-        self.push(&encode_record(record)?);
-        self.commit_torn()
+    /// Returns a message for I/O failures.
+    pub(crate) fn promote(mut self) -> Result<PathBuf, String> {
+        self.commit()?;
+        let shard = self.path.with_file_name(shard_file_name(self.shard));
+        std::fs::rename(&self.path, &shard)
+            .map_err(|e| format!("cannot promote `{}`: {e}", self.path.display()))?;
+        sync_dir(&shard)?;
+        Ok(shard)
     }
 
     /// Writes the first `len` buffered bytes, fsyncs, and empties the
@@ -227,7 +240,7 @@ impl PartialShardWriter {
     }
 }
 
-/// What [`read_partial`] recovered from a checkpoint file.
+/// What [`read_partial`] recovered from a checkpoint or shard file.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialRead {
     /// Records in the maximal checksum-valid prefix, file order.
@@ -240,11 +253,13 @@ pub struct PartialRead {
     pub torn_lines: u64,
 }
 
-/// Validating reader for a `shard-NNNNN.partial.jsonl` checkpoint:
-/// returns the maximal prefix of lines whose per-line checksum matches
-/// their JSON payload, and accounts for whatever torn tail follows.
-/// Never yields a torn record — a line is either checksum-valid and
-/// parsed whole, or it (and everything after it) is counted as torn.
+/// Validating reader for a `shard-NNNNN.partial.jsonl` checkpoint or a
+/// `shard-NNNNN.jsonl` shard: returns the maximal prefix of lines whose
+/// per-line checksum matches their JSON payload, and accounts for
+/// whatever torn tail follows. Never yields a torn record — a line is
+/// either checksum-valid and parsed whole, or it (and everything after
+/// it) is counted as torn. A shard in the format before checksums
+/// (plain JSON lines) reads as all torn.
 ///
 /// # Errors
 ///
@@ -253,22 +268,14 @@ pub struct PartialRead {
 pub fn read_partial(path: &Path) -> Result<PartialRead, String> {
     let bytes =
         std::fs::read(path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-    let mut read = PartialRead {
-        records: Vec::new(),
-        valid_bytes: 0,
-        torn_bytes: 0,
-        torn_lines: 0,
-    };
+    let mut read = PartialRead::default();
     let mut offset = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        let line_end = rest.iter().position(|&b| b == b'\n');
-        let line = &rest[..line_end.unwrap_or(rest.len())];
-        let consumed = line.len() + usize::from(line_end.is_some());
-        let record = validate_line(line);
-        let Some(record) = record else { break };
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        let Some(record) = validate_line(line.strip_suffix(b"\n").unwrap_or(line)) else {
+            break;
+        };
         read.records.push(record);
-        offset += consumed;
+        offset += line.len();
     }
     read.valid_bytes = offset as u64;
     read.torn_bytes = (bytes.len() - offset) as u64;
@@ -279,7 +286,7 @@ pub fn read_partial(path: &Path) -> Result<PartialRead, String> {
     Ok(read)
 }
 
-/// Parses one checkpoint line if (and only if) its checksum matches.
+/// Parses one record line if (and only if) its checksum matches.
 fn validate_line(line: &[u8]) -> Option<GridJobRecord> {
     let text = std::str::from_utf8(line).ok()?;
     let (sum, json) = text.split_once('\t')?;
@@ -320,90 +327,59 @@ pub(crate) fn list_matching(
     Ok(files)
 }
 
-/// Sequential writer for a promoted shard file: an [`AtomicFile`] at
-/// `shard-NNNNN.jsonl` that takes one encoded line per slot, in slot
-/// order, so a crashed run never leaves a half shard behind.
-#[derive(Debug)]
-pub(crate) struct ShardWriter {
-    dir: PathBuf,
-    out: AtomicFile,
-    /// The next slot to write.
-    next: usize,
-}
-
-impl ShardWriter {
-    /// Creates (truncating) the temporary file for `shard` under `dir`.
-    pub(crate) fn create(dir: &Path, shard: u64) -> Result<Self, String> {
-        Ok(Self {
-            dir: dir.to_owned(),
-            out: AtomicFile::create(&dir.join(shard_file_name(shard)))?,
-            next: 0,
-        })
-    }
-
-    /// Writes the encoded line (no newline) of the record in `slot`,
-    /// which must be the next slot.
-    pub(crate) fn put(&mut self, slot: usize, line: &str) -> Result<(), String> {
-        let next = self.next;
-        if slot != next {
-            return Err(format!("shard slot {slot} arrived before slot {next}"));
-        }
-        self.next += 1;
-        self.out.write(line)?;
-        self.out.write("\n")
-    }
-
-    /// Renames the file into place if slots `0..slots` have all been
-    /// written; otherwise nothing is promoted. The file's data is
-    /// synced before the rename and the directory after it, so once
-    /// this returns an OS crash or a power loss cannot take the shard
-    /// back — the caller may then remove its checkpoint.
-    pub(crate) fn finish(mut self, slots: usize) -> Result<PathBuf, String> {
-        if self.next != slots {
-            return Err(format!("shard slot {} of {slots} never arrived", self.next));
-        }
-        self.out.sync_data()?;
-        let path = self.out.finish()?;
-        File::open(&self.dir)
-            .and_then(|dir| dir.sync_all())
-            .map_err(|e| format!("cannot sync `{}`: {e}", self.dir.display()))?;
-        Ok(path)
-    }
-}
-
-/// Writes one shard's records, in order, as JSON lines through a
-/// [`ShardWriter`].
+/// Publishes one shard's records, in order, with exactly the bytes a
+/// promoted checkpoint of them has.
 ///
 /// # Errors
 ///
 /// Returns a message for I/O or serialization failures.
 pub fn write_shard(dir: &Path, shard: u64, records: &[GridJobRecord]) -> Result<PathBuf, String> {
-    let mut out = ShardWriter::create(dir, shard)?;
-    for (slot, record) in records.iter().enumerate() {
-        out.put(slot, &encode_record(record)?)?;
+    let mut lines = String::new();
+    for record in records {
+        push_line(&mut lines, &encode_record(record)?);
     }
-    out.finish(records.len())
+    publish_shard(dir, shard, &lines)
 }
 
-/// Reads one shard file into records (one shard is bounded by the
-/// engine's shard size, so this is the largest unit ever resident).
+/// Publishes a shard's lines through an [`AtomicFile`]: the `.tmp`
+/// file's data is synced before the rename and the run directory after
+/// it, so once this returns the caller may remove the checkpoint.
+pub(crate) fn publish_shard(dir: &Path, shard: u64, lines: &str) -> Result<PathBuf, String> {
+    let mut out = AtomicFile::create(&dir.join(shard_file_name(shard)))?;
+    out.write(lines)?;
+    out.sync_data()?;
+    let path = out.finish()?;
+    sync_dir(&path)?;
+    Ok(path)
+}
+
+/// Syncs the directory holding `path`, so a rename into it survives an
+/// OS crash or a power loss.
+fn sync_dir(path: &Path) -> Result<(), String> {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(|e| format!("cannot sync `{}`: {e}", dir.display()))
+}
+
+/// Reads one promoted shard file into records: [`read_partial`] with no
+/// torn bytes allowed (one shard is bounded by the engine's shard size,
+/// so this is the largest unit ever resident).
 ///
 /// # Errors
 ///
-/// Returns a message for I/O failures or malformed lines.
+/// Returns a message for I/O failures, or naming the first line that is
+/// not a checksum-valid record.
 pub fn read_shard(path: &Path) -> Result<Vec<GridJobRecord>, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open `{}`: {e}", path.display()))?;
-    let mut records = Vec::new();
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: GridJobRecord = serde_json::from_str(&line)
-            .map_err(|e| format!("`{}` line {}: {e}", path.display(), lineno + 1))?;
-        records.push(record);
+    let read = read_partial(path)?;
+    if read.torn_bytes > 0 {
+        let line = read.records.len() + 1;
+        return Err(format!(
+            "`{}` line {line}: not a checksum-valid record",
+            path.display()
+        ));
     }
-    Ok(records)
+    Ok(read.records)
 }
 
 /// Promoted (final) shard files under `dir`, in shard order. In-flight
@@ -446,51 +422,21 @@ mod tests {
     fn chunked_shards_round_trip_in_order() {
         let dir = temp_dir("roundtrip");
         write_shard(&dir, 1, &[record(2), record(3)]).expect("writes");
+        // A promoted checkpoint is the shard `write_shard` writes.
+        let mut writer = PartialShardWriter::create(&dir, 0).expect("creates");
+        writer.append(&[record(0)]).expect("appends");
+        writer.push(&encode_record(&record(1)).expect("encodes"));
+        let promoted = writer.promote().expect("the pending line commits first");
+        assert!(partial_files(&dir).expect("lists").is_empty(), "renamed");
+        let bytes = std::fs::read(&promoted).expect("reads");
         write_shard(&dir, 0, &[record(0), record(1)]).expect("writes");
+        assert_eq!(bytes, std::fs::read(&promoted).expect("reads"));
         let mut back = Vec::new();
         for file in shard_files(&dir).expect("lists") {
             back.extend(read_shard(&file).expect("reads"));
         }
-        assert_eq!(back.len(), 4);
-        for (i, r) in back.iter().enumerate() {
-            assert_eq!(r.index, i as u64, "records stream in shard order");
-            assert_eq!(*r, record(i as u64), "round trip is lossless");
-        }
-        // Shard bytes are stable: rewriting produces identical files.
-        let path = dir.join(shard_file_name(0));
-        let first = std::fs::read(&path).expect("reads");
-        write_shard(&dir, 0, &[record(0), record(1)]).expect("writes");
-        assert_eq!(first, std::fs::read(&path).expect("reads"));
-    }
-
-    #[test]
-    fn shard_writer_takes_slots_in_order_and_promotes_only_whole_shards() {
-        let dir = temp_dir("slots");
-        let line = |index: u64| encode_record(&record(index)).expect("encodes");
-        write_shard(&dir, 0, &[record(0), record(1), record(2)]).expect("writes");
-        let mut out = ShardWriter::create(&dir, 1).expect("creates");
-        for slot in 0..3 {
-            out.put(slot, &line(slot as u64)).expect("puts");
-        }
-        out.finish(3).expect("all three slots arrived");
-        let bytes = |shard| std::fs::read(dir.join(shard_file_name(shard))).expect("reads");
-        assert_eq!(bytes(1), bytes(0));
-
-        let tmp = dir.join(format!("{}.tmp", shard_file_name(2)));
-        let mut early = ShardWriter::create(&dir, 2).expect("creates");
-        let err = early.put(1, &line(1)).unwrap_err();
-        assert!(err.contains("slot 1 arrived before slot 0"), "{err}");
-        drop(early);
-        assert!(
-            !tmp.exists(),
-            "a writer dropped after an error removes its tmp"
-        );
-        let mut gap = ShardWriter::create(&dir, 2).expect("creates");
-        gap.put(0, &line(0)).expect("puts");
-        let err = gap.finish(2).unwrap_err();
-        assert!(err.contains("slot 1 of 2 never arrived"), "{err}");
-        assert!(!dir.join(shard_file_name(2)).exists(), "nothing promoted");
-        assert!(!tmp.exists(), "a failed finish removes its tmp");
+        let want: Vec<_> = (0..4).map(record).collect();
+        assert_eq!(back, want, "records stream in shard order, losslessly");
     }
 
     #[test]
@@ -521,7 +467,8 @@ mod tests {
         let dir = temp_dir("torn");
         let mut writer = PartialShardWriter::create(&dir, 0).expect("creates");
         writer.append(&[record(0), record(1)]).expect("appends");
-        writer.append_torn(&record(2)).expect("tears");
+        writer.push(&encode_record(&record(2)).expect("encodes"));
+        writer.commit_torn().expect("tears");
         drop(writer);
         let back = read_partial(&dir.join(partial_file_name(0))).expect("reads");
         assert_eq!(back.records, vec![record(0), record(1)]);
@@ -532,20 +479,21 @@ mod tests {
     #[test]
     fn corrupted_line_invalidates_itself_and_everything_after() {
         let dir = temp_dir("corrupt");
-        let mut writer = PartialShardWriter::create(&dir, 0).expect("creates");
-        writer
-            .append(&[record(0), record(1), record(2)])
-            .expect("appends");
-        drop(writer);
-        let path = dir.join(partial_file_name(0));
+        let path = write_shard(&dir, 0, &[record(0), record(1), record(2)]).expect("writes");
         let mut bytes = std::fs::read(&path).expect("reads");
-        // Flip one byte inside the second line's JSON payload.
-        let first_nl = bytes.iter().position(|&b| b == b'\n').expect("line") + 1;
-        bytes[first_nl + 30] ^= 0x01;
+        // Flip the second line's `"index":1` to `"index":0`: its JSON
+        // still parses, as a record of the wrong job, but its checksum
+        // no longer matches.
+        let second = bytes.iter().position(|&b| b == b'\n').expect("line") + 1;
+        let at = second + "0123456789abcdef\t{\"index\":".len();
+        assert_eq!(bytes[at], b'1');
+        bytes[at] ^= 0x01;
         std::fs::write(&path, &bytes).expect("writes");
         let back = read_partial(&path).expect("reads");
         assert_eq!(back.records, vec![record(0)], "stops at the bad checksum");
         assert_eq!(back.torn_lines, 2, "the flipped line and the one after");
+        let err = read_shard(&path).unwrap_err();
+        assert!(err.contains("line 2: not a checksum-valid record"), "{err}");
     }
 
     #[test]
