@@ -221,8 +221,15 @@ fn run_grid_cmd(cmd: GridCmd<'_>) -> Result<String, String> {
         if state.partial_shards > 0 {
             let _ = writeln!(
                 out,
-                "partial checkpoints: {} file(s), {} recoverable record(s), {} torn line(s)",
-                state.partial_shards, state.checkpointed, state.torn_lines
+                "partial checkpoints: {} file(s), {} recoverable record(s)",
+                state.partial_shards, state.checkpointed
+            );
+        }
+        if state.torn_lines > 0 {
+            let _ = writeln!(
+                out,
+                "torn lines: {} past the valid prefix of shards and checkpoints",
+                state.torn_lines
             );
         }
         let _ = writeln!(
@@ -231,7 +238,7 @@ fn run_grid_cmd(cmd: GridCmd<'_>) -> Result<String, String> {
             if state.has_aggregate {
                 "present"
             } else {
-                "missing"
+                "missing or corrupt"
             }
         );
         let _ = writeln!(
@@ -401,8 +408,7 @@ fn run_faults(
 fn run_bench(out: Option<&str>) -> Result<String, String> {
     let report = crate::bench::run()?;
     let out_path = out.unwrap_or("BENCH_4.json");
-    std::fs::write(out_path, &report.json)
-        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
+    fcdpm_runner::write_atomic(std::path::Path::new(out_path), &report.json)?;
     let mut text = report.text;
     let _ = writeln!(text, "payload: {out_path}");
     Ok(text)

@@ -86,6 +86,7 @@ use fcdpm_runner::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::gc::{Inventory, RunFile};
 use crate::gen::GridSpec;
 use crate::manifest::{
     digest_hex, encode_record, partial_file_name, publish_shard, push_line, read_partial,
@@ -434,26 +435,18 @@ impl Rollup {
     }
 }
 
-/// Parses the shard index out of a spill file name, final
-/// (`shard-NNNNN.jsonl`) or partial (`shard-NNNNN.partial.jsonl`).
-pub(crate) fn shard_index_of(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    name.strip_prefix("shard-")?
-        .strip_suffix(".jsonl")?
-        .trim_end_matches(".partial")
-        .parse::<u64>()
-        .ok()
-}
-
-/// Removes spill that must not leak into this run: on a fresh run every
-/// old shard and checkpoint, on a resume only those past the current
-/// shard count.
+/// Removes what must not leak into this run: every orphaned `*.tmp`,
+/// an interrupted rename of a file this run republishes, and on a fresh
+/// run every old shard and checkpoint, on a resume only those past the
+/// current shard count.
 fn clean_stale(dir: &Path, shards: u64, resume: bool) -> Result<(), String> {
-    let mut spill = crate::manifest::shard_files(dir)?;
-    spill.extend(crate::manifest::partial_files(dir)?);
-    for path in spill {
-        let keep = resume && shard_index_of(&path).is_some_and(|n| n < shards);
-        if !keep {
+    for (file, path) in Inventory::read(dir)?.files {
+        let stale = match file {
+            RunFile::Tmp => true,
+            RunFile::Shard(n) | RunFile::Checkpoint(n) => !resume || n >= shards,
+            _ => false,
+        };
+        if stale {
             std::fs::remove_file(&path)
                 .map_err(|e| format!("cannot remove stale `{}`: {e}", path.display()))?;
         }

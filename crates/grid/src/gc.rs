@@ -1,7 +1,13 @@
-//! Inspection and garbage collection for grid run directories.
+//! A run directory's files, and what reads them without executing a job.
 //!
-//! Neither executes a job. [`status`] counts what a run directory
-//! holds, committed and checkpointed.
+//! [`RunFile::of`] names each file of a run directory by its name alone,
+//! and [`Inventory::read`] lists a directory once and applies it to every
+//! entry. `grid run` and `grid resume` clean stale spill through that
+//! listing, and [`status`] and [`gc`] read it; nothing else parses a
+//! run-directory file name. Both judge a shard as a resume does, by
+//! [`read_partial`]'s checksum-valid prefix: [`status`] counts the prefix
+//! as records and the rest as torn lines, and [`gc`] compacts the file
+//! to it.
 //!
 //! A `kill -9` (or a crashing job) can leave a run directory in any of
 //! a handful of recoverable-but-untidy states: a torn partial
@@ -9,10 +15,11 @@
 //! shard files beyond the spec's shard count, or a corrupt aggregate.
 //! [`gc`] walks an output root, classifies every run directory's
 //! damage, and either reports it (`dry_run`) or repairs it: torn
-//! partials are compacted to their maximal checksum-valid prefix,
-//! redundant and orphaned artifacts are deleted, and directories whose
-//! `grid.json` is gone — unresumable, since records can no longer be
-//! matched to spec digests — are removed wholesale.
+//! checkpoints and damaged shards are compacted to their maximal
+//! checksum-valid prefix, redundant and orphaned artifacts are deleted,
+//! and directories whose `grid.json` is gone — unresumable, since
+//! records can no longer be matched to spec digests — are removed
+//! wholesale.
 //!
 //! Safety property: a directory containing anything that is *not* a
 //! grid artifact is never deleted, whatever its `grid.json` says.
@@ -20,12 +27,99 @@
 use std::path::{Path, PathBuf};
 
 use fcdpm_runner::JobOutcome;
-use serde::{Deserialize, Serialize};
 
 use crate::gen::GridSpec;
-use crate::manifest::{
-    list_matching, partial_files, read_partial, read_shard, shard_file_name, shard_files,
-};
+use crate::manifest::{partial_file_name, read_partial, shard_file_name, GridJobRecord};
+
+/// What one file of a run directory is, told by its name alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunFile {
+    /// `grid.json`: the spec the run expands.
+    Spec,
+    /// `aggregate.json`: the rollup, published after every shard.
+    Aggregate,
+    /// `shard-NNNNN.jsonl`: a promoted shard.
+    Shard(u64),
+    /// `shard-NNNNN.partial.jsonl`: a shard's in-flight checkpoint.
+    Checkpoint(u64),
+    /// `*.tmp`: an atomic rename that was interrupted.
+    Tmp,
+    /// Anything else: not the engine's.
+    Foreign,
+}
+
+impl RunFile {
+    /// Classifies one file name. A shard or a checkpoint is only ever
+    /// named exactly as [`shard_file_name`] or [`partial_file_name`]
+    /// formats it; any other `shard-*` name is foreign.
+    #[must_use]
+    pub fn of(name: &str) -> Self {
+        let index = name
+            .strip_prefix("shard-")
+            .and_then(|rest| rest.split_once('.'))
+            .and_then(|(digits, _)| digits.parse().ok());
+        match (name, index) {
+            ("grid.json", _) => Self::Spec,
+            ("aggregate.json", _) => Self::Aggregate,
+            _ if name.ends_with(".tmp") => Self::Tmp,
+            (_, Some(n)) if name == shard_file_name(n) => Self::Shard(n),
+            (_, Some(n)) if name == partial_file_name(n) => Self::Checkpoint(n),
+            _ => Self::Foreign,
+        }
+    }
+}
+
+/// A run directory's entries, listed once and each classified by
+/// [`RunFile::of`].
+#[derive(Debug)]
+pub struct Inventory {
+    /// Every entry and its kind, sorted by path (so shards and
+    /// checkpoints come in shard order).
+    pub files: Vec<(RunFile, PathBuf)>,
+}
+
+impl Inventory {
+    /// Lists `dir` and classifies every entry; a name that is not UTF-8
+    /// is foreign.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the directory cannot be listed.
+    pub fn read(dir: &Path) -> Result<Self, String> {
+        let unlisted = |e: std::io::Error| format!("cannot list `{}`: {e}", dir.display());
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(dir).map_err(unlisted)? {
+            let path = entry.map_err(unlisted)?.path();
+            let name = path.file_name().and_then(|name| name.to_str());
+            files.push((name.map_or(RunFile::Foreign, RunFile::of), path));
+        }
+        files.sort_by(|a, b| a.1.cmp(&b.1));
+        Ok(Self { files })
+    }
+
+    /// The paths of the entries of kind `kind`.
+    pub fn paths(&self, kind: RunFile) -> impl Iterator<Item = &Path> {
+        let files = self.files.iter().filter(move |(file, _)| *file == kind);
+        files.map(|(_, path)| path.as_path())
+    }
+
+    /// The promoted shards, with their indices, in shard order.
+    pub fn shards(&self) -> impl Iterator<Item = (u64, &Path)> {
+        self.files.iter().filter_map(|(file, path)| match file {
+            RunFile::Shard(n) => Some((*n, path.as_path())),
+            _ => None,
+        })
+    }
+
+    /// The in-flight checkpoints, with their shard indices, in shard
+    /// order.
+    pub fn checkpoints(&self) -> impl Iterator<Item = (u64, &Path)> {
+        self.files.iter().filter_map(|(file, path)| match file {
+            RunFile::Checkpoint(n) => Some((*n, path.as_path())),
+            _ => None,
+        })
+    }
+}
 
 /// What [`gc`] decided about one artifact (or directory).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,22 +129,22 @@ pub enum GcKind {
     AbandonedDir,
     /// A `*.tmp` left behind by an interrupted atomic rename of
     /// `grid.json`, `aggregate.json` or a shard published from records.
-    /// The engine no longer streams a shard into `shard-NNNNN.jsonl.tmp`
-    /// (its checkpoint is renamed into place instead), but a run killed
-    /// before that change may have left one.
+    /// A run republishes each of those files, so `grid run` and `grid
+    /// resume` remove it too.
     OrphanedTmp,
     /// A partial checkpoint with torn bytes past its valid prefix;
     /// compacted in place so a resume replays only whole records.
     TornPartial,
-    /// A partial checkpoint whose shard was already promoted; the
-    /// final `shard-NNNNN.jsonl` supersedes it.
+    /// A partial checkpoint whose shard was already promoted with every
+    /// job the checkpoint holds; the final `shard-NNNNN.jsonl`
+    /// supersedes it.
     RedundantPartial,
     /// A shard file with an index beyond what the spec expands to.
     StaleShard,
     /// A shard file with a line that is not a checksum-valid record:
     /// torn, flipped, or in the plain-JSON format from before record
-    /// lines carried a checksum. A resume would replay only its valid
-    /// prefix; it is removed and its jobs recompute.
+    /// lines carried a checksum. It is compacted to the valid prefix a
+    /// resume would replay; a resume recomputes the rest.
     CorruptShard,
     /// An `aggregate.json` that no longer parses; a resume rewrites it.
     CorruptAggregate,
@@ -128,34 +222,56 @@ impl GcReport {
         }
         out
     }
+
+    fn note(&mut self, path: &Path, kind: GcKind, detail: impl Into<String>, bytes: u64) {
+        self.actions.push(GcAction {
+            path: path.to_path_buf(),
+            kind,
+            detail: detail.into(),
+            bytes,
+        });
+    }
+
+    /// Notes `path` as `kind` and, unless this is a dry run, removes it.
+    fn discard(
+        &mut self,
+        path: &Path,
+        kind: GcKind,
+        detail: impl Into<String>,
+    ) -> Result<(), String> {
+        self.note(path, kind, detail, file_len(path));
+        if self.dry_run {
+            return Ok(());
+        }
+        std::fs::remove_file(path).map_err(|e| format!("cannot remove `{}`: {e}", path.display()))
+    }
+
+    /// Notes a checkpoint or a shard as `kind` when bytes follow its
+    /// checksum-valid prefix and, unless this is a dry run, truncates it
+    /// to that prefix, which is what a resume replays.
+    fn compact(&mut self, path: &Path, kind: GcKind) -> Result<(), String> {
+        let read = read_partial(path)?;
+        let (records, torn) = (read.records.len(), read.torn_bytes);
+        if torn == 0 {
+            return Ok(());
+        }
+        let detail = format!("{records} valid records kept, {torn} torn bytes dropped");
+        self.note(path, kind, detail, torn);
+        if self.dry_run {
+            return Ok(());
+        }
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .map_err(|e| format!("cannot open `{}`: {e}", path.display()))?;
+        file.set_len(read.valid_bytes)
+            .and_then(|()| file.sync_data())
+            .map_err(|e| format!("cannot truncate `{}`: {e}", path.display()))
+    }
 }
 
 fn file_len(path: &Path) -> u64 {
     std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
-}
-
-/// Names the engine writes into a run directory (besides shard files).
-fn is_grid_artifact(name: &str) -> bool {
-    name == "grid.json"
-        || name == "aggregate.json"
-        || name.ends_with(".tmp")
-        || (name.starts_with("shard-") && name.ends_with(".jsonl"))
-}
-
-/// Lists a directory's entries by name, sorted for deterministic
-/// reports.
-fn sorted_entries(dir: &Path) -> Result<Vec<(String, PathBuf)>, String> {
-    let paths = list_matching(dir, |_| true)?;
-    Ok(paths
-        .into_iter()
-        .filter_map(|path| Some((path.file_name()?.to_str()?.to_owned(), path)))
-        .collect())
-}
-
-fn dir_size(dir: &Path) -> u64 {
-    sorted_entries(dir)
-        .map(|entries| entries.iter().map(|(_, p)| file_len(p)).sum())
-        .unwrap_or(0)
 }
 
 /// Sweeps every run directory under `root`, classifying and (unless
@@ -172,175 +288,94 @@ pub fn gc(root: &Path, dry_run: bool) -> Result<GcReport, String> {
         actions: Vec::new(),
         dry_run,
     };
-    for (_, dir) in sorted_entries(root)? {
+    for (_, dir) in Inventory::read(root)?.files {
         if !dir.is_dir() {
             continue;
         }
         report.scanned_dirs += 1;
-        gc_run_dir(&dir, dry_run, &mut report)?;
+        gc_run_dir(&dir, &mut report)?;
     }
     Ok(report)
 }
 
-fn gc_run_dir(dir: &Path, dry_run: bool, report: &mut GcReport) -> Result<(), String> {
-    let entries = sorted_entries(dir)?;
-    let foreign: Vec<&str> = entries
-        .iter()
-        .filter(|(name, _)| !is_grid_artifact(name))
-        .map(|(name, _)| name.as_str())
-        .collect();
+fn gc_run_dir(dir: &Path, report: &mut GcReport) -> Result<(), String> {
+    let files = Inventory::read(dir)?;
 
     // Unresumable directory: no usable grid.json means no spec digests
     // to match records against. Delete it — but only when everything
     // inside is recognisably ours.
     let Ok(spec) = read_spec(dir) else {
+        let foreign = files.paths(RunFile::Foreign).filter_map(Path::file_name);
+        let foreign: Vec<_> = foreign.map(|name| name.to_string_lossy()).collect();
         if foreign.is_empty() {
-            let bytes = dir_size(dir);
-            report.actions.push(GcAction {
-                path: dir.to_path_buf(),
-                kind: GcKind::AbandonedDir,
-                detail: "grid.json missing or unparseable".into(),
-                bytes,
-            });
-            if !dry_run {
+            let bytes = files.files.iter().map(|(_, path)| file_len(path)).sum();
+            let detail = "grid.json missing or unparseable";
+            report.note(dir, GcKind::AbandonedDir, detail, bytes);
+            if !report.dry_run {
                 std::fs::remove_dir_all(dir)
                     .map_err(|e| format!("cannot remove `{}`: {e}", dir.display()))?;
             }
         } else {
-            report.actions.push(GcAction {
-                path: dir.to_path_buf(),
-                kind: GcKind::Foreign,
-                detail: format!(
-                    "unresumable but contains non-grid files: {}",
-                    foreign.join(", ")
-                ),
-                bytes: 0,
-            });
+            let detail = format!(
+                "unresumable but contains non-grid files: {}",
+                foreign.join(", ")
+            );
+            report.note(dir, GcKind::Foreign, detail, 0);
         }
         return Ok(());
     };
 
-    let remove = |path: &Path| -> Result<(), String> {
-        if dry_run {
-            return Ok(());
-        }
-        std::fs::remove_file(path).map_err(|e| format!("cannot remove `{}`: {e}", path.display()))
-    };
-
     // Orphaned tmp files from interrupted atomic renames.
-    for (name, path) in &entries {
-        if name.ends_with(".tmp") {
-            report.actions.push(GcAction {
-                path: path.clone(),
-                kind: GcKind::OrphanedTmp,
-                detail: "interrupted atomic rename".into(),
-                bytes: file_len(path),
-            });
-            remove(path)?;
+    for path in files.paths(RunFile::Tmp) {
+        report.discard(path, GcKind::OrphanedTmp, "interrupted atomic rename")?;
+    }
+
+    // Partial checkpoints: redundant once the promoted shard's valid
+    // prefix holds every job they hold, so a resume would replay nothing
+    // from them; otherwise compacted if torn.
+    for (shard, path) in files.checkpoints() {
+        let promoted = files.paths(RunFile::Shard(shard)).next();
+        let promoted = promoted.map(read_partial).transpose()?;
+        let held = |record: &GridJobRecord| {
+            let mut records = promoted.iter().flat_map(|shard| &shard.records);
+            records.any(|r| r.index == record.index && r.digest == record.digest)
+        };
+        if promoted.is_some() && read_partial(path)?.records.iter().all(held) {
+            let detail = format!("shard {shard} already promoted");
+            report.discard(path, GcKind::RedundantPartial, detail)?;
+        } else {
+            report.compact(path, GcKind::TornPartial)?;
         }
     }
 
-    // Partial checkpoints: redundant once promoted, compacted if torn.
-    for path in partial_files(dir)? {
-        let Some(shard) = crate::engine::shard_index_of(&path) else {
-            continue;
-        };
-        if dir.join(shard_file_name(shard)).is_file() {
-            report.actions.push(GcAction {
-                path: path.clone(),
-                kind: GcKind::RedundantPartial,
-                detail: format!("shard {shard} already promoted"),
-                bytes: file_len(&path),
-            });
-            remove(&path)?;
-            continue;
-        }
-        let partial = read_partial(&path)?;
-        if partial.torn_bytes > 0 {
-            report.actions.push(GcAction {
-                path: path.clone(),
-                kind: GcKind::TornPartial,
-                detail: format!(
-                    "{} valid records kept, {} torn bytes dropped",
-                    partial.records.len(),
-                    partial.torn_bytes
-                ),
-                bytes: partial.torn_bytes,
-            });
-            if !dry_run {
-                let file = std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| format!("cannot open `{}`: {e}", path.display()))?;
-                file.set_len(partial.valid_bytes)
-                    .map_err(|e| format!("cannot truncate `{}`: {e}", path.display()))?;
-                file.sync_data()
-                    .map_err(|e| format!("cannot sync `{}`: {e}", path.display()))?;
+    // Shard files: stale beyond the spec's expansion, or compacted if
+    // damaged. The shard size comes from `aggregate.json`; without a
+    // parseable one staleness cannot be judged.
+    let aggregate = read_aggregate(dir);
+    let shard_size = aggregate
+        .as_ref()
+        .and_then(|agg| agg.get("shard_size")?.as_u64());
+    let expected = shard_size
+        .filter(|&size| size > 0)
+        .map(|size| spec.total_jobs().div_ceil(size));
+    for (index, path) in files.shards() {
+        match expected.filter(|&expected| index >= expected) {
+            Some(expected) => {
+                let detail = format!("index {index} beyond the spec's {expected} shards");
+                report.discard(path, GcKind::StaleShard, detail)?;
             }
-        }
-    }
-
-    // Shard files: stale beyond the spec's expansion, or corrupt.
-    let shards = expected_shards(dir, &spec);
-    for path in shard_files(dir)? {
-        let Some(index) = crate::engine::shard_index_of(&path) else {
-            continue;
-        };
-        if let Some(expected) = shards {
-            if index >= expected {
-                report.actions.push(GcAction {
-                    path: path.clone(),
-                    kind: GcKind::StaleShard,
-                    detail: format!("index {index} beyond the spec's {expected} shards"),
-                    bytes: file_len(&path),
-                });
-                remove(&path)?;
-                continue;
-            }
-        }
-        if read_shard(&path).is_err() {
-            report.actions.push(GcAction {
-                path: path.clone(),
-                kind: GcKind::CorruptShard,
-                detail: "not all checksum-valid records; jobs will recompute".into(),
-                bytes: file_len(&path),
-            });
-            remove(&path)?;
+            None => report.compact(path, GcKind::CorruptShard)?,
         }
     }
 
     // Aggregate: regenerated on resume, so a corrupt one just goes.
-    let aggregate = dir.join("aggregate.json");
-    if aggregate.is_file() {
-        let parses = std::fs::read_to_string(&aggregate)
-            .ok()
-            .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
-            .is_some();
-        if !parses {
-            report.actions.push(GcAction {
-                path: aggregate.clone(),
-                kind: GcKind::CorruptAggregate,
-                detail: "does not parse; resume rewrites it".into(),
-                bytes: file_len(&aggregate),
-            });
-            remove(&aggregate)?;
+    if aggregate.is_none() {
+        for path in files.paths(RunFile::Aggregate) {
+            let detail = "does not parse; resume rewrites it";
+            report.discard(path, GcKind::CorruptAggregate, detail)?;
         }
     }
     Ok(())
-}
-
-/// `ceil(jobs / shard_size)` for the run, from its spec and the shard
-/// size recorded in `aggregate.json` when available. Without a
-/// parseable aggregate the shard size is unknown, so staleness cannot
-/// be judged and `None` disables that check.
-fn expected_shards(dir: &Path, spec: &GridSpec) -> Option<u64> {
-    let agg_text = std::fs::read_to_string(dir.join("aggregate.json")).ok()?;
-    let agg: serde_json::Value = serde_json::from_str(&agg_text).ok()?;
-    let shard_size = agg.get("shard_size")?.as_u64()?;
-    if shard_size == 0 {
-        return None;
-    }
-    Some(spec.total_jobs().div_ceil(shard_size))
 }
 
 /// Parses a run directory's `grid.json`; the error names the file.
@@ -352,14 +387,22 @@ fn read_spec(dir: &Path) -> Result<GridSpec, String> {
         .map_err(|e| format!("`{}` does not parse as a GridSpec: {e}", path.display()))
 }
 
+/// A run directory's `aggregate.json` as JSON; `None` when it is missing
+/// or does not parse.
+fn read_aggregate(dir: &Path) -> Option<serde_json::Value> {
+    let text = std::fs::read_to_string(dir.join("aggregate.json")).ok()?;
+    serde_json::from_str(&text).ok()
+}
+
 /// What `fcdpm grid status` reports about a run directory on disk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridStatus {
     /// Run directory name.
     pub run_id: String,
     /// Jobs the stored `grid.json` expands to.
     pub expected_jobs: u64,
-    /// Records present across shard files.
+    /// Checksum-valid records across shard files: each shard's valid
+    /// prefix, as a resume replays it.
     pub records: u64,
     /// Completed records.
     pub completed: u64,
@@ -373,10 +416,11 @@ pub struct GridStatus {
     pub partial_shards: u64,
     /// Checksum-valid records recoverable from partial checkpoints.
     pub checkpointed: u64,
-    /// Torn line fragments past the valid prefix of partial checkpoints
-    /// — work a crashed run lost mid-write and will recompute.
+    /// Line fragments past the valid prefix of shards and partial
+    /// checkpoints — work that was lost or damaged and that a resume
+    /// recomputes.
     pub torn_lines: u64,
-    /// Whether `aggregate.json` has been written.
+    /// Whether a parseable `aggregate.json` is present.
     pub has_aggregate: bool,
 }
 
@@ -389,14 +433,16 @@ impl GridStatus {
 }
 
 /// Inspects a run directory without executing anything: parses its
-/// `grid.json`, streams the shard files, and counts outcomes.
+/// `grid.json`, reads every shard and checkpoint to its checksum-valid
+/// prefix, and counts outcomes.
 ///
 /// # Errors
 ///
-/// Returns a message when the directory or its `grid.json` is
-/// unreadable.
+/// Returns a message when the directory, its `grid.json` or one of its
+/// spill files is unreadable; a damaged file is counted, not an error.
 pub fn status(dir: &Path) -> Result<GridStatus, String> {
     let spec = read_spec(dir)?;
+    let files = Inventory::read(dir)?;
     let mut state = GridStatus {
         run_id: dir
             .file_name()
@@ -412,11 +458,13 @@ pub fn status(dir: &Path) -> Result<GridStatus, String> {
         partial_shards: 0,
         checkpointed: 0,
         torn_lines: 0,
-        has_aggregate: dir.join("aggregate.json").is_file(),
+        has_aggregate: read_aggregate(dir).is_some(),
     };
-    for path in crate::manifest::shard_files(dir)? {
+    for (_, path) in files.shards() {
+        let shard = read_partial(path)?;
         state.shards += 1;
-        for record in read_shard(&path)? {
+        state.torn_lines += shard.torn_lines;
+        for record in shard.records {
             state.records += 1;
             match record.outcome {
                 JobOutcome::Completed(_) => state.completed += 1,
@@ -427,8 +475,8 @@ pub fn status(dir: &Path) -> Result<GridStatus, String> {
     }
     // An in-flight shard's checkpoint is progress, not absence: count
     // what a resume would replay and what a tear lost.
-    for path in crate::manifest::partial_files(dir)? {
-        let partial = read_partial(&path)?;
+    for (_, path) in files.checkpoints() {
+        let partial = read_partial(path)?;
         state.partial_shards += 1;
         state.checkpointed += partial.records.len() as u64;
         state.torn_lines += partial.torn_lines;
@@ -469,6 +517,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).expect("creates root");
         root
+    }
+
+    #[test]
+    fn each_file_kind_has_exactly_one_name() {
+        let names = [
+            ("grid.json", RunFile::Spec),
+            ("aggregate.json", RunFile::Aggregate),
+            ("shard-00007.jsonl", RunFile::Shard(7)),
+            ("shard-00007.partial.jsonl", RunFile::Checkpoint(7)),
+            ("shard-123456.jsonl", RunFile::Shard(123_456)),
+            ("shard-00007.jsonl.tmp", RunFile::Tmp),
+            ("aggregate.json.tmp", RunFile::Tmp),
+            ("shard-7.jsonl", RunFile::Foreign),
+            ("shard-00007.json", RunFile::Foreign),
+            ("shard-0000x.jsonl", RunFile::Foreign),
+            ("notes.txt", RunFile::Foreign),
+        ];
+        for (name, kind) in names {
+            assert_eq!(RunFile::of(name), kind, "{name}");
+        }
+
+        // A checkpoint never lists as a promoted shard, nor the reverse.
+        let root = temp_root("inventory");
+        crate::manifest::write_shard(&root, 0, &[]).expect("writes");
+        std::fs::write(root.join(crate::manifest::partial_file_name(1)), b"").expect("writes");
+        let files = Inventory::read(&root).expect("lists");
+        assert_eq!(files.shards().map(|(n, _)| n).collect::<Vec<_>>(), [0]);
+        assert_eq!(files.checkpoints().map(|(n, _)| n).collect::<Vec<_>>(), [1]);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -534,6 +611,39 @@ mod tests {
     }
 
     #[test]
+    fn damaged_shard_is_counted_and_compacted_to_its_valid_prefix() {
+        let root = temp_root("damaged");
+        let dir = run_into(&root);
+        // Flip a byte in shard 1's second line: its first record stays.
+        // The checkpoint left beside it still holds both records, so it
+        // is not redundant: a resume recovers the second from it.
+        let path = dir.join(shard_file_name(1));
+        let checkpoint = dir.join(crate::manifest::partial_file_name(1));
+        std::fs::copy(&path, &checkpoint).expect("copies");
+        let mut bytes = std::fs::read(&path).expect("reads");
+        let second = bytes.iter().position(|&b| b == b'\n').expect("two lines") + 1;
+        bytes[second + 20] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("flips");
+
+        let state = status(&dir).expect("a damaged shard is counted, not an error");
+        assert_eq!((state.records, state.torn_lines), (3, 1));
+        assert_eq!(state.checkpointed, 2);
+        assert!(!state.is_complete());
+
+        let report = gc(&root, false).expect("gc applies");
+        let kinds: Vec<_> = report.actions.iter().map(|a| (&a.kind, &a.path)).collect();
+        assert_eq!(kinds, [(&GcKind::CorruptShard, &path)]);
+        assert_eq!(file_len(&path), u64::try_from(second).expect("small"));
+        assert!(
+            checkpoint.is_file(),
+            "the checkpoint holds a job the shard lost"
+        );
+        let again = gc(&root, false).expect("gc runs");
+        assert!(again.actions.is_empty(), "{:?}", again.actions);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn promoted_shard_supersedes_its_partial() {
         let root = temp_root("redundant");
         let dir = run_into(&root);
@@ -579,7 +689,7 @@ mod tests {
     fn stale_shards_beyond_the_spec_are_deleted() {
         let root = temp_root("stale");
         let dir = run_into(&root);
-        // 8 jobs at shard_size 2 → shards 0..3; index 7 is stale.
+        // 4 jobs at shard_size 2 → shards 0 and 1; index 7 is stale.
         std::fs::write(dir.join(shard_file_name(7)), b"").expect("writes");
         let report = gc(&root, false).expect("gc applies");
         assert!(report.actions.iter().any(|a| a.kind == GcKind::StaleShard));

@@ -16,8 +16,9 @@
 //!   records spilled to `shard-NNNNN.jsonl` under the run directory,
 //!   deterministic rollups (fuel/deficit totals, p50/p99, nominal
 //!   jobs/sec) in `aggregate.json`.
-//! * [`gc`](mod@gc) — reads a run directory without executing a job:
-//!   [`status`] counts its records, [`gc()`] repairs crash damage.
+//! * [`gc`](mod@gc) — names every file of a run directory once
+//!   ([`Inventory`]) and reads it without executing a job: [`status`]
+//!   counts its records, [`gc()`] repairs crash damage.
 //! * Digest-keyed resume — every record carries its spec's FNV-1a
 //!   digest; a resumed run re-executes exactly the jobs whose spec
 //!   changed and reloads the rest from spill. An untouched resume
@@ -52,9 +53,9 @@ pub use engine::{
     nominal_seconds, run, CrashPoint, GridAggregate, GridConfig, GridRun, ShardSummary,
 };
 pub use fcdpm_runner::{spec_digest, write_atomic, FaultPreset, SeedAxis, SeedRange, WorkloadKind};
-pub use gc::{gc, status, GcAction, GcKind, GcReport, GridStatus};
+pub use gc::{gc, status, GcAction, GcKind, GcReport, GridStatus, Inventory, RunFile};
 pub use gen::GridSpec;
 pub use manifest::{
-    digest_hex, partial_file_name, partial_files, read_partial, read_shard, shard_file_name,
-    shard_files, write_shard, GridJobRecord, PartialRead, PartialShardWriter,
+    digest_hex, partial_file_name, read_partial, read_shard, shard_file_name, write_shard,
+    GridJobRecord, PartialRead, PartialShardWriter,
 };

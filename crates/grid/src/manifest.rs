@@ -25,8 +25,9 @@
 //! One validating reader parses both files. [`read_partial`] returns the
 //! maximal checksum-valid prefix and counts the torn tail after it;
 //! resume replays that prefix as cache hits, keyed by index and digest,
-//! whatever order the lines are in. [`read_shard`] is the same reading
-//! with no torn bytes allowed, for `status` and `gc`.
+//! whatever order the lines are in, and `grid status` and `grid gc`
+//! judge a file by the same prefix. [`read_shard`] is the same reading
+//! with no torn bytes allowed, for a caller that needs a whole shard.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -37,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 /// One job's record in a shard file: identity, cache key and outcome —
 /// nothing scheduling-dependent, nothing reconstructable from the spec.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridJobRecord {
     /// Global index in the expanded grid.
     pub index: u64,
@@ -50,24 +51,6 @@ pub struct GridJobRecord {
     pub outcome: JobOutcome,
     /// Executions the job took under the retry policy (1 = first try).
     pub attempts: u32,
-}
-
-// Hand-written so shard lines written before retry accounting existed
-// (no `attempts` key) still parse: a missing count means the job ran
-// exactly once.
-impl Deserialize for GridJobRecord {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom(format!("expected object, got {}", v.kind())))?;
-        Ok(Self {
-            index: serde::field(m, "index")?,
-            id: serde::field(m, "id")?,
-            digest: serde::field(m, "digest")?,
-            outcome: serde::field(m, "outcome")?,
-            attempts: serde::field::<Option<u32>>(m, "attempts")?.unwrap_or(1),
-        })
-    }
 }
 
 /// Renders a 64-bit digest as the 16-hex-digit on-disk form.
@@ -296,37 +279,6 @@ fn validate_line(line: &[u8]) -> Option<GridJobRecord> {
     serde_json::from_str(json).ok()
 }
 
-/// Checkpoint files under `dir`, in shard order.
-///
-/// # Errors
-///
-/// Returns a message when the directory cannot be listed.
-pub fn partial_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    list_matching(dir, |name| {
-        name.starts_with("shard-") && name.ends_with(".partial.jsonl")
-    })
-}
-
-/// Directory entries whose file name satisfies `keep`, sorted.
-pub(crate) fn list_matching(
-    dir: &Path,
-    keep: impl Fn(&str) -> bool,
-) -> Result<Vec<PathBuf>, String> {
-    let mut files = Vec::new();
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot list `{}`: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot list `{}`: {e}", dir.display()))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if keep(name) {
-            files.push(entry.path());
-        }
-    }
-    files.sort();
-    Ok(files)
-}
-
 /// Publishes one shard's records, in order, with exactly the bytes a
 /// promoted checkpoint of them has.
 ///
@@ -382,22 +334,10 @@ pub fn read_shard(path: &Path) -> Result<Vec<GridJobRecord>, String> {
     Ok(read.records)
 }
 
-/// Promoted (final) shard files under `dir`, in shard order. In-flight
-/// `*.partial.jsonl` checkpoints are deliberately excluded — they are
-/// not part of the committed record stream.
-///
-/// # Errors
-///
-/// Returns a message when the directory cannot be listed.
-pub fn shard_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    list_matching(dir, |name| {
-        name.starts_with("shard-") && name.ends_with(".jsonl") && !name.contains(".partial.")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gc::Inventory;
     use fcdpm_runner::{spec_digest, JobSpec, PolicySpec, WorkloadSpec};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -427,24 +367,17 @@ mod tests {
         writer.append(&[record(0)]).expect("appends");
         writer.push(&encode_record(&record(1)).expect("encodes"));
         let promoted = writer.promote().expect("the pending line commits first");
-        assert!(partial_files(&dir).expect("lists").is_empty(), "renamed");
+        let files = Inventory::read(&dir).expect("lists");
+        assert_eq!(files.checkpoints().count(), 0, "renamed");
         let bytes = std::fs::read(&promoted).expect("reads");
         write_shard(&dir, 0, &[record(0), record(1)]).expect("writes");
         assert_eq!(bytes, std::fs::read(&promoted).expect("reads"));
         let mut back = Vec::new();
-        for file in shard_files(&dir).expect("lists") {
-            back.extend(read_shard(&file).expect("reads"));
+        for (_, file) in Inventory::read(&dir).expect("lists").shards() {
+            back.extend(read_shard(file).expect("reads"));
         }
         let want: Vec<_> = (0..4).map(record).collect();
         assert_eq!(back, want, "records stream in shard order, losslessly");
-    }
-
-    #[test]
-    fn legacy_records_without_attempts_parse_as_one_attempt() {
-        let line =
-            r#"{"index":0,"id":"job-0000","digest":"0000000000000000","outcome":{"Failed":"x"}}"#;
-        let back: GridJobRecord = serde_json::from_str(line).expect("parses");
-        assert_eq!(back.attempts, 1, "pre-retry records default to 1 attempt");
     }
 
     #[test]
@@ -494,18 +427,5 @@ mod tests {
         assert_eq!(back.torn_lines, 2, "the flipped line and the one after");
         let err = read_shard(&path).unwrap_err();
         assert!(err.contains("line 2: not a checksum-valid record"), "{err}");
-    }
-
-    #[test]
-    fn partials_stay_out_of_the_committed_record_stream() {
-        let dir = temp_dir("exclude");
-        write_shard(&dir, 0, &[record(0)]).expect("writes");
-        let mut writer = PartialShardWriter::create(&dir, 1).expect("creates");
-        writer.append(&[record(1)]).expect("appends");
-        drop(writer);
-        assert_eq!(shard_files(&dir).expect("lists").len(), 1);
-        assert_eq!(partial_files(&dir).expect("lists").len(), 1);
-        let back = read_shard(&shard_files(&dir).expect("lists")[0]).expect("reads");
-        assert_eq!(back, vec![record(0)], "only promoted shards stream");
     }
 }

@@ -24,9 +24,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use fcdpm_grid::{
-    partial_file_name, partial_files, read_partial, read_shard, run, shard_file_name, shard_files,
-    FaultPreset, GcKind, GridConfig, GridSpec, PartialShardWriter, SeedAxis, SeedRange,
-    WorkloadKind,
+    gc, partial_file_name, read_partial, read_shard, run, shard_file_name, status, FaultPreset,
+    GcKind, GridConfig, GridSpec, Inventory, PartialShardWriter, SeedAxis, SeedRange, WorkloadKind,
 };
 use fcdpm_runner::PolicySpec;
 use proptest::prelude::*;
@@ -257,14 +256,15 @@ fn fleet_simulates_each_distinct_run_once() {
 /// Counts (final-shard records, checkpointed records, torn lines) left
 /// in a crashed run directory.
 fn surviving_state(run_dir: &Path) -> (u64, u64, u64) {
+    let files = Inventory::read(run_dir).expect("listable run dir");
     let mut finalized = 0u64;
-    for shard in shard_files(run_dir).expect("listable run dir") {
-        finalized += fcdpm_grid::read_shard(&shard).expect("valid shard").len() as u64;
+    for (_, shard) in files.shards() {
+        finalized += read_shard(shard).expect("valid shard").len() as u64;
     }
     let mut checkpointed = 0u64;
     let mut torn = 0u64;
-    for partial in partial_files(run_dir).expect("listable run dir") {
-        let read = read_partial(&partial).expect("readable partial");
+    for (_, partial) in files.checkpoints() {
+        let read = read_partial(partial).expect("readable partial");
         checkpointed += read.records.len() as u64;
         torn += read.torn_lines;
     }
@@ -315,16 +315,15 @@ fn crash_at(point: &str, batch: u64, resume: bool, out: &Path) -> bool {
 /// shard.
 fn assert_resume_matches(out: &Path, batch: u64, control: &DirBytes, what: &str) {
     let run_dir = out.join("crash");
-    let promoted: BTreeSet<u64> = shard_files(&run_dir)
-        .expect("lists")
-        .iter()
-        .flat_map(|path| read_shard(path).expect("a promoted shard reads"))
+    let files = Inventory::read(&run_dir).expect("lists");
+    let promoted: BTreeSet<u64> = files
+        .shards()
+        .flat_map(|(_, path)| read_shard(path).expect("a promoted shard reads"))
         .map(|record| record.index)
         .collect();
-    let checkpointed: BTreeSet<u64> = partial_files(&run_dir)
-        .expect("lists")
-        .iter()
-        .flat_map(|path| read_partial(path).expect("a checkpoint reads").records)
+    let checkpointed: BTreeSet<u64> = files
+        .checkpoints()
+        .flat_map(|(_, path)| read_partial(path).expect("a checkpoint reads").records)
         .map(|record| record.index)
         .collect();
     let recovered = checkpointed.difference(&promoted).count() as u64;
@@ -388,34 +387,42 @@ fn resume_after_kill_at_every_crash_point_is_byte_identical() {
 }
 
 /// Kills a fresh run at P1, then kills its resume at P2, then resumes
-/// again, for every pair of crash points at checkpoint batch 1. A resume
-/// rewrites each shard's checkpoint with its replayed lines first, so
-/// this is where a crash meets the most checkpoint state. The crash at
-/// P1 is taken once and its directory copied for every P2. A resume
-/// that P2 cannot kill must finish with the uninterrupted run's bytes.
+/// again, for every pair of crash points at checkpoint batches 0, 1, 3
+/// and 32 (all three runs at the same batch; a P1 in [`CANNOT_FIRE`] is
+/// skipped). A resume rewrites each shard's checkpoint with its replayed
+/// lines first, so this is where a crash meets the most checkpoint
+/// state. The crash at P1 is taken once and its directory copied for
+/// every P2. A resume that P2 cannot kill must finish with the
+/// uninterrupted run's bytes.
 #[test]
 fn resume_after_a_killed_resume_is_byte_identical() {
     let control_out = fresh_dir("double-control");
     let control = run(&crash_spec(), &crash_config(&control_out)).expect("control run");
     let control = dir_bytes(&control.dir);
 
-    for first in crash_points() {
-        let crashed = fresh_dir(&format!("double-{first}"));
-        assert!(crash_at(&first, 1, false, &crashed), "{first} must fire");
-        for second in crash_points() {
-            let what = format!("{first} then {second}");
-            let out = fresh_dir(&format!("double-{first}-{second}"));
-            copy_dir(&crashed, &out);
-            if !crash_at(&second, 1, true, &out) {
-                assert!(
-                    dir_bytes(&out.join("crash")) == control,
-                    "{what}: a resume that was not killed must finish the run"
-                );
+    for batch in [0, 1, 3, 32] {
+        for first in crash_points() {
+            if CANNOT_FIRE.contains(&(batch, first.as_str())) {
+                continue;
             }
-            assert_resume_matches(&out, 1, &control, &what);
-            let _ = std::fs::remove_dir_all(&out);
+            let crashed = fresh_dir(&format!("double-{batch}-{first}"));
+            let fired = crash_at(&first, batch, false, &crashed);
+            assert!(fired, "{first} at batch {batch} must fire");
+            for second in crash_points() {
+                let what = format!("{first} then {second} at batch {batch}");
+                let out = fresh_dir(&format!("double-{batch}-{first}-{second}"));
+                copy_dir(&crashed, &out);
+                if !crash_at(&second, batch, true, &out) {
+                    assert!(
+                        dir_bytes(&out.join("crash")) == control,
+                        "{what}: a resume that was not killed must finish the run"
+                    );
+                }
+                assert_resume_matches(&out, batch, &control, &what);
+                let _ = std::fs::remove_dir_all(&out);
+            }
+            let _ = std::fs::remove_dir_all(&crashed);
         }
-        let _ = std::fs::remove_dir_all(&crashed);
     }
     let _ = std::fs::remove_dir_all(&control_out);
 }
@@ -530,26 +537,27 @@ fn resume_with_checkpoints_off_removes_the_replayed_partial() {
     };
     let resumed = run(&crash_spec(), &config).expect("resume succeeds");
     assert_eq!(resumed.recovered_jobs, 2);
-    assert!(partial_files(&run_dir).expect("lists").is_empty());
+    let files = Inventory::read(&run_dir).expect("lists");
+    assert_eq!(files.checkpoints().count(), 0);
     assert_eq!(dir_bytes(&run_dir), dir_bytes(&control.dir));
     let _ = std::fs::remove_dir_all(&out);
     let _ = std::fs::remove_dir_all(&control_out);
 }
 
 /// Shards in the plain-JSON format from before record lines carried a
-/// checksum read as all torn: `gc --dry-run` reports them as corrupt,
-/// and a resume recomputes them to a fresh run's bytes.
+/// checksum read as all torn: `status` counts no record and every line
+/// as torn, `gc --dry-run` reports them as corrupt, and a resume
+/// recomputes them to a fresh run's bytes.
 #[test]
 fn shards_in_the_pre_checksum_format_recompute() {
     let out = fresh_dir("plain-json");
     let fresh = run(&crash_spec(), &crash_config(&out)).expect("fresh run");
     let reference = dir_bytes(&fresh.dir);
-    for path in shard_files(&fresh.dir).expect("lists") {
-        let text = std::fs::read_to_string(&path).expect("reads");
-        let unsum = |line: &str| line.split_once('\t').expect("checksummed").1.to_owned() + "\n";
-        std::fs::write(&path, text.lines().map(unsum).collect::<String>()).expect("rewrites");
-    }
-    let report = fcdpm_grid::gc(&out, true).expect("gc reads");
+    strip_checksums(&fresh.dir);
+    let state = status(&fresh.dir).expect("status counts damaged shards");
+    assert_eq!((state.records, state.torn_lines), (0, 8));
+    assert!(!state.is_complete());
+    let report = gc(&out, true).expect("gc reads");
     let corrupt = report
         .actions
         .iter()
@@ -564,6 +572,109 @@ fn shards_in_the_pre_checksum_format_recompute() {
     assert_eq!((resumed.cache_hits, resumed.recomputed), (0, 8));
     assert!(dir_bytes(&resumed.dir) == reference);
     let _ = std::fs::remove_dir_all(&out);
+}
+
+/// Rewrites every shard in `dir` in the plain-JSON format from before
+/// record lines carried a checksum.
+fn strip_checksums(dir: &Path) {
+    for (_, path) in Inventory::read(dir).expect("lists").shards() {
+        let text = std::fs::read_to_string(path).expect("reads");
+        let unsum = |line: &str| line.split_once('\t').expect("checksummed").1.to_owned() + "\n";
+        std::fs::write(path, text.lines().map(unsum).collect::<String>()).expect("rewrites");
+    }
+}
+
+/// Orphaned renames of shard 1 and of the aggregate, as a kill inside
+/// `write_shard` or `write_atomic` leaves them.
+fn orphan_tmp_files(dir: &Path) {
+    std::fs::write(dir.join("shard-00001.jsonl.tmp"), b"half a shard").expect("plants");
+    std::fs::write(dir.join("aggregate.json.tmp"), b"{ half").expect("plants");
+}
+
+/// One flipped byte in shard 1's second line.
+fn flip_a_byte(dir: &Path) {
+    let path = dir.join(shard_file_name(1));
+    let mut bytes = std::fs::read(&path).expect("reads");
+    let second = bytes.iter().position(|&b| b == b'\n').expect("a line") + 1;
+    bytes[second + 20] ^= 0x01;
+    std::fs::write(&path, bytes).expect("flips");
+}
+
+/// Shard 2 demoted to its checkpoint, with its last line torn.
+fn tear_a_checkpoint(dir: &Path) {
+    let partial = dir.join(partial_file_name(2));
+    std::fs::rename(dir.join(shard_file_name(2)), &partial).expect("demotes");
+    let bytes = std::fs::read(&partial).expect("reads");
+    std::fs::write(&partial, &bytes[..bytes.len() - 10]).expect("tears");
+}
+
+/// Shard 1's checkpoint beside its promoted shard: a kill between
+/// `write_shard`'s rename and the checkpoint's removal, a window no
+/// [`fcdpm_grid::CrashPoint`] reaches.
+fn leave_a_redundant_checkpoint(dir: &Path) {
+    std::fs::copy(dir.join(shard_file_name(1)), dir.join(partial_file_name(1))).expect("copies");
+}
+
+/// A shard past the spec's three.
+fn plant_a_stale_shard(dir: &Path) {
+    std::fs::copy(dir.join(shard_file_name(0)), dir.join(shard_file_name(7))).expect("copies");
+}
+
+fn corrupt_the_aggregate(dir: &Path) {
+    std::fs::write(dir.join("aggregate.json"), b"{ torn").expect("corrupts");
+}
+
+/// Plants one kind of damage in a complete run directory.
+type Plant = fn(&Path);
+
+/// Each kind of damage, planted in a complete run directory, and the
+/// label `gc --dry-run` gives it.
+const DAMAGE: [(&str, Plant); 7] = [
+    ("orphaned-tmp", orphan_tmp_files),
+    ("corrupt-shard", flip_a_byte),
+    ("corrupt-shard", strip_checksums),
+    ("torn-partial", tear_a_checkpoint),
+    ("redundant-partial", leave_a_redundant_checkpoint),
+    ("stale-shard", plant_a_stale_shard),
+    ("corrupt-aggregate", corrupt_the_aggregate),
+];
+
+/// Every kind of damage in a complete [`crash_spec`] run: `gc --dry-run`
+/// names it, `status` still reads the directory, and a resume leaves the
+/// uninterrupted run's bytes, with no `*.tmp` behind.
+#[test]
+fn every_kind_of_damage_is_named_counted_and_resumed() {
+    let control_out = fresh_dir("damage-control");
+    run(&crash_spec(), &crash_config(&control_out)).expect("control run");
+    let control = dir_bytes(&control_out.join("crash"));
+    for (row, (label, plant)) in DAMAGE.into_iter().enumerate() {
+        let out = fresh_dir(&format!("damage-{row}"));
+        copy_dir(&control_out, &out);
+        let run_dir = out.join("crash");
+        plant(&run_dir);
+        let report = gc(&out, true).expect("gc reads");
+        let labels: BTreeSet<_> = report.actions.iter().map(|a| a.kind.label()).collect();
+        assert_eq!(
+            labels,
+            BTreeSet::from([label]),
+            "row {row}: {}",
+            report.to_text()
+        );
+        if let Err(e) = status(&run_dir) {
+            panic!("row {row} ({label}): status fails: {e}");
+        }
+        let resume = GridConfig {
+            resume: true,
+            ..crash_config(&out)
+        };
+        run(&crash_spec(), &resume).expect("resume");
+        assert!(
+            dir_bytes(&run_dir) == control,
+            "row {row} ({label}): the resume must leave the uninterrupted run's bytes"
+        );
+        let _ = std::fs::remove_dir_all(&out);
+    }
+    let _ = std::fs::remove_dir_all(&control_out);
 }
 
 #[test]

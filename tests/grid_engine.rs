@@ -14,8 +14,8 @@
 use std::path::{Path, PathBuf};
 
 use fcdpm_grid::{
-    digest_hex, read_shard, run, shard_files, spec_digest, status, FaultPreset, GridConfig,
-    GridSpec, SeedAxis, SeedRange, WorkloadKind,
+    digest_hex, read_shard, run, spec_digest, status, FaultPreset, GridConfig, GridSpec, Inventory,
+    SeedAxis, SeedRange, WorkloadKind,
 };
 use fcdpm_runner::{JobGrid, PolicySpec, RunConfig, WorkloadSpec};
 
@@ -192,8 +192,9 @@ fn batch_records_match_the_grid_run_shards_in_order() {
     .expect("grid run");
 
     let mut shard_records = Vec::new();
-    for file in shard_files(&dir.join(&grid_run.run_id)).expect("lists shards") {
-        shard_records.extend(read_shard(&file).expect("shard reads"));
+    let files = Inventory::read(&dir.join(&grid_run.run_id)).expect("lists shards");
+    for (_, file) in files.shards() {
+        shard_records.extend(read_shard(file).expect("shard reads"));
     }
     assert_eq!(manifest.records.len(), 16);
     assert_eq!(shard_records.len(), manifest.records.len());
