@@ -225,6 +225,13 @@ fn run_grid_cmd(cmd: GridCmd<'_>) -> Result<String, String> {
                 state.partial_shards, state.checkpointed
             );
         }
+        if state.stale_shards > 0 {
+            let _ = writeln!(
+                out,
+                "stale shards: {} file(s) past the spec's shard count, not counted",
+                state.stale_shards
+            );
+        }
         if state.torn_lines > 0 {
             let _ = writeln!(
                 out,

@@ -109,13 +109,20 @@ pub enum CrashPoint {
     /// half-record is left on disk, exactly as a kill inside a batch
     /// write would.
     MidPartialWrite(u64),
+    /// Abort once this shard's slot-ordered lines are published, before
+    /// its checkpoint is removed: the checkpoint is left beside the
+    /// promoted shard. Only a shard published from its lines gets
+    /// here: every shard with checkpointing off, and a resume that
+    /// replays a record after a miss.
+    AfterShardPublish(u64),
 }
 
 impl std::str::FromStr for CrashPoint {
     type Err = String;
 
-    /// Parses `after-job:N`, `before-promote:N` or `mid-write:N` — the
-    /// spelling the crash harness and the CI kill-resume gate use.
+    /// Parses `after-job:N`, `before-promote:N`, `mid-write:N` or
+    /// `after-publish:N` — the spelling the crash harness and the CI
+    /// kill-resume gate use.
     fn from_str(text: &str) -> Result<Self, Self::Err> {
         let (kind, operand) = text
             .split_once(':')
@@ -127,6 +134,7 @@ impl std::str::FromStr for CrashPoint {
             "after-job" => Ok(Self::AfterJob(n)),
             "before-promote" => Ok(Self::BeforeShardPromote(n)),
             "mid-write" => Ok(Self::MidPartialWrite(n)),
+            "after-publish" => Ok(Self::AfterShardPublish(n)),
             other => Err(format!("unknown crash point kind `{other}`")),
         }
     }
@@ -566,6 +574,9 @@ impl Spill {
             return partial.ok_or("no shard is open")?.promote().map(drop);
         };
         publish_shard(dir, shard, &lines)?;
+        if self.crash == Some(CrashPoint::AfterShardPublish(shard)) {
+            std::process::abort();
+        }
         drop(partial);
         let path = dir.join(partial_file_name(shard));
         match std::fs::remove_file(&path) {

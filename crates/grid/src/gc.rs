@@ -349,15 +349,9 @@ fn gc_run_dir(dir: &Path, report: &mut GcReport) -> Result<(), String> {
     }
 
     // Shard files: stale beyond the spec's expansion, or compacted if
-    // damaged. The shard size comes from `aggregate.json`; without a
-    // parseable one staleness cannot be judged.
+    // damaged.
     let aggregate = read_aggregate(dir);
-    let shard_size = aggregate
-        .as_ref()
-        .and_then(|agg| agg.get("shard_size")?.as_u64());
-    let expected = shard_size
-        .filter(|&size| size > 0)
-        .map(|size| spec.total_jobs().div_ceil(size));
+    let expected = shard_count(&spec, aggregate.as_ref());
     for (index, path) in files.shards() {
         match expected.filter(|&expected| index >= expected) {
             Some(expected) => {
@@ -394,6 +388,15 @@ fn read_aggregate(dir: &Path) -> Option<serde_json::Value> {
     serde_json::from_str(&text).ok()
 }
 
+/// The number of shards `spec` expands to at the shard size recorded in
+/// `aggregate.json`; a shard file at or past it is stale. `None` when
+/// the aggregate is missing, does not parse or records no positive shard
+/// size: staleness cannot be judged then, and no shard counts as stale.
+fn shard_count(spec: &GridSpec, aggregate: Option<&serde_json::Value>) -> Option<u64> {
+    let size = aggregate?.get("shard_size")?.as_u64()?;
+    (size > 0).then(|| spec.total_jobs().div_ceil(size))
+}
+
 /// What `fcdpm grid status` reports about a run directory on disk.
 #[derive(Debug, Clone)]
 pub struct GridStatus {
@@ -410,8 +413,11 @@ pub struct GridStatus {
     pub failed: u64,
     /// Timed-out records.
     pub timed_out: u64,
-    /// Shard files present.
+    /// Shard files present within the spec's shard count.
     pub shards: u64,
+    /// Shard files past the spec's shard count, judged as [`gc`] judges
+    /// them; their records are not counted.
+    pub stale_shards: u64,
     /// In-flight partial checkpoints present (`shard-*.partial.jsonl`).
     pub partial_shards: u64,
     /// Checksum-valid records recoverable from partial checkpoints.
@@ -434,7 +440,8 @@ impl GridStatus {
 
 /// Inspects a run directory without executing anything: parses its
 /// `grid.json`, reads every shard and checkpoint to its checksum-valid
-/// prefix, and counts outcomes.
+/// prefix, and counts outcomes. A shard past the spec's shard count is
+/// counted as stale and not read.
 ///
 /// # Errors
 ///
@@ -443,6 +450,8 @@ impl GridStatus {
 pub fn status(dir: &Path) -> Result<GridStatus, String> {
     let spec = read_spec(dir)?;
     let files = Inventory::read(dir)?;
+    let aggregate = read_aggregate(dir);
+    let expected_shards = shard_count(&spec, aggregate.as_ref());
     let mut state = GridStatus {
         run_id: dir
             .file_name()
@@ -455,12 +464,17 @@ pub fn status(dir: &Path) -> Result<GridStatus, String> {
         failed: 0,
         timed_out: 0,
         shards: 0,
+        stale_shards: 0,
         partial_shards: 0,
         checkpointed: 0,
         torn_lines: 0,
-        has_aggregate: read_aggregate(dir).is_some(),
+        has_aggregate: aggregate.is_some(),
     };
-    for (_, path) in files.shards() {
+    for (index, path) in files.shards() {
+        if expected_shards.is_some_and(|expected| index >= expected) {
+            state.stale_shards += 1;
+            continue;
+        }
         let shard = read_partial(path)?;
         state.shards += 1;
         state.torn_lines += shard.torn_lines;

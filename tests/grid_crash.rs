@@ -271,19 +271,24 @@ fn surviving_state(run_dir: &Path) -> (u64, u64, u64) {
     (finalized, checkpointed, torn)
 }
 
-/// Every crash point of [`crash_spec`]: each checkpointed job, and each
-/// shard's promotion and checkpoint write.
+/// Every crash point of [`crash_spec`]: each checkpointed job, each
+/// shard's promotion and checkpoint write, and each shard's publish from
+/// its slot-ordered lines.
 fn crash_points() -> Vec<String> {
     let after_job = (1..=8).map(|n| format!("after-job:{n}"));
     let before_promote = (0..=2).map(|s| format!("before-promote:{s}"));
     let mid_write = (0..=2).map(|s| format!("mid-write:{s}"));
-    after_job.chain(before_promote).chain(mid_write).collect()
+    let after_publish = (0..=2).map(|s| format!("after-publish:{s}"));
+    let points = after_job.chain(before_promote).chain(mid_write);
+    points.chain(after_publish).collect()
 }
 
-/// The `(checkpoint_batch, point)` pairs that cannot fire, so the child
-/// runs to completion: with checkpointing off nothing is checkpointed
-/// before promotion, so no job is counted and no checkpoint write tears.
-const CANNOT_FIRE: [(u64, &str); 11] = [
+/// The `(checkpoint_batch, point)` pairs that cannot fire on a fresh
+/// run, so the child runs to completion: with checkpointing off nothing
+/// is checkpointed before promotion, so no job is counted and no
+/// checkpoint write tears; with it on, a fresh run renames each
+/// checkpoint into place and publishes no shard from its lines.
+const CANNOT_FIRE: [(u64, &str); 20] = [
     (0, "after-job:1"),
     (0, "after-job:2"),
     (0, "after-job:3"),
@@ -295,6 +300,15 @@ const CANNOT_FIRE: [(u64, &str); 11] = [
     (0, "mid-write:0"),
     (0, "mid-write:1"),
     (0, "mid-write:2"),
+    (1, "after-publish:0"),
+    (1, "after-publish:1"),
+    (1, "after-publish:2"),
+    (3, "after-publish:0"),
+    (3, "after-publish:1"),
+    (3, "after-publish:2"),
+    (32, "after-publish:0"),
+    (32, "after-publish:1"),
+    (32, "after-publish:2"),
 ];
 
 /// Runs [`crash_child`] at `point` with checkpoint batch `batch` (a
@@ -424,6 +438,38 @@ fn resume_after_a_killed_resume_is_byte_identical() {
             let _ = std::fs::remove_dir_all(&crashed);
         }
     }
+    let _ = std::fs::remove_dir_all(&control_out);
+}
+
+/// A real kill between a shard's publish and its checkpoint's removal.
+/// A run killed at batch 1 after job 4 leaves shard 0 promoted and shard
+/// 1's checkpoint holding one record; its resume at batch 0 publishes
+/// shard 1 from its lines and is killed before removing that
+/// checkpoint. `gc` names the checkpoint redundant, `status` counts it,
+/// and the next resume replays nothing from it and leaves the
+/// uninterrupted run's bytes.
+#[test]
+fn a_kill_after_publish_leaves_a_redundant_checkpoint_that_resume_retires() {
+    let control_out = fresh_dir("publish-control");
+    let control = run(&crash_spec(), &crash_config(&control_out)).expect("control run");
+    let control = dir_bytes(&control.dir);
+    let out = fresh_dir("publish-window");
+    assert!(crash_at("after-job:4", 1, false, &out), "the run dies");
+    assert!(crash_at("after-publish:1", 0, true, &out), "resume dies");
+
+    let run_dir = out.join("crash");
+    let shard = std::fs::read(run_dir.join(shard_file_name(1))).expect("shard 1 is published");
+    let name = std::ffi::OsString::from(shard_file_name(1));
+    assert_eq!(Some(&shard), control.get(&name), "the control's bytes");
+    let partial = read_partial(&run_dir.join(partial_file_name(1))).expect("checkpoint is left");
+    assert_eq!(partial.records.len(), 1);
+    let report = gc(&out, true).expect("gc reads");
+    let labels: Vec<_> = report.actions.iter().map(|a| a.kind.label()).collect();
+    assert_eq!(labels, ["redundant-partial"], "{}", report.to_text());
+    let state = status(&run_dir).expect("status reads");
+    assert_eq!((state.records, state.checkpointed), (6, 1));
+    assert_resume_matches(&out, 1, &control, "after-publish:1 on a batch-0 resume");
+    let _ = std::fs::remove_dir_all(&out);
     let _ = std::fs::remove_dir_all(&control_out);
 }
 
@@ -608,9 +654,9 @@ fn tear_a_checkpoint(dir: &Path) {
     std::fs::write(&partial, &bytes[..bytes.len() - 10]).expect("tears");
 }
 
-/// Shard 1's checkpoint beside its promoted shard: a kill between
-/// `write_shard`'s rename and the checkpoint's removal, a window no
-/// [`fcdpm_grid::CrashPoint`] reaches.
+/// Shard 1's checkpoint beside its promoted shard: what a kill between
+/// `write_shard`'s rename and the checkpoint's removal leaves (see
+/// [`a_kill_after_publish_leaves_a_redundant_checkpoint_that_resume_retires`]).
 fn leave_a_redundant_checkpoint(dir: &Path) {
     std::fs::copy(dir.join(shard_file_name(1)), dir.join(partial_file_name(1))).expect("copies");
 }
@@ -660,8 +706,17 @@ fn every_kind_of_damage_is_named_counted_and_resumed() {
             "row {row}: {}",
             report.to_text()
         );
-        if let Err(e) = status(&run_dir) {
-            panic!("row {row} ({label}): status fails: {e}");
+        let state = match status(&run_dir) {
+            Ok(state) => state,
+            Err(e) => panic!("row {row} ({label}): status fails: {e}"),
+        };
+        if label == "stale-shard" {
+            assert_eq!(
+                (state.records, state.stale_shards),
+                (state.expected_jobs, 1),
+                "row {row}: a stale shard's records are not the run's"
+            );
+            assert!(state.is_complete(), "row {row}: the run is complete");
         }
         let resume = GridConfig {
             resume: true,

@@ -5,7 +5,9 @@
 //! policy), but only for members that opt in with `[lints] workspace =
 //! true`, so every member must. rustc refuses a `use` of a crate the
 //! manifest does not declare, so pinning each member's `fcdpm-*`
-//! dependencies to [`ALLOWED_DEPS`] pins the import graph too.
+//! dependencies to [`ALLOWED_DEPS`] pins the import graph too. The
+//! release profile is pinned where cargo reads it: in the root manifest
+//! only, and unwinding.
 
 #![allow(
     clippy::unwrap_used,
@@ -170,4 +172,56 @@ fn fcdpm_dependencies_follow_the_layering() {
         }
     }
     assert!(edges > 0, "no `fcdpm-*` dependency was read");
+}
+
+/// The names of `manifest`'s `[profile.*]` tables (`profile.release`).
+fn profile_tables(manifest: &str) -> Vec<&str> {
+    manifest
+        .lines()
+        .map(str::trim)
+        .filter_map(|line| line.strip_prefix('[')?.strip_suffix(']'))
+        .filter(|name| name.starts_with("profile."))
+        .collect()
+}
+
+#[test]
+fn release_profile_lives_in_the_root_and_unwinds() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest reads");
+    let profiles = profile_tables(&manifest);
+    assert!(
+        profiles.contains(&"profile.release"),
+        "the root Cargo.toml must declare [profile.release]"
+    );
+    // The pool's panic isolation and `--max-attempts` retries catch
+    // unwinding panics; under "abort" a panicking job kills the run.
+    for name in profiles {
+        for line in table(&manifest, name) {
+            let value = line.split_once('=').map(|(_, value)| value.trim());
+            assert!(
+                key(line) != "panic" || value == Some("\"unwind\""),
+                "[{name}] sets `{line}`: release binaries must unwind"
+            );
+        }
+    }
+
+    // Cargo reads profiles from the workspace root only and ignores a
+    // member's with nothing but a warning.
+    let mut checked = 0;
+    for members in ["crates", "vendor"] {
+        for entry in fs::read_dir(root.join(members)).expect("member directory lists") {
+            let path = entry.expect("member entry").path().join("Cargo.toml");
+            let Ok(member) = fs::read_to_string(&path) else {
+                continue;
+            };
+            let profiles = profile_tables(&member);
+            assert!(
+                profiles.is_empty(),
+                "{} declares {profiles:?}: cargo ignores a member's profiles; set them in the root Cargo.toml",
+                path.display()
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 1, "no member manifest was read");
 }
